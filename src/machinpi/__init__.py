@@ -14,7 +14,7 @@ from .analysis import (
     predict_rate,
     validated_pi_reference,
 )
-from .exact import BigRational, GaussianInt, GaussianRational, gi_pow, gr_norm, gr_pow
+from .exact import GaussianInt, GaussianRational, gi_pow, gr_norm, gr_pow
 from .machin import (
     MachinFormula,
     VerificationResult,
@@ -40,7 +40,6 @@ from .series import (
 )
 
 __all__ = [
-    "BigRational",
     "ConvergenceReport",
     "FixedReal",
     "FormulaRecord",

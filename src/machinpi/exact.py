@@ -2,7 +2,9 @@
 
 Rationals are `fractions.Fraction` (always reduced, positive denominator,
 zero canonically 0/1).  Gaussian values are immutable pairs over ints or
-Fractions; every operation is exact, no floating point anywhere.
+Fractions; every operation is exact, no floating point anywhere.  The
+production path works on Gaussian integers only; Gaussian rationals
+remain for the literal cross-check of the second-term solve.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from fractions import Fraction
 # cap (second-term numerators reach hundreds of thousands of digits).
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
-
-BigRational = Fraction
 
 _LOG10_2 = math.log10(2)
 
@@ -53,8 +53,13 @@ class GaussianInt:
                 result = result * base
             n >>= 1
             if n:
-                base = base * base
+                base = base.square()
         return result
+
+    def square(self) -> "GaussianInt":
+        """(a + bi)**2 with two big multiplications instead of four."""
+        a, b = self.re, self.im
+        return GaussianInt((a + b) * (a - b), (a * b) << 1)
 
     def conjugate(self) -> "GaussianInt":
         return GaussianInt(self.re, -self.im)
@@ -122,12 +127,7 @@ class GaussianRational:
     def norm(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    @classmethod
-    def from_gaussian_int(cls, g: GaussianInt) -> "GaussianRational":
-        return cls(Fraction(g.re), Fraction(g.im))
 
-
-GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
 GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
@@ -154,20 +154,44 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def int_to_text(n: int, hexadecimal: bool = False) -> str:
-    """Serialize an integer; hex form carries a 0x marker after the sign."""
-    if hexadecimal:
-        sign = "-" if n < 0 else ""
-        return f"{sign}0x{abs(n):x}"
-    return str(n)
+def fraction_sharing_only_twos(num: int, den: int) -> Fraction:
+    """num/den in lowest terms, for a pair whose gcd is a power of two.
+
+    The common power of two is the smaller count of trailing zero bits,
+    so one shift reduces the pair; no gcd of the big values is run.
+
+    The second-term solve needs this for num = A + B, den = A - B, where
+    A + Bi = (p + qi)**n and gcd(p, q) = 1.  An odd prime l dividing
+    A + B and A - B divides 2A and 2B, hence A and B, hence (p + qi)**n
+    in Z[i].  If l = 3 (mod 4) it is a Gaussian prime, so it divides
+    p + qi; if l = 1 (mod 4) it splits as a conjugate pair of
+    non-associate primes that both divide p + qi.  Either way l divides
+    p and q, which are coprime.  Only the ramified prime 1 + i can be
+    shared, so the gcd is a power of two.  The caller vouches for that
+    precondition; this helper does not check it.
+    """
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if num == 0:
+        return Fraction(0)
+    shift = min(_trailing_zero_bits(num), _trailing_zero_bits(den))
+    num >>= shift
+    den >>= shift
+    if den < 0:
+        num, den = -num, -den
+    return _coprime_fraction(num, den)
 
 
-def int_from_text(text: str) -> int:
-    s = text.strip()
-    neg = s.startswith("-")
-    body = s[1:] if neg else s
-    value = int(body, 16) if body.startswith(("0x", "0X")) else int(body)
-    return -value if neg else value
+def _trailing_zero_bits(n: int) -> int:
+    return (n & -n).bit_length() - 1
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction from a coprime pair with den > 0, skipping Fraction's
+    normalising gcd (the constructor spelling changed in Python 3.12)."""
+    if hasattr(Fraction, "_from_coprime_ints"):
+        return Fraction._from_coprime_ints(num, den)
+    return Fraction(num, den, _normalize=False)
 
 
 def decimal_digit_count(n: int) -> int:

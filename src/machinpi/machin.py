@@ -1,9 +1,16 @@
 """Exact construction and verification of two-term arctangent identities.
 
-Everything here works in the Gaussian rationals.  A term
-alpha * arctan(1/beta) corresponds to the unit-modulus rotation
+A term alpha * arctan(1/beta) corresponds to the unit-modulus rotation
 ((beta + i)/(beta - i)) ** alpha, and a formula for pi/4 is exactly valid
-iff the product of its rotations equals i.
+iff the product of its rotations equals i.  With beta = p/q in lowest
+terms the rotation is (p + qi)**2 / |p + qi|**2, so everything reduces to
+Gaussian integers: with
+
+    G = product over the terms of (p + qi) ** |alpha|
+        (the conjugate p - qi where alpha < 0),
+
+the rotations multiply to G**2 / |G|**2, which is i exactly when
+G.re == G.im != 0.  No rational reduction and no gcd is needed.
 
 Solving for the closing second term: with beta1 = p/q in lowest terms and
 A + Bi = (p + qi) ** alpha1,
@@ -11,13 +18,15 @@ A + Bi = (p + qi) ** alpha1,
     ((beta1 + i)/(beta1 - i)) ** alpha1 = (A + Bi)/(A - Bi),
 
 and demanding the product equal i gives beta2 = (A + B)/(A - B).  The
-same value falls out of the direct rearrangement
+only common factor of A + B and A - B is a power of two (see
+exact.fraction_sharing_only_twos), so one shift puts beta2 in lowest
+terms.  The same value falls out of the direct rearrangement
 
     beta2 = 2 / (z - i) - i,      z = ((beta1 + i)/(beta1 - i)) ** alpha1,
 
-which is kept as an independent cross-check path (see
-solve_second_term_direct); the README records the algebra connecting the
-two.
+which is kept over Gaussian rationals as an independent cross-check path
+(see solve_second_term_direct); the README records the algebra
+connecting the two.
 """
 
 from __future__ import annotations
@@ -26,7 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSecondTerm, NotExactlyVerifiable
-from .exact import GR_I, GaussianInt, GaussianRational, gr_pow
+from .exact import (
+    GR_I,
+    GaussianInt,
+    GaussianRational,
+    fraction_sharing_only_twos,
+    gr_pow,
+)
 
 
 @dataclass(frozen=True)
@@ -66,27 +81,32 @@ class MachinFormula:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of the exact product check, with the product as certificate."""
+    """Outcome of the exact check, with the Gaussian-integer product G as
+    certificate: the formula is valid iff G.re == G.im != 0."""
 
     ok: bool
-    product: GaussianRational
+    product: GaussianInt
 
     def __bool__(self) -> bool:
         return self.ok
 
+    def summary(self) -> str:
+        """The certificate in a few words, however large G is."""
+        re, im = self.product.re, self.product.im
+        relation = "==" if self.ok else "!="
+        return (f"G.re ({re.bit_length()} bits) {relation} "
+                f"G.im ({im.bit_length()} bits)")
 
-def rotation_power(beta: Fraction, alpha: int) -> GaussianRational:
-    """((beta + i)/(beta - i)) ** alpha, exactly.
 
-    Computed from the integer power (p + qi) ** |alpha| with beta = p/q,
-    so only one rational reduction happens at the end; negative exponents
-    conjugate (the rotation has unit modulus).
+def _term_factor(alpha: int, beta: Fraction) -> GaussianInt:
+    """(p + qi) ** |alpha| with beta = p/q, conjugated when alpha < 0.
+
+    The rotation ((beta + i)/(beta - i)) ** alpha is this factor squared
+    over its norm.
     """
+    beta = Fraction(beta)
     g = GaussianInt(beta.numerator, beta.denominator) ** abs(alpha)
-    a, b = g.re, g.im
-    n = a * a + b * b
-    z = GaussianRational(Fraction(a * a - b * b, n), Fraction(2 * a * b, n))
-    return z.conjugate() if alpha < 0 else z
+    return g.conjugate() if alpha < 0 else g
 
 
 def solve_second_term(alpha1: int, beta1: Fraction) -> Fraction:
@@ -101,7 +121,7 @@ def solve_second_term(alpha1: int, beta1: Fraction) -> Fraction:
     beta1 = Fraction(beta1)
     if beta1 == 0:
         raise ValueError("first cotangent argument must be nonzero")
-    g = GaussianInt(beta1.numerator, beta1.denominator) ** alpha1
+    g = _term_factor(alpha1, beta1)
     a, b = g.re, g.im
     if a == b:
         raise DegenerateSecondTerm(
@@ -112,7 +132,7 @@ def solve_second_term(alpha1: int, beta1: Fraction) -> Fraction:
             f"{alpha1}*arctan(1/{beta1}) differs from pi/4 by a right "
             "angle; the second argument degenerates to zero"
         )
-    return Fraction(a + b, a - b)
+    return fraction_sharing_only_twos(a + b, a - b)
 
 
 def solve_u2(u1: Fraction, k: int) -> Fraction:
@@ -149,27 +169,27 @@ def solve_second_term_direct(alpha1: int, beta1: Fraction) -> Fraction:
 
 
 def verify_formula(formula: MachinFormula) -> VerificationResult:
-    """Exact check that the rotations multiply to i.
+    """Exact check that the rotations multiply to i, on Gaussian integers.
 
     Only integer coefficients admit an exact algebraic check; rational
     coefficients raise NotExactlyVerifiable rather than guessing a branch.
     """
-    product = GaussianRational(Fraction(1), Fraction(0))
+    product = GaussianInt(1, 0)
     for alpha, beta in formula.terms:
         if alpha.denominator != 1:
             raise NotExactlyVerifiable(
                 f"coefficient {alpha} is not an integer"
             )
-        product = product * rotation_power(beta, int(alpha))
-    return VerificationResult(ok=product == GR_I, product=product)
+        product = product * _term_factor(int(alpha), beta)
+    ok = product.re == product.im != 0
+    return VerificationResult(ok=ok, product=product)
 
 
 def check_relation_pair(
     a: tuple[int, Fraction], b: tuple[int, Fraction]
 ) -> bool:
     """True iff the two weighted arctangent terms are exactly equal,
-    i.e. their rotations coincide."""
-    (alpha_a, beta_a), (alpha_b, beta_b) = a, b
-    return rotation_power(Fraction(beta_a), alpha_a) == rotation_power(
-        Fraction(beta_b), alpha_b
-    )
+    i.e. their rotations G_a/conj(G_a) and G_b/conj(G_b) coincide, which
+    holds iff G_a * conj(G_b) is real."""
+    cross = _term_factor(*a) * _term_factor(*b).conjugate()
+    return cross.im == 0

@@ -227,7 +227,7 @@ def pi_from_formula(
         outcome = verify_formula(formula)
         if not outcome.ok:
             raise UnverifiedFormula(
-                f"formula failed the exact product check: {outcome.product}"
+                f"formula failed the exact product check: {outcome.summary()}"
             )
     total = FixedReal.zero(scale)
     slowest_beta = min(abs(beta) for _, beta in formula.terms)

@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Nothing here shares code with the paths under test: powers are repeated
-multiplication, decimal expansions come from integer square roots, and
-arctangent references are alternating partial sums with their classical
-remainder bound.
+multiplication, rotations are reduced pairs of Fractions, decimal
+expansions come from integer square roots, and arctangent references are
+alternating partial sums with their classical remainder bound.
 """
 
 from __future__ import annotations
@@ -61,3 +61,26 @@ def cot_tower_digits(k: int, digits: int, scale: int = 0) -> str:
         c += isqrt((1 << 2 * scale) + c * c)
     whole, frac = divmod((c * 10 ** digits) >> scale, 10 ** digits)
     return f"{whole}.{frac:0{digits}d}"
+
+
+def rotation_power_reference(beta: Fraction, alpha: int) -> tuple[Fraction, Fraction]:
+    """((beta + i)/(beta - i)) ** alpha as an exact (re, im) pair of
+    Fractions: (p + qi) ** |alpha| by repeated multiplication with
+    beta = p/q, then one reduction over its norm; negative exponents
+    conjugate (the rotation has unit modulus)."""
+    beta = Fraction(beta)
+    g = gi_pow_naive(GaussianInt(beta.numerator, beta.denominator), abs(alpha))
+    a, b = g.re, g.im
+    n = a * a + b * b
+    re, im = Fraction(a * a - b * b, n), Fraction(2 * a * b, n)
+    return (re, -im) if alpha < 0 else (re, im)
+
+
+def rotation_product_reference(terms) -> tuple[Fraction, Fraction]:
+    """Product of the rotations of (alpha, beta) terms over Gaussian
+    rationals; the formula is valid iff this equals i, i.e. (0, 1)."""
+    re, im = Fraction(1), Fraction(0)
+    for alpha, beta in terms:
+        c, d = rotation_power_reference(beta, int(alpha))
+        re, im = re * c - im * d, re * d + im * c
+    return re, im

@@ -14,8 +14,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from machinpi import cli
 from machinpi.analysis import compare_methods, measure_convergence, predict_rate
 from machinpi.cli import generate_record
@@ -100,9 +98,8 @@ def test_criterion_3_depth_ten():
         assert elapsed < 10.0
 
 
-@pytest.mark.slow
 def test_criterion_4_depth_seventeen():
-    with criterion("4", "depth-17 second argument: 312665/312658 digits (opt-in)"):
+    with criterion("4", "depth-17 second argument: 312665/312658 digits"):
         start = time.perf_counter()
         u2 = solve_u2(Fraction(83443), 17)
         assert decimal_digit_count(u2.numerator) == 312665

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,12 @@ from machinpi.exact import (
     GaussianRational,
     decimal_digit_count,
     format_decimal_head,
+    fraction_sharing_only_twos,
     fraction_to_fixed_text,
     fraction_to_sci_text,
     gi_pow,
     gr_norm,
     gr_pow,
-    int_from_text,
-    int_to_text,
     parse_rational,
 )
 
@@ -56,6 +56,11 @@ class TestGaussianInt:
     def test_pow_agrees_with_repeated_multiplication(self, a, b, n):
         g = GaussianInt(a, b)
         assert gi_pow(g, n) == gi_pow_naive(g, n)
+
+    @given(st.integers(), st.integers())
+    def test_square_matches_multiplication(self, a, b):
+        g = GaussianInt(a, b)
+        assert g.square() == gi_pow_naive(g, 2)
 
     @given(small_ints, small_ints, small_ints, small_ints, small_ints, small_ints)
     def test_multiplication_commutes_and_associates(self, a, b, c, d, e, f):
@@ -111,12 +116,30 @@ class TestGaussianRational:
                 assert part.numerator == 0 and part.denominator == 1
 
 
-class TestSerialization:
-    def test_int_text_round_trip(self):
-        for n in (0, 7, -7, 10 ** 40, -(3 ** 81)):
-            assert int_from_text(int_to_text(n)) == n
-            assert int_from_text(int_to_text(n, hexadecimal=True)) == n
+class TestFractionSharingOnlyTwos:
+    @given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+           st.integers(min_value=-10 ** 30, max_value=10 ** 30).filter(bool),
+           st.integers(min_value=0, max_value=80),
+           st.integers(min_value=0, max_value=80))
+    def test_matches_reduced_fraction(self, x, y, a, b):
+        odd_gcd = math.gcd(x, y)
+        while odd_gcd % 2 == 0:
+            odd_gcd //= 2
+        num, den = (x // odd_gcd) << a, (y // odd_gcd) << b
+        got = fraction_sharing_only_twos(num, den)
+        expected = Fraction(num, den)
+        assert (got.numerator, got.denominator) == (
+            expected.numerator, expected.denominator)
 
+    def test_zero_and_signs(self):
+        assert fraction_sharing_only_twos(0, -12) == 0
+        got = fraction_sharing_only_twos(12, -40)
+        assert (got.numerator, got.denominator) == (-3, 10)
+        with pytest.raises(ZeroDivisionError):
+            fraction_sharing_only_twos(1, 0)
+
+
+class TestSerialization:
     def test_parse_rational_forms(self):
         assert parse_rational("24/10") == Fraction(12, 5)
         assert parse_rational("-239") == -239

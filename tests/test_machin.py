@@ -1,23 +1,27 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from machinpi.cli import generate_record
 from machinpi.errors import DegenerateSecondTerm, NotExactlyVerifiable
-from machinpi.exact import GR_I, decimal_digit_count, format_decimal_head
+from machinpi.exact import GaussianInt, decimal_digit_count, format_decimal_head
 from machinpi.machin import (
     MachinFormula,
     check_relation_pair,
-    rotation_power,
     solve_second_term,
     solve_second_term_direct,
     solve_u2,
     verify_formula,
 )
 from machinpi.radicals import eval_radicals, select_u1
+
+from oracles import rotation_power_reference, rotation_product_reference
 
 
 BETA2_FOR_BILLION_NUM = int(
@@ -78,9 +82,14 @@ class TestDirectPathEquivalence:
         (1, Fraction(2)),
         (2, Fraction(24, 10)),
         (3, Fraction(5)),
+        (4, Fraction(10)),
         (5, Fraction(20)),
+        (6, Fraction(41)),
         (7, Fraction(81)),
+        (8, Fraction(163)),
+        (9, Fraction(326)),
         (10, Fraction(651)),
+        (10, Fraction(652)),
     ])
     def test_closed_form_matches_direct_evaluation(self, k, u1):
         assert solve_u2(u1, k) == solve_second_term_direct(1 << (k - 1), u1)
@@ -133,7 +142,7 @@ class TestVerify:
             MachinFormula(((Fraction(4), Fraction(5)), (Fraction(1), Fraction(239))))
         )
         assert not outcome.ok
-        assert outcome.product != GR_I
+        assert outcome.product.re != outcome.product.im
 
     def test_rational_coefficient_rejected(self):
         with pytest.raises(NotExactlyVerifiable):
@@ -172,7 +181,11 @@ class TestRelations:
     )
     def test_relation_consistent_with_rotations(self, alpha, beta):
         assert check_relation_pair((alpha, beta), (alpha, beta))
-        assert rotation_power(beta, alpha) == rotation_power(beta, alpha)
+        for other in ((alpha, -beta), (-alpha, beta), (2 * alpha, beta / 2)):
+            assert check_relation_pair((alpha, beta), other) == (
+                rotation_power_reference(beta, alpha)
+                == rotation_power_reference(other[1], other[0])
+            )
 
 
 class TestSecondArgumentMagnitude:
@@ -186,9 +199,96 @@ class TestSecondArgumentMagnitude:
         sel = select_u1(eval_radicals(2, 26), 10)
         assert abs(solve_u2(sel.u1, 2)) > sel.u1
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("k", range(13, 18))
     def test_second_argument_larger_through_depth_seventeen(self, k):
         sel = select_u1(eval_radicals(k, 26), 1)
         u2 = solve_u2(sel.u1, k)
         assert abs(u2) > sel.u1
+
+
+def _selected_u1(k: int) -> Fraction:
+    return select_u1(eval_radicals(k, 26), 10 if k == 2 else 1).u1
+
+
+class TestGcdFreeSolve:
+    @pytest.mark.parametrize("k", range(2, 16))
+    def test_second_argument_in_lowest_terms(self, k):
+        u2 = solve_u2(_selected_u1(k), k)
+        assert u2.denominator > 0
+        assert math.gcd(u2.numerator, u2.denominator) == 1
+
+    @pytest.mark.parametrize("k,shared", [(3, 4), (14, 1), (15, 1 << 8192)])
+    def test_shared_factor_is_a_power_of_two(self, k, shared):
+        u1 = _selected_u1(k)
+        g = GaussianInt(u1.numerator, u1.denominator) ** (1 << (k - 1))
+        assert math.gcd(g.re + g.im, g.re - g.im) == shared
+
+
+@lru_cache(maxsize=None)
+def _record_terms(k: int, variant: str):
+    """Terms of the generated depth-k formula, as generated, with u2's
+    sign flipped, or with one digit of u2's numerator changed."""
+    record, _ = generate_record(k, 1, "nearest")
+    u1, u2 = record.u1, record.u2
+    if variant == "sign-flipped":
+        u2 = -u2
+    elif variant == "perturbed":
+        digits = str(abs(u2.numerator))
+        i = len(digits) // 2
+        digits = digits[:i] + str((int(digits[i]) + 1) % 10) + digits[i + 1:]
+        u2 = Fraction(int(digits) * (-1 if u2 < 0 else 1), u2.denominator)
+    return MachinFormula.two_term(k, u1, u2).terms
+
+
+def _rotation_of(g: GaussianInt) -> tuple[Fraction, Fraction]:
+    """G**2 / |G|**2, the rotation the certificate G stands for."""
+    n = g.norm()
+    return Fraction(g.re * g.re - g.im * g.im, n), Fraction(2 * g.re * g.im, n)
+
+
+small_alphas = st.integers(min_value=-6, max_value=6)
+small_betas = st.fractions(
+    min_value=-30, max_value=30, max_denominator=8
+).filter(lambda beta: beta != 0)
+VALID_SMALL_FORMULAS = (
+    ((4, Fraction(5)), (-1, Fraction(239))),
+    ((2, Fraction(12, 5)), (1, Fraction(-239))),
+    ((1, Fraction(2)), (1, Fraction(3))),
+    ((2, Fraction(2)), (-1, Fraction(7))),
+    ((1, Fraction(1)),),
+)
+
+
+def _formula(terms) -> MachinFormula:
+    return MachinFormula(tuple((Fraction(a), Fraction(b)) for a, b in terms))
+
+
+class TestVerifyAgainstReference:
+    """The Gaussian-integer check against the Gaussian-rational rotation
+    product of tests/oracles.py."""
+
+    @pytest.mark.parametrize("variant,valid", [
+        ("generated", True), ("sign-flipped", False), ("perturbed", False),
+    ])
+    @pytest.mark.parametrize("k", [3, 10, 13])
+    def test_records(self, k, variant, valid):
+        terms = _record_terms(k, variant)
+        reference = rotation_product_reference(terms) == (0, 1)
+        assert verify_formula(MachinFormula(terms)).ok == reference == valid
+
+    @given(st.lists(st.tuples(small_alphas, small_betas), min_size=1, max_size=3))
+    def test_random_small_formulas(self, terms):
+        outcome = verify_formula(_formula(terms))
+        reference = rotation_product_reference(terms)
+        assert outcome.ok == (reference == (0, 1))
+        assert _rotation_of(outcome.product) == reference
+
+    @given(st.sampled_from(VALID_SMALL_FORMULAS), small_alphas, small_betas,
+           st.booleans())
+    def test_valid_formulas_with_cancelling_pair(self, base, alpha, beta, flip):
+        # alpha*arctan(1/beta) cancels against -alpha*arctan(1/beta), spelled
+        # with either the coefficient or the argument negated.
+        cancel = (-alpha, beta) if flip else (alpha, -beta)
+        terms = base + ((alpha, beta), cancel)
+        assert rotation_product_reference(terms) == (0, 1)
+        assert verify_formula(_formula(terms)).ok

@@ -150,6 +150,25 @@ class TestVerifyCommand:
         k3_record_path.write_text(json.dumps(payload))
         assert run_cli("verify", str(k3_record_path)) == cli.EXIT_DIGIT_COUNT
 
+    def test_failure_message_stays_short(self, tmp_path, capsys):
+        # One changed digit in a depth-13 u2 (about 15,000 digits, so
+        # sidecar-backed) must report a summary, not the certificate.
+        record, _ = generate_record(13, 1, "nearest")
+        num = record.u2.numerator
+        perturbed = build_record(
+            k=13, denominator_policy=1, rounding="nearest", u1=record.u1,
+            epsilon_decimal=record.epsilon_decimal,
+            u2=Fraction(num + 10 ** 5000, record.u2.denominator),
+            verified=True, predicted_rate=record.predicted_rate,
+        )
+        path = write_record(perturbed, tmp_path / "k13.json")
+        assert (tmp_path / "k13.u2num.txt").exists()
+        capsys.readouterr()
+        assert run_cli("verify", str(path)) == cli.EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert "exact product check" in err
+        assert len(err.encode()) < 1024
+
     def test_verify_parse_failure(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
@@ -163,6 +182,20 @@ class TestComputePiCommand:
         ) == 0
         out = capsys.readouterr().out.strip()
         assert out == pi_text_300[:102]
+
+    @pytest.mark.parametrize("budget", [("--digits", "20"), ("--terms", "10")])
+    def test_edited_record_is_rechecked(self, k3_record_path, capsys, budget):
+        # The record still claims "verified": true; compute-pi must not
+        # trust it and print a wrong pi.
+        payload = json.loads(k3_record_path.read_text())
+        payload["u2"]["num"]["value"] = "-238"
+        assert payload["verified"] is True
+        k3_record_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli(
+            "compute-pi", "--formula", str(k3_record_path), *budget
+        ) == cli.EXIT_VERIFICATION
+        assert capsys.readouterr().out == ""
 
     def test_terms_budget_reports_rate(self, k3_record_path, capsys, pi_text_300):
         assert run_cli(
