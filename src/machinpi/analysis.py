@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InsufficientReference
-from .machin import MachinFormula
+from .machin import MachinFormula, solve_u2
 from .realnum import FixedReal
 from .series import (
+    _conjugate_terms,
+    _rational_start,
     approx_log10,
     arctan_conjugate,
     arctan_euler,
@@ -24,6 +26,7 @@ from .series import (
     digits_per_term,
     pi_from_formula,
     scale_for_digits,
+    terms_for_digits,
 )
 
 # Band within which the measured slope is expected to sit relative to the
@@ -96,8 +99,9 @@ def measure_convergence(
     """Count correct digits of pi at each truncation 1..max_terms and fit
     the digits-per-term slope.
 
-    The reference must out-resolve everything the run can produce, else
-    InsufficientReference.
+    One pass walks each arctangent's terms once, reading pi's midpoint off
+    the running sums at every m.  The reference must out-resolve
+    everything the run can produce, else InsufficientReference.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -113,14 +117,19 @@ def measure_convergence(
     ref_text, ok = reference_pi.to_decimal(ref_digits)
     assert ok
     scale = scale_for_digits(ceiling)
+    t0 = time.perf_counter()
+    streams = [_conjugate_terms(*_rational_start(1 / beta, scale)[0])
+               for _, beta in formula.terms]
+    sums = [FixedReal.zero(scale)] * len(streams)
     samples: list[tuple[int, int]] = []
-    elapsed = 0.0
     for m in range(1, max_terms + 1):
-        t0 = time.perf_counter()
-        result = pi_from_formula(formula, m, scale, assume_verified=True)
-        elapsed += time.perf_counter() - t0
-        text, _ = result.value.to_decimal(ref_digits)
+        sums = [part + next(stream) for part, stream in zip(sums, streams)]
+        total = FixedReal.zero(scale)
+        for (alpha, _), part in zip(formula.terms, sums):
+            total = total + part.mul_fraction(alpha)
+        text, _ = total.shift(2).to_decimal(ref_digits)
         samples.append((m, _common_prefix_digits(text, ref_text)))
+    elapsed = time.perf_counter() - t0
     fit_points = [p for p in samples if p[0] >= 3]
     slope = _least_squares_slope(fit_points if len(fit_points) >= 2 else samples)
     within = (
@@ -134,7 +143,7 @@ def measure_convergence(
         predicted_digits_per_term=predicted,
         reference_rate=reference_rate,
         samples=samples,
-        wall_time_per_term=elapsed / sum(m for m, _ in samples),
+        wall_time_per_term=elapsed / max_terms,
         rate_within_band=within,
     )
 
@@ -177,9 +186,6 @@ def validated_pi_reference(digits: int) -> FixedReal:
     """pi validated to at least `digits` decimals by two structurally
     independent two-term formulas (depth-3 and depth-5 constructions);
     their expansions must agree digit for digit."""
-    from .machin import solve_u2
-    from .series import pi_from_formula, terms_for_digits
-
     target = digits + 4
     scale = scale_for_digits(target)
     f_a = MachinFormula.two_term(3, Fraction(5), solve_u2(Fraction(5), 3))

@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .analysis import (
@@ -48,6 +48,7 @@ from .machin import MachinFormula, solve_second_term, solve_u2, verify_formula
 from .radicals import eval_radicals, select_u1
 from .records import build_record, check_record, load_record, write_record
 from .series import (
+    _radical_rate,
     digits_per_term,
     pi_digits_from_formula,
     pi_digits_from_radicals,
@@ -154,31 +155,21 @@ def _cmd_compute_pi(args) -> int:
         check_record(record)
         formula = record.formula()
         rate = min(digits_per_term(beta) for _, beta in formula.terms)
-        if args.digits is not None:
-            text, result = pi_digits_from_formula(
-                formula, args.digits, assume_verified=True
-            )
-        else:
-            scale = scale_for_digits(int(rate * args.terms) + 16)
-            result = pi_from_formula(
-                formula, args.terms, scale, assume_verified=True
-            )
-            limit = int(rate * args.terms) + 10
-            text, _ = result.value.to_decimal(
-                max(1, result.value.valid_decimal_digits(limit))
-            )
+        digits_of_pi = partial(pi_digits_from_formula, formula, assume_verified=True)
+        evaluate = partial(pi_from_formula, formula, assume_verified=True)
     else:
-        if args.digits is not None:
-            text, result = pi_digits_from_radicals(args.k, args.digits)
-        else:
-            probe = pi_from_radicals(args.k, 1, 64)
-            rate = max(probe.per_term_log10, 1.0)
-            scale = scale_for_digits(int(rate * args.terms) + 16)
-            result = pi_from_radicals(args.k, args.terms, scale)
-            limit = int(rate * args.terms) + 10
-            text, _ = result.value.to_decimal(
-                max(1, result.value.valid_decimal_digits(limit))
-            )
+        rate = max(_radical_rate(args.k), 1.0)
+        digits_of_pi = partial(pi_digits_from_radicals, args.k)
+        evaluate = partial(pi_from_radicals, args.k)
+
+    if args.digits is not None:
+        text, result = digits_of_pi(args.digits)
+    else:
+        limit = int(rate * args.terms) + 10
+        result = evaluate(args.terms, scale_for_digits(limit + 6))
+        text, _ = result.value.to_decimal(
+            max(1, result.value.valid_decimal_digits(limit))
+        )
 
     print(text)
     if args.out:

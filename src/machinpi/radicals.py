@@ -38,7 +38,6 @@ class RadicalState:
     a_k: FixedReal
     a_km1: FixedReal
     c_k: FixedReal
-    scale_bits: int
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def _eval_at_scale(k: int, scale: int) -> RadicalState:
         a_prev = a
         a = (two + a_prev).sqrt()
     c = a / (two - a_prev).sqrt()
-    return RadicalState(k=k, a_k=a, a_km1=a_prev, c_k=c, scale_bits=scale)
+    return RadicalState(k=k, a_k=a, a_km1=a_prev, c_k=c)
 
 
 def select_u1(

@@ -76,7 +76,12 @@ class FixedReal:
 
     @classmethod
     def from_fraction(cls, fr: Fraction, scale: int) -> "FixedReal":
-        num, den = fr.numerator, fr.denominator
+        return cls._from_ratio(fr.numerator, fr.denominator, scale)
+
+    @classmethod
+    def _from_ratio(cls, num: int, den: int, scale: int) -> "FixedReal":
+        """num/den (den > 0) rounded to nearest.  The result depends only
+        on the value, so the pair need not be in lowest terms."""
         scaled = num << scale
         m = _div_nearest(scaled, den)
         return cls(m, scale, 0 if m * den == scaled else 1)
@@ -102,9 +107,6 @@ class FixedReal:
     @property
     def upper(self) -> Fraction:
         return Fraction(self.mantissa + self.err_ulp, 1 << self.scale)
-
-    def is_exact(self) -> bool:
-        return self.err_ulp == 0
 
     def contains(self, fr: Fraction) -> bool:
         return self.lower <= fr <= self.upper
@@ -217,29 +219,30 @@ class FixedReal:
 
     # -- decimal I/O ----------------------------------------------------
 
-    def _dec_trunc(self, m: int, digits: int) -> int:
-        """Truncate m * 2**-scale toward zero in units of 10**-digits."""
-        scaled = m * 10 ** digits
-        if scaled >= 0:
-            return scaled >> self.scale
-        return -((-scaled) >> self.scale)
+    def _dec_trunc(self, m: int, unit: int) -> tuple[bool, int]:
+        """Sign of m, and |m| * 2**-scale truncated toward zero in units
+        of 1/unit."""
+        return m < 0, (abs(m) * unit) >> self.scale
 
     def to_decimal(self, digits: int) -> tuple[str, bool]:
         """Decimal expansion with `digits` digits after the point,
         truncated toward zero, plus a validity flag.
 
-        The flag is True only when every value in the error interval
-        truncates to the same string, i.e. every printed digit is
-        certain.  Callers seeing False must re-run at a higher scale.
+        The sign follows the mantissa, so a negative value prints "-"
+        even when every shown digit is zero.  The flag is True only when
+        both ends of the error interval truncate to the same signed
+        string, i.e. every printed digit and the sign are certain.
+        Callers seeing False must re-run at a higher scale.
         """
         if digits < 1:
             raise ValueError("digits must be at least 1")
-        n_lo = self._dec_trunc(self.mantissa - self.err_ulp, digits)
-        n_hi = self._dec_trunc(self.mantissa + self.err_ulp, digits)
-        n_mid = self._dec_trunc(self.mantissa, digits)
-        sign = "-" if n_mid < 0 else ""
-        whole, frac = divmod(abs(n_mid), 10 ** digits)
-        return f"{sign}{whole}.{frac:0{digits}d}", n_lo == n_hi
+        unit = 10 ** digits
+        lo = self._dec_trunc(self.mantissa - self.err_ulp, unit)
+        hi = self._dec_trunc(self.mantissa + self.err_ulp, unit)
+        negative, n_mid = self._dec_trunc(self.mantissa, unit)
+        whole, frac = divmod(n_mid, unit)
+        sign = "-" if negative else ""
+        return f"{sign}{whole}.{frac:0{digits}d}", lo == hi
 
     def valid_decimal_digits(self, limit: int) -> int:
         """Largest digit count <= limit that to_decimal reports valid

@@ -160,20 +160,25 @@ def load_record(path: str | os.PathLike) -> FormulaRecord:
             raise RecordParseError(
                 f"unsupported schema version {payload['schema_version']}"
             )
-        u1 = Fraction(int(payload["u1"]["num"]), int(payload["u1"]["den"]))
-        u2 = Fraction(
-            _component_from_json(payload["u2"]["num"], path.parent),
-            _component_from_json(payload["u2"]["den"], path.parent),
-        )
+        k = payload["k"]
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise RecordParseError(f"record {path}: k must be an integer >= 1")
+        u1_num, u1_den = int(payload["u1"]["num"]), int(payload["u1"]["den"])
+        u2_num = _component_from_json(payload["u2"]["num"], path.parent)
+        u2_den = _component_from_json(payload["u2"]["den"], path.parent)
+        if 0 in (u1_num, u1_den, u2_num, u2_den):
+            raise RecordParseError(
+                f"record {path}: u1 and u2 need nonzero numerators and denominators"
+            )
         counts = payload["u2_digit_counts"]
         return FormulaRecord(
             schema_version=payload["schema_version"],
-            k=payload["k"],
+            k=k,
             denominator_policy=payload["denominator_policy"],
             rounding=payload["rounding"],
-            u1=u1,
+            u1=Fraction(u1_num, u1_den),
             epsilon_decimal=payload["epsilon_decimal"],
-            u2=u2,
+            u2=Fraction(u2_num, u2_den),
             u2_digit_counts=(counts["num_digits"], counts["den_digits"]),
             u2_decimal_head=payload["u2_decimal_head"],
             verified=payload["verified"],

@@ -19,7 +19,9 @@ Three series are provided:
 pi comes either from a verified two-term formula (4 * sum of coefficient
 times arctan of the reciprocal argument) or, with no rational arguments
 at all, from the radical tower: pi = 2**(k+1) * arctan(1/c_k) evaluated
-by the conjugate series directly on the fixed-point c_k.
+by the conjugate series directly on the fixed-point c_k.  Both argument
+kinds share one core: only the start (v, v**2) differs, built from
+integers for a rational x and from the tower for c_k.
 
 Terms for all series are generated by multiplicative recurrences; no
 powers or factorials are recomputed per term.  Each result's error bound
@@ -30,8 +32,10 @@ measured from the actual term magnitudes and reported.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .errors import (
     DivergentArgument,
@@ -39,6 +43,7 @@ from .errors import (
     UnverifiedFormula,
     ZeroArgument,
 )
+from .exact import fraction_sharing_only_twos
 from .machin import MachinFormula, verify_formula
 from .radicals import eval_radicals
 from .realnum import FixedReal
@@ -50,12 +55,11 @@ _GUARD_BITS = 64
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """A partial sum with its provenance and measured convergence."""
+    """A partial sum with its term count and measured convergence."""
 
     value: FixedReal
     terms_used: int
     per_term_log10: float
-    method: str
 
 
 def approx_log10(fr: Fraction) -> float:
@@ -143,7 +147,7 @@ def arctan_gregory(x: Fraction, terms: int, scale: int) -> SeriesResult:
     tail = abs(x) ** (2 * terms + 1) / (2 * terms + 1)
     total = total.widened_by_fraction(tail)
     rate = _measured_rate(first, last, terms, 2 * approx_log10(1 / abs(x)) if x else 0.0)
-    return SeriesResult(total, terms, rate, "gregory")
+    return SeriesResult(total, terms, rate)
 
 
 def arctan_euler(x: Fraction, terms: int, scale: int) -> SeriesResult:
@@ -169,15 +173,58 @@ def arctan_euler(x: Fraction, terms: int, scale: int) -> SeriesResult:
     tail = abs(t) * one_plus  # 1/(1-q) = 1 + x**2
     total = total.widened_by_fraction(tail)
     fallback = approx_log10(1 / q) if x else 0.0
-    return SeriesResult(total, terms, _measured_rate(first, last, terms, fallback), "euler")
+    return SeriesResult(total, terms, _measured_rate(first, last, terms, fallback))
+
+
+def _conjugate_terms(v_re, v_im, r_re, r_im) -> Iterator[FixedReal]:
+    """The terms -2 * Im(v**(2m-1)) / (2m-1) for m = 1, 2, ...; each step
+    multiplies the running power by r = v**2 in complex fixed point."""
+    wr, wi = v_re, v_im
+    for m in count(1):
+        yield wi.mul_fraction(Fraction(-2, 2 * m - 1))
+        wr, wi = wr * r_re - wi * r_im, wr * r_im + wi * r_re
+
+
+def _conjugate_sum(start: tuple, rho: Fraction, terms: int) -> SeriesResult:
+    """The first `terms` terms from start = (Re v, Im v, Re v**2, Im v**2)
+    summed, widened by the truncated tail for |v|**2 <= rho, with the rate
+    measured from the first and last term."""
+    stream = islice(_conjugate_terms(*start), terms)
+    total = first = last = next(stream)
+    for last in stream:
+        total = total + last
+    total = total.widened_by_fraction(_tail_bound(rho, terms))
+    rate = _measured_rate(first.value, last.value, terms, approx_log10(1 / rho))
+    return SeriesResult(total, terms, rate)
+
+
+def _rational_start(x: Fraction, scale: int) -> tuple[tuple, Fraction]:
+    """Start of the series for x = a/b, and rho = |v|**2 exactly.
+
+    v = (a**2 - 2ab i)/d and v**2 = (a**4 - 4 a**2 b**2 - 4 a**3 b i)/d**2
+    with d = a**2 + 4 b**2.  Each part is rounded once from its integer
+    pair, which needs no reduction; rho = a**2/d shares at most a factor
+    4 (see exact.fraction_sharing_only_twos).  No gcd is run.
+    """
+    a, b = x.numerator, x.denominator
+    a2, b2, ab = a * a, b * b, a * b
+    d = a2 + 4 * b2
+    d2 = d * d
+    start = (
+        FixedReal._from_ratio(a2, d, scale),
+        FixedReal._from_ratio(-2 * ab, d, scale),
+        FixedReal._from_ratio(a2 * (a2 - 4 * b2), d2, scale),
+        FixedReal._from_ratio(-4 * a2 * ab, d2, scale),
+    )
+    return start, fraction_sharing_only_twos(a2, d)
 
 
 def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     """Conjugate-pair series; fastest of the three, defined for all x != 0.
 
-    With x = a/b the starting power is the exact Gaussian rational
-    v = (a**2 - 2ab i) / (a**2 + 4 b**2); the recurrence multiplies by
-    v**2 in complex fixed point, and only the imaginary parts feed the
+    With x = a/b the start v = (a**2 - 2ab i) / (a**2 + 4 b**2) and its
+    square are exact Gaussian rationals, rounded once to fixed point; the
+    recurrence multiplies by v**2, and only the imaginary parts feed the
     sum.
     """
     x = Fraction(x)
@@ -185,29 +232,7 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
         raise ZeroArgument("the conjugate-pair series needs a nonzero argument")
     if terms < 1:
         raise ValueError("terms must be at least 1")
-    a, b = x.numerator, x.denominator
-    d = a * a + 4 * b * b
-    v_re, v_im = Fraction(a * a, d), Fraction(-2 * a * b, d)
-    rho = Fraction(a * a, d)  # |v|**2
-    r_re = v_re * v_re - v_im * v_im
-    r_im = 2 * v_re * v_im
-    wr = FixedReal.from_fraction(v_re, scale)
-    wi = FixedReal.from_fraction(v_im, scale)
-    frr = FixedReal.from_fraction(r_re, scale)
-    fri = FixedReal.from_fraction(r_im, scale)
-    total = FixedReal.zero(scale)
-    first = last = Fraction(0)
-    for m in range(1, terms + 1):
-        term = wi.mul_fraction(Fraction(-2, 2 * m - 1))
-        total = total + term
-        if m == 1:
-            first = term.value
-        last = term.value
-        if m < terms:
-            wr, wi = wr * frr - wi * fri, wr * fri + wi * frr
-    total = total.widened_by_fraction(_tail_bound(rho, terms))
-    fallback = approx_log10(1 / rho)
-    return SeriesResult(total, terms, _measured_rate(first, last, terms, fallback), "conjugate")
+    return _conjugate_sum(*_rational_start(x, scale), terms)
 
 
 def pi_from_formula(
@@ -237,7 +262,7 @@ def pi_from_formula(
         total = total + part.value.mul_fraction(alpha)
         if abs(beta) == slowest_beta:
             rate = part.per_term_log10
-    return SeriesResult(total.shift(2), terms, rate, "conjugate")
+    return SeriesResult(total.shift(2), terms, rate)
 
 
 def pi_from_radicals(k: int, terms: int, scale: int) -> SeriesResult:
@@ -251,32 +276,14 @@ def pi_from_radicals(k: int, terms: int, scale: int) -> SeriesResult:
         raise ValueError("depth k must be at least 2")
     if terms < 1:
         raise ValueError("terms must be at least 1")
-    digits = math.ceil(scale * _LOG10_2) + 4
-    state = eval_radicals(k, digits)
-    c = state.c_k
+    c = eval_radicals(k, math.ceil(scale * _LOG10_2) + 4).c_k
     one = FixedReal.from_int(1, c.scale)
     denom = one + (c * c).shift(2)
     v_re = one / denom
     v_im = -c.shift(1) / denom
-    r_re = v_re * v_re - v_im * v_im
-    r_im = (v_re * v_im).shift(1)
-    c_lo = c.lower
-    rho = 1 / (1 + 4 * c_lo * c_lo)
-    wr, wi = v_re, v_im
-    total = FixedReal.zero(c.scale)
-    first = last = Fraction(0)
-    for m in range(1, terms + 1):
-        term = wi.mul_fraction(Fraction(-2, 2 * m - 1))
-        total = total + term
-        if m == 1:
-            first = term.value
-        last = term.value
-        if m < terms:
-            wr, wi = wr * r_re - wi * r_im, wr * r_im + wi * r_re
-    total = total.widened_by_fraction(_tail_bound(rho, terms))
-    fallback = approx_log10(1 / rho)
-    rate = _measured_rate(first, last, terms, fallback)
-    return SeriesResult(total.shift(k + 1), terms, rate, "conjugate")
+    start = (v_re, v_im, v_re * v_re - v_im * v_im, (v_re * v_im).shift(1))
+    part = _conjugate_sum(start, 1 / (1 + 4 * c.lower ** 2), terms)
+    return SeriesResult(part.value.shift(k + 1), terms, part.per_term_log10)
 
 
 def _radical_rate(k: int) -> float:

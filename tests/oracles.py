@@ -1,17 +1,29 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here shares code with the paths under test: powers are repeated
-multiplication, rotations are reduced pairs of Fractions, decimal
-expansions come from integer square roots, and arctangent references are
-alternating partial sums with their classical remainder bound.
+Powers are repeated multiplication, rotations are reduced pairs of
+Fractions, decimal expansions come from integer square roots, and
+arctangent references are alternating partial sums with their classical
+remainder bound.  The series references at the end are the exception:
+they keep machinpi's fixed-point arithmetic so that the production
+series can be held to them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import isqrt
 
 from machinpi.exact import GaussianInt
+from machinpi.radicals import eval_radicals
+from machinpi.realnum import FixedReal
+from machinpi.series import (
+    _measured_rate,
+    _tail_bound,
+    approx_log10,
+    digits_per_term,
+    scale_for_digits,
+)
 
 
 def gi_mul_naive(a: GaussianInt, b: GaussianInt) -> GaussianInt:
@@ -84,3 +96,75 @@ def rotation_product_reference(terms) -> tuple[Fraction, Fraction]:
         c, d = rotation_power_reference(beta, int(alpha))
         re, im = re * c - im * d, re * d + im * c
     return re, im
+
+
+
+# -- series references ------------------------------------------------
+#
+# The conjugate-pair series in its plainest forms: a start formed from
+# reduced Fractions, a separate loop for the tower value, and a
+# convergence measurement that re-evaluates pi from scratch for every
+# truncation.  The shared production core must match them bit for bit.
+# The two series references return (mantissa, err_ulp, terms, rate).
+
+
+def _conjugate_loop(wr, wi, r_re, r_im, rho, terms, scale):
+    total = FixedReal.zero(scale)
+    first = last = Fraction(0)
+    for m in range(1, terms + 1):
+        term = wi.mul_fraction(Fraction(-2, 2 * m - 1))
+        total = total + term
+        if m == 1:
+            first = term.value
+        last = term.value
+        if m < terms:
+            wr, wi = wr * r_re - wi * r_im, wr * r_im + wi * r_re
+    total = total.widened_by_fraction(_tail_bound(rho, terms))
+    rate = _measured_rate(first, last, terms, approx_log10(1 / rho))
+    return total.mantissa, total.err_ulp, terms, rate
+
+
+def arctan_conjugate_reference(x: Fraction, terms: int, scale: int):
+    a, b = x.numerator, x.denominator
+    d = a * a + 4 * b * b
+    v_re, v_im = Fraction(a * a, d), Fraction(-2 * a * b, d)
+    r_re = v_re * v_re - v_im * v_im
+    r_im = 2 * v_re * v_im
+    start = (FixedReal.from_fraction(part, scale) for part in (v_re, v_im, r_re, r_im))
+    return _conjugate_loop(*start, Fraction(a * a, d), terms, scale)
+
+
+def pi_from_radicals_reference(k: int, terms: int, scale: int):
+    c = eval_radicals(k, math.ceil(scale * math.log10(2)) + 4).c_k
+    one = FixedReal.from_int(1, c.scale)
+    denom = one + (c * c).shift(2)
+    v_re = one / denom
+    v_im = -c.shift(1) / denom
+    r_re = v_re * v_re - v_im * v_im
+    r_im = (v_re * v_im).shift(1)
+    c_lo = c.lower
+    rho = 1 / (1 + 4 * c_lo * c_lo)
+    m, e, n, rate = _conjugate_loop(v_re, v_im, r_re, r_im, rho, terms, c.scale)
+    return m << (k + 1), e << (k + 1), n, rate
+
+
+def convergence_samples_reference(formula, max_terms: int, reference_pi):
+    """(m, correct digits after "3.") for m = 1..max_terms, re-evaluating
+    every arctangent from scratch at each m."""
+    u1 = min(abs(beta) for _, beta in formula.terms)
+    ceiling = int(digits_per_term(u1) * (max_terms + 1)) + 8
+    ref_digits = reference_pi.valid_decimal_digits(ceiling)
+    ref_text, _ = reference_pi.to_decimal(ref_digits)
+    scale = scale_for_digits(ceiling)
+    samples = []
+    for m in range(1, max_terms + 1):
+        total = FixedReal.zero(scale)
+        for alpha, beta in formula.terms:
+            mantissa = arctan_conjugate_reference(1 / beta, m, scale)[0]
+            total = total + FixedReal(mantissa, scale).mul_fraction(alpha)
+        text, _ = total.shift(2).to_decimal(ref_digits)
+        same = 0
+        while same < len(text) and text[same] == ref_text[same]:
+            same += 1
+        samples.append((m, max(0, same - 2)))
+    return samples

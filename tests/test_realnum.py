@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from machinpi.errors import DivisorStraddlesZero, NegativeOperand
@@ -147,6 +147,7 @@ class TestDecimal:
     def test_negative_truncates_toward_zero(self):
         assert exactly(Fraction(-1, 4)).to_decimal(3) == ("-0.250", True)
         assert exactly(Fraction(-1999, 1000)).to_decimal(2)[0] == "-1.99"
+        assert exactly(Fraction(-1, 11)).to_decimal(1) == ("-0.0", True)
 
     def test_uncertain_digit_flagged(self):
         root = FixedReal.from_int(2, 256).sqrt()
@@ -164,9 +165,11 @@ class TestDecimal:
     def test_straddling_zero_invalid_unless_tiny(self):
         wobbling = FixedReal(1, 64, 100)  # interval about +/- 5.4e-18
         assert wobbling.to_decimal(20)[1] is False
-        assert wobbling.to_decimal(12) == ("0.000000000000", True)
+        # Twelve zero digits, but the sign is uncertain: not valid.
+        assert wobbling.to_decimal(12) == ("0.000000000000", False)
 
     @given(fractions_mid, st.integers(min_value=1, max_value=25))
+    @example(Fraction(-1, 11), 1)
     def test_valid_rendering_matches_exact_truncation(self, a, digits):
         text, ok = exactly(a, 160).to_decimal(digits)
         if ok:

@@ -175,6 +175,35 @@ class TestVerifyCommand:
         assert run_cli("verify", str(bad)) == cli.EXIT_PARSE
 
 
+MALFORMED = {
+    "u1.den=0": (("u1", "den"), "0"),
+    "u2.den=0": (("u2", "den"), {"value": "0"}),
+    "k='3'": (("k",), "3"),
+    "k=3.5": (("k",), 3.5),
+    "k=0": (("k",), 0),
+    "u1.num=0": (("u1", "num"), "0"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ("verify",), ("compute-pi", "--digits", "10", "--formula"),
+])
+@pytest.mark.parametrize("mutation", sorted(MALFORMED))
+def test_malformed_record_is_parse_error(k3_record_path, capsys, command, mutation):
+    (*path, field), value = MALFORMED[mutation]
+    payload = json.loads(k3_record_path.read_text())
+    target = payload
+    for key in path:
+        target = target[key]
+    target[field] = value
+    k3_record_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(*command, str(k3_record_path)) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 class TestComputePiCommand:
     def test_digits_from_record(self, k3_record_path, capsys, pi_text_300):
         assert run_cli(
@@ -216,6 +245,16 @@ class TestComputePiCommand:
         digits = capsys.readouterr().out.strip()
         assert pi_text_300.startswith(digits)
         assert len(digits) >= 142  # "3." plus at least 140 digits
+
+    @pytest.mark.parametrize("k, terms, expected", [
+        ("2", "30", "3.141592653589793238462643383279502884197169"),
+        ("40", "6", "3.14159265358979323846264338327950288419716939937510582097"
+                    "494459230781640628620899862803482534211706798214808651328230"
+                    "6647093844609550582231725359"),
+    ])
+    def test_tower_terms_budget_output_pinned(self, capsys, k, terms, expected):
+        assert run_cli("compute-pi", "--k", k, "--terms", terms) == 0
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_writes_output_file(self, k3_record_path, tmp_path, pi_text_300):
         target = tmp_path / "pi.txt"
