@@ -43,7 +43,7 @@ from .errors import (
     RecordParseError,
     UnverifiedFormula,
 )
-from .exact import format_decimal_head, parse_rational
+from .exact import format_decimal_head, parse_rational, unlimited_int_text
 from .machin import MachinFormula, solve_second_term, solve_u2, verify_formula
 from .radicals import eval_radicals, select_u1
 from .records import build_record, check_record, load_record, write_record
@@ -174,8 +174,9 @@ def _cmd_compute_pi(args) -> int:
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
+    counts = result.term_counts or (result.terms_used,)
     print(
-        f"terms used: {result.terms_used}; measured digits/term: "
+        f"terms used: {'+'.join(map(str, counts))}; measured digits/term: "
         f"{result.per_term_log10:.3f}",
         file=sys.stderr,
     )
@@ -266,7 +267,8 @@ def _cmd_bench(args) -> int:
 def _cmd_solve_second(args) -> int:
     beta1 = parse_rational(args.beta1)
     beta2 = solve_second_term(args.alpha1, beta1)
-    print(f"beta2 = {beta2.numerator}/{beta2.denominator}")
+    with unlimited_int_text():
+        print(f"beta2 = {beta2.numerator}/{beta2.denominator}")
     print(f"      ~ {format_decimal_head(beta2)}")
     return EXIT_OK
 

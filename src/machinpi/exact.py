@@ -11,15 +11,33 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Values in this package routinely exceed the default int/str conversion
-# cap (second-term numerators reach hundreds of thousands of digits).
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
-
 _LOG10_2 = math.log10(2)
+
+
+@contextmanager
+def unlimited_int_text() -> Iterator[None]:
+    """Lift CPython's int <-> decimal-text digit cap inside the block and
+    restore the previous value on exit.
+
+    Second-term components and digit strings of pi run to hundreds of
+    thousands of digits, far over the default cap of 4300.  The cap
+    guards every other conversion in the process, so it is lifted only
+    around the conversions this package owns, never at import.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without a cap
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 @dataclass(frozen=True)
@@ -63,6 +81,10 @@ class GaussianInt:
 
     def conjugate(self) -> "GaussianInt":
         return GaussianInt(self.re, -self.im)
+
+    def scaled(self, n: int) -> "GaussianInt":
+        """Product with the rational integer n."""
+        return GaussianInt(self.re * n, self.im * n)
 
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im

@@ -29,6 +29,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DivisorStraddlesZero, NegativeOperand
+from .exact import unlimited_int_text
 
 
 def _div_nearest(a: int, b: int) -> int:
@@ -51,6 +52,17 @@ def _shift_ceil(n: int, bits: int) -> int:
     if bits <= 0:
         return n << -bits
     return -((-n) >> bits)
+
+
+def _shift_nearest(n: int, bits: int) -> int:
+    """n / 2**bits rounded to nearest, ties away from zero; bits >= 0.
+    Equals _div_nearest(n, 1 << bits) without a long division."""
+    if bits == 0:
+        return n
+    half = 1 << (bits - 1)
+    if n >= 0:
+        return (n + half) >> bits
+    return -((half - n) >> bits)
 
 
 @dataclass(frozen=True)
@@ -135,13 +147,13 @@ class FixedReal:
     def __mul__(self, other: "FixedReal") -> "FixedReal":
         s = max(self.scale, other.scale)
         t = min(self.scale, other.scale)
-        m = _div_nearest(self.mantissa * other.mantissa, 1 << t)
+        m = _shift_nearest(self.mantissa * other.mantissa, t)
         raw = (
             abs(self.mantissa) * other.err_ulp
             + abs(other.mantissa) * self.err_ulp
             + self.err_ulp * other.err_ulp
         )
-        return FixedReal(m, s, _ceil_div(raw, 1 << t) + 1)
+        return FixedReal(m, s, _shift_ceil(raw, t) + 1)
 
     def __truediv__(self, other: "FixedReal") -> "FixedReal":
         my, ey = other.mantissa, other.err_ulp
@@ -204,8 +216,8 @@ class FixedReal:
             d = new_scale - self.scale
             return FixedReal(self.mantissa << d, new_scale, self.err_ulp << d)
         d = self.scale - new_scale
-        m = _div_nearest(self.mantissa, 1 << d)
-        return FixedReal(m, new_scale, _ceil_div(self.err_ulp, 1 << d) + 1)
+        m = _shift_nearest(self.mantissa, d)
+        return FixedReal(m, new_scale, _shift_ceil(self.err_ulp, d) + 1)
 
     def widened(self, extra_ulp: int) -> "FixedReal":
         return FixedReal(self.mantissa, self.scale, self.err_ulp + extra_ulp)
@@ -242,7 +254,9 @@ class FixedReal:
         negative, n_mid = self._dec_trunc(self.mantissa, unit)
         whole, frac = divmod(n_mid, unit)
         sign = "-" if negative else ""
-        return f"{sign}{whole}.{frac:0{digits}d}", lo == hi
+        with unlimited_int_text():
+            text = f"{sign}{whole}.{frac:0{digits}d}"
+        return text, lo == hi
 
     def valid_decimal_digits(self, limit: int) -> int:
         """Largest digit count <= limit that to_decimal reports valid

@@ -4,16 +4,19 @@ Unbounded integers are stored as decimal strings so any JSON parser
 round-trips them exactly.  Second-term components above the inline
 threshold go to sidecar text files (decimal digits, optional leading
 minus, trailing newline) referenced by relative path plus content hash;
-loading verifies the hash and fails loudly on mismatch.  Writes are
-atomic (temp file then rename) and byte-deterministic for identical
-inputs.
+loading verifies the hash and fails loudly on mismatch.  Loading accepts
+integer text only in the form str(int) writes, so an edited record
+cannot keep its meaning under a different spelling.  Writes are atomic
+(temp file then rename) and byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,13 +24,15 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DigitCountMismatch, RecordParseError, UnverifiedFormula
-from .exact import decimal_digit_count, format_decimal_head
+from .exact import decimal_digit_count, format_decimal_head, unlimited_int_text
 from .machin import MachinFormula, verify_formula
 
 SCHEMA_VERSION = 1
 
 # Components at or above this many decimal digits move to sidecar files.
 SIDECAR_THRESHOLD_DIGITS = 10_000
+
+_INT_TEXT = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,14 @@ def write_record(record: FormulaRecord, path: str | os.PathLike) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     stem = path.name.removesuffix(".json")
-    payload = {
+    with unlimited_int_text():
+        payload = _record_json(record, stem, path.parent)
+    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    return path
+
+
+def _record_json(record: FormulaRecord, stem: str, directory: Path) -> dict:
+    return {
         "schema_version": record.schema_version,
         "k": record.k,
         "denominator_policy": record.denominator_policy,
@@ -118,8 +130,8 @@ def write_record(record: FormulaRecord, path: str | os.PathLike) -> Path:
         "u1": {"num": str(record.u1.numerator), "den": str(record.u1.denominator)},
         "epsilon_decimal": record.epsilon_decimal,
         "u2": {
-            "num": _component_json(record.u2.numerator, stem, "u2num", path.parent),
-            "den": _component_json(record.u2.denominator, stem, "u2den", path.parent),
+            "num": _component_json(record.u2.numerator, stem, "u2num", directory),
+            "den": _component_json(record.u2.denominator, stem, "u2den", directory),
         },
         "u2_digit_counts": {
             "num_digits": record.u2_digit_counts[0],
@@ -130,13 +142,20 @@ def write_record(record: FormulaRecord, path: str | os.PathLike) -> Path:
         "predicted_rate": record.predicted_rate,
         "created_with": record.created_with,
     }
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-    return path
+
+
+def _int_from_text(text: str) -> int:
+    """The integer that str(int) writes as `text`; any other spelling
+    (sign, spaces, leading zeros, underscores, non-ASCII digits) or a
+    non-string is a parse error."""
+    if not isinstance(text, str) or not _INT_TEXT.fullmatch(text):
+        raise RecordParseError(f"not an integer in canonical decimal text: {text!r:.40}")
+    return int(text)
 
 
 def _component_from_json(entry: dict, directory: Path) -> int:
     if "value" in entry:
-        return int(entry["value"])
+        return _int_from_text(entry["value"])
     sidecar = directory / entry["file"]
     try:
         body = sidecar.read_text()
@@ -144,7 +163,9 @@ def _component_from_json(entry: dict, directory: Path) -> int:
         raise RecordParseError(f"sidecar {sidecar} unreadable: {exc}") from exc
     if _sha256_text(body) != entry["sha256"]:
         raise RecordParseError(f"sidecar {sidecar} content hash mismatch")
-    return int(body.strip())
+    if not body.endswith("\n"):
+        raise RecordParseError(f"sidecar {sidecar} lacks its final newline")
+    return _int_from_text(body[:-1])
 
 
 def load_record(path: str | os.PathLike) -> FormulaRecord:
@@ -153,40 +174,73 @@ def load_record(path: str | os.PathLike) -> FormulaRecord:
         payload = json.loads(path.read_text())
     except OSError as exc:
         raise RecordParseError(f"cannot read record {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer literal over the digit cap
         raise RecordParseError(f"record {path} is not valid JSON: {exc}") from exc
     try:
-        if payload["schema_version"] != SCHEMA_VERSION:
-            raise RecordParseError(
-                f"unsupported schema version {payload['schema_version']}"
-            )
-        k = payload["k"]
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise RecordParseError(f"record {path}: k must be an integer >= 1")
-        u1_num, u1_den = int(payload["u1"]["num"]), int(payload["u1"]["den"])
-        u2_num = _component_from_json(payload["u2"]["num"], path.parent)
-        u2_den = _component_from_json(payload["u2"]["den"], path.parent)
-        if 0 in (u1_num, u1_den, u2_num, u2_den):
-            raise RecordParseError(
-                f"record {path}: u1 and u2 need nonzero numerators and denominators"
-            )
-        counts = payload["u2_digit_counts"]
-        return FormulaRecord(
-            schema_version=payload["schema_version"],
-            k=k,
-            denominator_policy=payload["denominator_policy"],
-            rounding=payload["rounding"],
-            u1=Fraction(u1_num, u1_den),
-            epsilon_decimal=payload["epsilon_decimal"],
-            u2=Fraction(u2_num, u2_den),
-            u2_digit_counts=(counts["num_digits"], counts["den_digits"]),
-            u2_decimal_head=payload["u2_decimal_head"],
-            verified=payload["verified"],
-            predicted_rate=payload["predicted_rate"],
-            created_with=payload["created_with"],
-        )
+        with unlimited_int_text():
+            return _record_from_json(payload, path)
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordParseError(f"record {path} is malformed: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
+    version = payload["schema_version"]
+    if not _is_int(version) or version != SCHEMA_VERSION:
+        raise RecordParseError(f"unsupported schema version {version!r:.40}")
+    k = payload["k"]
+    if not _is_int(k) or k < 1:
+        raise RecordParseError(f"record {path}: k must be an integer >= 1")
+    u1_num = _int_from_text(payload["u1"]["num"])
+    u1_den = _int_from_text(payload["u1"]["den"])
+    u2_num = _component_from_json(payload["u2"]["num"], path.parent)
+    u2_den = _component_from_json(payload["u2"]["den"], path.parent)
+    if 0 in (u1_num, u1_den, u2_num, u2_den):
+        raise RecordParseError(
+            f"record {path}: u1 and u2 need nonzero numerators and denominators"
+        )
+    counts = payload["u2_digit_counts"]
+    if not (_is_int(counts["num_digits"]) and _is_int(counts["den_digits"])):
+        raise RecordParseError(f"record {path}: digit counts must be integers")
+    return FormulaRecord(
+        schema_version=version,
+        k=k,
+        denominator_policy=payload["denominator_policy"],
+        rounding=payload["rounding"],
+        u1=Fraction(u1_num, u1_den),
+        epsilon_decimal=payload["epsilon_decimal"],
+        u2=Fraction(u2_num, u2_den),
+        u2_digit_counts=(counts["num_digits"], counts["den_digits"]),
+        u2_decimal_head=payload["u2_decimal_head"],
+        verified=payload["verified"],
+        predicted_rate=payload["predicted_rate"],
+        created_with=payload["created_with"],
+    )
+
+
+def _second_term_can_close(k: int, u1: Fraction, u2: Fraction) -> bool:
+    """Necessary condition for pi/4 = 2**(k-1) arctan(1/u1) + arctan(1/u2),
+    decided before the exact product of about 2**(k-1) log2|p + qi| bits
+    is formed, so an edited k cannot stall verification.
+
+    With u1 = p/q, u2 = r/s and n = 2**(k-1), validity means
+    (p + qi)**n (r + si) = c (1 + i) for an integer c != 0.  Each odd
+    Gaussian prime of (p + qi)**n and its conjugate then divide c, so
+    r**2 + s**2 >= 2 ((p**2 + q**2) / 4**e)**n, with e = 1 when p and q
+    are both odd and 0 otherwise; in bits, n log2((p**2 + q**2) / 4**e)
+    < 2 max(bits(r), bits(s)).  |u1| = 1 makes that base 1/2 and the
+    bound empty, but then n * pi/4 >= pi for k >= 3 and no arctangent
+    closes the gap.
+    """
+    p, q = u1.numerator, u1.denominator
+    log_base = math.log2(p * p + q * q) - 2 * (p & q & 1)
+    if log_base <= 0:
+        return k <= 2
+    bits = max(u2.numerator.bit_length(), u2.denominator.bit_length())
+    return (k - 1) + math.log2(log_base) < math.log2(2 * bits + 1)
 
 
 def check_record(record: FormulaRecord) -> None:
@@ -199,6 +253,11 @@ def check_record(record: FormulaRecord) -> None:
     if actual != record.u2_digit_counts:
         raise DigitCountMismatch(
             f"stored digit counts {record.u2_digit_counts} but value has {actual}"
+        )
+    if not _second_term_can_close(record.k, record.u1, record.u2):
+        raise UnverifiedFormula(
+            f"record's formula cannot verify: 2**{record.k - 1} * arctan(1/u1) "
+            "is too large for its second term to close"
         )
     outcome = verify_formula(record.formula())
     if not outcome.ok:

@@ -20,8 +20,13 @@ pi comes either from a verified two-term formula (4 * sum of coefficient
 times arctan of the reciprocal argument) or, with no rational arguments
 at all, from the radical tower: pi = 2**(k+1) * arctan(1/c_k) evaluated
 by the conjugate series directly on the fixed-point c_k.  Both argument
-kinds share one core: only the start (v, v**2) differs, built from
-integers for a rational x and from the tower for c_k.
+kinds share one fixed-point term stream: only the start (v, v**2)
+differs, built from integers for a rational x and from the tower for c_k.
+
+A rational x = a/b whose numerator is small enough skips the stream: its
+partial sum is formed exactly by binary splitting over Gaussian integers
+and rounded once (see _split_conjugate).  arctan_conjugate picks the path
+from the argument, the term count and the scale alone.
 
 Terms for all series are generated by multiplicative recurrences; no
 powers or factorials are recomputed per term.  Each result's error bound
@@ -43,7 +48,7 @@ from .errors import (
     UnverifiedFormula,
     ZeroArgument,
 )
-from .exact import fraction_sharing_only_twos
+from .exact import GaussianInt, fraction_sharing_only_twos
 from .machin import MachinFormula, verify_formula
 from .radicals import eval_radicals
 from .realnum import FixedReal
@@ -55,23 +60,30 @@ _GUARD_BITS = 64
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """A partial sum with its term count and measured convergence."""
+    """A partial sum with its term count and measured convergence.
+
+    For pi from a formula, terms_used and per_term_log10 belong to the
+    slowest arctangent and term_counts lists every arctangent's own count
+    in formula order; a single series leaves term_counts empty.
+    """
 
     value: FixedReal
     terms_used: int
     per_term_log10: float
+    term_counts: tuple[int, ...] = ()
 
 
 def approx_log10(fr: Fraction) -> float:
     """Float log10 of a positive rational of any size."""
     if fr <= 0:
         raise ValueError("approx_log10 needs a positive value")
+    return _log10_int(fr.numerator) - _log10_int(fr.denominator)
 
-    def _lg(v: int) -> float:
-        e = max(0, v.bit_length() - 53)
-        return math.log10(v >> e) + e * _LOG10_2
 
-    return _lg(fr.numerator) - _lg(fr.denominator)
+def _log10_int(v: int) -> float:
+    """Float log10 of a positive integer of any size."""
+    e = max(0, v.bit_length() - 53)
+    return math.log10(v >> e) + e * _LOG10_2
 
 
 def digits_per_term(beta: Fraction) -> float:
@@ -219,19 +231,74 @@ def _rational_start(x: Fraction, scale: int) -> tuple[tuple, Fraction]:
     return start, fraction_sharing_only_twos(a2, d)
 
 
+def _split(a2: int, g2: GaussianInt, lo: int, hi: int):
+    """Binary splitting of the term ratios p(j)/q(j), p(j) = a2 (2j - 1)
+    and q(j) = g2 (2j + 1), over j in [lo, hi): returns (P, Q, T) with P
+    and Q their products and T/Q = sum over n in [lo, hi) of the products
+    of p(j)/q(j) for j = lo..n (Haible and Papanikolaou, 1998)."""
+    if hi - lo == 1:
+        p = a2 * (2 * lo - 1)
+        return p, g2.scaled(2 * lo + 1), GaussianInt(p, 0)
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _split(a2, g2, lo, mid)
+    p2, q2, t2 = _split(a2, g2, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + t2.scaled(p1)
+
+
+def _split_conjugate(a: int, b: int, terms: int, scale: int) -> SeriesResult:
+    """The first `terms` terms for x = a/b summed exactly and rounded once.
+
+    With g = a + 2bi, v = a/g, so the sum is S = sum of
+    a**(2m-1) / ((2m-1) g**(2m-1)) and arctan(x) = -2 Im(S); term m+1 is
+    term m times a**2 (2m-1) / (g**2 (2m+1)).  Splitting gives
+    S = a (Q + T) / (g Q) as Gaussian integers, so the only rounding is
+    the final division (at most 1 ulp) and the error bound is that plus
+    the truncated tail.  The rate comes from the exact first and last
+    terms, the last through one Gaussian power of conj(g).
+    """
+    g = GaussianInt(a, 2 * b)
+    if terms == 1:
+        q, t = GaussianInt(1, 0), GaussianInt(0, 0)
+    else:
+        _, q, t = _split(a * a, g.square(), 1, terms)
+    z = g * q
+    w = q + t
+    # -2 Im(a w / z) = -2a Im(w conj(z)) / |z|**2
+    value = FixedReal._from_ratio(
+        -2 * a * (w.im * z.re - w.re * z.im), z.norm(), scale
+    )
+    d = a * a + 4 * b * b
+    rho = fraction_sharing_only_twos(a * a, d)
+    rate = approx_log10(1 / rho)
+    n = 2 * terms - 1
+    last = GaussianInt(a, -2 * b) ** n  # conj(g)**n = d**n v**n / a**n
+    if terms > 1 and last.im:
+        log_first = _log10_int(abs(4 * a * b)) - _log10_int(d)
+        log_last = (_log10_int(abs(2 * a ** n * last.im))
+                    - _log10_int(n * last.norm()))
+        rate = (log_first - log_last) / (terms - 1)
+    value = value.widened_by_fraction(_tail_bound(rho, terms))
+    return SeriesResult(value, terms, rate)
+
+
 def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     """Conjugate-pair series; fastest of the three, defined for all x != 0.
 
-    With x = a/b the start v = (a**2 - 2ab i) / (a**2 + 4 b**2) and its
-    square are exact Gaussian rationals, rounded once to fixed point; the
-    recurrence multiplies by v**2, and only the imaginary parts feed the
-    sum.
+    With x = a/b the partial sum is exact by binary splitting while the
+    growth of the split products in a**2 per term fits the precision,
+    2 * terms * bits(a) <= scale; huge numerators (the second argument of
+    a deep formula) take the fixed-point stream instead, where the start
+    v = (a**2 - 2ab i) / (a**2 + 4 b**2) and its square are rounded once
+    and the recurrence multiplies by v**2.
     """
     x = Fraction(x)
     if x == 0:
         raise ZeroArgument("the conjugate-pair series needs a nonzero argument")
     if terms < 1:
         raise ValueError("terms must be at least 1")
+    a, b = x.numerator, x.denominator
+    if 2 * terms * a.bit_length() <= scale:
+        return _split_conjugate(a, b, terms, scale)
     return _conjugate_sum(*_rational_start(x, scale), terms)
 
 
@@ -244,9 +311,11 @@ def pi_from_formula(
     """pi = 4 * sum of alpha * arctan(1/beta) over the formula's terms,
     every arctangent through the conjugate-pair series.
 
-    The formula must verify exactly unless the caller explicitly vouches
-    for it; each term's truncation bound enters the total error scaled by
-    |alpha|.
+    The slowest arctangent gets `terms` terms; each faster one gets the
+    count that reaches the same digits at its own predicted rate (see
+    _term_budgets).  The formula must verify exactly unless the caller
+    explicitly vouches for it; each term's truncation bound enters the
+    total error scaled by |alpha|.
     """
     if not assume_verified:
         outcome = verify_formula(formula)
@@ -256,13 +325,27 @@ def pi_from_formula(
             )
     total = FixedReal.zero(scale)
     slowest_beta = min(abs(beta) for _, beta in formula.terms)
+    counts = _term_budgets(formula, terms)
     rate = 0.0
-    for alpha, beta in formula.terms:
-        part = arctan_conjugate(1 / beta, terms, scale)
+    for (alpha, beta), count in zip(formula.terms, counts):
+        part = arctan_conjugate(1 / beta, count, scale)
         total = total + part.value.mul_fraction(alpha)
         if abs(beta) == slowest_beta:
             rate = part.per_term_log10
-    return SeriesResult(total.shift(2), terms, rate)
+    return SeriesResult(total.shift(2), terms, rate, counts)
+
+
+def _term_budgets(formula: MachinFormula, terms: int) -> tuple[int, ...]:
+    """Term count of each arctangent when the slowest one runs `terms`.
+
+    The slowest budget terms_for_digits(D, r_min) = ceil(D/r_min) + 2
+    reaches about D = (terms - 2) * r_min digits; every other arctangent
+    gets terms_for_digits(D, r_j) for its own rate r_j, never more than
+    `terms`.
+    """
+    rates = [digits_per_term(beta) for _, beta in formula.terms]
+    target = (terms - 2) * min(rates)
+    return tuple(min(terms, terms_for_digits(target, rate)) for rate in rates)
 
 
 def pi_from_radicals(k: int, terms: int, scale: int) -> SeriesResult:

@@ -10,7 +10,9 @@ series can be held to them bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -24,6 +26,18 @@ from machinpi.series import (
     digits_per_term,
     scale_for_digits,
 )
+
+
+@contextlib.contextmanager
+def big_int_text():
+    """Lift CPython's int <-> str digit cap for a block, restoring it on
+    exit; the oracles' own conversions do not lean on machinpi's."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def gi_mul_naive(a: GaussianInt, b: GaussianInt) -> GaussianInt:
@@ -42,7 +56,8 @@ def sqrt_digits(n: int, digits: int) -> str:
     digits, via a single integer square root."""
     scaled = isqrt(n * 10 ** (2 * digits))
     whole, frac = divmod(scaled, 10 ** digits)
-    return f"{whole}.{frac:0{digits}d}"
+    with big_int_text():
+        return f"{whole}.{frac:0{digits}d}"
 
 
 def arctan_bracket(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -72,7 +87,8 @@ def cot_tower_digits(k: int, digits: int, scale: int = 0) -> str:
     for _ in range(k - 1):
         c += isqrt((1 << 2 * scale) + c * c)
     whole, frac = divmod((c * 10 ** digits) >> scale, 10 ** digits)
-    return f"{whole}.{frac:0{digits}d}"
+    with big_int_text():
+        return f"{whole}.{frac:0{digits}d}"
 
 
 def rotation_power_reference(beta: Fraction, alpha: int) -> tuple[Fraction, Fraction]:

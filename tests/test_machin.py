@@ -21,7 +21,7 @@ from machinpi.machin import (
 )
 from machinpi.radicals import eval_radicals, select_u1
 
-from oracles import rotation_power_reference, rotation_product_reference
+from oracles import big_int_text, rotation_power_reference, rotation_product_reference
 
 
 BETA2_FOR_BILLION_NUM = int(
@@ -233,10 +233,11 @@ def _record_terms(k: int, variant: str):
     if variant == "sign-flipped":
         u2 = -u2
     elif variant == "perturbed":
-        digits = str(abs(u2.numerator))
-        i = len(digits) // 2
-        digits = digits[:i] + str((int(digits[i]) + 1) % 10) + digits[i + 1:]
-        u2 = Fraction(int(digits) * (-1 if u2 < 0 else 1), u2.denominator)
+        with big_int_text():
+            digits = str(abs(u2.numerator))
+            i = len(digits) // 2
+            digits = digits[:i] + str((int(digits[i]) + 1) % 10) + digits[i + 1:]
+            u2 = Fraction(int(digits) * (-1 if u2 < 0 else 1), u2.denominator)
     return MachinFormula.two_term(k, u1, u2).terms
 
 

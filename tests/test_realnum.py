@@ -7,7 +7,13 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from machinpi.errors import DivisorStraddlesZero, NegativeOperand
-from machinpi.realnum import FixedReal
+from machinpi.realnum import (
+    FixedReal,
+    _ceil_div,
+    _div_nearest,
+    _shift_ceil,
+    _shift_nearest,
+)
 
 from oracles import sqrt_digits
 
@@ -187,3 +193,18 @@ class TestValidation:
     def test_err_must_be_non_negative(self):
         with pytest.raises(ValueError):
             FixedReal(1, 8, -2)
+
+
+class TestShiftRounding:
+    """Multiplication and narrowing round by a shift; each shift helper
+    must equal the division by 2**bits it replaced, bit for bit."""
+
+    @given(st.integers(min_value=-(1 << 300), max_value=1 << 300),
+           st.integers(min_value=0, max_value=320))
+    @example(5, 1)
+    @example(-5, 1)
+    @example(-3, 1)
+    @example(-(1 << 40), 40)
+    def test_shift_helpers_match_division(self, n, bits):
+        assert _shift_nearest(n, bits) == _div_nearest(n, 1 << bits)
+        assert _shift_ceil(n, bits) == _ceil_div(n, 1 << bits)

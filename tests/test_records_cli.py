@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import machinpi
 from machinpi import cli
 from machinpi.cli import generate_record
 from machinpi.errors import DigitCountMismatch, RecordParseError
@@ -204,6 +209,77 @@ def test_malformed_record_is_parse_error(k3_record_path, capsys, command, mutati
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ("verify",), ("compute-pi", "--digits", "10", "--formula"),
+])
+def test_integer_literal_over_digit_cap_is_parse_error(k3_record_path, capsys, command):
+    text = k3_record_path.read_text()
+    assert '"k": 3,' in text
+    k3_record_path.write_text(text.replace('"k": 3,', '"k": 1' + "0" * 5000 + ","))
+    capsys.readouterr()
+    assert run_cli(*command, str(k3_record_path)) == cli.EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ("verify",), ("compute-pi", "--digits", "10", "--formula"),
+])
+@pytest.mark.parametrize("edit", [
+    {"k": 10 ** 6},
+    {"k": 40, "u1": {"num": "1", "den": "1"},
+     "u2": {"num": {"value": "1"}, "den": {"value": "1"}},
+     "u2_digit_counts": {"num_digits": 1, "den_digits": 1}},
+], ids=["k=10**6", "k=40,u1=u2=1"])
+def test_depth_too_deep_for_second_term_fails_fast(k3_record_path, capsys, command, edit):
+    # The exact product would take about 2**(k-1) bits; the size bound on
+    # the second term refuses it before any power is formed.
+    payload = json.loads(k3_record_path.read_text())
+    payload.update(edit)
+    k3_record_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(*command, str(k3_record_path)) == cli.EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot verify" in captured.err
+
+
+class TestIntTextCap:
+    """machinpi lifts CPython's int <-> str digit cap only around its own
+    conversions, so the process keeps the cap and big values still work."""
+
+    @pytest.fixture()
+    def default_cap(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        yield sys.int_info.default_max_str_digits
+        sys.set_int_max_str_digits(previous)
+
+    def test_import_leaves_cap_unchanged(self):
+        src = str(Path(machinpi.__file__).resolve().parents[1])
+        code = ("import sys; before = sys.get_int_max_str_digits(); "
+                "import machinpi, machinpi.cli; "
+                "assert sys.get_int_max_str_digits() == before > 0")
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_long_digit_string_under_default_cap(self, k3_record_path, capsys,
+                                                  default_cap, pi_text_300):
+        assert run_cli(
+            "compute-pi", "--formula", str(k3_record_path), "--digits", "5000"
+        ) == 0
+        out = capsys.readouterr().out.strip()
+        assert len(out) == 5002 and out.startswith(pi_text_300)
+        assert sys.get_int_max_str_digits() == default_cap
+
+    def test_depth_fifteen_round_trip_under_default_cap(self, tmp_path, default_cap):
+        record, _ = generate_record(15, 1, "nearest")
+        assert record.u2_digit_counts[0] > 60_000
+        path = write_record(record, tmp_path / "k15.json")
+        loaded = load_record(path)
+        assert loaded == record
+        check_record(loaded)
+        assert sys.get_int_max_str_digits() == default_cap
+
+
 class TestComputePiCommand:
     def test_digits_from_record(self, k3_record_path, capsys, pi_text_300):
         assert run_cli(
@@ -234,7 +310,8 @@ class TestComputePiCommand:
         digits = captured.out.strip()
         assert pi_text_300.startswith(digits)
         assert len(digits) > 50
-        assert "measured digits/term" in captured.err
+        # u1 = 5 runs the 30 terms; u2 = -239 gains 5.36 digits per term
+        assert "terms used: 30+13; measured digits/term" in captured.err
 
     def test_tower_source(self, capsys, pi_text_300):
         assert run_cli("compute-pi", "--k", "6", "--digits", "40") == 0

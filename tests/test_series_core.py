@@ -1,23 +1,38 @@
 """The shared conjugate-series core against the loops it replaced.
 
-Rational arguments, the tower value and the convergence measurement all
-walk one term stream now; each must reproduce the former per-caller
-loop bit for bit (tests/oracles.py keeps those loops as references).
+Rational arguments with huge numerators, the tower value and the
+convergence measurement all walk one fixed-point term stream; each must
+reproduce the former per-caller loop bit for bit (tests/oracles.py keeps
+those loops as references).  Other rational arguments are summed exactly
+by binary splitting, which must agree with the reference loop within both
+error bounds, never claim a wider bound, and contain an independent
+bracket of the true arctangent.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from machinpi import analysis
+from machinpi import analysis, series
 from machinpi.analysis import KNOWN_DIGITS_PER_TERM, RATE_BAND, measure_convergence
 from machinpi.cli import generate_record
 from machinpi.machin import MachinFormula, solve_u2
-from machinpi.series import arctan_conjugate, pi_from_radicals, scale_for_digits
+from machinpi.series import (
+    _conjugate_sum,
+    _rational_start,
+    arctan_conjugate,
+    digits_per_term,
+    pi_digits_from_formula,
+    pi_from_radicals,
+    scale_for_digits,
+)
 
 from oracles import (
+    arctan_bracket,
     arctan_conjugate_reference,
     convergence_samples_reference,
     pi_from_radicals_reference,
@@ -45,8 +60,82 @@ def test_rational_start_matches_fraction_start(x, terms, small_u2_arguments):
     if isinstance(x, int):
         x = small_u2_arguments[x]
     scale = 512
-    got = fingerprint(arctan_conjugate(x, terms, scale))
+    got = fingerprint(_conjugate_sum(*_rational_start(x, scale), terms))
     assert got == arctan_conjugate_reference(x, terms, scale)
+
+
+SPLIT_SCALE = 3328  # 2 * 805 terms * bits(2) = 3220 fits: every case splits
+
+
+@lru_cache(maxsize=None)
+def bracket(x):
+    """arctan(x) to a quarter ulp at SPLIT_SCALE."""
+    return arctan_bracket(x, Fraction(1, 1 << (SPLIT_SCALE + 2)))
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 12, 805])
+@pytest.mark.parametrize(
+    "x", [Fraction(1, 2), Fraction(1, 5), Fraction(-1, 239), Fraction(2, 7), Fraction(1, 651)],
+    ids=["1/2", "1/5", "-1/239", "2/7", "1/651"],
+)
+def test_split_sum_agrees_with_reference_loop(x, terms, monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("small argument took the fixed-point stream")
+
+    monkeypatch.setattr(series, "_conjugate_sum", no_stream)
+    split = arctan_conjugate(x, terms, SPLIT_SCALE)
+    mantissa, err_ulp, used, _ = arctan_conjugate_reference(x, terms, SPLIT_SCALE)
+    value = split.value
+    assert used == split.terms_used == terms
+    assert value.scale == SPLIT_SCALE
+    assert value.mantissa - value.err_ulp <= mantissa + err_ulp
+    assert mantissa - err_ulp <= value.mantissa + value.err_ulp
+    assert value.err_ulp <= err_ulp
+    mid, bound = bracket(x)
+    assert value.lower <= mid - bound and mid + bound <= value.upper
+
+
+def exact_term(x, m):
+    """-2 Im(v**(2m-1)) / (2m-1) for v = x/(x + 2i), from Fractions."""
+    a, b = x.numerator, x.denominator
+    d = a * a + 4 * b * b
+    vr, vi = Fraction(a * a, d), Fraction(-2 * a * b, d)
+    wr, wi = vr, vi
+    for _ in range(2 * m - 2):
+        wr, wi = wr * vr - wi * vi, wr * vi + wi * vr
+    return -2 * wi / (2 * m - 1)
+
+
+@pytest.mark.parametrize("terms", [2, 12])
+@pytest.mark.parametrize("x", [Fraction(1, 5), Fraction(2, 7), Fraction(-1, 239)])
+def test_split_rate_measured_from_exact_terms(x, terms):
+    first, last = exact_term(x, 1), exact_term(x, terms)
+    expected = (math.log10(abs(first)) - math.log10(abs(last))) / (terms - 1)
+    rate = arctan_conjugate(x, terms, 512).per_term_log10
+    assert rate == pytest.approx(expected, rel=1e-12)
+    # measured, not the prediction: the 1/(2m-1) factors shift it
+    assert abs(rate - digits_per_term(1 / x)) > 0.01
+
+
+@pytest.mark.parametrize("k, u1, digits, second_terms", [
+    (10, 651, 5000, 768),   # floor u1: u2 ~ -922.9 with 1,364-digit parts
+    (14, 10430, 1000, 106),  # u2 with about 32,000-digit parts
+])
+def test_huge_second_argument_streams_with_own_budget(
+    k, u1, digits, second_terms, monkeypatch, pi_text_300
+):
+    formula = MachinFormula.two_term(k, Fraction(u1), solve_u2(Fraction(u1), k))
+    streamed = []
+
+    def spy(x, scale):
+        streamed.append(x)
+        return _rational_start(x, scale)
+
+    monkeypatch.setattr(series, "_rational_start", spy)
+    text, result = pi_digits_from_formula(formula, digits)
+    assert streamed == [1 / formula.terms[1][1]]
+    assert result.term_counts == (result.terms_used, second_terms)
+    assert text.startswith(pi_text_300)
 
 
 @pytest.mark.parametrize("k, terms, digits", [(2, 30, 50), (3, 12, 40), (40, 6, 170)])
