@@ -6,7 +6,7 @@ argument, the exactly-solved second argument, and digits-of-pi per term
 Depths 17 and 23 are reported with predicted rates only by default.
 Pass --heavy to also solve depth 17 exactly (a second argument of about
 312,000 digits), verify it and measure its rate; the whole run then takes
-about 4 s on a 2-vCPU Xeon with Python 3.11.  Depth 23 stays predicted.
+about 1.3 s on a 2-vCPU Xeon with Python 3.11.  Depth 23 stays predicted.
 The depth-40 rate comes from the tower path, which needs no second term.
 """
 

@@ -14,7 +14,7 @@ from .analysis import (
     predict_rate,
     validated_pi_reference,
 )
-from .exact import GaussianInt, GaussianRational, gi_pow, gr_norm, gr_pow
+from .exact import GaussianInt, GaussianRational
 from .machin import (
     MachinFormula,
     VerificationResult,
@@ -59,9 +59,6 @@ __all__ = [
     "compare_methods",
     "digits_per_term",
     "eval_radicals",
-    "gi_pow",
-    "gr_norm",
-    "gr_pow",
     "load_record",
     "measure_convergence",
     "pi_digits_from_formula",

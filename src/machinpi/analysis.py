@@ -18,7 +18,7 @@ from .machin import MachinFormula, solve_u2
 from .realnum import FixedReal
 from .series import (
     _conjugate_terms,
-    _rational_start,
+    _cot_start,
     approx_log10,
     arctan_conjugate,
     arctan_euler,
@@ -118,7 +118,7 @@ def measure_convergence(
     assert ok
     scale = scale_for_digits(ceiling)
     t0 = time.perf_counter()
-    streams = [_conjugate_terms(*_rational_start(1 / beta, scale)[0])
+    streams = [_conjugate_terms(*_cot_start(FixedReal.from_fraction(beta, scale)))
                for _, beta in formula.terms]
     sums = [FixedReal.zero(scale)] * len(streams)
     samples: list[tuple[int, int]] = []

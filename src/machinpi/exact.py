@@ -154,20 +154,6 @@ GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
-def gi_pow(g: GaussianInt, n: int) -> GaussianInt:
-    return g ** n
-
-
-def gr_pow(z: GaussianRational, n: int) -> GaussianRational:
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    return z ** n
-
-
-def gr_norm(z: GaussianRational) -> Fraction:
-    return z.norm()
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "5", "-239", "24/10", or "2.4" into an exact Fraction."""
     try:

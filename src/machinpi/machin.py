@@ -10,7 +10,10 @@ Gaussian integers: with
         (the conjugate p - qi where alpha < 0),
 
 the rotations multiply to G**2 / |G|**2, which is i exactly when
-G.re == G.im != 0.  No rational reduction and no gcd is needed.
+G.re == G.im != 0.  No rational reduction and no gcd is needed.  That
+pins the sum of alpha * arctan(1/beta) only modulo pi, so a float
+estimate of the sum, with a stated error bound, fixes the branch: the
+sum is pi/4 + n*pi for an integer n, and only n = 0 is a formula for pi.
 
 Solving for the closing second term: with beta1 = p/q in lowest terms and
 A + Bi = (p + qi) ** alpha1,
@@ -31,6 +34,7 @@ connecting the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,8 +44,15 @@ from .exact import (
     GaussianInt,
     GaussianRational,
     fraction_sharing_only_twos,
-    gr_pow,
 )
+
+# Error of a term's float estimate alpha * atan(1/beta) per unit of
+# |alpha|.  The atan is off by at most 2**-50 + 2**-54: 4 ulps of
+# |atan| <= pi/2 for libm, and 2**-54 for rounding y = 1/beta to a float,
+# since atan'(y) <= 1/(1 + y**2).  Beyond |y| = 2**64 the float pi/2
+# stands in, off by at most 2**-53 + 2**-64.  The float product and the
+# correctly rounded fsum add 2**-52 each; the total is below 2**-49.
+_ATAN_ERROR = 2.0 ** -49
 
 
 @dataclass(frozen=True)
@@ -81,21 +92,27 @@ class MachinFormula:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of the exact check, with the Gaussian-integer product G as
-    certificate: the formula is valid iff G.re == G.im != 0."""
+    """Outcome of the check.  The Gaussian-integer product G certifies the
+    angle modulo pi (G.re == G.im != 0); when it does, `turns` is the n in
+    sum = pi/4 + n*pi, and the formula is valid iff n = 0."""
 
     ok: bool
     product: GaussianInt
+    turns: int = 0
 
     def __bool__(self) -> bool:
         return self.ok
 
     def summary(self) -> str:
-        """The certificate in a few words, however large G is."""
+        """Which test decided, in a few words, however large G is."""
         re, im = self.product.re, self.product.im
-        relation = "==" if self.ok else "!="
-        return (f"G.re ({re.bit_length()} bits) {relation} "
-                f"G.im ({im.bit_length()} bits)")
+        sizes = f"G.re ({re.bit_length()} bits) {{}} G.im ({im.bit_length()} bits)"
+        if not re == im != 0:
+            return "exact product check failed: " + sizes.format("!=")
+        if self.turns:
+            return (f"branch check failed: the sum is pi/4 {self.turns:+d}*pi "
+                    "(the product check holds: " + sizes.format("==") + ")")
+        return sizes.format("==") + " and the sum is pi/4"
 
 
 def _term_factor(alpha: int, beta: Fraction) -> GaussianInt:
@@ -152,7 +169,7 @@ def solve_second_term_direct(alpha1: int, beta1: Fraction) -> Fraction:
         raise ValueError("first coefficient must be a positive integer")
     beta1 = Fraction(beta1)
     b = GaussianRational(beta1, Fraction(0))
-    z = gr_pow((b + GR_I) / (b - GR_I), alpha1)
+    z = ((b + GR_I) / (b - GR_I)) ** alpha1
     if z == GR_I:
         raise DegenerateSecondTerm(
             f"{alpha1}*arctan(1/{beta1}) is already pi/4; no second term"
@@ -169,20 +186,51 @@ def solve_second_term_direct(alpha1: int, beta1: Fraction) -> Fraction:
 
 
 def verify_formula(formula: MachinFormula) -> VerificationResult:
-    """Exact check that the rotations multiply to i, on Gaussian integers.
+    """Exact check that the rotations multiply to i, on Gaussian integers,
+    and that the sum of the terms is pi/4 itself, not pi/4 + n*pi.
 
     Only integer coefficients admit an exact algebraic check; rational
-    coefficients raise NotExactlyVerifiable rather than guessing a branch.
+    coefficients raise NotExactlyVerifiable rather than guessing a branch,
+    and so do coefficients too large for the float estimate to tell the
+    branches apart.
     """
-    product = GaussianInt(1, 0)
-    for alpha, beta in formula.terms:
+    for alpha, _ in formula.terms:
         if alpha.denominator != 1:
             raise NotExactlyVerifiable(
                 f"coefficient {alpha} is not an integer"
             )
+    weight = sum(abs(alpha) for alpha, _ in formula.terms)
+    if weight * _ATAN_ERROR >= math.pi / 8:
+        raise NotExactlyVerifiable(
+            f"coefficients summing to {weight} in magnitude are too large "
+            "for the branch check"
+        )
+    product = GaussianInt(1, 0)
+    for alpha, beta in formula.terms:
         product = product * _term_factor(int(alpha), beta)
-    ok = product.re == product.im != 0
-    return VerificationResult(ok=ok, product=product)
+    if not product.re == product.im != 0:
+        return VerificationResult(ok=False, product=product)
+    turns = _turns(formula)
+    return VerificationResult(ok=turns == 0, product=product, turns=turns)
+
+
+def _turns(formula: MachinFormula) -> int:
+    """n with sum of alpha * arctan(1/beta) = pi/4 + n*pi, for a formula
+    whose product check holds.  The float estimate is within
+    sum(|alpha|) * _ATAN_ERROR < pi/8 of the sum, so rounding picks n."""
+    estimate = math.fsum(float(alpha) * _atan_inverse(beta)
+                         for alpha, beta in formula.terms)
+    return round((estimate - math.pi / 4) / math.pi)
+
+
+def _atan_inverse(beta: Fraction) -> float:
+    """atan(1/beta) as a float.  q / p is float(Fraction(q, p)), rounded
+    once from the integers however large they are; beyond |1/beta| = 2**64
+    the result is +-pi/2, within 2**-64 of the arctangent."""
+    p, q = beta.numerator, beta.denominator
+    if q > abs(p) << 64:
+        return math.copysign(math.pi / 2, p)
+    return math.atan(q / p)
 
 
 def check_relation_pair(

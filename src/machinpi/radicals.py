@@ -60,26 +60,21 @@ def guard_bits(k: int) -> int:
     return 2 * k + 64
 
 
-def eval_radicals(
-    k: int,
-    decimal_digits: int,
-    *,
-    initial_guard: int | None = None,
-    retries: int = _MAX_RETRIES,
-) -> RadicalState:
+def eval_radicals(k: int, decimal_digits: int) -> RadicalState:
     """Evaluate the tower so that c_k is correct to >= decimal_digits
     digits after the point.
 
-    Retries with doubled guard bits when cancellation in 2 - a_(k-1)
-    invalidates digits; raises PrecisionExhausted past the retry cap.
+    Starts from guard_bits(k) and retries with doubled guard bits when
+    cancellation in 2 - a_(k-1) invalidates digits; raises
+    PrecisionExhausted after _MAX_RETRIES retries.
     """
     if k < 2:
         raise ValueError("depth k must be at least 2")
     if decimal_digits < 1:
         raise ValueError("decimal_digits must be at least 1")
     base = math.ceil(decimal_digits * _LOG2_10)
-    guard = guard_bits(k) if initial_guard is None else initial_guard
-    for _ in range(retries + 1):
+    guard = guard_bits(k)
+    for _ in range(_MAX_RETRIES + 1):
         scale = base + guard
         try:
             state = _eval_at_scale(k, scale)
@@ -91,7 +86,7 @@ def eval_radicals(
         guard = max(2 * guard, 16)
     raise PrecisionExhausted(
         f"c_{k} still uncertain at {decimal_digits} digits after "
-        f"{retries} retries"
+        f"{_MAX_RETRIES} retries"
     )
 
 

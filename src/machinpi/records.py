@@ -262,5 +262,5 @@ def check_record(record: FormulaRecord) -> None:
     outcome = verify_formula(record.formula())
     if not outcome.ok:
         raise UnverifiedFormula(
-            f"record's formula fails the exact product check: {outcome.summary()}"
+            f"record's formula fails verification: {outcome.summary()}"
         )

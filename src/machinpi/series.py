@@ -20,8 +20,9 @@ pi comes either from a verified two-term formula (4 * sum of coefficient
 times arctan of the reciprocal argument) or, with no rational arguments
 at all, from the radical tower: pi = 2**(k+1) * arctan(1/c_k) evaluated
 by the conjugate series directly on the fixed-point c_k.  Both argument
-kinds share one fixed-point term stream: only the start (v, v**2)
-differs, built from integers for a rational x and from the tower for c_k.
+kinds share one fixed-point term stream with one start: v = 1/(1 + 2ci)
+and v**2 built in interval arithmetic from a fixed-point cotangent c,
+the tower's c_k or b/a rounded once for x = a/b (see _cot_start).
 
 A rational x = a/b whose numerator is small enough skips the stream: its
 partial sum is formed exactly by binary splitting over Gaussian integers
@@ -210,25 +211,16 @@ def _conjugate_sum(start: tuple, rho: Fraction, terms: int) -> SeriesResult:
     return SeriesResult(total, terms, rate)
 
 
-def _rational_start(x: Fraction, scale: int) -> tuple[tuple, Fraction]:
-    """Start of the series for x = a/b, and rho = |v|**2 exactly.
-
-    v = (a**2 - 2ab i)/d and v**2 = (a**4 - 4 a**2 b**2 - 4 a**3 b i)/d**2
-    with d = a**2 + 4 b**2.  Each part is rounded once from its integer
-    pair, which needs no reduction; rho = a**2/d shares at most a factor
-    4 (see exact.fraction_sharing_only_twos).  No gcd is run.
-    """
-    a, b = x.numerator, x.denominator
-    a2, b2, ab = a * a, b * b, a * b
-    d = a2 + 4 * b2
-    d2 = d * d
-    start = (
-        FixedReal._from_ratio(a2, d, scale),
-        FixedReal._from_ratio(-2 * ab, d, scale),
-        FixedReal._from_ratio(a2 * (a2 - 4 * b2), d2, scale),
-        FixedReal._from_ratio(-4 * a2 * ab, d2, scale),
-    )
-    return start, fraction_sharing_only_twos(a2, d)
+def _cot_start(c: FixedReal) -> tuple:
+    """Start (Re v, Im v, Re v**2, Im v**2) of the series for arctan(1/c):
+    v = 1/(1 + 2ci) = (1 - 2ci)/(1 + 4c**2) in interval arithmetic at c's
+    scale, so each part contains its exact value for every c in c's
+    interval."""
+    one = FixedReal.from_int(1, c.scale)
+    denom = one + (c * c).shift(2)
+    v_re = one / denom
+    v_im = -c.shift(1) / denom
+    return v_re, v_im, v_re * v_re - v_im * v_im, (v_re * v_im).shift(1)
 
 
 def _split(a2: int, g2: GaussianInt, lo: int, hi: int):
@@ -245,7 +237,8 @@ def _split(a2: int, g2: GaussianInt, lo: int, hi: int):
     return p1 * p2, q1 * q2, t1 * q2 + t2.scaled(p1)
 
 
-def _split_conjugate(a: int, b: int, terms: int, scale: int) -> SeriesResult:
+def _split_conjugate(a: int, b: int, rho: Fraction, terms: int,
+                     scale: int) -> SeriesResult:
     """The first `terms` terms for x = a/b summed exactly and rounded once.
 
     With g = a + 2bi, v = a/g, so the sum is S = sum of
@@ -268,7 +261,6 @@ def _split_conjugate(a: int, b: int, terms: int, scale: int) -> SeriesResult:
         -2 * a * (w.im * z.re - w.re * z.im), z.norm(), scale
     )
     d = a * a + 4 * b * b
-    rho = fraction_sharing_only_twos(a * a, d)
     rate = approx_log10(1 / rho)
     n = 2 * terms - 1
     last = GaussianInt(a, -2 * b) ** n  # conj(g)**n = d**n v**n / a**n
@@ -287,9 +279,11 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     With x = a/b the partial sum is exact by binary splitting while the
     growth of the split products in a**2 per term fits the precision,
     2 * terms * bits(a) <= scale; huge numerators (the second argument of
-    a deep formula) take the fixed-point stream instead, where the start
-    v = (a**2 - 2ab i) / (a**2 + 4 b**2) and its square are rounded once
-    and the recurrence multiplies by v**2.
+    a deep formula) take the fixed-point stream instead, started from the
+    cotangent b/a rounded once.  Both bound the tail with the exact
+    rho = |v|**2 = a**2 / (a**2 + 4 b**2), which shares at most a power
+    of two (see exact.fraction_sharing_only_twos); a rho taken from the
+    rounded cotangent would reach 1 once |x| passes about 2**scale.
     """
     x = Fraction(x)
     if x == 0:
@@ -297,9 +291,12 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     if terms < 1:
         raise ValueError("terms must be at least 1")
     a, b = x.numerator, x.denominator
+    a2 = a * a
+    rho = fraction_sharing_only_twos(a2, a2 + 4 * b * b)
     if 2 * terms * a.bit_length() <= scale:
-        return _split_conjugate(a, b, terms, scale)
-    return _conjugate_sum(*_rational_start(x, scale), terms)
+        return _split_conjugate(a, b, rho, terms, scale)
+    c = FixedReal.from_fraction(1 / x, scale)
+    return _conjugate_sum(_cot_start(c), rho, terms)
 
 
 def pi_from_formula(
@@ -321,7 +318,7 @@ def pi_from_formula(
         outcome = verify_formula(formula)
         if not outcome.ok:
             raise UnverifiedFormula(
-                f"formula failed the exact product check: {outcome.summary()}"
+                f"formula failed verification: {outcome.summary()}"
             )
     total = FixedReal.zero(scale)
     slowest_beta = min(abs(beta) for _, beta in formula.terms)
@@ -360,12 +357,7 @@ def pi_from_radicals(k: int, terms: int, scale: int) -> SeriesResult:
     if terms < 1:
         raise ValueError("terms must be at least 1")
     c = eval_radicals(k, math.ceil(scale * _LOG10_2) + 4).c_k
-    one = FixedReal.from_int(1, c.scale)
-    denom = one + (c * c).shift(2)
-    v_re = one / denom
-    v_im = -c.shift(1) / denom
-    start = (v_re, v_im, v_re * v_re - v_im * v_im, (v_re * v_im).shift(1))
-    part = _conjugate_sum(start, 1 / (1 + 4 * c.lower ** 2), terms)
+    part = _conjugate_sum(_cot_start(c), 1 / (1 + 4 * c.lower ** 2), terms)
     return SeriesResult(part.value.shift(k + 1), terms, part.per_term_log10)
 
 

@@ -77,6 +77,33 @@ def arctan_bracket(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
             return total, bound
 
 
+# 333/106 < pi < 355/113, both within 10**-4 of it.
+PI_APPROX = Fraction(355, 113)
+
+
+def arctan_estimate(y: Fraction) -> Fraction:
+    """arctan(y) within 10**-5 for any rational y: |y| > 1 folds to
+    +-pi/2 - arctan(1/y), and 1/2 < |y| <= 1 to
+    arctan(1/2) + arctan((|y| - 1/2)/(1 + |y|/2)), an argument <= 1/3."""
+    y = Fraction(y)
+    if abs(y) > 1:
+        return (PI_APPROX if y > 0 else -PI_APPROX) / 2 - arctan_estimate(1 / y)
+    tol = Fraction(1, 10 ** 9)
+    if abs(y) > Fraction(1, 2):
+        folded = (abs(y) - Fraction(1, 2)) / (1 + abs(y) / 2)
+        value = arctan_bracket(Fraction(1, 2), tol)[0] + arctan_bracket(folded, tol)[0]
+        return value if y > 0 else -value
+    return arctan_bracket(y, tol)[0]
+
+
+def branch_turns(terms) -> int:
+    """n with sum of alpha * arctan(1/beta) = pi/4 + n*pi, for terms whose
+    rotation product is i; the estimate's error is far below pi/8 for
+    small coefficients."""
+    total = sum(alpha * arctan_estimate(1 / Fraction(beta)) for alpha, beta in terms)
+    return round((total - PI_APPROX / 4) / PI_APPROX)
+
+
 def cot_tower_digits(k: int, digits: int, scale: int = 0) -> str:
     """cot(pi / 2**(k+1)) truncated to `digits` fractional digits via the
     half-angle recurrence cot(t/2) = cot(t) + sqrt(1 + cot(t)**2),

@@ -21,7 +21,12 @@ from machinpi.machin import (
 )
 from machinpi.radicals import eval_radicals, select_u1
 
-from oracles import big_int_text, rotation_power_reference, rotation_product_reference
+from oracles import (
+    big_int_text,
+    branch_turns,
+    rotation_power_reference,
+    rotation_product_reference,
+)
 
 
 BETA2_FOR_BILLION_NUM = int(
@@ -148,6 +153,38 @@ class TestVerify:
         with pytest.raises(NotExactlyVerifiable):
             verify_formula(MachinFormula.single(Fraction(1, 2), Fraction(1)))
 
+    def test_formula_holding_only_modulo_pi_fails(self):
+        # 5 arctan(1) = pi/4 + pi: G = (1 + i)**5 = -4 - 4i passes the
+        # product check, the branch check rejects it.
+        outcome = verify_formula(MachinFormula.single(Fraction(5), Fraction(1)))
+        assert not outcome.ok
+        assert outcome.product == GaussianInt(-4, -4) and outcome.turns == 1
+        assert "branch check failed" in outcome.summary()
+
+    def test_closing_term_off_the_principal_branch_fails(self):
+        # what solve_u2 returns for u1 = 1/2 at depth 3: 4 arctan(2) +
+        # arctan(-17/31) = 5 pi/4
+        u2 = solve_u2(Fraction(1, 2), 3)
+        assert u2 == Fraction(-31, 17)
+        outcome = verify_formula(MachinFormula.two_term(3, Fraction(1, 2), u2))
+        assert not outcome.ok and outcome.turns == 1
+
+    def test_failure_summary_names_the_product_check(self):
+        outcome = verify_formula(
+            MachinFormula(((Fraction(4), Fraction(5)), (Fraction(1), Fraction(239))))
+        )
+        assert outcome.summary().startswith("exact product check failed")
+
+    def test_tiny_argument_needs_no_float_overflow(self):
+        # 1/beta = 10**400 is beyond float range; the pair cancels exactly.
+        tiny = Fraction(1, 10 ** 400)
+        terms = ((Fraction(1), Fraction(1)), (Fraction(1), tiny), (Fraction(-1), tiny))
+        assert verify_formula(MachinFormula(terms)).ok
+
+    def test_coefficients_too_large_for_branch_check(self):
+        with pytest.raises(NotExactlyVerifiable):
+            verify_formula(MachinFormula.single(Fraction(2 ** 48), Fraction(1)))
+
     def test_formula_validation(self):
         with pytest.raises(ValueError):
             MachinFormula(((Fraction(1), Fraction(0)),))
@@ -159,6 +196,11 @@ class TestVerify:
         sel = select_u1(eval_radicals(k, 26), den)
         u2 = solve_u2(sel.u1, k)
         assert verify_formula(MachinFormula.two_term(k, sel.u1, u2)).ok
+
+    @pytest.mark.parametrize("k", range(2, 18))
+    def test_every_generated_record_passes_the_branch_check(self, k):
+        record, _ = generate_record(k, 10 if k == 2 else 1, "nearest")
+        assert record.verified
 
 
 class TestRelations:
@@ -281,7 +323,9 @@ class TestVerifyAgainstReference:
     def test_random_small_formulas(self, terms):
         outcome = verify_formula(_formula(terms))
         reference = rotation_product_reference(terms)
-        assert outcome.ok == (reference == (0, 1))
+        turns = branch_turns(terms) if reference == (0, 1) else 0
+        assert outcome.ok == (reference == (0, 1) and turns == 0)
+        assert outcome.turns == turns
         assert _rotation_of(outcome.product) == reference
 
     @given(st.sampled_from(VALID_SMALL_FORMULAS), small_alphas, small_betas,

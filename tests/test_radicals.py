@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from machinpi import radicals
 from machinpi.errors import AmbiguousRounding, EpsilonTooLarge, PrecisionExhausted
 from machinpi.radicals import eval_radicals, select_u1
 from machinpi.realnum import FixedReal
@@ -74,12 +75,16 @@ class TestTower:
         with pytest.raises(ValueError):
             eval_radicals(1, 10)
 
-    def test_precision_exhausted_without_guard(self):
+    def test_precision_exhausted_without_guard(self, monkeypatch):
+        monkeypatch.setattr(radicals, "guard_bits", lambda k: 0)
+        monkeypatch.setattr(radicals, "_MAX_RETRIES", 0)
         with pytest.raises(PrecisionExhausted):
-            eval_radicals(10, 30, initial_guard=0, retries=0)
+            eval_radicals(10, 30)
 
-    def test_retry_recovers_from_small_guard(self):
-        state = eval_radicals(10, 30, initial_guard=1, retries=6)
+    def test_retry_recovers_from_small_guard(self, monkeypatch):
+        monkeypatch.setattr(radicals, "guard_bits", lambda k: 1)
+        monkeypatch.setattr(radicals, "_MAX_RETRIES", 6)
+        state = eval_radicals(10, 30)
         assert state.c_k.to_decimal(30)[1]
 
 

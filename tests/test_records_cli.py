@@ -174,6 +174,23 @@ class TestVerifyCommand:
         assert "exact product check" in err
         assert len(err.encode()) < 1024
 
+    @pytest.mark.parametrize("command", [
+        ("verify",), ("compute-pi", "--digits", "20", "--formula"),
+    ])
+    def test_formula_valid_only_modulo_pi_exits_4(self, tmp_path, capsys, command):
+        # u2 = -31/17 closes u1 = 1/2 at depth 3 only modulo pi: the terms
+        # sum to 5 pi/4, and compute-pi printed 5 pi with exit 0.
+        record = build_record(
+            k=3, denominator_policy=2, rounding="nearest", u1=Fraction(1, 2),
+            epsilon_decimal="0", u2=Fraction(-31, 17), verified=True,
+            predicted_rate=0.0,
+        )
+        path = write_record(record, tmp_path / "k3.json")
+        capsys.readouterr()
+        assert run_cli(*command, str(path)) == cli.EXIT_VERIFICATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "branch check failed" in captured.err
+
     def test_verify_parse_failure(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")

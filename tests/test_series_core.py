@@ -1,12 +1,15 @@
 """The shared conjugate-series core against the loops it replaced.
 
 Rational arguments with huge numerators, the tower value and the
-convergence measurement all walk one fixed-point term stream; each must
-reproduce the former per-caller loop bit for bit (tests/oracles.py keeps
-those loops as references).  Other rational arguments are summed exactly
-by binary splitting, which must agree with the reference loop within both
-error bounds, never claim a wider bound, and contain an independent
-bracket of the true arctangent.
+convergence measurement all walk one fixed-point term stream started by
+one builder, _cot_start.  The tower and the convergence samples must
+reproduce their former loops bit for bit (tests/oracles.py keeps those
+loops as references); the rational stream, started from a rounded
+cotangent instead of a start formed from reduced Fractions, must give the
+reference's mantissa and rate within 3 ulps more of error bound.  Other
+rational arguments are summed exactly by binary splitting, which must
+agree with the reference loop within both error bounds, never claim a
+wider bound, and contain an independent bracket of the true arctangent.
 """
 
 from __future__ import annotations
@@ -16,14 +19,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from machinpi import analysis, series
 from machinpi.analysis import KNOWN_DIGITS_PER_TERM, RATE_BAND, measure_convergence
 from machinpi.cli import generate_record
 from machinpi.machin import MachinFormula, solve_u2
+from machinpi.realnum import FixedReal
 from machinpi.series import (
     _conjugate_sum,
-    _rational_start,
+    _cot_start,
     arctan_conjugate,
     digits_per_term,
     pi_digits_from_formula,
@@ -51,17 +57,79 @@ def small_u2_arguments():
     return {k: 1 / solve_u2(u1, k) for k, u1 in ((10, Fraction(651)), (13, Fraction(5215)))}
 
 
+@lru_cache(maxsize=None)
+def bracket_at_512(x):
+    """arctan(x) to a quarter ulp at scale 512.  A huge-component x is
+    first replaced by a dyadic x' within 2**-600 of it, and |x - x'|
+    joins the bound (arctan is 1-Lipschitz)."""
+    near = x
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) > 600:
+        near = Fraction(round(x * (1 << 600)), 1 << 600)
+    mid, bound = arctan_bracket(near, Fraction(1, 1 << 515))
+    return mid, bound + abs(x - near)
+
+
 @pytest.mark.parametrize("terms", [1, 3, 12])
 @pytest.mark.parametrize(
     "x", [Fraction(1, 2), Fraction(1, 5), Fraction(-1, 239), Fraction(2, 7), 10, 13],
     ids=["1/2", "1/5", "-1/239", "2/7", "1/u2@k10", "1/u2@k13"],
 )
-def test_rational_start_matches_fraction_start(x, terms, small_u2_arguments):
+def test_cot_start_stream_matches_fraction_start(x, terms, small_u2_arguments):
     if isinstance(x, int):
         x = small_u2_arguments[x]
     scale = 512
-    got = fingerprint(_conjugate_sum(*_rational_start(x, scale), terms))
-    assert got == arctan_conjugate_reference(x, terms, scale)
+    a, b = x.numerator, x.denominator
+    rho = Fraction(a * a, a * a + 4 * b * b)
+    got = _conjugate_sum(_cot_start(FixedReal.from_fraction(1 / x, scale)), rho, terms)
+    mantissa, err_ulp, used, rate = arctan_conjugate_reference(x, terms, scale)
+    assert (got.value.mantissa, got.terms_used, got.per_term_log10) == (mantissa, used, rate)
+    assert got.value.err_ulp <= err_ulp + 3
+    mid, bound = bracket_at_512(x)
+    assert got.value.lower <= mid - bound and mid + bound <= got.value.upper
+
+
+cotangents = st.builds(
+    lambda c, negative: -c if negative else c,
+    st.fractions(min_value=Fraction(1, 2), max_value=10 ** 12, max_denominator=10 ** 12),
+    st.booleans(),
+)
+
+
+@given(cotangents, st.integers(min_value=8, max_value=400))
+def test_cot_start_contains_exact_start(c, scale):
+    d = 1 + 4 * c * c
+    exact = (1 / d, -2 * c / d, (1 - 4 * c * c) / (d * d), -4 * c / (d * d))
+    start = _cot_start(FixedReal.from_fraction(c, scale))
+    assert all(part.contains(value) for part, value in zip(start, exact))
+
+
+def test_every_stream_starts_from_cot_start(monkeypatch, machin_formula, pi_reference_300):
+    starts = []
+
+    def spy(c):
+        starts.append(c)
+        return _cot_start(c)
+
+    monkeypatch.setattr(series, "_cot_start", spy)
+    monkeypatch.setattr(analysis, "_cot_start", spy)
+    pi_from_radicals(3, 4, 256)
+    assert len(starts) == 1
+    arctan_conjugate(Fraction(1, 5), 200, 256)  # 2 * 200 * bits(1) > 256: streams
+    assert starts[1:] == [FixedReal.from_fraction(Fraction(5), 256)]
+    measure_convergence(machin_formula, 3, pi_reference_300)
+    assert [c.value for c in starts[2:]] == [Fraction(5), Fraction(-239)]
+
+
+@pytest.mark.parametrize("x", [Fraction(2 ** 600 + 1, 3), Fraction(5 << 512, 6)],
+                         ids=["c=0+-1ulp", "c=1+-1ulp"])
+def test_cotangent_rounding_to_zero_keeps_exact_rho(x, pi_reference_300):
+    # b/a = 3/(2**600 + 1) rounds to 0 at scale 512 and 6/(5 * 2**512) to
+    # 1 ulp, so c's interval reaches 0 and a rho taken from it would be 1;
+    # the exact rho still gives a valid (wide) interval.
+    value = arctan_conjugate(x, 5, 512).value
+    # pi/2 - 1/x <= arctan(x) < pi/2
+    assert value.lower <= pi_reference_300.lower / 2 - 1 / x
+    assert pi_reference_300.upper / 2 <= value.upper
 
 
 SPLIT_SCALE = 3328  # 2 * 805 terms * bits(2) = 3220 fits: every case splits
@@ -127,13 +195,13 @@ def test_huge_second_argument_streams_with_own_budget(
     formula = MachinFormula.two_term(k, Fraction(u1), solve_u2(Fraction(u1), k))
     streamed = []
 
-    def spy(x, scale):
-        streamed.append(x)
-        return _rational_start(x, scale)
+    def spy(c):
+        streamed.append(c)
+        return _cot_start(c)
 
-    monkeypatch.setattr(series, "_rational_start", spy)
+    monkeypatch.setattr(series, "_cot_start", spy)
     text, result = pi_digits_from_formula(formula, digits)
-    assert streamed == [1 / formula.terms[1][1]]
+    assert len(streamed) == 1 and streamed[0].contains(formula.terms[1][1])
     assert result.term_counts == (result.terms_used, second_terms)
     assert text.startswith(pi_text_300)
 
