@@ -1,6 +1,6 @@
 """Two-term Machin-like formulas for pi with arbitrarily small arguments.
 
-Exact generation (nested square-root tower plus a Gaussian-rational
+Exact generation (nested square-root tower plus a Gaussian-integer
 solve), exact verification, arbitrary-precision pi computation, and
 convergence benchmarking.
 """
@@ -14,7 +14,7 @@ from .analysis import (
     predict_rate,
     validated_pi_reference,
 )
-from .exact import GaussianInt, GaussianRational
+from .exact import GaussianInt
 from .machin import (
     MachinFormula,
     VerificationResult,
@@ -44,7 +44,6 @@ __all__ = [
     "FixedReal",
     "FormulaRecord",
     "GaussianInt",
-    "GaussianRational",
     "MachinFormula",
     "RadicalState",
     "SeriesResult",

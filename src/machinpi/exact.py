@@ -1,10 +1,11 @@
-"""Exact integer, rational, and Gaussian (complex) arithmetic.
+"""Exact integer, rational, and Gaussian-integer arithmetic.
 
 Rationals are `fractions.Fraction` (always reduced, positive denominator,
-zero canonically 0/1).  Gaussian values are immutable pairs over ints or
-Fractions; every operation is exact, no floating point anywhere.  The
-production path works on Gaussian integers only; Gaussian rationals
-remain for the literal cross-check of the second-term solve.
+zero canonically 0/1).  The only complex type is GaussianInt, an
+immutable pair of ints; every operation is exact, no floating point
+anywhere.  A rotation (p + qi)/(p - qi) is never formed as a quotient:
+callers keep the Gaussian integer (p + qi)**n and its norm apart, and
+divide once, as Fractions, only where a rational result is wanted.
 """
 
 from __future__ import annotations
@@ -50,15 +51,9 @@ class GaussianInt:
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "GaussianInt") -> "GaussianInt":
         a, b, c, d = self.re, self.im, other.re, other.im
         return GaussianInt(a * c - b * d, a * d + b * c)
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
 
     def __pow__(self, n: int) -> "GaussianInt":
         """Square-and-multiply; O(log n) multiplications."""
@@ -88,70 +83,6 @@ class GaussianInt:
 
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Complex number with exact rational parts.
-
-    Division multiplies by the conjugate over the norm, so every
-    intermediate stays rational; components are reduced by Fraction
-    after each operation.
-    """
-
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational((a * c + b * d) / n, (b * c - a * d) / n)
-
-    def __pow__(self, n: int) -> "GaussianRational":
-        """Square-and-multiply; negative exponents go through the exact
-        reciprocal."""
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        result = GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def reciprocal(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("reciprocal of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -27,9 +27,9 @@ terms.  The same value falls out of the direct rearrangement
 
     beta2 = 2 / (z - i) - i,      z = ((beta1 + i)/(beta1 - i)) ** alpha1,
 
-which is kept over Gaussian rationals as an independent cross-check path
-(see solve_second_term_direct); the README records the algebra
-connecting the two.
+which solve_second_term_direct evaluates on one Gaussian power as an
+independent cross-check path; the README records the algebra connecting
+the two.
 """
 
 from __future__ import annotations
@@ -39,12 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSecondTerm, NotExactlyVerifiable
-from .exact import (
-    GR_I,
-    GaussianInt,
-    GaussianRational,
-    fraction_sharing_only_twos,
-)
+from .exact import GaussianInt, fraction_sharing_only_twos
 
 # Error of a term's float estimate alpha * atan(1/beta) per unit of
 # |alpha|.  The atan is off by at most 2**-50 + 2**-54: 4 ulps of
@@ -163,26 +158,34 @@ def solve_u2(u1: Fraction, k: int) -> Fraction:
 
 
 def solve_second_term_direct(alpha1: int, beta1: Fraction) -> Fraction:
-    """Same value as solve_second_term via the literal rearrangement
-    2/(z - i) - i over Gaussian rationals; cross-check path."""
+    """Same value as solve_second_term via the rearrangement 2/(z - i) - i;
+    cross-check path.  With beta1 = p/q, X + Yi = (p + qi)**(2*alpha1) and
+    n = (p**2 + q**2)**alpha1, z = (X + Yi)/n and
+
+        2/(z - i) - i = 2n (X - (Y - n) i) / (X**2 + (Y - n)**2) - i,
+
+    real because X**2 + Y**2 = n**2.  Fraction reduces it by gcd, so the
+    check does not rely on the closed form's shift reduction.
+    """
     if alpha1 < 1:
         raise ValueError("first coefficient must be a positive integer")
     beta1 = Fraction(beta1)
-    b = GaussianRational(beta1, Fraction(0))
-    z = ((b + GR_I) / (b - GR_I)) ** alpha1
-    if z == GR_I:
+    g = GaussianInt(beta1.numerator, beta1.denominator)
+    power = g ** (2 * alpha1)
+    n = g.norm() ** alpha1
+    x, y = power.re, power.im - n
+    if x == 0 and y == 0:
         raise DegenerateSecondTerm(
             f"{alpha1}*arctan(1/{beta1}) is already pi/4; no second term"
         )
-    two = GaussianRational(Fraction(2), Fraction(0))
-    w = two / (z - GR_I) - GR_I
-    assert w.im == 0, "second argument must come out real"
-    if w.re == 0:
+    denom = x * x + y * y
+    assert -2 * n * y == denom, "second argument must come out real"
+    if x == 0:
         raise DegenerateSecondTerm(
             f"{alpha1}*arctan(1/{beta1}) differs from pi/4 by a right "
             "angle; the second argument degenerates to zero"
         )
-    return w.re
+    return Fraction(2 * n * x, denom)
 
 
 def verify_formula(formula: MachinFormula) -> VerificationResult:

@@ -24,9 +24,11 @@ from .realnum import FixedReal
 
 _LOG2_10 = math.log2(10)
 
-# Working scale = requested digits + cancellation guard.  The subtraction
-# 2 - a_(k-1) loses about 2k bits, hence the k-dependent term; retries
-# double the guard, so a short cap suffices.
+# Working scale = requested digits + guard.  The subtraction 2 - a_(k-1)
+# ~= (pi / 2**k)**2 loses about 2k bits, and dividing by its square root
+# ~= pi / 2**k costs k more, so c_k's error bound is about 2**(3k - 4)
+# ulps; guard_bits covers that with 64 bits to spare.  Retries double the
+# guard, so a short cap suffices.
 _MAX_RETRIES = 4
 
 
@@ -57,7 +59,7 @@ class U1Selection:
 
 
 def guard_bits(k: int) -> int:
-    return 2 * k + 64
+    return 3 * k + 64
 
 
 def eval_radicals(k: int, decimal_digits: int) -> RadicalState:

@@ -9,12 +9,14 @@ All arithmetic is integer-only (binary fixed point internally, decimal
 only at the I/O boundary) and every operation widens e conservatively,
 so containment of the true value is an invariant, not a heuristic.
 
-Per-operation error growth, in output ulps:
+Binary operations take two operands at the same scale s and return one
+at s; mixing scales raises ValueError.  Per-operation error growth, in
+ulps of 2**-s:
 
-* add/sub: exact after aligning scales; e_out = e_x + e_y (aligned).
-* mul:     e_out <= ceil((|m_x| e_y + |m_y| e_x + e_x e_y) / 2**min(s_x, s_y)) + 1,
+* add/sub: exact; e_out = e_x + e_y.
+* mul:     e_out <= ceil((|m_x| e_y + |m_y| e_x + e_x e_y) / 2**s) + 1,
            the +1 covering mantissa rounding.
-* div:     e_out <= ceil((e_x |m_y| + |m_x| e_y) * 2**(s - s_x + s_y)
+* div:     e_out <= ceil((e_x |m_y| + |m_x| e_y) * 2**s
                           / (|m_y| (|m_y| - e_y))) + 1, requiring the
            divisor interval to exclude zero.
 * sqrt:    endpoint-based: floor/ceil integer square roots of the interval
@@ -44,13 +46,8 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _shift_floor(n: int, bits: int) -> int:
-    return n >> bits if bits >= 0 else n << -bits
-
-
 def _shift_ceil(n: int, bits: int) -> int:
-    if bits <= 0:
-        return n << -bits
+    """Ceiling of n / 2**bits; bits >= 0."""
     return -((-n) >> bits)
 
 
@@ -132,46 +129,45 @@ class FixedReal:
         # | |x| - |m| | <= |x - m|, so the error bound carries over.
         return FixedReal(abs(self.mantissa), self.scale, self.err_ulp)
 
+    def _same_scale(self, other: "FixedReal") -> int:
+        if self.scale != other.scale:
+            raise ValueError(f"mixed scales {self.scale} and {other.scale}")
+        return self.scale
+
     def __add__(self, other: "FixedReal") -> "FixedReal":
-        s = max(self.scale, other.scale)
-        dx, dy = s - self.scale, s - other.scale
+        s = self._same_scale(other)
         return FixedReal(
-            (self.mantissa << dx) + (other.mantissa << dy),
-            s,
-            (self.err_ulp << dx) + (other.err_ulp << dy),
+            self.mantissa + other.mantissa, s, self.err_ulp + other.err_ulp
         )
 
     def __sub__(self, other: "FixedReal") -> "FixedReal":
         return self + (-other)
 
     def __mul__(self, other: "FixedReal") -> "FixedReal":
-        s = max(self.scale, other.scale)
-        t = min(self.scale, other.scale)
-        m = _shift_nearest(self.mantissa * other.mantissa, t)
+        s = self._same_scale(other)
+        m = _shift_nearest(self.mantissa * other.mantissa, s)
         raw = (
             abs(self.mantissa) * other.err_ulp
             + abs(other.mantissa) * self.err_ulp
             + self.err_ulp * other.err_ulp
         )
-        return FixedReal(m, s, _shift_ceil(raw, t) + 1)
+        return FixedReal(m, s, _shift_ceil(raw, s) + 1)
 
     def __truediv__(self, other: "FixedReal") -> "FixedReal":
+        s = self._same_scale(other)
         my, ey = other.mantissa, other.err_ulp
         if abs(my) <= ey:
             raise DivisorStraddlesZero(
                 "divisor interval contains zero; raise the working scale"
             )
-        s = max(self.scale, other.scale)
-        num = self.mantissa << (s + other.scale - self.scale)
+        num = self.mantissa << s
         m = _div_nearest(num if my > 0 else -num, abs(my))
-        raw = (self.err_ulp * abs(my) + abs(self.mantissa) * ey) << (
-            s - self.scale + other.scale
-        )
+        raw = (self.err_ulp * abs(my) + abs(self.mantissa) * ey) << s
         e = _ceil_div(raw, abs(my) * (abs(my) - ey)) + 1
         return FixedReal(m, s, e)
 
-    def sqrt(self, target_scale: int | None = None) -> "FixedReal":
-        """Square root at target_scale (default: input scale).
+    def sqrt(self) -> "FixedReal":
+        """Square root at the input scale.
 
         The input interval must reach non-negative values; a strictly
         negative interval means upstream cancellation destroyed the value.
@@ -179,24 +175,20 @@ class FixedReal:
         which is sound whenever the true quantity is non-negative (the
         caller's contract for taking a square root).
         """
-        ts = self.scale if target_scale is None else target_scale
-        if ts <= 0:
-            raise ValueError("target scale must be positive")
         lo = self.mantissa - self.err_ulp
         hi = self.mantissa + self.err_ulp
         if hi < 0:
             raise NegativeOperand(
                 "square root of an entirely negative interval"
             )
-        lo = max(lo, 0)
-        shift = 2 * ts - self.scale
-        r_lo = isqrt(_shift_floor(lo, -shift))
-        hi_s = _shift_ceil(hi, -shift)
+        # sqrt(m * 2**-s) = sqrt(m * 2**s) * 2**-s
+        r_lo = isqrt(max(lo, 0) << self.scale)
+        hi_s = hi << self.scale
         r_hi = isqrt(hi_s)
         if r_hi * r_hi < hi_s:
             r_hi += 1
         m = (r_lo + r_hi) // 2
-        return FixedReal(m, ts, r_hi - m)
+        return FixedReal(m, self.scale, r_hi - m)
 
     def mul_fraction(self, fr: Fraction) -> "FixedReal":
         """Scale by an exact rational; at most 1 ulp of rounding."""
@@ -205,19 +197,10 @@ class FixedReal:
         return FixedReal(m, self.scale, _ceil_div(self.err_ulp * abs(p), q) + 1)
 
     def shift(self, bits: int) -> "FixedReal":
-        """Multiply by 2**bits exactly."""
-        if bits >= 0:
-            return FixedReal(self.mantissa << bits, self.scale, self.err_ulp << bits)
-        return FixedReal(self.mantissa, self.scale - bits, self.err_ulp)
-
-    def rescale(self, new_scale: int) -> "FixedReal":
-        """Change scale; widening is exact, narrowing rounds (+1 ulp)."""
-        if new_scale >= self.scale:
-            d = new_scale - self.scale
-            return FixedReal(self.mantissa << d, new_scale, self.err_ulp << d)
-        d = self.scale - new_scale
-        m = _shift_nearest(self.mantissa, d)
-        return FixedReal(m, new_scale, _shift_ceil(self.err_ulp, d) + 1)
+        """Multiply by 2**bits exactly; bits >= 0."""
+        if bits < 0:
+            raise ValueError("shift takes a non-negative bit count")
+        return FixedReal(self.mantissa << bits, self.scale, self.err_ulp << bits)
 
     def widened(self, extra_ulp: int) -> "FixedReal":
         return FixedReal(self.mantissa, self.scale, self.err_ulp + extra_ulp)

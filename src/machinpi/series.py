@@ -362,9 +362,12 @@ def pi_from_radicals(k: int, terms: int, scale: int) -> SeriesResult:
 
 
 def _radical_rate(k: int) -> float:
-    """Predicted digits per term for the tower argument at depth k,
-    using c_k ~= 2**(k+1)/pi."""
-    c_log10 = (k + 1) * _LOG10_2 - math.log10(math.pi)
+    """Predicted digits per term for the tower argument at depth k, from
+    c_k = cot(x) = (1/x) / (tan(x)/x) with x = pi / 2**(k+1).  The factor
+    tan(x)/x matters only at small k, and is 1 once x underflows."""
+    x = math.ldexp(math.pi, -(k + 1))
+    correction = math.log10(math.tan(x) / x) if x else 0.0
+    c_log10 = (k + 1) * _LOG10_2 - math.log10(math.pi) - correction
     if c_log10 < 120:
         c = 10.0 ** c_log10
         return math.log10(1 + 4 * c * c)

@@ -104,6 +104,31 @@ def branch_turns(terms) -> int:
     return round((total - PI_APPROX / 4) / PI_APPROX)
 
 
+def pi_digits(digits: int) -> str:
+    """pi truncated to `digits` fractional digits from Machin's
+    16 arctan(1/5) - 4 arctan(1/239), in integer fixed point with 20 guard
+    digits; every floor division is off by less than one unit."""
+    guard = 20
+    unit = 10 ** (digits + guard)
+
+    def arccot(x: int) -> tuple[int, int]:
+        total, power, n, sign, steps = 0, unit // x, 1, 1, 1
+        while power:
+            total += sign * (power // n)
+            power //= x * x
+            n, sign, steps = n + 2, -sign, steps + 1
+        return total, 2 * steps
+
+    a, err_a = arccot(5)
+    b, err_b = arccot(239)
+    scaled, err = 16 * a - 4 * b, 16 * err_a + 4 * err_b
+    lo, hi = (scaled - err) // 10 ** guard, (scaled + err) // 10 ** guard
+    assert lo == hi, "guard digits too few to pin the last digit"
+    whole, frac = divmod(lo, 10 ** digits)
+    with big_int_text():
+        return f"{whole}.{frac:0{digits}d}"
+
+
 def cot_tower_digits(k: int, digits: int, scale: int = 0) -> str:
     """cot(pi / 2**(k+1)) truncated to `digits` fractional digits via the
     half-angle recurrence cot(t/2) = cot(t) + sqrt(1 + cot(t)**2),

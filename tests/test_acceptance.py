@@ -222,14 +222,14 @@ def test_criterion_10_method_comparison():
 
 def test_criterion_11_property_suites(pi_text_300):
     with criterion("11", "exactness, containment, and round-trip spot checks"):
-        from machinpi.exact import GaussianRational
+        from machinpi.exact import GaussianInt
 
-        # unit-circle preservation and the power addition law
+        # unit-circle preservation and the power addition law: the rotation
+        # z = (u + i)/(u - i) is g**2 / |g|**2 with g = p + qi for u = p/q
         for u, n in ((Fraction(5), 17), (Fraction(24, 10), 9), (Fraction(7, 3), 30)):
-            up = GaussianRational(u, Fraction(1))
-            z = up / up.conjugate()
-            assert (z ** n).norm() == 1
-            assert z ** n * z ** 5 == z ** (n + 5)
+            g = GaussianInt(u.numerator, u.denominator)
+            assert (g ** (2 * n)).norm() == g.norm() ** (2 * n)
+            assert g ** n * g ** 5 == g ** (n + 5)
 
         # fixed-point containment through a mixed pipeline
         scale = 192

@@ -8,10 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from machinpi.exact import (
-    GR_I,
-    GR_ONE,
     GaussianInt,
-    GaussianRational,
     decimal_digit_count,
     format_decimal_head,
     fraction_sharing_only_twos,
@@ -23,17 +20,7 @@ from machinpi.exact import (
 from oracles import gi_pow_naive
 
 
-def conj_quotient(u: Fraction) -> GaussianRational:
-    """(u + i) / (u - i) as an exact Gaussian rational."""
-    up = GaussianRational(u, Fraction(1))
-    down = GaussianRational(u, Fraction(-1))
-    return up / down
-
-
 small_ints = st.integers(min_value=-30, max_value=30)
-small_fractions = st.fractions(
-    min_value=-20, max_value=20, max_denominator=12
-)
 
 
 class TestGaussianInt:
@@ -65,52 +52,11 @@ class TestGaussianInt:
         assert x * y == y * x
         assert (x * y) * z == x * (y * z)
 
-
-class TestGaussianRational:
-    def test_power_of_conjugate_quotient(self):
-        z = conj_quotient(Fraction(5))
-        expected = GaussianRational(Fraction(476), Fraction(480)) / GaussianRational(
-            Fraction(476), Fraction(-480)
-        )
-        assert z ** 4 == expected
-
-    def test_zeroth_power(self):
-        z = conj_quotient(Fraction(7, 3))
-        assert z ** 0 == GR_ONE
-
-    def test_unit_quotient_is_i(self):
-        assert conj_quotient(Fraction(1)) == GR_I
-
-    def test_norms(self):
-        assert conj_quotient(Fraction(5)).norm() == 1
-        assert GR_I.norm() == 1
-        assert GaussianRational(Fraction(3), Fraction(4)).norm() == 25
-
-    def test_division_is_exact_inverse(self):
-        a = GaussianRational(Fraction(3, 7), Fraction(-2, 5))
-        b = GaussianRational(Fraction(-1, 3), Fraction(9, 4))
-        assert (a / b) * b == a
-
-    @given(small_fractions, small_fractions,
-           st.integers(min_value=0, max_value=12),
-           st.integers(min_value=0, max_value=12))
-    def test_power_addition_law(self, re, im, n, m):
-        z = GaussianRational(re, im)
-        assert z ** n * z ** m == z ** (n + m)
-
-    @given(st.fractions(min_value=Fraction(1, 10), max_value=50,
-                        max_denominator=20),
-           st.integers(min_value=0, max_value=40))
-    def test_conjugate_quotient_stays_on_unit_circle(self, u, n):
-        assert (conj_quotient(u) ** n).norm() == 1
-
-    @given(small_fractions, small_fractions)
-    def test_components_stay_canonical(self, re, im):
-        z = GaussianRational(re, im) * GaussianRational(Fraction(3, 4), Fraction(-5, 6))
-        for part in (z.re, z.im):
-            assert part.denominator > 0
-            if part == 0:
-                assert part.numerator == 0 and part.denominator == 1
+    @given(small_ints, small_ints, st.integers(min_value=0, max_value=40))
+    def test_norm_of_power_is_power_of_norm(self, a, b, n):
+        # |(p + qi)**n / (p - qi)**n| = 1: the rotations stay on the unit circle
+        g = GaussianInt(a, b)
+        assert (g ** n).norm() == g.norm() ** n
 
 
 class TestFractionSharingOnlyTwos:

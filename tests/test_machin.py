@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from machinpi.cli import generate_record
@@ -101,8 +101,10 @@ class TestDirectPathEquivalence:
 
     @given(
         st.integers(min_value=1, max_value=24),
-        st.fractions(min_value=Fraction(1, 8), max_value=60, max_denominator=16),
+        st.fractions(min_value=-60, max_value=60, max_denominator=16).filter(bool),
     )
+    @example(1, Fraction(1))  # z = i: the first term alone is pi/4
+    @example(3, Fraction(1))  # z = -i: beta2 would be zero
     def test_general_coefficients_agree(self, alpha, beta):
         try:
             fast = solve_second_term(alpha, beta)

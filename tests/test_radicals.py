@@ -81,6 +81,21 @@ class TestTower:
         with pytest.raises(PrecisionExhausted):
             eval_radicals(10, 30)
 
+    @pytest.mark.parametrize("k", [65, 100, 400])
+    def test_guard_covers_deep_towers_first_time(self, monkeypatch, k):
+        # c_k's error bound grows as 2**(3k - 4) ulps; the starting guard
+        # must cover it, or every deep tower is evaluated twice.
+        scales = []
+        real = radicals._eval_at_scale
+
+        def spy(depth, scale):
+            scales.append(scale)
+            return real(depth, scale)
+
+        monkeypatch.setattr(radicals, "_eval_at_scale", spy)
+        assert eval_radicals(k, 50).c_k.to_decimal(50)[1]
+        assert len(scales) == 1
+
     def test_retry_recovers_from_small_guard(self, monkeypatch):
         monkeypatch.setattr(radicals, "guard_bits", lambda k: 1)
         monkeypatch.setattr(radicals, "_MAX_RETRIES", 6)

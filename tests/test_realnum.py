@@ -61,7 +61,7 @@ class TestSqrt:
 
     @given(fractions_pos, scales)
     def test_sqrt_contains_true_root(self, fr, scale):
-        root = exactly(fr, scale).sqrt(scale)
+        root = exactly(fr, scale).sqrt()
         # lower**2 <= fr <= upper**2 brackets sqrt(fr) without irrationals
         assert max(root.lower, 0) ** 2 <= fr
         assert root.upper ** 2 >= fr
@@ -111,15 +111,27 @@ class TestArithmetic:
     def test_mul_fraction_contains_exact(self, a, q):
         assert exactly(a).mul_fraction(q).contains(a * q)
 
-    @given(fractions_mid, st.integers(min_value=-40, max_value=40))
+    @given(fractions_mid, st.integers(min_value=0, max_value=40))
     def test_shift_is_exact(self, a, bits):
         shifted = exactly(a).shift(bits)
         assert shifted.contains(a * Fraction(2) ** bits)
 
-    @given(fractions_mid, scales, scales)
-    def test_rescale_contains(self, a, s1, s2):
-        x = exactly(a, s1)
-        assert x.rescale(s2).contains(a)
+    def test_negative_shift_rejected(self):
+        with pytest.raises(ValueError):
+            FixedReal.from_int(1, 64).shift(-1)
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x * y,
+        lambda x, y: x / y,
+    ], ids=["add", "sub", "mul", "div"])
+    def test_mismatched_scales_rejected(self, op):
+        x, y = FixedReal.from_int(3, 64), FixedReal.from_int(2, 65)
+        with pytest.raises(ValueError):
+            op(x, y)
+        with pytest.raises(ValueError):
+            op(y, x)
 
 
 class TestErrorPropagationThroughChains:

@@ -21,6 +21,8 @@ from machinpi.records import (
     write_record,
 )
 
+from oracles import pi_digits
+
 
 def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
@@ -333,6 +335,12 @@ class TestComputePiCommand:
     def test_tower_source(self, capsys, pi_text_300):
         assert run_cli("compute-pi", "--k", "6", "--digits", "40") == 0
         assert capsys.readouterr().out.strip() == pi_text_300[:42]
+
+    def test_tower_source_shallow_many_digits(self, capsys):
+        # At k = 2 the term count must come from the exact cotangent; the
+        # estimate 2**(k+1)/pi overstated the rate and ran out of terms.
+        assert run_cli("compute-pi", "--k", "2", "--digits", "1000") == 0
+        assert capsys.readouterr().out.strip() == pi_digits(1000)
 
     def test_tower_terms_budget_deep(self, capsys, pi_text_300):
         assert run_cli("compute-pi", "--k", "40", "--terms", "6") == 0

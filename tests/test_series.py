@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from machinpi.errors import DivergentArgument, UnverifiedFormula, ZeroArgument
 from machinpi.machin import MachinFormula
 from machinpi.series import (
+    _radical_rate,
     approx_log10,
     arctan_conjugate,
     arctan_euler,
@@ -20,7 +22,7 @@ from machinpi.series import (
     scale_for_digits,
 )
 
-from oracles import arctan_bracket
+from oracles import arctan_bracket, cot_tower_digits
 
 
 def abs_error(series_value, reference: Fraction) -> Fraction:
@@ -203,6 +205,11 @@ class TestPiFromRadicals:
 
 
 class TestRatePrediction:
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_tower_rate_uses_exact_cotangent(self, k):
+        c = float(Fraction(cot_tower_digits(k, 30)))
+        assert abs(_radical_rate(k) - math.log10(1 + 4 * c * c)) <= 1e-12
+
     def test_digits_per_term_examples(self):
         assert digits_per_term(Fraction(5)) == pytest.approx(2.00432, abs=1e-4)
         assert digits_per_term(Fraction(651)) == pytest.approx(6.22925, abs=1e-4)
