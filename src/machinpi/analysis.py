@@ -24,9 +24,8 @@ from .series import (
     arctan_euler,
     arctan_gregory,
     digits_per_term,
-    pi_from_formula,
+    pi_digits_from_formula,
     scale_for_digits,
-    terms_for_digits,
 )
 
 # Band within which the measured slope is expected to sit relative to the
@@ -184,21 +183,14 @@ def format_error(err: Fraction) -> str:
 
 def validated_pi_reference(digits: int) -> FixedReal:
     """pi validated to at least `digits` decimals by two structurally
-    independent two-term formulas (depth-3 and depth-5 constructions);
-    their expansions must agree digit for digit."""
-    target = digits + 4
-    scale = scale_for_digits(target)
+    independent two-term formulas (depth-3 and depth-5 constructions),
+    each certified to digits + 4 places; their expansions must agree
+    digit for digit."""
     f_a = MachinFormula.two_term(3, Fraction(5), solve_u2(Fraction(5), 3))
     f_b = MachinFormula.two_term(5, Fraction(20), solve_u2(Fraction(20), 5))
-    ref_a = pi_from_formula(
-        f_a, terms_for_digits(target, digits_per_term(Fraction(5))), scale
-    )
-    ref_b = pi_from_formula(
-        f_b, terms_for_digits(target, digits_per_term(Fraction(20))), scale
-    )
-    text_a, ok_a = ref_a.value.to_decimal(digits)
-    text_b, ok_b = ref_b.value.to_decimal(digits)
-    if not (ok_a and ok_b and text_a == text_b):
+    text_a, ref_a = pi_digits_from_formula(f_a, digits + 4)
+    text_b, _ = pi_digits_from_formula(f_b, digits + 4)
+    if text_a[:digits + 2] != text_b[:digits + 2]:
         raise InsufficientReference(
             f"independent pi references disagree within {digits} digits"
         )

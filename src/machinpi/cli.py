@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 from .analysis import (
@@ -47,15 +46,7 @@ from .exact import format_decimal_head, parse_rational, unlimited_int_text
 from .machin import MachinFormula, solve_second_term, solve_u2, verify_formula
 from .radicals import eval_radicals, select_u1
 from .records import build_record, check_record, load_record, write_record
-from .series import (
-    _radical_rate,
-    digits_per_term,
-    pi_digits_from_formula,
-    pi_digits_from_radicals,
-    pi_from_formula,
-    pi_from_radicals,
-    scale_for_digits,
-)
+from .series import pi_digits_from_formula, pi_digits_from_radicals
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,6 +67,8 @@ _EXIT_BY_ERROR = (
     (DegenerateSecondTerm, EXIT_DEGENERATE),
     (DigitCountMismatch, EXIT_DIGIT_COUNT),
     (EpsilonTooLarge, EXIT_EPSILON),
+    # Failed reads surface as RecordParseError, so an OSError is a write.
+    (OSError, EXIT_USAGE),
 )
 
 
@@ -153,27 +146,15 @@ def _cmd_compute_pi(args) -> int:
         record = load_record(args.formula)
         # The record's own "verified" flag is not trusted: re-check once.
         check_record(record)
-        formula = record.formula()
-        rate = min(digits_per_term(beta) for _, beta in formula.terms)
-        digits_of_pi = partial(pi_digits_from_formula, formula, assume_verified=True)
-        evaluate = partial(pi_from_formula, formula, assume_verified=True)
-    else:
-        rate = max(_radical_rate(args.k), 1.0)
-        digits_of_pi = partial(pi_digits_from_radicals, args.k)
-        evaluate = partial(pi_from_radicals, args.k)
-
-    if args.digits is not None:
-        text, result = digits_of_pi(args.digits)
-    else:
-        limit = int(rate * args.terms) + 10
-        result = evaluate(args.terms, scale_for_digits(limit + 6))
-        text, _ = result.value.to_decimal(
-            max(1, result.value.valid_decimal_digits(limit))
+        text, result = pi_digits_from_formula(
+            record.formula(), args.digits, args.terms, assume_verified=True
         )
+    else:
+        text, result = pi_digits_from_radicals(args.k, args.digits, args.terms)
 
-    print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
+    print(text)
     counts = result.term_counts or (result.terms_used,)
     print(
         f"terms used: {'+'.join(map(str, counts))}; measured digits/term: "

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from os.path import commonprefix
 
 from .errors import DivisorStraddlesZero, NegativeOperand
 from .exact import unlimited_int_text
@@ -244,13 +245,16 @@ class FixedReal:
     def valid_decimal_digits(self, limit: int) -> int:
         """Largest digit count <= limit that to_decimal reports valid
         (0 when even one digit is uncertain)."""
-        # Validity is monotone: decimal cells at fewer digits nest the
-        # finer ones, so binary search applies.
-        lo, hi = 0, limit
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.to_decimal(mid)[1]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        # Decimal cells nest: an end truncated to d digits is its
+        # limit-digit truncation without the last limit - d digits, so d
+        # is valid exactly when the signs agree and the two zero-padded
+        # strings share their first width - limit + d characters.
+        unit = 10 ** max(limit, 0)
+        lo_negative, lo = self._dec_trunc(self.mantissa - self.err_ulp, unit)
+        hi_negative, hi = self._dec_trunc(self.mantissa + self.err_ulp, unit)
+        if lo_negative != hi_negative:
+            return 0
+        with unlimited_int_text():
+            width = max(len(str(max(lo, hi))), limit)
+            common = commonprefix([f"{lo:0{width}d}", f"{hi:0{width}d}"])
+        return max(0, len(common) - (width - limit))

@@ -23,6 +23,9 @@ by the conjugate series directly on the fixed-point c_k.  Both argument
 kinds share one fixed-point term stream with one start: v = 1/(1 + 2ci)
 and v**2 built in interval arithmetic from a fixed-point cotangent c,
 the tower's c_k or b/a rounded once for x = a/b (see _cot_start).
+Certified digits from either source go through one driver that turns a
+digit target or a term budget into terms, scale, retries and the
+certified prefix (see _certified_pi).
 
 A rational x = a/b whose numerator is small enough skips the stream: its
 partial sum is formed exactly by binary splitting over Gaussian integers
@@ -41,6 +44,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import count, islice
 
 from .errors import (
@@ -247,27 +251,24 @@ def _split_conjugate(a: int, b: int, rho: Fraction, terms: int,
     S = a (Q + T) / (g Q) as Gaussian integers, so the only rounding is
     the final division (at most 1 ulp) and the error bound is that plus
     the truncated tail.  The rate comes from the exact first and last
-    terms, the last through one Gaussian power of conj(g).
+    terms, the last read off the split's own products: term `terms` of S
+    is a P / (g Q).
     """
     g = GaussianInt(a, 2 * b)
     if terms == 1:
-        q, t = GaussianInt(1, 0), GaussianInt(0, 0)
+        p, q, t = 1, GaussianInt(1, 0), GaussianInt(0, 0)
     else:
-        _, q, t = _split(a * a, g.square(), 1, terms)
+        p, q, t = _split(a * a, g.square(), 1, terms)
     z = g * q
     w = q + t
+    norm = z.norm()
     # -2 Im(a w / z) = -2a Im(w conj(z)) / |z|**2
-    value = FixedReal._from_ratio(
-        -2 * a * (w.im * z.re - w.re * z.im), z.norm(), scale
-    )
-    d = a * a + 4 * b * b
+    value = FixedReal._from_ratio(-2 * a * (w.im * z.re - w.re * z.im), norm, scale)
     rate = approx_log10(1 / rho)
-    n = 2 * terms - 1
-    last = GaussianInt(a, -2 * b) ** n  # conj(g)**n = d**n v**n / a**n
-    if terms > 1 and last.im:
-        log_first = _log10_int(abs(4 * a * b)) - _log10_int(d)
-        log_last = (_log10_int(abs(2 * a ** n * last.im))
-                    - _log10_int(n * last.norm()))
+    if terms > 1 and z.im:
+        # The last term is -2 Im(a p / z) = 2 a p Im(z) / |z|**2.
+        log_first = _log10_int(abs(4 * a * b)) - _log10_int(a * a + 4 * b * b)
+        log_last = _log10_int(abs(2 * a * p)) + _log10_int(abs(z.im)) - _log10_int(norm)
         rate = (log_first - log_last) / (terms - 1)
     value = value.widened_by_fraction(_tail_bound(rho, terms))
     return SeriesResult(value, terms, rate)
@@ -376,36 +377,53 @@ def _radical_rate(k: int) -> float:
 
 def pi_digits_from_formula(
     formula: MachinFormula,
-    digits: int,
+    digits: int | None = None,
+    terms: int | None = None,
     assume_verified: bool = False,
 ) -> tuple[str, SeriesResult]:
-    """Decimal digits of pi, every printed digit validated; retries at a
-    higher scale if the validity flag trips."""
+    """Certified decimal digits of pi from a formula, for exactly one of
+    a digit target or a term budget of the slowest arctangent (see
+    _certified_pi)."""
+    rate = min(digits_per_term(beta) for _, beta in formula.terms)
+    evaluate = partial(pi_from_formula, formula, assume_verified=assume_verified)
+    return _certified_pi(evaluate, rate, digits, terms)
+
+
+def pi_digits_from_radicals(
+    k: int, digits: int | None = None, terms: int | None = None
+) -> tuple[str, SeriesResult]:
+    """Certified decimal digits of pi through the tower path at depth k,
+    for exactly one of a digit target or a term budget."""
+    if k < 2:
+        raise ValueError("depth k must be at least 2")
+    return _certified_pi(partial(pi_from_radicals, k), _radical_rate(k), digits, terms)
+
+
+def _certified_pi(evaluate, rate: float, digits: int | None,
+                  terms: int | None) -> tuple[str, SeriesResult]:
+    """The budget rule for certified pi.  evaluate(terms, scale) returns
+    pi with its error bound; rate is the predicted digits per term of the
+    slowest series.
+
+    A digit target prints exactly `digits` digits, every one certified:
+    the first run uses terms_for_digits at scale_for_digits, and each of
+    up to four retries adds 3 terms and 128, 256, ... bits of scale.  A
+    term budget runs those terms once, at the scale of the digits they
+    could reach, and prints the certified prefix (at least one digit).
+    """
+    if (digits is None) == (terms is None):
+        raise ValueError("exactly one of digits or terms is required")
+    if terms is not None:
+        if terms < 1:
+            raise ValueError("terms must be at least 1")
+        limit = int(rate * terms) + 10
+        result = evaluate(terms, scale_for_digits(limit + 6))
+        valid = result.value.valid_decimal_digits(limit)
+        return result.value.to_decimal(max(1, valid))[0], result
     if digits < 1:
         raise ValueError("digits must be at least 1")
-    rate = min(digits_per_term(beta) for _, beta in formula.terms)
     terms = terms_for_digits(digits, rate)
     scale = scale_for_digits(digits)
-    return _validated_digits(
-        lambda t, s: pi_from_formula(formula, t, s, assume_verified=assume_verified),
-        digits,
-        terms,
-        scale,
-    )
-
-
-def pi_digits_from_radicals(k: int, digits: int) -> tuple[str, SeriesResult]:
-    """Decimal digits of pi through the tower path at depth k."""
-    if digits < 1:
-        raise ValueError("digits must be at least 1")
-    terms = terms_for_digits(digits, _radical_rate(k))
-    scale = scale_for_digits(digits)
-    return _validated_digits(
-        lambda t, s: pi_from_radicals(k, t, s), digits, terms, scale
-    )
-
-
-def _validated_digits(evaluate, digits, terms, scale):
     for attempt in range(5):
         result = evaluate(terms, scale)
         text, ok = result.value.to_decimal(digits)

@@ -3,9 +3,11 @@
 Powers are repeated multiplication, rotations are reduced pairs of
 Fractions, decimal expansions come from integer square roots, and
 arctangent references are alternating partial sums with their classical
-remainder bound.  The series references at the end are the exception:
-they keep machinpi's fixed-point arithmetic so that the production
-series can be held to them bit for bit.
+remainder bound.  Two kinds are the exception: the valid-digit count
+asks FixedReal.to_decimal, which defines validity, at every digit count,
+and the series references at the end keep machinpi's fixed-point
+arithmetic so that the production series can be held to them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -164,6 +166,13 @@ def rotation_product_reference(terms) -> tuple[Fraction, Fraction]:
         c, d = rotation_power_reference(beta, int(alpha))
         re, im = re * c - im * d, re * d + im * c
     return re, im
+
+
+def valid_decimal_digits_reference(x: FixedReal, limit: int) -> int:
+    """Largest d <= limit with x.to_decimal(d) valid, 0 when there is
+    none: every d is tried, assuming nothing about how validity varies
+    with d."""
+    return max((d for d in range(1, limit + 1) if x.to_decimal(d)[1]), default=0)
 
 
 

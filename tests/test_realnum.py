@@ -15,7 +15,7 @@ from machinpi.realnum import (
     _shift_nearest,
 )
 
-from oracles import sqrt_digits
+from oracles import sqrt_digits, valid_decimal_digits_reference
 
 
 fractions_mid = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
@@ -179,6 +179,20 @@ class TestDecimal:
         root = FixedReal.from_int(2, 256).sqrt()
         blurred = root.widened_by_fraction(Fraction(1, 10 ** 10))
         assert blurred.valid_decimal_digits(40) == 9
+
+    @given(st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+           st.integers(min_value=0, max_value=10 ** 6),
+           st.integers(min_value=0, max_value=40),
+           st.integers(min_value=0, max_value=14))
+    @example(-123456789, 1000, 30, 8)  # negative
+    @example(5, 10, 20, 6)  # straddles zero
+    @example(-3 << 20, 0, 20, 12)  # exact: -3.0
+    @example(10 << 20, 1, 20, 10)  # whole parts 9 and 10
+    @example(-(10 << 20), 1, 20, 10)  # whole parts -10 and -9
+    @example(-11, 9, 0, 1)  # whole parts -20 and -2
+    def test_valid_decimal_digits_matches_brute_force(self, m, err, scale, limit):
+        x = FixedReal(m, scale, err)
+        assert x.valid_decimal_digits(limit) == valid_decimal_digits_reference(x, limit)
 
     def test_straddling_zero_invalid_unless_tiny(self):
         wobbling = FixedReal(1, 64, 100)  # interval about +/- 5.4e-18

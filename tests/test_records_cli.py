@@ -379,6 +379,53 @@ class TestComputePiCommand:
             "compute-pi", "--formula", str(k3_record_path), "--digits", "0"
         ) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ("--k", "0", "--digits", "5"),
+        ("--k", "-3000", "--terms", "5"),
+        ("--k", "-3", "--terms", "5"),
+    ])
+    def test_invalid_depth_is_usage_error(self, capsys, argv):
+        assert run_cli("compute-pi", *argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: depth k must be at least 2\n"
+        assert captured.out == ""
+
+
+class TestUnwritableOutput:
+    """A path that cannot be written is a usage error (exit 2) with a
+    one-line message, never a traceback."""
+
+    def assert_usage_error(self, capsys, *argv):
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.endswith(" ms/term")]  # bench timings
+        assert len(errors) == 1 and errors[0].startswith("error: [Errno ")
+        assert argv[-1] in errors[0]
+
+    def test_compute_pi_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        self.assert_usage_error(
+            capsys, "compute-pi", "--k", "3", "--digits", "5", "--out", str(target)
+        )
+        assert not target.parent.exists()
+
+    def test_compute_pi_onto_directory(self, tmp_path, capsys):
+        self.assert_usage_error(
+            capsys, "compute-pi", "--k", "3", "--digits", "5", "--out", str(tmp_path)
+        )
+
+    def test_generate_onto_directory(self, tmp_path, capsys):
+        self.assert_usage_error(capsys, "generate", "3", "--out", str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_into_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        self.assert_usage_error(
+            capsys, "bench", "--k", "3", "--max-terms", "3", "--out", str(target)
+        )
+        assert target.read_text() == ""
+
 
 class TestBenchCommand:
     def test_small_bench(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from machinpi.series import (
     arctan_gregory,
     digits_per_term,
     pi_digits_from_formula,
+    pi_digits_from_radicals,
     pi_from_formula,
     pi_from_radicals,
     scale_for_digits,
@@ -182,6 +183,17 @@ class TestPiFromFormula:
         assert text == pi_text_300[:122]
         assert result.terms_used >= 60
 
+    def test_term_budget_prints_certified_prefix(self, machin_formula, pi_text_300):
+        text, result = pi_digits_from_formula(machin_formula, terms=30)
+        assert pi_text_300.startswith(text) and len(text) > 50
+        assert result.term_counts == (30, 13)
+
+    @pytest.mark.parametrize("budget", [{}, {"digits": 10, "terms": 5},
+                                        {"digits": 0}, {"terms": 0}])
+    def test_needs_exactly_one_positive_budget(self, machin_formula, budget):
+        with pytest.raises(ValueError):
+            pi_digits_from_formula(machin_formula, **budget)
+
 
 class TestPiFromRadicals:
     def test_depth_three_sixty_digits(self, pi_text_300):
@@ -202,6 +214,12 @@ class TestPiFromRadicals:
             pi_from_radicals(1, 3, 64)
         with pytest.raises(ValueError):
             pi_from_radicals(3, 0, 64)
+
+    @pytest.mark.parametrize("k, budget", [(0, {"digits": 5}), (1, {"digits": 5}),
+                                           (-3, {"terms": 5}), (-3000, {"terms": 5})])
+    def test_digits_reject_shallow_depth_before_the_rate(self, k, budget):
+        with pytest.raises(ValueError, match="depth k must be at least 2"):
+            pi_digits_from_radicals(k, **budget)
 
 
 class TestRatePrediction:

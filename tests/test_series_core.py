@@ -230,7 +230,7 @@ def test_measurement_never_rebuilds_pi(monkeypatch, machin_formula, pi_reference
     def rebuild(*args, **kwargs):
         raise AssertionError("measure_convergence re-evaluated pi_from_formula")
 
-    monkeypatch.setattr(analysis, "pi_from_formula", rebuild)
+    monkeypatch.setattr(series, "pi_from_formula", rebuild)
     report = measure_convergence(machin_formula, 20, pi_reference_300)
     assert len(report.samples) == 20
 
