@@ -19,8 +19,12 @@ ulps of 2**-s:
 * div:     e_out <= ceil((e_x |m_y| + |m_x| e_y) * 2**s
                           / (|m_y| (|m_y| - e_y))) + 1, requiring the
            divisor interval to exclude zero.
-* sqrt:    endpoint-based: floor/ceil integer square roots of the interval
-           endpoints bracket the result exactly.
+* sqrt:    one integer square root per call.  The root of the midpoint,
+           taken with _SQRT_GUARD extra bits and rounded to nearest, is
+           the mantissa; tangent-line bounds on both ends give
+           e_out <= ceil(e / (2 sqrt(value)) + 1/2 + small), derived in
+           FixedReal.sqrt.  Exact inputs give e_out in {0, 1}; an
+           interval reaching zero gives [0, ceil(sqrt(hi))].
 * rational conversion and rational scaling: nearest rounding, at most 1 ulp.
 """
 
@@ -33,6 +37,12 @@ from os.path import commonprefix
 
 from .errors import DivisorStraddlesZero, NegativeOperand
 from .exact import unlimited_int_text
+
+
+# Extra bits in the interval square root's one isqrt: they place the
+# midpoint's root within 2**-_SQRT_GUARD ulps, so rounding it costs half
+# an ulp of error instead of one.
+_SQRT_GUARD = 32
 
 
 def _div_nearest(a: int, b: int) -> int:
@@ -168,28 +178,60 @@ class FixedReal:
         return FixedReal(m, s, e)
 
     def sqrt(self) -> "FixedReal":
-        """Square root at the input scale.
+        """Square root at the input scale, with one integer square root.
 
         The input interval must reach non-negative values; a strictly
         negative interval means upstream cancellation destroyed the value.
         The part of the interval below zero, if any, is clamped away,
         which is sound whenever the true quantity is non-negative (the
         caller's contract for taking a square root).
+
+        sqrt(m * 2**-s) = sqrt(m * 2**s) * 2**-s, so with A = m * 2**s
+        and D = e * 2**s the root's mantissa interval must cover
+        [sqrt(A - D), sqrt(A + D)].  An exact input (e = 0) gives r =
+        isqrt(A): exact when r**2 = A, [r, r + 1] otherwise.  An interval
+        reaching zero gives [0, ceil(sqrt(A + D))].  Otherwise, with g =
+        _SQRT_GUARD, r = isqrt(A * 4**g) and p = r * 2**-g, so that
+        sqrt(A) - 2**-g < p <= sqrt(A):
+
+        * the mantissa is p rounded to nearest, within 1/2 + 2**-g of
+          sqrt(A);
+        * upper end: sqrt(A + D) <= sqrt(A) + D/(2 sqrt(A)) <= sqrt(A) + D/(2p);
+        * lower end: sqrt(A - D) >= (p**2 - D)/p, so sqrt(A) - sqrt(A - D)
+          = D/(sqrt(A) + sqrt(A - D)) <= D p/(2p**2 - D);
+        * (r + 1)**2 > A * 4**g gives (2p**2 - D) * 4**g > den =
+          (2m - e) * 2**(s + 2g) - 4r - 2, and den >= (m - e) * 2**(s + 2g)
+          - 6 > 0 because (r - 2)**2 >= 0.
+
+        So q = D r 2**g / den exceeds both D p/(2p**2 - D) and D/(2p),
+        and err = ceil(1/2 + 2**-g + q) covers both ends: about
+        e/(2 sqrt(value)) + 1/2 ulps.  The powers of two enter by shifts
+        and e is the only factor on r, so everything but the one isqrt is
+        linear in the operand size.
         """
-        lo = self.mantissa - self.err_ulp
-        hi = self.mantissa + self.err_ulp
+        m, e, s = self.mantissa, self.err_ulp, self.scale
+        lo, hi = m - e, m + e
         if hi < 0:
             raise NegativeOperand(
                 "square root of an entirely negative interval"
             )
-        # sqrt(m * 2**-s) = sqrt(m * 2**s) * 2**-s
-        r_lo = isqrt(max(lo, 0) << self.scale)
-        hi_s = hi << self.scale
-        r_hi = isqrt(hi_s)
-        if r_hi * r_hi < hi_s:
-            r_hi += 1
-        m = (r_lo + r_hi) // 2
-        return FixedReal(m, self.scale, r_hi - m)
+        if e == 0:
+            a = m << s
+            r = isqrt(a)
+            return FixedReal(r, s, 0 if r * r == a else 1)
+        if lo <= 0:
+            hi_s = hi << s
+            r_hi = isqrt(hi_s)
+            if r_hi * r_hi < hi_s:
+                r_hi += 1
+            mid = r_hi // 2
+            return FixedReal(mid, s, r_hi - mid)
+        g = _SQRT_GUARD
+        r = isqrt(m << (s + 2 * g))
+        den = ((2 * m - e) << (s + 2 * g)) - 4 * r - 2
+        half_plus = (1 << (g - 1)) + 1  # (1/2 + 2**-g) * 2**g
+        err = _ceil_div(((e * r) << (s + 2 * g)) + half_plus * den, den << g)
+        return FixedReal(_shift_nearest(r, g), s, err)
 
     def mul_fraction(self, fr: Fraction) -> "FixedReal":
         """Scale by an exact rational; at most 1 ulp of rounding."""

@@ -7,7 +7,9 @@ minus, trailing newline) referenced by relative path plus content hash;
 loading verifies the hash and fails loudly on mismatch.  Loading accepts
 integer text only in the form str(int) writes, so an edited record
 cannot keep its meaning under a different spelling.  Writes are atomic
-(temp file then rename) and byte-deterministic for identical inputs.
+(temp file then rename), byte-deterministic for identical inputs, and
+give files the mode a plain open() would under the process umask; a
+write that fails removes the sidecars it wrote.
 """
 
 from __future__ import annotations
@@ -87,11 +89,21 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
+def _new_file_mode() -> int:
+    """The mode open() gives a new file: 0o666 less the process umask."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return 0o666 & ~mask
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
+    # mkstemp creates its file 0600; the finished file gets the mode a
+    # plain open() would have given it.
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, _new_file_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -99,29 +111,41 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _component_json(value: int, stem: str, label: str, directory: Path) -> dict:
+def _component_json(value: int, stem: str, label: str, sidecars: dict) -> dict:
+    """JSON for one component; one at or above the threshold is added to
+    `sidecars` (file name -> text) and referenced by name and hash."""
     text = str(value)
     if len(text.lstrip("-")) < SIDECAR_THRESHOLD_DIGITS:
         return {"value": text}
     filename = f"{stem}.{label}.txt"
     body = text + "\n"
-    _atomic_write_text(directory / filename, body)
+    sidecars[filename] = body
     return {"file": filename, "sha256": _sha256_text(body)}
 
 
 def write_record(record: FormulaRecord, path: str | os.PathLike) -> Path:
     """Serialize to JSON at `path`; huge second-term components become
-    sidecar files next to it."""
+    sidecar files next to it.  If any write fails, the sidecars this call
+    wrote are removed again."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    stem = path.name.removesuffix(".json")
+    sidecars: dict[str, str] = {}
     with unlimited_int_text():
-        payload = _record_json(record, stem, path.parent)
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+        payload = _record_json(record, path.name.removesuffix(".json"), sidecars)
+    written: list[Path] = []
+    try:
+        for filename, body in sidecars.items():
+            _atomic_write_text(path.parent / filename, body)
+            written.append(path.parent / filename)
+        _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    except BaseException:
+        for sidecar in written:
+            sidecar.unlink(missing_ok=True)
+        raise
     return path
 
 
-def _record_json(record: FormulaRecord, stem: str, directory: Path) -> dict:
+def _record_json(record: FormulaRecord, stem: str, sidecars: dict) -> dict:
     return {
         "schema_version": record.schema_version,
         "k": record.k,
@@ -130,8 +154,8 @@ def _record_json(record: FormulaRecord, stem: str, directory: Path) -> dict:
         "u1": {"num": str(record.u1.numerator), "den": str(record.u1.denominator)},
         "epsilon_decimal": record.epsilon_decimal,
         "u2": {
-            "num": _component_json(record.u2.numerator, stem, "u2num", directory),
-            "den": _component_json(record.u2.denominator, stem, "u2den", directory),
+            "num": _component_json(record.u2.numerator, stem, "u2num", sidecars),
+            "den": _component_json(record.u2.denominator, stem, "u2den", sidecars),
         },
         "u2_digit_counts": {
             "num_digits": record.u2_digit_counts[0],

@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Powers are repeated multiplication, rotations are reduced pairs of
-Fractions, decimal expansions come from integer square roots, and
-arctangent references are alternating partial sums with their classical
-remainder bound.  Two kinds are the exception: the valid-digit count
+Fractions, decimal expansions and interval square roots come from
+integer square roots, and arctangent references are alternating partial
+sums with their classical remainder bound.  Two kinds are the exception: the valid-digit count
 asks FixedReal.to_decimal, which defines validity, at every digit count,
 and the series references at the end keep machinpi's fixed-point
 arithmetic so that the production series can be held to them bit for
@@ -60,6 +60,21 @@ def sqrt_digits(n: int, digits: int) -> str:
     whole, frac = divmod(scaled, 10 ** digits)
     with big_int_text():
         return f"{whole}.{frac:0{digits}d}"
+
+
+def sqrt_two_roots_reference(x: FixedReal) -> FixedReal:
+    """Interval square root from one integer square root per end: the
+    floor root of the lower end clamped at zero and the ceiling root of
+    the upper end, with the mantissa at their midpoint.  Tight, at two
+    isqrt calls per root."""
+    s = x.scale
+    r_lo = isqrt(max(x.mantissa - x.err_ulp, 0) << s)
+    hi = (x.mantissa + x.err_ulp) << s
+    r_hi = isqrt(hi)
+    if r_hi * r_hi < hi:
+        r_hi += 1
+    mid = (r_lo + r_hi) // 2
+    return FixedReal(mid, s, r_hi - mid)
 
 
 def arctan_bracket(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
 
-from machinpi import radicals
+from machinpi import radicals, realnum
 from machinpi.errors import AmbiguousRounding, EpsilonTooLarge, PrecisionExhausted
 from machinpi.radicals import eval_radicals, select_u1
 from machinpi.realnum import FixedReal
@@ -95,6 +96,20 @@ class TestTower:
         monkeypatch.setattr(radicals, "_eval_at_scale", spy)
         assert eval_radicals(k, 50).c_k.to_decimal(50)[1]
         assert len(scales) == 1
+
+    def test_one_isqrt_per_tower_root(self, monkeypatch):
+        # k roots climb the ladder and one more divides c_k; each interval
+        # root takes a single integer square root, and 10,024 digits need
+        # no retry.
+        calls = []
+
+        def counting_isqrt(n):
+            calls.append(n.bit_length())
+            return math.isqrt(n)
+
+        monkeypatch.setattr(realnum, "isqrt", counting_isqrt)
+        assert eval_radicals(400, 10024).c_k.to_decimal(10024)[1]
+        assert len(calls) == 401
 
     def test_retry_recovers_from_small_guard(self, monkeypatch):
         monkeypatch.setattr(radicals, "guard_bits", lambda k: 1)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given
@@ -15,7 +16,11 @@ from machinpi.realnum import (
     _shift_nearest,
 )
 
-from oracles import sqrt_digits, valid_decimal_digits_reference
+from oracles import (
+    sqrt_digits,
+    sqrt_two_roots_reference,
+    valid_decimal_digits_reference,
+)
 
 
 fractions_mid = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
@@ -23,6 +28,18 @@ fractions_pos = st.fractions(
     min_value=Fraction(1, 1000), max_value=50, max_denominator=1000
 )
 scales = st.integers(min_value=16, max_value=96)
+
+
+@st.composite
+def narrow_intervals(draw):
+    """(m, e, s) with e > 0, 16 e <= m and e**4 2**s <= m**3: intervals
+    narrow against their root, where the one-root square root is within
+    an ulp of the two-root reference."""
+    s = draw(st.integers(min_value=0, max_value=160))
+    m = draw(st.integers(min_value=16, max_value=1 << 200))
+    e_max = min(m // 16, isqrt(isqrt((m ** 3) >> s)))
+    assume(e_max >= 1)
+    return m, draw(st.integers(min_value=1, max_value=e_max)), s
 
 
 def exactly(fr: Fraction, scale: int = 128) -> FixedReal:
@@ -65,6 +82,38 @@ class TestSqrt:
         # lower**2 <= fr <= upper**2 brackets sqrt(fr) without irrationals
         assert max(root.lower, 0) ** 2 <= fr
         assert root.upper ** 2 >= fr
+
+
+    @given(st.integers(min_value=-(1 << 40), max_value=1 << 200),
+           st.integers(min_value=0, max_value=1 << 80),
+           st.integers(min_value=0, max_value=160))
+    @example(3 << 64, 5, 64)  # e > 0: the one-root bound on both ends
+    @example(2 << 8, 3, 8)  # an integer-root end at a small scale
+    @example(5, 9, 64)  # straddles zero
+    @example(7, 7, 0)  # touches zero
+    @example(10 << 88, 2, 128)  # 2 - a_(k-1) ~ 2**-2k at k = 20
+    def test_sqrt_contains_interval_root(self, m, e, s):
+        assume(m + e >= 0)
+        x = FixedReal(m, s, e)
+        root = x.sqrt()
+        # Every root of the clamped input interval lies in the result.
+        assert root.lower <= 0 or root.lower ** 2 <= x.lower
+        assert root.upper ** 2 >= x.upper
+
+    @given(narrow_intervals())
+    @example((65, 1, 12))  # 5 against 4; a root without guard bits gives 6
+    @example((3 << 64, 5, 64))
+    @example((10 << 88, 2, 128))
+    def test_sqrt_within_an_ulp_of_two_roots(self, mes):
+        # With A = m 2**s and D = e 2**s the reference's err is at least
+        # the half-width H = D / (sqrt(A + D) + sqrt(A - D)).  The
+        # tangent-line bound q of FixedReal.sqrt exceeds H by at most
+        # (D**2 + D d) / (3.75 A**1.5), d = (4r + 2) 4**-g, when 16 e <= m;
+        # e**4 2**s <= m**3 keeps that below 1/2 - 2**-g, so
+        # ceil(1/2 + 2**-g + q) is at most one over the reference.
+        m, e, s = mes
+        x = FixedReal(m, s, e)
+        assert x.sqrt().err_ulp <= sqrt_two_roots_reference(x).err_ulp + 1
 
 
 class TestArithmetic:

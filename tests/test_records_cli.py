@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -138,6 +139,20 @@ class TestGenerateCommand:
         monkeypatch.setenv("MACHINPI_DIR", str(tmp_path))
         assert run_cli("generate", "3") == 0
         assert (tmp_path / "formula_k3.json").exists()
+
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, "-rw-r--r--"), (0o077, "-rw-------")])
+    def test_generate_honours_umask(self, tmp_path, mask, mode):
+        # The record and both k = 14 sidecars get the mode open() would.
+        previous = os.umask(mask)
+        try:
+            assert run_cli("generate", "14", "--out", str(tmp_path / "k14.json")) == 0
+        finally:
+            os.umask(previous)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["k14.json", "k14.u2den.txt", "k14.u2num.txt"]
+        for path in tmp_path.iterdir():
+            assert stat.filemode(path.stat().st_mode) == mode
 
 
 class TestVerifyCommand:
@@ -417,6 +432,14 @@ class TestUnwritableOutput:
     def test_generate_onto_directory(self, tmp_path, capsys):
         self.assert_usage_error(capsys, "generate", "3", "--out", str(tmp_path))
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_record_write_removes_its_sidecars(self, tmp_path, capsys):
+        # k = 14 writes two 33 kB sidecars before the record itself.
+        target = tmp_path / "d.json"
+        target.mkdir()
+        self.assert_usage_error(capsys, "generate", "14", "--out", str(target))
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
     def test_bench_into_existing_file(self, tmp_path, capsys):
         target = tmp_path / "taken"
