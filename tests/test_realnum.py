@@ -83,12 +83,11 @@ class TestSqrt:
         assert max(root.lower, 0) ** 2 <= fr
         assert root.upper ** 2 >= fr
 
-
     @given(st.integers(min_value=-(1 << 40), max_value=1 << 200),
            st.integers(min_value=0, max_value=1 << 80),
            st.integers(min_value=0, max_value=160))
     @example(3 << 64, 5, 64)  # e > 0: the one-root bound on both ends
-    @example(2 << 8, 3, 8)  # an integer-root end at a small scale
+    @example(65, 1, 12)  # the lower end 64 * 2**12 is 512**2
     @example(5, 9, 64)  # straddles zero
     @example(7, 7, 0)  # touches zero
     @example(10 << 88, 2, 128)  # 2 - a_(k-1) ~ 2**-2k at k = 20

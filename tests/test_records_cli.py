@@ -140,7 +140,6 @@ class TestGenerateCommand:
         assert run_cli("generate", "3") == 0
         assert (tmp_path / "formula_k3.json").exists()
 
-
     @pytest.mark.parametrize("mask, mode", [(0o022, "-rw-r--r--"), (0o077, "-rw-------")])
     def test_generate_honours_umask(self, tmp_path, mask, mode):
         # The record and both k = 14 sidecars get the mode open() would.
