@@ -42,7 +42,7 @@ from .errors import (
     RecordParseError,
     UnverifiedFormula,
 )
-from .exact import format_decimal_head, parse_rational, unlimited_int_text
+from .exact import format_decimal_head, int_to_text, parse_rational
 from .machin import MachinFormula, solve_second_term, solve_u2, verify_formula
 from .radicals import eval_radicals, select_u1
 from .records import build_record, check_record, load_record, write_record
@@ -248,8 +248,7 @@ def _cmd_bench(args) -> int:
 def _cmd_solve_second(args) -> int:
     beta1 = parse_rational(args.beta1)
     beta2 = solve_second_term(args.alpha1, beta1)
-    with unlimited_int_text():
-        print(f"beta2 = {beta2.numerator}/{beta2.denominator}")
+    print(f"beta2 = {int_to_text(beta2.numerator)}/{int_to_text(beta2.denominator)}")
     print(f"      ~ {format_decimal_head(beta2)}")
     return EXIT_OK
 

@@ -6,39 +6,46 @@ immutable pair of ints; every operation is exact, no floating point
 anywhere.  A rotation (p + qi)/(p - qi) is never formed as a quotient:
 callers keep the Gaussian integer (p + qi)**n and its norm apart, and
 divide once, as Fractions, only where a rational result is wanted.
+int_to_text and text_to_int convert big integers to and from decimal
+text without changing CPython's process-wide int <-> str digit cap.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 _LOG10_2 = math.log10(2)
 
 
-@contextmanager
-def unlimited_int_text() -> Iterator[None]:
-    """Lift CPython's int <-> decimal-text digit cap inside the block and
-    restore the previous value on exit.
+# CPython checks an int <-> decimal-text conversion against its digit cap
+# (sys.int_info.str_digits_check_threshold) only above 640 digits, so
+# chunks of at most this many digits convert whatever the cap is set to.
+_TEXT_CHUNK = 640
 
-    Second-term components and digit strings of pi run to hundreds of
-    thousands of digits, far over the default cap of 4300.  The cap
-    guards every other conversion in the process, so it is lifted only
-    around the conversions this package owns, never at import.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without a cap
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
+
+def int_to_text(n: int) -> str:
+    """str(n) for an int of any size, built from chunks of _TEXT_CHUNK
+    digits."""
+    if n < 0:
+        return "-" + int_to_text(-n)
+    unit, chunks = 10 ** _TEXT_CHUNK, []
+    while n >= unit:
+        n, low = divmod(n, unit)
+        chunks.append(f"{low:0{_TEXT_CHUNK}d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def text_to_int(text: str) -> int:
+    """int(text) for text as int_to_text writes it (ASCII digits after an
+    optional minus), split in halves down to _TEXT_CHUNK digits."""
+    if text.startswith("-"):
+        return -text_to_int(text[1:])
+    if len(text) <= _TEXT_CHUNK:
+        return int(text)
+    half = len(text) // 2
+    return text_to_int(text[:-half]) * 10 ** half + text_to_int(text[-half:])
 
 
 @dataclass(frozen=True)

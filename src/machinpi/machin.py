@@ -49,6 +49,11 @@ from .exact import GaussianInt, fraction_sharing_only_twos
 # correctly rounded fsum add 2**-52 each; the total is below 2**-49.
 _ATAN_ERROR = 2.0 ** -49
 
+# Largest Gaussian power formed, in bits of its parts.  Depth 23's second
+# term needs about 1.08e8 bits; a power past 2**30 bits would run for
+# hours or exhaust memory, so it is refused before it is formed.
+MAX_POWER_BITS = 1 << 30
+
 
 @dataclass(frozen=True)
 class MachinFormula:
@@ -110,13 +115,33 @@ class VerificationResult:
         return sizes.format("==") + " and the sum is pi/4"
 
 
+def power_bits(alpha: int, beta: Fraction) -> float:
+    """Bits in the parts of (p + qi) ** |alpha| with beta = p/q, that is
+    |alpha| log2(p**2 + q**2) / 2, from the leading 64 bits of p and q.
+
+    |alpha| is capped at 2**64 to keep the float finite; past that every
+    power is over MAX_POWER_BITS anyway, since log2(p**2 + q**2) >= 1.
+    """
+    p, q = abs(beta.numerator), beta.denominator
+    drop = max(0, p.bit_length() - 64, q.bit_length() - 64)
+    p, q = p >> drop, q >> drop
+    return min(abs(alpha), 1 << 64) * (math.log2(p * p + q * q) / 2 + drop)
+
+
+def _check_power_size(bits: float, error: type[Exception]) -> None:
+    if bits > MAX_POWER_BITS:
+        raise error(f"a Gaussian power of {bits:.3g} bits is over the "
+                    f"limit of {MAX_POWER_BITS:.3g} bits")
+
+
 def _term_factor(alpha: int, beta: Fraction) -> GaussianInt:
     """(p + qi) ** |alpha| with beta = p/q, conjugated when alpha < 0.
 
     The rotation ((beta + i)/(beta - i)) ** alpha is this factor squared
-    over its norm.
+    over its norm.  ValueError when the power is over MAX_POWER_BITS.
     """
     beta = Fraction(beta)
+    _check_power_size(power_bits(alpha, beta), ValueError)
     g = GaussianInt(beta.numerator, beta.denominator) ** abs(alpha)
     return g.conjugate() if alpha < 0 else g
 
@@ -170,6 +195,7 @@ def solve_second_term_direct(alpha1: int, beta1: Fraction) -> Fraction:
     if alpha1 < 1:
         raise ValueError("first coefficient must be a positive integer")
     beta1 = Fraction(beta1)
+    _check_power_size(power_bits(2 * alpha1, beta1), ValueError)
     g = GaussianInt(beta1.numerator, beta1.denominator)
     power = g ** (2 * alpha1)
     n = g.norm() ** alpha1
@@ -195,7 +221,7 @@ def verify_formula(formula: MachinFormula) -> VerificationResult:
     Only integer coefficients admit an exact algebraic check; rational
     coefficients raise NotExactlyVerifiable rather than guessing a branch,
     and so do coefficients too large for the float estimate to tell the
-    branches apart.
+    branches apart, and a product over MAX_POWER_BITS.
     """
     for alpha, _ in formula.terms:
         if alpha.denominator != 1:
@@ -208,6 +234,8 @@ def verify_formula(formula: MachinFormula) -> VerificationResult:
             f"coefficients summing to {weight} in magnitude are too large "
             "for the branch check"
         )
+    bits = sum(power_bits(int(alpha), beta) for alpha, beta in formula.terms)
+    _check_power_size(bits, NotExactlyVerifiable)
     product = GaussianInt(1, 0)
     for alpha, beta in formula.terms:
         product = product * _term_factor(int(alpha), beta)

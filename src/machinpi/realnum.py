@@ -36,7 +36,7 @@ from math import isqrt
 from os.path import commonprefix
 
 from .errors import DivisorStraddlesZero, NegativeOperand
-from .exact import unlimited_int_text
+from .exact import int_to_text
 
 
 # Extra bits in the interval square root's one isqrt: they place the
@@ -278,11 +278,9 @@ class FixedReal:
         lo = self._dec_trunc(self.mantissa - self.err_ulp, unit)
         hi = self._dec_trunc(self.mantissa + self.err_ulp, unit)
         negative, n_mid = self._dec_trunc(self.mantissa, unit)
-        whole, frac = divmod(n_mid, unit)
+        body = int_to_text(n_mid).zfill(digits + 1)
         sign = "-" if negative else ""
-        with unlimited_int_text():
-            text = f"{sign}{whole}.{frac:0{digits}d}"
-        return text, lo == hi
+        return f"{sign}{body[:-digits]}.{body[-digits:]}", lo == hi
 
     def valid_decimal_digits(self, limit: int) -> int:
         """Largest digit count <= limit that to_decimal reports valid
@@ -296,7 +294,7 @@ class FixedReal:
         hi_negative, hi = self._dec_trunc(self.mantissa + self.err_ulp, unit)
         if lo_negative != hi_negative:
             return 0
-        with unlimited_int_text():
-            width = max(len(str(max(lo, hi))), limit)
-            common = commonprefix([f"{lo:0{width}d}", f"{hi:0{width}d}"])
+        lo_text, hi_text = int_to_text(lo), int_to_text(hi)
+        width = max(len(lo_text), len(hi_text), limit)
+        common = commonprefix([lo_text.zfill(width), hi_text.zfill(width)])
         return max(0, len(common) - (width - limit))

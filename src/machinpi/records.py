@@ -1,15 +1,17 @@
 """Formula records: versioned JSON artifacts with big-value sidecars.
 
 Unbounded integers are stored as decimal strings so any JSON parser
-round-trips them exactly.  Second-term components above the inline
-threshold go to sidecar text files (decimal digits, optional leading
-minus, trailing newline) referenced by relative path plus content hash;
-loading verifies the hash and fails loudly on mismatch.  Loading accepts
-integer text only in the form str(int) writes, so an edited record
-cannot keep its meaning under a different spelling.  Writes are atomic
-(temp file then rename), byte-deterministic for identical inputs, and
-give files the mode a plain open() would under the process umask; a
-write that fails removes the sidecars it wrote.
+round-trips them exactly; exact.int_to_text and exact.text_to_int
+convert them without touching the process's int <-> str digit cap.
+Second-term components above the inline threshold go to sidecar text
+files (decimal digits, optional leading minus, trailing newline)
+referenced by relative path plus content hash; loading verifies the
+hash and fails loudly on mismatch.  Loading accepts integer text only
+in the form str(int) writes, so an edited record cannot keep its
+meaning under a different spelling.  Writes are atomic
+(temp file then rename), byte-deterministic, and create files with mode
+0o666 less the umask, as a plain open() would; a write that fails
+removes the sidecars it wrote.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import json
 import math
 import os
 import re
-import tempfile
+import secrets
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .errors import DigitCountMismatch, RecordParseError, UnverifiedFormula
-from .exact import decimal_digit_count, format_decimal_head, unlimited_int_text
+from .exact import decimal_digit_count, format_decimal_head, int_to_text, text_to_int
 from .machin import MachinFormula, verify_formula
 
 SCHEMA_VERSION = 1
@@ -89,32 +91,24 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _new_file_mode() -> int:
-    """The mode open() gives a new file: 0o666 less the process umask."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return 0o666 & ~mask
-
-
 def _atomic_write_text(path: Path, text: str) -> None:
-    # mkstemp creates its file 0600; the finished file gets the mode a
-    # plain open() would have given it.
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # O_EXCL makes the temp file ours alone, and the OS applies the umask
+    # to 0o666, so the file gets the mode a plain open() would give it.
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.chmod(tmp, _new_file_mode())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
 def _component_json(value: int, stem: str, label: str, sidecars: dict) -> dict:
     """JSON for one component; one at or above the threshold is added to
     `sidecars` (file name -> text) and referenced by name and hash."""
-    text = str(value)
+    text = int_to_text(value)
     if len(text.lstrip("-")) < SIDECAR_THRESHOLD_DIGITS:
         return {"value": text}
     filename = f"{stem}.{label}.txt"
@@ -130,8 +124,7 @@ def write_record(record: FormulaRecord, path: str | os.PathLike) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     sidecars: dict[str, str] = {}
-    with unlimited_int_text():
-        payload = _record_json(record, path.name.removesuffix(".json"), sidecars)
+    payload = _record_json(record, path.name.removesuffix(".json"), sidecars)
     written: list[Path] = []
     try:
         for filename, body in sidecars.items():
@@ -174,7 +167,7 @@ def _int_from_text(text: str) -> int:
     non-string is a parse error."""
     if not isinstance(text, str) or not _INT_TEXT.fullmatch(text):
         raise RecordParseError(f"not an integer in canonical decimal text: {text!r:.40}")
-    return int(text)
+    return text_to_int(text)
 
 
 def _component_from_json(entry: dict, directory: Path) -> int:
@@ -201,8 +194,7 @@ def load_record(path: str | os.PathLike) -> FormulaRecord:
     except ValueError as exc:  # bad JSON, or an integer literal over the digit cap
         raise RecordParseError(f"record {path} is not valid JSON: {exc}") from exc
     try:
-        with unlimited_int_text():
-            return _record_from_json(payload, path)
+        return _record_from_json(payload, path)
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordParseError(f"record {path} is malformed: {exc}") from exc
 

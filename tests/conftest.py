@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,16 @@ from machinpi import MachinFormula, solve_u2, validated_pi_reference
 
 settings.register_profile("default", deadline=None, max_examples=60)
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def int_text_cap_unchanged():
+    """Fail any test that leaves CPython's int <-> str digit cap changed:
+    it is process-wide, so machinpi never sets it and a test that does
+    must put it back."""
+    before = sys.get_int_max_str_digits()
+    yield
+    assert sys.get_int_max_str_digits() == before, "int <-> str digit cap left changed"
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,13 @@
 Powers are repeated multiplication, rotations are reduced pairs of
 Fractions, decimal expansions and interval square roots come from
 integer square roots, and arctangent references are alternating partial
-sums with their classical remainder bound.  Two kinds are the exception: the valid-digit count
-asks FixedReal.to_decimal, which defines validity, at every digit count,
-and the series references at the end keep machinpi's fixed-point
-arithmetic so that the production series can be held to them bit for
-bit.
+sums with their classical remainder bound.  Two kinds are the exception:
+the valid-digit count asks FixedReal.to_decimal, which defines validity,
+at every digit count, and the series references at the end keep
+machinpi's fixed-point arithmetic (FixedReal, eval_radicals and
+scale_for_digits) so that the production series can be held to them bit
+for bit.  Their tail bound, rate and log helpers are copies kept here,
+so a change to machinpi.series moves only the side under test.
 """
 
 from __future__ import annotations
@@ -21,25 +23,25 @@ from math import isqrt
 from machinpi.exact import GaussianInt
 from machinpi.radicals import eval_radicals
 from machinpi.realnum import FixedReal
-from machinpi.series import (
-    _measured_rate,
-    _tail_bound,
-    approx_log10,
-    digits_per_term,
-    scale_for_digits,
-)
+from machinpi.series import scale_for_digits
 
 
 @contextlib.contextmanager
-def big_int_text():
-    """Lift CPython's int <-> str digit cap for a block, restoring it on
-    exit; the oracles' own conversions do not lean on machinpi's."""
+def int_text_cap(limit: int):
+    """Set CPython's int <-> str digit cap to `limit` for a block (0 lifts
+    it), restoring the previous cap on exit."""
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def big_int_text():
+    """Lift the digit cap for a block; the oracles' own conversions do
+    not lean on machinpi's."""
+    return int_text_cap(0)
 
 
 def gi_mul_naive(a: GaussianInt, b: GaussianInt) -> GaussianInt:
@@ -198,6 +200,52 @@ def valid_decimal_digits_reference(x: FixedReal, limit: int) -> int:
 # convergence measurement that re-evaluates pi from scratch for every
 # truncation.  The shared production core must match them bit for bit.
 # The two series references return (mantissa, err_ulp, terms, rate).
+
+_LOG10_2 = math.log10(2)
+
+
+def _log10_int(v: int) -> float:
+    e = max(0, v.bit_length() - 53)
+    return math.log10(v >> e) + e * _LOG10_2
+
+
+def approx_log10(fr: Fraction) -> float:
+    """Float log10 of a positive rational of any size."""
+    if fr <= 0:
+        raise ValueError("approx_log10 needs a positive value")
+    return _log10_int(fr.numerator) - _log10_int(fr.denominator)
+
+
+def digits_per_term(beta: Fraction) -> float:
+    """log10(1 + 4*beta**2): digits per conjugate-series term for 1/beta."""
+    return approx_log10(1 + 4 * Fraction(beta) ** 2)
+
+
+def _cap_upper(fr: Fraction, bits: int = 64) -> Fraction:
+    """Upper bound keeping `bits` significant bits of each side."""
+    num, den = fr.numerator, fr.denominator
+    tn = max(0, num.bit_length() - bits)
+    td = max(0, den.bit_length() - bits)
+    num_top = (num >> tn) + (1 if tn else 0)
+    return Fraction(num_top, den >> td) * Fraction(2) ** (tn - td)
+
+
+def _tail_bound(rho: Fraction, terms: int) -> Fraction:
+    """Bound on the omitted tail: 2 |v|**(2*terms+1) / (2*terms+1) for
+    the first omitted term, |v| = sqrt(rho), then geometric in rho."""
+    rho_ub = _cap_upper(rho)
+    if rho_ub >= 1:
+        rho_ub = rho
+    p, q = rho_ub.numerator, rho_ub.denominator
+    sqrt_ub = Fraction(isqrt(p * q) + 1, q)
+    lead = rho_ub ** terms * sqrt_ub
+    return 2 * lead / ((2 * terms + 1) * (1 - rho_ub))
+
+
+def _measured_rate(first: Fraction, last: Fraction, terms: int, fallback: float) -> float:
+    if terms < 2 or first == 0 or last == 0:
+        return fallback
+    return (approx_log10(abs(first)) - approx_log10(abs(last))) / (terms - 1)
 
 
 def _conjugate_loop(wr, wi, r_re, r_im, rho, terms, scale):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from machinpi.exact import (
@@ -14,10 +14,12 @@ from machinpi.exact import (
     fraction_sharing_only_twos,
     fraction_to_fixed_text,
     fraction_to_sci_text,
+    int_to_text,
     parse_rational,
+    text_to_int,
 )
 
-from oracles import gi_pow_naive
+from oracles import big_int_text, gi_pow_naive, int_text_cap
 
 
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -80,6 +82,26 @@ class TestFractionSharingOnlyTwos:
         assert (got.numerator, got.denominator) == (-3, 10)
         with pytest.raises(ZeroDivisionError):
             fraction_sharing_only_twos(1, 0)
+
+
+class TestIntText:
+    """The codec equals str() and int() at the lowest digit cap CPython
+    allows, so it works whatever cap the process has."""
+
+    @given(st.integers() | st.integers(-(10 ** 3000), 10 ** 3000))
+    @example(0)
+    @example(1)
+    @example(-1)
+    @example(10 ** 640 - 1)
+    @example(10 ** 640)
+    @example(-(10 ** 1280 + 1))
+    @example(7 * 10 ** 69_999 + 123_456_789)  # 70,000 digits
+    def test_matches_str_and_int(self, n):
+        with big_int_text():
+            text = str(n)
+        with int_text_cap(640):
+            assert int_to_text(n) == text
+            assert text_to_int(text) == n
 
 
 class TestSerialization:

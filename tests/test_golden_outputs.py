@@ -3,7 +3,9 @@
 Records with their sidecars, compute-pi stdout and its "terms used"
 stderr line, the bench report files and the exit codes of bad flags are
 held to values recorded from the CLI before its certified-pi budget rule
-moved into one driver in machinpi.series.  A change meant to leave the
+moved into one driver in machinpi.series; the solve-second output and
+the stdout of the two scripts, to values recorded before machinpi
+stopped changing CPython's int <-> str digit cap.  A change meant to leave the
 numbers alone must leave every value here unchanged; a change that moves
 an output on purpose updates its value here and says why.
 """
@@ -12,11 +14,15 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import machinpi
 from machinpi import cli
 
 RECORDS = {
@@ -95,6 +101,21 @@ BENCH_FILES = {
         "3e22c57836cf2a428348499f3ebac3a68aa2af8a69b25d3f96e2f46f581a9e41",
 }
 
+# sha256 of the stdout of `solve-second` (the depth-14 closing term,
+# 65,879 bytes).
+SOLVE_SECOND = {
+    "--alpha1 8192 --beta1 10430":
+        "f857ac9c121d8a07687a71705a87f83f903ffe3534ec7831c6809c08ccc210d2",
+}
+
+# sha256 of the stdout of each script under scripts/, run without flags.
+SCRIPTS = {
+    "method_comparison.py":
+        "6596d11c68fba86ae5d6f81bcfc32e4093df6d5d3bcb4920802e99a6dbdc2775",
+    "reproduce_rates.py":
+        "398e4a7d72c09bbe40b453392c09bba151baf73dc3e581b730a609960f6b135b",
+}
+
 # Bad flags and bad depths: argv -> exit code.  Flag checks run before
 # the record is loaded, so a missing record with --digits 0 is exit 2.
 EXIT_CODES = {
@@ -163,6 +184,14 @@ def bench_files(directory: Path) -> dict[str, str]:
     return record_files(directory)
 
 
+def script_stdout(name: str) -> bytes:
+    src = Path(machinpi.__file__).resolve().parents[1]
+    script = src.parent / "scripts" / name
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, str(script)], env=env, check=True,
+                          capture_output=True).stdout
+
+
 def exit_code(argv: str, directory: Path) -> int:
     return run(*argv.replace("RECORD", str(directory / "k3.json")).split())[0]
 
@@ -183,6 +212,18 @@ def test_compute_pi_output(records, request_text):
 
 def test_bench_report_files(tmp_path):
     assert bench_files(tmp_path) == BENCH_FILES
+
+
+@pytest.mark.parametrize("argv", list(SOLVE_SECOND))
+def test_solve_second_output(argv):
+    code, out, err = run("solve-second", *argv.split())
+    assert code == 0, err
+    assert sha256(out.encode()) == SOLVE_SECOND[argv]
+
+
+@pytest.mark.parametrize("name", list(SCRIPTS))
+def test_script_output(name):
+    assert sha256(script_stdout(name)) == SCRIPTS[name]
 
 
 @pytest.mark.parametrize("argv", list(EXIT_CODES))

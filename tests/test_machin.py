@@ -12,8 +12,10 @@ from machinpi.cli import generate_record
 from machinpi.errors import DegenerateSecondTerm, NotExactlyVerifiable
 from machinpi.exact import GaussianInt, decimal_digit_count, format_decimal_head
 from machinpi.machin import (
+    MAX_POWER_BITS,
     MachinFormula,
     check_relation_pair,
+    power_bits,
     solve_second_term,
     solve_second_term_direct,
     solve_u2,
@@ -252,6 +254,39 @@ class TestSecondArgumentMagnitude:
 
 def _selected_u1(k: int) -> Fraction:
     return select_u1(eval_radicals(k, 26), 10 if k == 2 else 1).u1
+
+
+class TestPowerSizeLimit:
+    """A Gaussian power over MAX_POWER_BITS is refused before it is formed."""
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (1000, Fraction(5)), (7, Fraction(-24, 10)), (3, Fraction(3 ** 200, 7 ** 50)),
+    ])
+    def test_size_matches_formed_power(self, alpha, beta):
+        g = GaussianInt(beta.numerator, beta.denominator) ** alpha
+        formed = max(abs(g.re).bit_length(), abs(g.im).bit_length())
+        assert abs(power_bits(alpha, beta) - formed) <= 1
+
+    @pytest.mark.parametrize("k, allowed", [(23, True), (26, True), (27, False)])
+    def test_generate_depth_boundary(self, k, allowed):
+        assert (power_bits(1 << (k - 1), _selected_u1(k)) <= MAX_POWER_BITS) == allowed
+
+    def test_depth_twenty_three_first_term(self):
+        assert power_bits(1 << 22, Fraction(53403537, 10)) == pytest.approx(1.08e8, rel=0.01)
+
+    def test_refused_without_forming_a_power(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Gaussian power formed")
+
+        monkeypatch.setattr(GaussianInt, "__pow__", refuse)
+        for alpha in (1 << 40, 10 ** 400):
+            with pytest.raises(ValueError, match="limit"):
+                solve_second_term(alpha, Fraction(5))
+            with pytest.raises(ValueError, match="limit"):
+                solve_second_term_direct(alpha, Fraction(5))
+        formula = MachinFormula.two_term(27, _selected_u1(27), Fraction(3))
+        with pytest.raises(NotExactlyVerifiable, match="limit"):
+            verify_formula(formula)
 
 
 class TestGcdFreeSolve:

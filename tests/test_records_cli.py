@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import machinpi
 from machinpi import cli
 from machinpi.cli import generate_record
 from machinpi.errors import DigitCountMismatch, RecordParseError
+from machinpi.exact import GaussianInt
 from machinpi.records import (
     SIDECAR_THRESHOLD_DIGITS,
     build_record,
@@ -22,7 +24,7 @@ from machinpi.records import (
     write_record,
 )
 
-from oracles import pi_digits
+from oracles import int_text_cap, pi_digits
 
 
 def run_cli(*argv: str) -> int:
@@ -276,8 +278,9 @@ def test_depth_too_deep_for_second_term_fails_fast(k3_record_path, capsys, comma
 
 
 class TestIntTextCap:
-    """machinpi lifts CPython's int <-> str digit cap only around its own
-    conversions, so the process keeps the cap and big values still work."""
+    """machinpi never changes CPython's int <-> str digit cap: it converts
+    big values in chunks short enough that the cap is never checked, so
+    the process keeps its cap and big values still work."""
 
     @pytest.fixture()
     def default_cap(self):
@@ -311,6 +314,32 @@ class TestIntTextCap:
         assert loaded == record
         check_record(loaded)
         assert sys.get_int_max_str_digits() == default_cap
+
+    @pytest.fixture()
+    def settings_frozen(self, monkeypatch):
+        """The lowest digit cap CPython allows, with the setters of the cap
+        and of the umask made to raise."""
+        def refuse(*args):
+            raise AssertionError("a process-wide setting was changed")
+
+        with int_text_cap(640), monkeypatch.context() as patch:
+            patch.setattr(sys, "set_int_max_str_digits", refuse)
+            patch.setattr(os, "umask", refuse)
+            yield
+
+    def test_commands_change_no_process_setting(self, tmp_path, capsys,
+                                                settings_frozen):
+        record = str(tmp_path / "k15.json")
+        assert run_cli("generate", "15", "--out", record) == 0
+        assert run_cli("verify", record) == 0
+        assert run_cli("compute-pi", "--formula", record, "--digits", "5000") == 0
+        assert run_cli("solve-second", "--alpha1", "8192", "--beta1", "10430") == 0
+        # 111 terms at k = 10 need a reference pi of about 700 digits.
+        assert run_cli("bench", "--k", "3,10", "--max-terms", "110",
+                       "--out", str(tmp_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(len(line) == 5002 and line.startswith("3.14159") for line in lines)
+        assert any(line.startswith("beta2 = ") and len(line) > 2 * 640 for line in lines)
 
 
 class TestComputePiCommand:
@@ -447,6 +476,35 @@ class TestUnwritableOutput:
             capsys, "bench", "--k", "3", "--max-terms", "3", "--out", str(target)
         )
         assert target.read_text() == ""
+
+
+class TestPowerSizeLimit:
+    """A request whose Gaussian power would pass 2**30 bits is a usage
+    error with one line, refused before that power is formed."""
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "34"),
+        ("solve-second", "--alpha1", str(2 ** 40), "--beta1", "5"),
+        ("bench", "--k", "2,40"),
+    ])
+    def test_refused_at_once(self, tmp_path, monkeypatch, capsys, argv):
+        exponents = []
+        power = GaussianInt.__pow__
+
+        def spy(self, n):
+            exponents.append(n)
+            return power(self, n)
+
+        monkeypatch.setattr(GaussianInt, "__pow__", spy)
+        monkeypatch.setenv("MACHINPI_DIR", str(tmp_path))
+        start = time.perf_counter()
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.endswith(" ms/term")]  # bench timings
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert "limit" in errors[0]
+        assert max(exponents, default=0) <= 2  # bench's depth 2 only
 
 
 class TestBenchCommand:
