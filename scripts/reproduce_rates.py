@@ -19,13 +19,12 @@ from fractions import Fraction
 from machinpi.analysis import (
     KNOWN_DIGITS_PER_TERM,
     measure_convergence,
-    predict_rate,
     validated_pi_reference,
 )
 from machinpi.exact import decimal_digit_count, format_decimal_head
 from machinpi.machin import solve_u2, verify_formula, MachinFormula
 from machinpi.radicals import eval_radicals, select_u1
-from machinpi.series import pi_from_radicals, scale_for_digits
+from machinpi.series import digits_per_term, pi_from_radicals, scale_for_digits
 
 # (depth, denominator, rounding) triples of the published constructions.
 # Depth 10 was truncated rather than rounded in the published table.
@@ -57,7 +56,7 @@ def main() -> int:
           f"{'digits':>15} {'pred':>6} {'meas':>6} {'pub':>4}")
     for k, den, rounding in CONSTRUCTIONS:
         sel = select_u1(eval_radicals(k, 26), den, rounding)
-        predicted = predict_rate(sel.u1)
+        predicted = digits_per_term(sel.u1)
         if k in HEAVY and not (args.heavy and k in HEAVY_RUNNABLE):
             print(f"{k:3d} {str(sel.u1):>12} {'(not solved)':>28} "
                   f"{'-':>15} {predicted:6.2f} {'-':>6} "

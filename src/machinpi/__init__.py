@@ -11,7 +11,6 @@ from .analysis import (
     ConvergenceReport,
     compare_methods,
     measure_convergence,
-    predict_rate,
     validated_pi_reference,
 )
 from .exact import GaussianInt
@@ -64,7 +63,6 @@ __all__ = [
     "pi_digits_from_radicals",
     "pi_from_formula",
     "pi_from_radicals",
-    "predict_rate",
     "select_u1",
     "solve_second_term",
     "solve_second_term_direct",

@@ -39,22 +39,18 @@ KNOWN_DIGITS_PER_TERM = {2: 1, 3: 2, 5: 3, 10: 6, 17: 10, 23: 14}
 
 @dataclass
 class ConvergenceReport:
-    k: int | None
     u1: Fraction
     measured_digits_per_term: float
     predicted_digits_per_term: float
-    reference_rate: int | None
     samples: list[tuple[int, int]] = field(default_factory=list)
     wall_time_per_term: float = 0.0
     rate_within_band: bool = True
 
 
-def predict_rate(u1: Fraction) -> float:
-    """Digits of pi per added term for a first argument 1/u1."""
-    u1 = Fraction(u1)
-    if u1 <= 0:
-        raise ValueError("u1 must be positive")
-    return digits_per_term(u1)
+def reference_digits(rate: float, max_terms: int) -> int:
+    """Digits a reference pi must resolve to score max_terms terms of a
+    series gaining `rate` digits per term."""
+    return int(rate * (max_terms + 1)) + 8
 
 
 def _common_prefix_digits(sample: str, reference: str) -> int:
@@ -79,22 +75,8 @@ def _least_squares_slope(points: list[tuple[int, int]]) -> float:
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
-def _formula_depth(formula: MachinFormula) -> int | None:
-    alpha = formula.terms[0][0]
-    if alpha.denominator != 1:
-        return None
-    a = int(alpha)
-    if a >= 1 and a & (a - 1) == 0:
-        return a.bit_length()  # alpha = 2**(k-1)
-    return None
-
-
-def measure_convergence(
-    formula: MachinFormula,
-    max_terms: int,
-    reference_pi: FixedReal,
-    reference_rate: int | None = None,
-) -> ConvergenceReport:
+def measure_convergence(formula: MachinFormula, max_terms: int,
+                        reference_pi: FixedReal) -> ConvergenceReport:
     """Count correct digits of pi at each truncation 1..max_terms and fit
     the digits-per-term slope.
 
@@ -106,7 +88,7 @@ def measure_convergence(
         raise ValueError("max_terms must be at least 1")
     u1 = min(abs(beta) for _, beta in formula.terms)
     predicted = digits_per_term(u1)
-    ceiling = int(predicted * (max_terms + 1)) + 8
+    ceiling = reference_digits(predicted, max_terms)
     ref_digits = reference_pi.valid_decimal_digits(ceiling)
     if ref_digits < ceiling:
         raise InsufficientReference(
@@ -136,11 +118,9 @@ def measure_convergence(
         and abs(slope - predicted) / predicted < RATE_BAND
     )
     return ConvergenceReport(
-        k=_formula_depth(formula),
         u1=u1,
         measured_digits_per_term=slope,
         predicted_digits_per_term=predicted,
-        reference_rate=reference_rate,
         samples=samples,
         wall_time_per_term=elapsed / max_terms,
         rate_within_band=within,

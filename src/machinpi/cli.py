@@ -27,7 +27,7 @@ from pathlib import Path
 from .analysis import (
     KNOWN_DIGITS_PER_TERM,
     measure_convergence,
-    predict_rate,
+    reference_digits,
     validated_pi_reference,
 )
 from .errors import (
@@ -45,8 +45,8 @@ from .errors import (
 from .exact import format_decimal_head, int_to_text, parse_rational
 from .machin import MachinFormula, solve_second_term, solve_u2, verify_formula
 from .radicals import eval_radicals, select_u1
-from .records import build_record, check_record, load_record, write_record
-from .series import pi_digits_from_formula, pi_digits_from_radicals
+from .records import FormulaRecord, build_record, check_record, load_record, write_record
+from .series import digits_per_term, pi_digits_from_formula, pi_digits_from_radicals
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,9 +81,9 @@ def _work_dir() -> Path:
 _SELECTION_DIGITS = 26
 
 
-def generate_record(k: int, denominator: int, rounding: str):
+def generate_record(k: int, denominator: int, rounding: str) -> FormulaRecord:
     """Full pipeline: tower -> rational rounding -> exact second term ->
-    exact verification.  Returns (record, selection)."""
+    exact verification."""
     digits = _SELECTION_DIGITS
     for _ in range(4):
         state = eval_radicals(k, digits)
@@ -96,7 +96,7 @@ def generate_record(k: int, denominator: int, rounding: str):
         raise PrecisionExhausted("could not pin 20 digits of the residual")
     u2 = solve_u2(selection.u1, k)
     verified = bool(verify_formula(MachinFormula.two_term(k, selection.u1, u2)))
-    record = build_record(
+    return build_record(
         k=k,
         denominator_policy=denominator,
         rounding=rounding,
@@ -104,13 +104,12 @@ def generate_record(k: int, denominator: int, rounding: str):
         epsilon_decimal=eps_text,
         u2=u2,
         verified=verified,
-        predicted_rate=predict_rate(selection.u1),
+        predicted_rate=digits_per_term(selection.u1),
     )
-    return record, selection
 
 
 def _cmd_generate(args) -> int:
-    record, _ = generate_record(args.k, args.den, args.round)
+    record = generate_record(args.k, args.den, args.round)
     out = Path(args.out) if args.out else _work_dir() / f"formula_k{args.k}.json"
     write_record(record, out)
     num, den = record.u2_digit_counts
@@ -169,8 +168,7 @@ def _bench_formula(k: int):
     puts the rounding residual over the smallness limit."""
     for denominator in (1, 10, 100):
         try:
-            record, _ = generate_record(k, denominator, "nearest")
-            return record
+            return generate_record(k, denominator, "nearest")
         except EpsilonTooLarge:
             continue
     raise EpsilonTooLarge(f"no workable denominator policy for k = {k}")
@@ -181,18 +179,11 @@ def _cmd_bench(args) -> int:
     if not ks:
         raise ValueError("--k needs at least one depth")
     records = [_bench_formula(k) for k in ks]
-    ceiling = max(
-        int(r.predicted_rate * (args.max_terms + 1)) + 8 for r in records
-    )
+    ceiling = max(reference_digits(r.predicted_rate, args.max_terms) for r in records)
     reference = validated_pi_reference(ceiling + 4)
     reports = []
     for record in records:
-        report = measure_convergence(
-            record.formula(),
-            args.max_terms,
-            reference,
-            reference_rate=KNOWN_DIGITS_PER_TERM.get(record.k),
-        )
+        report = measure_convergence(record.formula(), args.max_terms, reference)
         reports.append(report)
         print(
             f"k={record.k}: {report.wall_time_per_term * 1e3:.3f} ms/term",
@@ -206,7 +197,7 @@ def _cmd_bench(args) -> int:
         "max_terms": args.max_terms,
         "reports": [
             {
-                "k": rep.k,
+                "k": record.k,
                 "u1": {
                     "num": str(rep.u1.numerator),
                     "den": str(rep.u1.denominator),
@@ -218,11 +209,11 @@ def _cmd_bench(args) -> int:
                     else rep.measured_digits_per_term
                 ),
                 "predicted_digits_per_term": rep.predicted_digits_per_term,
-                "reference_rate": rep.reference_rate,
+                "reference_rate": KNOWN_DIGITS_PER_TERM.get(record.k),
                 "samples": [list(s) for s in rep.samples],
                 "rate_within_band": rep.rate_within_band,
             }
-            for rep in reports
+            for record, rep in zip(records, reports)
         ],
     }
     json_path = out_dir / "bench_report.json"
@@ -231,10 +222,10 @@ def _cmd_bench(args) -> int:
     lines = [
         f"{'k':>4s} {'u1':>14s} {'measured':>10s} {'predicted':>10s} {'published':>10s}"
     ]
-    for rep in reports:
-        published = "-" if rep.reference_rate is None else str(rep.reference_rate)
+    for record, rep in zip(records, reports):
+        published = str(KNOWN_DIGITS_PER_TERM.get(record.k, "-"))
         lines.append(
-            f"{rep.k or 0:4d} {str(rep.u1):>14s} "
+            f"{record.k:4d} {str(rep.u1):>14s} "
             f"{rep.measured_digits_per_term:10.3f} "
             f"{rep.predicted_digits_per_term:10.3f} {published:>10s}"
         )

@@ -188,9 +188,9 @@ def fraction_to_sci_text(fr: Fraction, digits: int) -> str:
     return f"{sign}{fraction_to_fixed_text(mantissa, digits)}e{exp}"
 
 
-def format_decimal_head(fr: Fraction, digits: int = 20) -> str:
-    """Leading decimal expansion of a rational: plain fixed-point for
-    magnitudes below 10**6, scientific above."""
+def format_decimal_head(fr: Fraction) -> str:
+    """Leading decimal expansion of a rational, 20 digits after the point:
+    plain fixed-point for magnitudes below 10**6, scientific above."""
     if abs(fr) < 10 ** 6:
-        return fraction_to_fixed_text(fr, digits)
-    return fraction_to_sci_text(fr, digits)
+        return fraction_to_fixed_text(fr, 20)
+    return fraction_to_sci_text(fr, 20)

@@ -76,19 +76,6 @@ class MachinFormula:
     def single(cls, alpha: Fraction, beta: Fraction) -> "MachinFormula":
         return cls(((Fraction(alpha), Fraction(beta)),))
 
-    def __str__(self) -> str:
-        # Negative arguments render as subtraction: arctan(1/-x) = -arctan(1/x).
-        parts = []
-        for alpha, beta in self.terms:
-            sign = "-" if beta < 0 else "+"
-            coeff = "" if alpha == 1 else f"{alpha}*"
-            parts.append((sign, f"{coeff}arctan({abs(1 / beta)})"))
-        first_sign, first = parts[0]
-        rendered = ("-" if first_sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            rendered += f" {sign} {term}"
-        return f"pi/4 = {rendered}"
-
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -228,11 +215,12 @@ def verify_formula(formula: MachinFormula) -> VerificationResult:
             raise NotExactlyVerifiable(
                 f"coefficient {alpha} is not an integer"
             )
+    # Exact comparison: the divisor is a power of two; no float overflow.
     weight = sum(abs(alpha) for alpha, _ in formula.terms)
-    if weight * _ATAN_ERROR >= math.pi / 8:
+    if weight >= math.pi / 8 / _ATAN_ERROR:
         raise NotExactlyVerifiable(
-            f"coefficients summing to {weight} in magnitude are too large "
-            "for the branch check"
+            f"coefficients summing to a {int(weight).bit_length()}-bit "
+            "magnitude are too large for the branch check"
         )
     bits = sum(power_bits(int(alpha), beta) for alpha, beta in formula.terms)
     _check_power_size(bits, NotExactlyVerifiable)

@@ -53,9 +53,6 @@ class U1Selection:
 
     u1: Fraction
     epsilon: FixedReal
-    k: int
-    denominator_policy: int
-    rounding: str = "nearest"
 
 
 def guard_bits(k: int) -> int:
@@ -142,10 +139,4 @@ def select_u1(
             f"residual {float(epsilon.value):+.4f} is not small against "
             f"u1 = {u1}; use a finer denominator policy"
         )
-    return U1Selection(
-        u1=u1,
-        epsilon=epsilon,
-        k=state.k,
-        denominator_policy=d,
-        rounding=rounding,
-    )
+    return U1Selection(u1=u1, epsilon=epsilon)

@@ -93,7 +93,9 @@ def _log10_int(v: int) -> float:
 
 def digits_per_term(beta: Fraction) -> float:
     """Decimal digits of pi gained per added conjugate-series term for
-    the argument 1/beta: log10(1 + 4*beta**2)."""
+    the argument 1/beta: log10(1 + 4*beta**2).  beta = 0 is ValueError."""
+    if beta == 0:
+        raise ValueError("the cotangent argument must be nonzero")
     return approx_log10(1 + 4 * Fraction(beta) ** 2)
 
 
@@ -105,12 +107,12 @@ def terms_for_digits(digits: int, rate: float) -> int:
     return math.ceil(digits / rate) + 2
 
 
-def _cap_upper(fr: Fraction, bits: int = 64) -> Fraction:
+def _cap_upper(fr: Fraction) -> Fraction:
     """Cheap upper bound on a non-negative rational with huge components:
-    keep `bits` significant bits of each side, rounding the ratio up."""
+    keep 64 significant bits of each side, rounding the ratio up."""
     num, den = fr.numerator, fr.denominator
-    tn = max(0, num.bit_length() - bits)
-    td = max(0, den.bit_length() - bits)
+    tn = max(0, num.bit_length() - 64)
+    td = max(0, den.bit_length() - 64)
     num_top = (num >> tn) + (1 if tn else 0)
     return Fraction(num_top, den >> td) * Fraction(2) ** (tn - td)
 

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from machinpi import cli
-from machinpi.analysis import compare_methods, measure_convergence, predict_rate
+from machinpi.analysis import compare_methods, measure_convergence
 from machinpi.cli import generate_record
 from machinpi.exact import decimal_digit_count, format_decimal_head
 from machinpi.machin import MachinFormula, solve_second_term, solve_u2, verify_formula
@@ -24,6 +24,7 @@ from machinpi.realnum import FixedReal
 from machinpi.records import build_record, write_record
 from machinpi.series import (
     arctan_conjugate,
+    digits_per_term,
     pi_from_radicals,
     scale_for_digits,
 )
@@ -150,15 +151,15 @@ def test_criterion_7_convergence_rates(pi_reference_300):
             record = None
             for den in (1, 10):
                 try:
-                    record, _ = generate_record(k, den, "nearest")
+                    record = generate_record(k, den, "nearest")
                     break
                 except Exception:
                     continue
             assert record is not None
             report = measure_convergence(record.formula(), 20, pi_reference_300)
             assert abs(round(report.measured_digits_per_term) - nominal) <= 1
-        assert abs(round(predict_rate(Fraction(83443))) - 10) <= 1
-        assert abs(round(predict_rate(Fraction(53403537, 10))) - 14) <= 1
+        assert abs(round(digits_per_term(Fraction(83443))) - 10) <= 1
+        assert abs(round(digits_per_term(Fraction(53403537, 10))) - 14) <= 1
 
 
 def test_criterion_8_tower_at_depth_forty(pi_text_300):
@@ -193,7 +194,7 @@ def test_criterion_9_independent_formula_oracle(tmp_path, capsys):
             k=10, denominator_policy=1, rounding="floor",
             u1=u1, epsilon_decimal="-0.89813557739378661810", u2=u2,
             verified=verify_formula(MachinFormula.two_term(10, u1, u2)).ok,
-            predicted_rate=predict_rate(u1),
+            predicted_rate=digits_per_term(u1),
         )
         k10_path = write_record(k10, tmp_path / "k10.json")
         capsys.readouterr()
@@ -248,6 +249,6 @@ def test_criterion_11_property_suites(pi_text_300):
         # every generated record re-verifies
         for k in (2, 3, 5, 8, 10):
             den = SELECTION_POLICY.get(k, 1)
-            record, _ = generate_record(k, den, "nearest")
+            record = generate_record(k, den, "nearest")
             assert record.verified
             assert verify_formula(record.formula()).ok

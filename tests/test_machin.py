@@ -203,7 +203,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("k", range(2, 18))
     def test_every_generated_record_passes_the_branch_check(self, k):
-        record, _ = generate_record(k, 10 if k == 2 else 1, "nearest")
+        record = generate_record(k, 10 if k == 2 else 1, "nearest")
         assert record.verified
 
 
@@ -307,7 +307,7 @@ class TestGcdFreeSolve:
 def _record_terms(k: int, variant: str):
     """Terms of the generated depth-k formula, as generated, with u2's
     sign flipped, or with one digit of u2's numerator changed."""
-    record, _ = generate_record(k, 1, "nearest")
+    record = generate_record(k, 1, "nearest")
     u1, u2 = record.u1, record.u2
     if variant == "sign-flipped":
         u2 = -u2

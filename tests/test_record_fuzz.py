@@ -71,7 +71,7 @@ def records(tmp_path_factory):
     for k in (3, 13):
         directory = base / f"k{k}"
         directory.mkdir()
-        paths[k] = write_record(generate_record(k, 1, "nearest")[0], directory / "rec.json")
+        paths[k] = write_record(generate_record(k, 1, "nearest"), directory / "rec.json")
     assert sorted(p.name for p in paths[13].parent.iterdir()) == [
         "rec.json", "rec.u2den.txt", "rec.u2num.txt"]
     return paths

@@ -33,25 +33,24 @@ def run_cli(*argv: str) -> int:
 
 @pytest.fixture()
 def k3_record_path(tmp_path):
-    record, _ = generate_record(3, 1, "nearest")
+    record = generate_record(3, 1, "nearest")
     return write_record(record, tmp_path / "k3.json")
 
 
 class TestRecords:
     def test_round_trip_bit_identical(self, tmp_path):
-        record, _ = generate_record(3, 1, "nearest")
+        record = generate_record(3, 1, "nearest")
         p1 = write_record(record, tmp_path / "a.json")
         p2 = write_record(load_record(p1), tmp_path / "b.json")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_generated_record_contents(self, tmp_path):
-        record, selection = generate_record(3, 1, "nearest")
+        record = generate_record(3, 1, "nearest")
         assert record.u1 == 5
         assert record.u2 == -239
         assert record.verified is True
         assert record.epsilon_decimal == "-0.02733949212584810451"
         assert record.u2_digit_counts == (3, 1)
-        assert selection.denominator_policy == 1
         check_record(record)
 
     def test_sidecar_written_and_verified(self, tmp_path):
@@ -176,7 +175,7 @@ class TestVerifyCommand:
     def test_failure_message_stays_short(self, tmp_path, capsys):
         # One changed digit in a depth-13 u2 (about 15,000 digits, so
         # sidecar-backed) must report a summary, not the certificate.
-        record, _ = generate_record(13, 1, "nearest")
+        record = generate_record(13, 1, "nearest")
         num = record.u2.numerator
         perturbed = build_record(
             k=13, denominator_policy=1, rounding="nearest", u1=record.u1,
@@ -307,7 +306,7 @@ class TestIntTextCap:
         assert sys.get_int_max_str_digits() == default_cap
 
     def test_depth_fifteen_round_trip_under_default_cap(self, tmp_path, default_cap):
-        record, _ = generate_record(15, 1, "nearest")
+        record = generate_record(15, 1, "nearest")
         assert record.u2_digit_counts[0] > 60_000
         path = write_record(record, tmp_path / "k15.json")
         loaded = load_record(path)
