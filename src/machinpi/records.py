@@ -5,10 +5,12 @@ round-trips them exactly; exact.int_to_text and exact.text_to_int
 convert them without touching the process's int <-> str digit cap.
 Second-term components above the inline threshold go to sidecar text
 files (decimal digits, optional leading minus, trailing newline)
-referenced by relative path plus content hash; loading verifies the
+referenced by file name plus content hash; loading verifies the
 hash and fails loudly on mismatch.  Loading accepts integer text only
-in the form str(int) writes, so an edited record cannot keep its
-meaning under a different spelling.  Writes are atomic
+in the form str(int) writes, u1 and u2 only in lowest terms over a
+positive denominator, and sidecars only by bare file name in the
+record's directory, so an edited record cannot keep its meaning under a
+different spelling or read digits from elsewhere.  Writes are atomic
 (temp file then rename), byte-deterministic, and create files with mode
 0o666 less the umask, as a plain open() would; a write that fails
 removes the sidecars it wrote.
@@ -28,7 +30,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DigitCountMismatch, RecordParseError, UnverifiedFormula
-from .exact import decimal_digit_count, format_decimal_head, int_to_text, text_to_int
+from .exact import (_coprime_fraction, decimal_digit_count, format_decimal_head,
+                    int_to_text, text_to_int)
 from .machin import MachinFormula, verify_formula
 
 SCHEMA_VERSION = 1
@@ -173,7 +176,10 @@ def _int_from_text(text: str) -> int:
 def _component_from_json(entry: dict, directory: Path) -> int:
     if "value" in entry:
         return _int_from_text(entry["value"])
-    sidecar = directory / entry["file"]
+    name = entry["file"]
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise RecordParseError(f"sidecar entry {name!r:.40} is not a file name")
+    sidecar = directory / name
     try:
         body = sidecar.read_text()
     except OSError as exc:
@@ -214,10 +220,10 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
     u1_den = _int_from_text(payload["u1"]["den"])
     u2_num = _component_from_json(payload["u2"]["num"], path.parent)
     u2_den = _component_from_json(payload["u2"]["den"], path.parent)
-    if 0 in (u1_num, u1_den, u2_num, u2_den):
-        raise RecordParseError(
-            f"record {path}: u1 and u2 need nonzero numerators and denominators"
-        )
+    for num, den in ((u1_num, u1_den), (u2_num, u2_den)):
+        if num == 0 or den <= 0 or math.gcd(num, den) != 1:
+            raise RecordParseError(f"record {path}: u1 and u2 must be nonzero "
+                                   "fractions in lowest terms, denominators positive")
     counts = payload["u2_digit_counts"]
     if not (_is_int(counts["num_digits"]) and _is_int(counts["den_digits"])):
         raise RecordParseError(f"record {path}: digit counts must be integers")
@@ -226,9 +232,9 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
         k=k,
         denominator_policy=payload["denominator_policy"],
         rounding=payload["rounding"],
-        u1=Fraction(u1_num, u1_den),
+        u1=_coprime_fraction(u1_num, u1_den),
         epsilon_decimal=payload["epsilon_decimal"],
-        u2=Fraction(u2_num, u2_den),
+        u2=_coprime_fraction(u2_num, u2_den),
         u2_digit_counts=(counts["num_digits"], counts["den_digits"]),
         u2_decimal_head=payload["u2_decimal_head"],
         verified=payload["verified"],

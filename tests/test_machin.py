@@ -189,6 +189,22 @@ class TestVerify:
         with pytest.raises(NotExactlyVerifiable):
             verify_formula(MachinFormula.single(Fraction(2 ** 48), Fraction(1)))
 
+    @pytest.mark.parametrize("bits", [48, 20000])
+    def test_branch_check_guard_names_the_weight_by_size(self, bits):
+        # 2**20000 is past float range; the guard compares it exactly.
+        with pytest.raises(NotExactlyVerifiable, match=f"{bits + 1}-bit magnitude"):
+            verify_formula(MachinFormula.single(Fraction(2 ** bits), Fraction(1)))
+
+    def test_branch_check_boundary_is_exact(self):
+        # The bound pi/8 / 2**-49 is exact in a float, so the weights on
+        # either side of it fall on either side of the guard; the one
+        # below reaches the power-size check instead.
+        below = math.floor(Fraction(math.pi / 8 / 2.0 ** -49))
+        with pytest.raises(NotExactlyVerifiable, match="limit"):
+            verify_formula(MachinFormula.single(Fraction(below), Fraction(1)))
+        with pytest.raises(NotExactlyVerifiable, match="branch check"):
+            verify_formula(MachinFormula.single(Fraction(below + 1), Fraction(1)))
+
     def test_formula_validation(self):
         with pytest.raises(ValueError):
             MachinFormula(((Fraction(1), Fraction(0)),))

@@ -2,7 +2,9 @@
 
 Every edit that changes what a record says (a formula field replaced by
 any JSON value, any key deleted, the JSON cut short, a sidecar spliced
-with or without a matching hash) must end `verify` and
+with or without a matching hash) or only how it says it (u1 or u2 with
+both parts negated or scaled by a common factor, a sidecar moved out of
+the record's directory and its entry pointed there) must end `verify` and
 `compute-pi --formula` with exit 3 (parse), 4 (verification) or 7
 (digit counts): never exit 0, never printed digits, never a traceback.
 The informational fields (rounding, epsilon, head, rate, version string)
@@ -27,6 +29,8 @@ from hypothesis import strategies as st
 from machinpi import cli
 from machinpi.cli import generate_record
 from machinpi.records import write_record
+
+from oracles import big_int_text
 
 FORMULA_FIELDS = ("schema_version", "k", "u1", "u2", "u2_digit_counts")
 COMMANDS = {
@@ -98,7 +102,8 @@ def _mutate(data, record: Path) -> None:
     formula_paths = sorted({p for p in paths if p[0] in FORMULA_FIELDS}
                            | {("u2", "num", "value")})
     sidecars = sorted(record.parent.glob("*.txt"))
-    kinds = ["set", "delete", "truncate"] + (["sidecar"] if sidecars else [])
+    kinds = ["set", "delete", "truncate", "rescale"] + (
+        ["sidecar", "relocate"] if sidecars else [])
     kind = data.draw(st.sampled_from(kinds))
     if kind == "set":
         path = data.draw(st.sampled_from(formula_paths))
@@ -114,6 +119,25 @@ def _mutate(data, record: Path) -> None:
         record.write_text(json.dumps(payload))
     elif kind == "truncate":
         record.write_text(text[:data.draw(st.integers(0, text.rindex("}") - 1))])
+    elif kind == "rescale":
+        # The same value spelled num*g / den*g, with the u2 digit counts
+        # left at the reduced value's or redone for the scaled parts.
+        pair = data.draw(st.sampled_from(["u1", "u2"]))
+        factor = data.draw(st.sampled_from([-1]) | st.integers(2, 10 ** 6))
+        _rescale(payload, pair, factor, record.parent, recount=data.draw(st.booleans()))
+        record.write_text(json.dumps(payload))
+    elif kind == "relocate":
+        sidecar = data.draw(st.sampled_from(sidecars))
+        moved = record.parent / "elsewhere" / sidecar.name
+        moved.parent.mkdir()
+        sidecar.rename(moved)
+        name = data.draw(st.sampled_from([
+            str(moved), f"elsewhere/{sidecar.name}",
+            f"elsewhere/../elsewhere/{sidecar.name}"]))
+        for entry in payload["u2"].values():
+            if entry.get("file") == sidecar.name:
+                entry["file"] = name
+        record.write_text(json.dumps(payload))
     else:
         sidecar = data.draw(st.sampled_from(sidecars))
         body = sidecar.read_text()
@@ -127,6 +151,26 @@ def _mutate(data, record: Path) -> None:
                 if entry.get("file") == sidecar.name:
                     entry["sha256"] = hashlib.sha256(edited.encode()).hexdigest()
             record.write_text(json.dumps(payload))
+
+
+def _rescale(payload, pair: str, factor: int, directory: Path, recount: bool) -> None:
+    """Multiply both parts of u1 or u2 by `factor`, rewriting sidecars and
+    their hashes, and with `recount` the u2 digit counts, to match."""
+    for part in ("num", "den"):
+        entry = payload[pair][part]
+        with big_int_text():
+            if pair == "u1":
+                payload[pair][part] = str(int(entry) * factor)
+                continue
+            if "value" in entry:
+                entry["value"] = text = str(int(entry["value"]) * factor)
+            else:
+                sidecar = directory / entry["file"]
+                text = str(int(sidecar.read_text()) * factor)
+                sidecar.write_text(text + "\n")
+                entry["sha256"] = hashlib.sha256((text + "\n").encode()).hexdigest()
+        if recount:
+            payload["u2_digit_counts"][f"{part}_digits"] = len(text.lstrip("-"))
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import stat
@@ -221,6 +222,10 @@ MALFORMED = {
     "k=3.5": (("k",), 3.5),
     "k=0": (("k",), 0),
     "u1.num=0": (("u1", "num"), "0"),
+    # The same values in non-canonical spellings.
+    "u2=239/-1": (("u2",), {"num": {"value": "239"}, "den": {"value": "-1"}}),
+    "u1=-5/-1": (("u1",), {"num": "-5", "den": "-1"}),
+    "u1=10/2": (("u1",), {"num": "10", "den": "2"}),
 }
 
 
@@ -274,6 +279,29 @@ def test_depth_too_deep_for_second_term_fails_fast(k3_record_path, capsys, comma
     assert run_cli(*command, str(k3_record_path)) == cli.EXIT_VERIFICATION
     captured = capsys.readouterr()
     assert captured.out == "" and "cannot verify" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ("verify",), ("compute-pi", "--digits", "20", "--formula"),
+])
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "dotted"])
+def test_sidecar_outside_record_directory_is_parse_error(
+        k3_record_path, capsys, command, relative):
+    # A true digit file with a matching hash, but not a bare file name.
+    digits = k3_record_path.parent / "elsewhere" / "num.txt"
+    digits.parent.mkdir()
+    digits.write_text("-239\n")
+    payload = json.loads(k3_record_path.read_text())
+    payload["u2"]["num"] = {
+        "file": "elsewhere/../elsewhere/num.txt" if relative else str(digits),
+        "sha256": hashlib.sha256(b"-239\n").hexdigest(),
+    }
+    k3_record_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(*command, str(k3_record_path)) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestIntTextCap:
