@@ -17,7 +17,6 @@ from .exact import GaussianInt
 from .machin import (
     MachinFormula,
     VerificationResult,
-    check_relation_pair,
     solve_second_term,
     solve_second_term_direct,
     solve_u2,
@@ -53,7 +52,6 @@ __all__ = [
     "arctan_gregory",
     "build_record",
     "check_record",
-    "check_relation_pair",
     "compare_methods",
     "digits_per_term",
     "eval_radicals",

@@ -251,12 +251,3 @@ def _atan_inverse(beta: Fraction) -> float:
         return math.copysign(math.pi / 2, p)
     return math.atan(q / p)
 
-
-def check_relation_pair(
-    a: tuple[int, Fraction], b: tuple[int, Fraction]
-) -> bool:
-    """True iff the two weighted arctangent terms are exactly equal,
-    i.e. their rotations G_a/conj(G_a) and G_b/conj(G_b) coincide, which
-    holds iff G_a * conj(G_b) is real."""
-    cross = _term_factor(*a) * _term_factor(*b).conjugate()
-    return cross.im == 0

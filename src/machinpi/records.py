@@ -3,17 +3,17 @@
 Unbounded integers are stored as decimal strings so any JSON parser
 round-trips them exactly; exact.int_to_text and exact.text_to_int
 convert them without touching the process's int <-> str digit cap.
-Second-term components above the inline threshold go to sidecar text
-files (decimal digits, optional leading minus, trailing newline)
-referenced by file name plus content hash; loading verifies the
-hash and fails loudly on mismatch.  Loading accepts integer text only
-in the form str(int) writes, u1 and u2 only in lowest terms over a
-positive denominator, and sidecars only by bare file name in the
-record's directory, so an edited record cannot keep its meaning under a
-different spelling or read digits from elsewhere.  Writes are atomic
-(temp file then rename), byte-deterministic, and create files with mode
-0o666 less the umask, as a plain open() would; a write that fails
-removes the sidecars it wrote.
+Second-term components at or above the inline threshold go to sidecar
+text files (decimal digits, optional leading minus, trailing newline)
+referenced by file name plus content hash; loading verifies the hash.
+Loading accepts each component only in the layout writing gives it,
+integer text only in the form str(int) writes, u1 and u2 only in lowest
+terms over a positive denominator, and sidecars only by bare file name
+in the record's directory, so an edited record cannot keep its meaning
+under a different spelling or read digits from elsewhere.  Writes are
+atomic (temp file then rename), byte-deterministic, and create files
+with mode 0o666 less the umask, as a plain open() would; a write that
+fails removes the sidecars it wrote.
 """
 
 from __future__ import annotations
@@ -174,8 +174,18 @@ def _int_from_text(text: str) -> int:
 
 
 def _component_from_json(entry: dict, directory: Path) -> int:
-    if "value" in entry:
-        return _int_from_text(entry["value"])
+    """One u2 part, only in the layout _component_json gives it."""
+    inline = "value" in entry
+    text = entry["value"] if inline else _sidecar_text(entry, directory)
+    value = _int_from_text(text)
+    if (len(text.lstrip("-")) < SIDECAR_THRESHOLD_DIGITS) != inline:
+        raise RecordParseError(f"u2 part stored {'inline' if inline else 'in a sidecar'}"
+                               f" against the {SIDECAR_THRESHOLD_DIGITS}-digit threshold")
+    return value
+
+
+def _sidecar_text(entry: dict, directory: Path) -> str:
+    """The integer text of a sidecar entry, checked by name and hash."""
     name = entry["file"]
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
         raise RecordParseError(f"sidecar entry {name!r:.40} is not a file name")
@@ -188,7 +198,7 @@ def _component_from_json(entry: dict, directory: Path) -> int:
         raise RecordParseError(f"sidecar {sidecar} content hash mismatch")
     if not body.endswith("\n"):
         raise RecordParseError(f"sidecar {sidecar} lacks its final newline")
-    return _int_from_text(body[:-1])
+    return body[:-1]
 
 
 def load_record(path: str | os.PathLike) -> FormulaRecord:

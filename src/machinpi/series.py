@@ -19,18 +19,17 @@ Three series are provided:
 pi comes either from a verified two-term formula (4 * sum of coefficient
 times arctan of the reciprocal argument) or, with no rational arguments
 at all, from the radical tower: pi = 2**(k+1) * arctan(1/c_k) evaluated
-by the conjugate series directly on the fixed-point c_k.  Both argument
-kinds share one fixed-point term stream with one start: v = 1/(1 + 2ci)
-and v**2 built in interval arithmetic from a fixed-point cotangent c,
-the tower's c_k or b/a rounded once for x = a/b (see _cot_start).
-Certified digits from either source go through one driver that turns a
-digit target or a term budget into terms, scale, retries and the
-certified prefix (see _certified_pi).
+by the conjugate series directly on the fixed-point c_k.  Certified
+digits from either source go through one driver that turns a digit
+target or a term budget into terms, scale, retries and the certified
+prefix (see _certified_pi).
 
-A rational x = a/b whose numerator is small enough skips the stream: its
-partial sum is formed exactly by binary splitting over Gaussian integers
-and rounded once (see _split_conjugate).  arctan_conjugate picks the path
-from the argument, the term count and the scale alone.
+A rational x = a/b is summed exactly by binary splitting over Gaussian
+integers and rounded once (arctan_conjugate); in a formula each
+cotangent first becomes a chain of integer cotangents, so that every
+split has numerator 1 (see _cotangent_chain).  The irrational tower
+value, and the convergence measurement, walk a fixed-point term stream
+from v = 1/(1 + 2ci) and v**2 built in interval arithmetic (_cot_start).
 
 Terms for all series are generated by multiplicative recurrences; no
 powers or factorials are recomputed per term.  Each result's error bound
@@ -67,9 +66,9 @@ _GUARD_BITS = 64
 class SeriesResult:
     """A partial sum with its term count and measured convergence.
 
-    For pi from a formula, terms_used and per_term_log10 belong to the
-    slowest arctangent and term_counts lists every arctangent's own count
-    in formula order; a single series leaves term_counts empty.
+    For pi from a formula, terms_used is the slowest arctangent's budget,
+    per_term_log10 is measured on its first integer cotangent, and
+    term_counts holds the terms each arctangent summed over its chain.
     """
 
     value: FixedReal
@@ -93,10 +92,16 @@ def _log10_int(v: int) -> float:
 
 def digits_per_term(beta: Fraction) -> float:
     """Decimal digits of pi gained per added conjugate-series term for
-    the argument 1/beta: log10(1 + 4*beta**2).  beta = 0 is ValueError."""
-    if beta == 0:
+    the argument 1/beta: log10(1 + 4*beta**2).  beta = 0 is ValueError.
+    With beta = p/q in lowest terms, (q**2 + 4p**2)/q**2 shares only
+    gcd(4, q**2), so one shift reduces it with no gcd of the big parts."""
+    beta = Fraction(beta)
+    p, q = beta.numerator, beta.denominator
+    if p == 0:
         raise ValueError("the cotangent argument must be nonzero")
-    return approx_log10(1 + 4 * Fraction(beta) ** 2)
+    q2 = q * q
+    shift = 0 if q & 1 else 2
+    return _log10_int((q2 + 4 * p * p) >> shift) - _log10_int(q2 >> shift)
 
 
 def scale_for_digits(digits: int) -> int:
@@ -117,24 +122,19 @@ def _cap_upper(fr: Fraction) -> Fraction:
     return Fraction(num_top, den >> td) * Fraction(2) ** (tn - td)
 
 
-def _sqrt_upper(fr: Fraction) -> Fraction:
-    """Cheap upper bound on the square root of a non-negative rational."""
-    p, q = fr.numerator, fr.denominator
-    return Fraction(math.isqrt(p * q) + 1, q)
-
-
-def _tail_bound(rho: Fraction, terms: int) -> Fraction:
-    """Truncated-tail bound for the conjugate-pair series.
-
-    The first omitted term has magnitude at most
+def _tail_ulps(rho: Fraction, terms: int, scale: int) -> int:
+    """Truncated-tail bound for the conjugate-pair series in ulps at
+    `scale`, rounded up.  The first omitted term is at most
     2 |v|**(2*terms+1) / (2*terms+1) with |v| = sqrt(rho), and the rest
-    decay geometrically with ratio rho.
-    """
+    decay by rho; with rho <= p/q (_cap_upper) and sqrt(p/q) <=
+    (isqrt(pq) + 1)/q, the bound is formed on integers, with no gcd."""
     rho_ub = _cap_upper(rho)
     if rho_ub >= 1:
         rho_ub = rho  # huge near-one operands: fall back to the exact ratio
-    lead = rho_ub ** terms * _sqrt_upper(rho_ub)
-    return 2 * lead / ((2 * terms + 1) * (1 - rho_ub))
+    p, q = rho_ub.numerator, rho_ub.denominator
+    num = 2 * p ** terms * (math.isqrt(p * q) + 1)
+    den = q ** terms * (2 * terms + 1) * (q - p)
+    return -(-(num << scale) // den)
 
 
 def _measured_rate(first: Fraction, last: Fraction, terms: int, fallback: float) -> float:
@@ -212,7 +212,7 @@ def _conjugate_sum(start: tuple, rho: Fraction, terms: int) -> SeriesResult:
     total = first = last = next(stream)
     for last in stream:
         total = total + last
-    total = total.widened_by_fraction(_tail_bound(rho, terms))
+    total = total.widened(_tail_ulps(rho, terms, total.scale))
     rate = _measured_rate(first.value, last.value, terms, approx_log10(1 / rho))
     return SeriesResult(total, terms, rate)
 
@@ -243,50 +243,16 @@ def _split(a2: int, g2: GaussianInt, lo: int, hi: int):
     return p1 * p2, q1 * q2, t1 * q2 + t2.scaled(p1)
 
 
-def _split_conjugate(a: int, b: int, rho: Fraction, terms: int,
-                     scale: int) -> SeriesResult:
-    """The first `terms` terms for x = a/b summed exactly and rounded once.
-
-    With g = a + 2bi, v = a/g, so the sum is S = sum of
-    a**(2m-1) / ((2m-1) g**(2m-1)) and arctan(x) = -2 Im(S); term m+1 is
-    term m times a**2 (2m-1) / (g**2 (2m+1)).  Splitting gives
-    S = a (Q + T) / (g Q) as Gaussian integers, so the only rounding is
-    the final division (at most 1 ulp) and the error bound is that plus
-    the truncated tail.  The rate comes from the exact first and last
-    terms, the last read off the split's own products: term `terms` of S
-    is a P / (g Q).
-    """
-    g = GaussianInt(a, 2 * b)
-    if terms == 1:
-        p, q, t = 1, GaussianInt(1, 0), GaussianInt(0, 0)
-    else:
-        p, q, t = _split(a * a, g.square(), 1, terms)
-    z = g * q
-    w = q + t
-    norm = z.norm()
-    # -2 Im(a w / z) = -2a Im(w conj(z)) / |z|**2
-    value = FixedReal._from_ratio(-2 * a * (w.im * z.re - w.re * z.im), norm, scale)
-    rate = approx_log10(1 / rho)
-    if terms > 1 and z.im:
-        # The last term is -2 Im(a p / z) = 2 a p Im(z) / |z|**2.
-        log_first = _log10_int(abs(4 * a * b)) - _log10_int(a * a + 4 * b * b)
-        log_last = _log10_int(abs(2 * a * p)) + _log10_int(abs(z.im)) - _log10_int(norm)
-        rate = (log_first - log_last) / (terms - 1)
-    value = value.widened_by_fraction(_tail_bound(rho, terms))
-    return SeriesResult(value, terms, rate)
-
-
 def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
-    """Conjugate-pair series; fastest of the three, defined for all x != 0.
+    """The first `terms` terms of the conjugate-pair series for x != 0,
+    summed exactly by binary splitting and rounded once.
 
-    With x = a/b the partial sum is exact by binary splitting while the
-    growth of the split products in a**2 per term fits the precision,
-    2 * terms * bits(a) <= scale; huge numerators (the second argument of
-    a deep formula) take the fixed-point stream instead, started from the
-    cotangent b/a rounded once.  Both bound the tail with the exact
-    rho = |v|**2 = a**2 / (a**2 + 4 b**2), which shares at most a power
-    of two (see exact.fraction_sharing_only_twos); a rho taken from the
-    rounded cotangent would reach 1 once |x| passes about 2**scale.
+    With x = a/b and g = a + 2bi, arctan(x) = -2 Im(S) for S = sum of
+    a**(2m-1) / ((2m-1) g**(2m-1)), whose term ratio is a**2 (2m-1) /
+    (g**2 (2m+1)).  Splitting gives S = a (Q + T) / (g Q) in Gaussian
+    integers, so the bound is the final rounding (1 ulp) plus the tail for
+    the exact rho = |v|**2 = a**2 / (a**2 + 4b**2).  The rate comes from
+    the exact first and last terms; term `terms` of S is a P / (g Q).
     """
     x = Fraction(x)
     if x == 0:
@@ -296,10 +262,75 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     a, b = x.numerator, x.denominator
     a2 = a * a
     rho = fraction_sharing_only_twos(a2, a2 + 4 * b * b)
-    if 2 * terms * a.bit_length() <= scale:
-        return _split_conjugate(a, b, rho, terms, scale)
-    c = FixedReal.from_fraction(1 / x, scale)
-    return _conjugate_sum(_cot_start(c), rho, terms)
+    g = GaussianInt(a, 2 * b)
+    if terms == 1:
+        p, q, t = 1, GaussianInt(1, 0), GaussianInt(0, 0)
+    else:
+        p, q, t = _split(a2, g.square(), 1, terms)
+    z = g * q
+    w = q + t
+    norm = z.norm()
+    # -2 Im(a w / z) = -2a Im(w conj(z)) / |z|**2
+    value = FixedReal._from_ratio(-2 * a * (w.im * z.re - w.re * z.im), norm, scale)
+    if terms > 1 and z.im:
+        # The last term is -2 Im(a p / z) = 2 a p Im(z) / |z|**2.
+        log_first = _log10_int(abs(4 * a * b)) - _log10_int(a2 + 4 * b * b)
+        log_last = _log10_int(abs(2 * a * p)) + _log10_int(abs(z.im)) - _log10_int(norm)
+        rate = (log_first - log_last) / (terms - 1)
+    else:
+        rate = _log10_int(rho.denominator) - _log10_int(rho.numerator)
+    value = value.widened(_tail_ulps(rho, terms, scale))
+    return SeriesResult(value, terms, rate)
+
+
+# Fractional bits past the scale when a huge cotangent is rounded to a
+# dyadic one, which then moves its arctangent by < 3 * 2**-(scale + 8).
+_CHAIN_GUARD = 8
+
+
+def _cotangent_chain(p: int, q: int, scale: int) -> tuple[list[int], int, int]:
+    """Lehmer's reduction of arccot(p/q), p >= 0 < q: integers m_j >= 1
+    and a residual p'/q' with arccot(p/q) = sum arccot(m_j) + arccot(p'/q')
+    exactly, stopping at q' = 0 (no residual) or p'/q' >= 2**scale.
+
+    Each step takes m = max(1, ceil(p/q)) and p/q -> (pm + q)/(mq - p):
+    (m + i)(p' + q'i) = (m**2 + 1)(p + qi).  The new cotangent exceeds
+    the square of the old, so the chain has about log2(scale) steps; an
+    integer cotangent is a one-step chain.
+    """
+    chain = []
+    while True:
+        m = max(1, -(-p // q))
+        chain.append(m)
+        p, q = p * m + q, m * q - p
+        if q == 0 or p >> scale >= q:
+            return chain, p, q
+
+
+def _arctan_inverse(beta: Fraction, digits: float, terms: int,
+                    scale: int) -> SeriesResult:
+    """arctan(1/beta) at `scale`, summed by arctan_conjugate over the
+    integer cotangents of its chain (_cotangent_chain), sign folded out.
+
+    A denominator over w = scale + _CHAIN_GUARD bits is first rounded down
+    to a dyadic beta' with w fractional bits, from the top w + 64 bits of
+    each part: beta - beta' < (2 + beta) 2**-w moves arccot by under an
+    ulp, and the dropped residual arccot(p'/q') <= 2**-scale is one more.
+    Cotangent m sums min(terms, terms_for_digits(digits, its rate)) terms.
+    """
+    p, q = abs(beta.numerator), beta.denominator
+    w = scale + _CHAIN_GUARD
+    rounded = q.bit_length() > w
+    if rounded:
+        drop = max(0, q.bit_length() - w - 64)
+        p, q = ((p >> drop) << w) // ((q >> drop) + 1), 1 << w
+    chain, _, residual_den = _cotangent_chain(p, q, scale)
+    parts = [arctan_conjugate(Fraction(1, m), min(terms, terms_for_digits(
+        digits, digits_per_term(m))), scale) for m in chain]
+    value = sum((part.value for part in parts[1:]), parts[0].value)
+    value = value.widened(rounded + (residual_den > 0))
+    used = sum(part.terms_used for part in parts)
+    return SeriesResult(-value if beta < 0 else value, used, parts[0].per_term_log10)
 
 
 def pi_from_formula(
@@ -308,14 +339,13 @@ def pi_from_formula(
     scale: int,
     assume_verified: bool = False,
 ) -> SeriesResult:
-    """pi = 4 * sum of alpha * arctan(1/beta) over the formula's terms,
-    every arctangent through the conjugate-pair series.
+    """pi = 4 * sum of alpha * arctan(1/beta) over the formula's terms.
 
-    The slowest arctangent gets `terms` terms; each faster one gets the
-    count that reaches the same digits at its own predicted rate (see
-    _term_budgets).  The formula must verify exactly unless the caller
-    explicitly vouches for it; each term's truncation bound enters the
-    total error scaled by |alpha|.
+    The slowest arctangent's `terms` reach D = (terms - 2) * r_min digits
+    at its predicted rate r_min; every integer cotangent of every chain
+    runs what reaches D at its own rate, at most `terms` (_arctan_inverse).
+    The formula must verify exactly unless the caller vouches for it;
+    each arctangent's error bound enters the total scaled by |alpha|.
     """
     if not assume_verified:
         outcome = verify_formula(formula)
@@ -323,29 +353,15 @@ def pi_from_formula(
             raise UnverifiedFormula(
                 f"formula failed verification: {outcome.summary()}"
             )
-    total = FixedReal.zero(scale)
-    slowest_beta = min(abs(beta) for _, beta in formula.terms)
-    counts = _term_budgets(formula, terms)
-    rate = 0.0
-    for (alpha, beta), count in zip(formula.terms, counts):
-        part = arctan_conjugate(1 / beta, count, scale)
-        total = total + part.value.mul_fraction(alpha)
-        if abs(beta) == slowest_beta:
-            rate = part.per_term_log10
-    return SeriesResult(total.shift(2), terms, rate, counts)
-
-
-def _term_budgets(formula: MachinFormula, terms: int) -> tuple[int, ...]:
-    """Term count of each arctangent when the slowest one runs `terms`.
-
-    The slowest budget terms_for_digits(D, r_min) = ceil(D/r_min) + 2
-    reaches about D = (terms - 2) * r_min digits; every other arctangent
-    gets terms_for_digits(D, r_j) for its own rate r_j, never more than
-    `terms`.
-    """
     rates = [digits_per_term(beta) for _, beta in formula.terms]
     target = (terms - 2) * min(rates)
-    return tuple(min(terms, terms_for_digits(target, rate)) for rate in rates)
+    parts = [_arctan_inverse(beta, target, terms, scale) for _, beta in formula.terms]
+    total = FixedReal.zero(scale)
+    for (alpha, _), part in zip(formula.terms, parts):
+        total = total + part.value.mul_fraction(alpha)
+    rate = parts[rates.index(min(rates))].per_term_log10
+    counts = tuple(part.terms_used for part in parts)
+    return SeriesResult(total.shift(2), terms, rate, counts)
 
 
 def pi_from_radicals(k: int, terms: int, scale: int) -> SeriesResult:

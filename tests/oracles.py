@@ -96,6 +96,29 @@ def arctan_bracket(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
             return total, bound
 
 
+def arctan_enclosure(y: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """(midpoint, bound) with |arctan(y) - midpoint| <= bound < 3 tol for
+    any rational y, from arctan_bracket and exact rational folds:
+    arctan(-y) = -arctan(y); for y > 1, arctan(y) = pi/2 - arctan(1/y)
+    with pi = 16 arctan(1/5) - 4 arctan(1/239); for 1/2 < y <= 1,
+    arctan(y) = arctan(1/2) + arctan((y - 1/2)/(1 + y/2)), an argument
+    <= 1/3."""
+    y = Fraction(y)
+    if y < 0:
+        mid, bound = arctan_enclosure(-y, tol)
+        return -mid, bound
+    if y > 1:
+        fifth, fifth_bound = arctan_bracket(Fraction(1, 5), tol / 32)
+        far, far_bound = arctan_bracket(Fraction(1, 239), tol / 32)
+        mid, bound = arctan_enclosure(1 / y, tol)
+        return 8 * fifth - 2 * far - mid, 8 * fifth_bound + 2 * far_bound + bound
+    if y > Fraction(1, 2):
+        half, half_bound = arctan_bracket(Fraction(1, 2), tol)
+        rest, rest_bound = arctan_bracket((y - Fraction(1, 2)) / (1 + y / 2), tol)
+        return half + rest, half_bound + rest_bound
+    return arctan_bracket(y, tol)
+
+
 # 333/106 < pi < 355/113, both within 10**-4 of it.
 PI_APPROX = Fraction(355, 113)
 

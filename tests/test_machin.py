@@ -14,7 +14,6 @@ from machinpi.exact import GaussianInt, decimal_digit_count, format_decimal_head
 from machinpi.machin import (
     MAX_POWER_BITS,
     MachinFormula,
-    check_relation_pair,
     power_bits,
     solve_second_term,
     solve_second_term_direct,
@@ -26,7 +25,6 @@ from machinpi.radicals import eval_radicals, select_u1
 from oracles import (
     big_int_text,
     branch_turns,
-    rotation_power_reference,
     rotation_product_reference,
 )
 
@@ -221,33 +219,6 @@ class TestVerify:
     def test_every_generated_record_passes_the_branch_check(self, k):
         record = generate_record(k, 10 if k == 2 else 1, "nearest")
         assert record.verified
-
-
-class TestRelations:
-    def test_published_equivalence(self):
-        assert check_relation_pair((4, Fraction(5)), (2, Fraction(24, 10)))
-
-    def test_reflexive(self):
-        assert check_relation_pair((3, Fraction(7, 2)), (3, Fraction(7, 2)))
-
-    def test_double_angle(self):
-        # two turns at cot 2 equal one turn at cot 3/4
-        assert check_relation_pair((2, Fraction(2)), (1, Fraction(3, 4)))
-
-    def test_detects_inequality(self):
-        assert not check_relation_pair((4, Fraction(5)), (2, Fraction(5)))
-
-    @given(
-        st.integers(min_value=1, max_value=10),
-        st.fractions(min_value=Fraction(1, 4), max_value=30, max_denominator=10),
-    )
-    def test_relation_consistent_with_rotations(self, alpha, beta):
-        assert check_relation_pair((alpha, beta), (alpha, beta))
-        for other in ((alpha, -beta), (-alpha, beta), (2 * alpha, beta / 2)):
-            assert check_relation_pair((alpha, beta), other) == (
-                rotation_power_reference(beta, alpha)
-                == rotation_power_reference(other[1], other[0])
-            )
 
 
 class TestSecondArgumentMagnitude:

@@ -4,7 +4,8 @@ Every edit that changes what a record says (a formula field replaced by
 any JSON value, any key deleted, the JSON cut short, a sidecar spliced
 with or without a matching hash) or only how it says it (u1 or u2 with
 both parts negated or scaled by a common factor, a sidecar moved out of
-the record's directory and its entry pointed there) must end `verify` and
+the record's directory and its entry pointed there, a u2 part moved from
+inline to a sidecar or back) must end `verify` and
 `compute-pi --formula` with exit 3 (parse), 4 (verification) or 7
 (digit counts): never exit 0, never printed digits, never a traceback.
 The informational fields (rounding, epsilon, head, rate, version string)
@@ -102,7 +103,7 @@ def _mutate(data, record: Path) -> None:
     formula_paths = sorted({p for p in paths if p[0] in FORMULA_FIELDS}
                            | {("u2", "num", "value")})
     sidecars = sorted(record.parent.glob("*.txt"))
-    kinds = ["set", "delete", "truncate", "rescale"] + (
+    kinds = ["set", "delete", "truncate", "rescale", "layout"] + (
         ["sidecar", "relocate"] if sidecars else [])
     kind = data.draw(st.sampled_from(kinds))
     if kind == "set":
@@ -125,6 +126,19 @@ def _mutate(data, record: Path) -> None:
         pair = data.draw(st.sampled_from(["u1", "u2"]))
         factor = data.draw(st.sampled_from([-1]) | st.integers(2, 10 ** 6))
         _rescale(payload, pair, factor, record.parent, recount=data.draw(st.booleans()))
+        record.write_text(json.dumps(payload))
+    elif kind == "layout":
+        # One u2 part in the other layout, its digits and hash intact.
+        part = data.draw(st.sampled_from(["num", "den"]))
+        entry = payload["u2"][part]
+        if "value" in entry:
+            body = entry["value"] + "\n"
+            name = f"{record.stem}.u2{part}.txt"
+            (record.parent / name).write_text(body)
+            payload["u2"][part] = {"file": name,
+                                   "sha256": hashlib.sha256(body.encode()).hexdigest()}
+        else:
+            payload["u2"][part] = {"value": (record.parent / entry["file"]).read_text()[:-1]}
         record.write_text(json.dumps(payload))
     elif kind == "relocate":
         sidecar = data.draw(st.sampled_from(sidecars))

@@ -304,6 +304,45 @@ def test_sidecar_outside_record_directory_is_parse_error(
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ("verify",), ("compute-pi", "--digits", "20", "--formula"),
+])
+def test_small_component_in_sidecar_is_parse_error(k3_record_path, capsys, command):
+    # The true digits of -239, a matching hash and a bare file name, but
+    # a value below the threshold belongs inline.
+    (k3_record_path.parent / "k3.u2num.txt").write_text("-239\n")
+    payload = json.loads(k3_record_path.read_text())
+    payload["u2"]["num"] = {"file": "k3.u2num.txt",
+                            "sha256": hashlib.sha256(b"-239\n").hexdigest()}
+    k3_record_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(*command, str(k3_record_path)) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sidecar" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("verify",), ("compute-pi", "--digits", "20", "--formula"),
+])
+def test_large_component_inline_is_parse_error(tmp_path, capsys, command):
+    # Depth 13's u2 parts (about 15,000 digits) moved from their sidecars
+    # into the record, digits unchanged.
+    path = write_record(generate_record(13, 1, "nearest"), tmp_path / "k13.json")
+    assert run_cli("verify", str(path)) == 0
+    payload = json.loads(path.read_text())
+    for part in ("num", "den"):
+        sidecar = tmp_path / payload["u2"][part]["file"]
+        payload["u2"][part] = {"value": sidecar.read_text()[:-1]}
+        sidecar.unlink()
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(*command, str(path)) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inline" in captured.err and captured.err.count("\n") == 1
+
+
 class TestIntTextCap:
     """machinpi never changes CPython's int <-> str digit cap: it converts
     big values in chunks short enough that the cap is never checked, so
@@ -401,6 +440,18 @@ class TestComputePiCommand:
         assert len(digits) > 50
         # u1 = 5 runs the 30 terms; u2 = -239 gains 5.36 digits per term
         assert "terms used: 30+13; measured digits/term" in captured.err
+
+    @pytest.mark.parametrize("k, den, rounding", [
+        (2, 10, "nearest"), *((k, 1, "nearest") for k in range(3, 18)), (10, 1, "floor"),
+    ])
+    def test_digits_from_every_depth_match_machin(self, tmp_path, capsys, k, den,
+                                                  rounding):
+        # Every second argument past depth 3 is a non-integer cotangent,
+        # summed through its chain of integer cotangents.
+        path = write_record(generate_record(k, den, rounding), tmp_path / "f.json")
+        capsys.readouterr()
+        assert run_cli("compute-pi", "--formula", str(path), "--digits", "2000") == 0
+        assert capsys.readouterr().out == pi_digits(2000) + "\n"
 
     def test_tower_source(self, capsys, pi_text_300):
         assert run_cli("compute-pi", "--k", "6", "--digits", "40") == 0

@@ -4,11 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from machinpi.errors import DivergentArgument, UnverifiedFormula, ZeroArgument
-from machinpi.machin import MachinFormula
+from machinpi.machin import MachinFormula, solve_u2
 from machinpi.series import (
     _radical_rate,
     approx_log10,
@@ -24,6 +24,12 @@ from machinpi.series import (
 )
 
 from oracles import arctan_bracket, cot_tower_digits
+from oracles import digits_per_term as digits_per_term_from_fractions
+
+# Second arguments with 1,364-digit (depth 10, floor u1) and about
+# 32,000-digit (depth 14) parts.
+U2_K10 = solve_u2(Fraction(651), 10)
+U2_K14 = solve_u2(Fraction(10430), 14)
 
 
 def abs_error(series_value, reference: Fraction) -> Fraction:
@@ -227,6 +233,21 @@ class TestRatePrediction:
     def test_tower_rate_uses_exact_cotangent(self, k):
         c = float(Fraction(cot_tower_digits(k, 30)))
         assert abs(_radical_rate(k) - math.log10(1 + 4 * c * c)) <= 1e-12
+
+    # The rate is read off the integer parts with one shift; it must be
+    # bit for bit the float that Fraction arithmetic gives.
+    @given(st.fractions(max_denominator=10 ** 30).filter(lambda beta: beta != 0))
+    @example(Fraction(-239))
+    @example(Fraction(3, 4))
+    @example(Fraction(5, 2))
+    def test_digits_per_term_matches_fraction_formula(self, beta):
+        assert digits_per_term(beta) == digits_per_term_from_fractions(beta)
+
+    # Hypothesis prints its examples, and these parts are past the int
+    # <-> str digit cap, so the second arguments run as parameters.
+    @pytest.mark.parametrize("u2", [U2_K10, U2_K14], ids=["k10", "k14"])
+    def test_digits_per_term_matches_fraction_formula_at_huge_u2(self, u2):
+        assert digits_per_term(u2) == digits_per_term_from_fractions(u2)
 
     def test_digits_per_term_examples(self):
         assert digits_per_term(Fraction(5)) == pytest.approx(2.00432, abs=1e-4)

@@ -1,45 +1,54 @@
 """The shared conjugate-series core against the loops it replaced.
 
-Rational arguments with huge numerators, the tower value and the
-convergence measurement all walk one fixed-point term stream started by
-one builder, _cot_start.  The tower and the convergence samples must
-reproduce their former loops bit for bit (tests/oracles.py keeps those
-loops as references); the rational stream, started from a rounded
-cotangent instead of a start formed from reduced Fractions, must give the
-reference's mantissa and rate within 3 ulps more of error bound.  Other
-rational arguments are summed exactly by binary splitting, which must
-agree with the reference loop within both error bounds, never claim a
-wider bound, and contain an independent bracket of the true arctangent.
+The tower value and the convergence measurement walk one fixed-point
+term stream started by one builder, _cot_start.  The tower and the
+convergence samples must reproduce their former loops bit for bit
+(tests/oracles.py keeps those loops as references); a stream started
+from a rounded rational cotangent, as the measurement starts it, must
+give the reference's mantissa and rate within 3 ulps more of error
+bound.  Rational arguments are summed exactly by binary splitting, which
+must agree with the reference loop within both error bounds, never claim
+a wider bound, and contain an independent bracket of the true
+arctangent.  In a formula every cotangent first becomes a chain of
+integer cotangents: the chain must be an exact Gaussian-integer
+identity, its certified sum must contain an independent bracket, and
+pi from a formula must never reach the stream.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from machinpi import analysis, series
 from machinpi.analysis import KNOWN_DIGITS_PER_TERM, RATE_BAND, measure_convergence
 from machinpi.cli import generate_record
+from machinpi.exact import GaussianInt
 from machinpi.machin import MachinFormula, solve_u2
 from machinpi.realnum import FixedReal
 from machinpi.series import (
+    _arctan_inverse,
     _conjugate_sum,
     _cot_start,
+    _cotangent_chain,
     arctan_conjugate,
     digits_per_term,
     pi_digits_from_formula,
     pi_from_radicals,
     scale_for_digits,
+    terms_for_digits,
 )
 
 from oracles import (
     arctan_bracket,
     arctan_conjugate_reference,
+    arctan_enclosure,
     convergence_samples_reference,
     pi_from_radicals_reference,
 )
@@ -114,25 +123,42 @@ def test_every_stream_starts_from_cot_start(monkeypatch, machin_formula, pi_refe
     monkeypatch.setattr(analysis, "_cot_start", spy)
     pi_from_radicals(3, 4, 256)
     assert len(starts) == 1
-    arctan_conjugate(Fraction(1, 5), 200, 256)  # 2 * 200 * bits(1) > 256: streams
-    assert starts[1:] == [FixedReal.from_fraction(Fraction(5), 256)]
+    arctan_conjugate(Fraction(1, 5), 200, 256)  # rational arguments always split
+    series.pi_from_formula(machin_formula, 200, 256)
+    assert len(starts) == 1
     measure_convergence(machin_formula, 3, pi_reference_300)
-    assert [c.value for c in starts[2:]] == [Fraction(5), Fraction(-239)]
+    assert [c.value for c in starts[1:]] == [Fraction(5), Fraction(-239)]
+
+
+def test_formula_never_reaches_the_stream(monkeypatch, k10_formula, pi_text_300):
+    def no_stream(*args):
+        raise AssertionError("pi from a formula took the fixed-point stream")
+
+    monkeypatch.setattr(series, "_cot_start", no_stream)
+    monkeypatch.setattr(series, "_conjugate_sum", no_stream)
+    k14 = MachinFormula.two_term(14, Fraction(10430), solve_u2(Fraction(10430), 14))
+    k2 = MachinFormula.two_term(2, Fraction(12, 5), Fraction(-239))
+    for formula in (k10_formula, k14, k2):
+        for budget in ({"digits": 290}, {"terms": 30}):
+            text, _ = pi_digits_from_formula(formula, **budget)
+            assert pi_text_300.startswith(text)
+            assert len(text) > 40
 
 
 @pytest.mark.parametrize("x", [Fraction(2 ** 600 + 1, 3), Fraction(5 << 512, 6)],
                          ids=["c=0+-1ulp", "c=1+-1ulp"])
 def test_cotangent_rounding_to_zero_keeps_exact_rho(x, pi_reference_300):
     # b/a = 3/(2**600 + 1) rounds to 0 at scale 512 and 6/(5 * 2**512) to
-    # 1 ulp, so c's interval reaches 0 and a rho taken from it would be 1;
-    # the exact rho still gives a valid (wide) interval.
+    # 1 ulp, and rho = a**2/(a**2 + 4b**2) is within 2**-1000 of 1, so its
+    # 64-bit cap is 1; the tail bound must take the exact rho and still
+    # give a valid (wide) interval.
     value = arctan_conjugate(x, 5, 512).value
     # pi/2 - 1/x <= arctan(x) < pi/2
     assert value.lower <= pi_reference_300.lower / 2 - 1 / x
     assert pi_reference_300.upper / 2 <= value.upper
 
 
-SPLIT_SCALE = 3328  # 2 * 805 terms * bits(2) = 3220 fits: every case splits
+SPLIT_SCALE = 3328
 
 
 @lru_cache(maxsize=None)
@@ -148,8 +174,9 @@ def bracket(x):
 )
 def test_split_sum_agrees_with_reference_loop(x, terms, monkeypatch):
     def no_stream(*args):
-        raise AssertionError("small argument took the fixed-point stream")
+        raise AssertionError("a rational argument took the fixed-point stream")
 
+    monkeypatch.setattr(series, "_cot_start", no_stream)
     monkeypatch.setattr(series, "_conjugate_sum", no_stream)
     split = arctan_conjugate(x, terms, SPLIT_SCALE)
     mantissa, err_ulp, used, _ = arctan_conjugate_reference(x, terms, SPLIT_SCALE)
@@ -185,25 +212,115 @@ def test_split_rate_measured_from_exact_terms(x, terms):
     assert abs(rate - digits_per_term(1 / x)) > 0.01
 
 
-@pytest.mark.parametrize("k, u1, digits, second_terms", [
-    (10, 651, 5000, 768),   # floor u1: u2 ~ -922.9 with 1,364-digit parts
-    (14, 10430, 1000, 106),  # u2 with about 32,000-digit parts
+@pytest.mark.parametrize("k, u1, digits, second_terms, cotangents", [
+    (10, 651, 5000, 1479, 11),  # floor u1: u2 ~ -922.9 with 1,364-digit parts
+    (14, 10430, 1000, 226, 8),  # u2 with about 32,000-digit parts
 ])
-def test_huge_second_argument_streams_with_own_budget(
-    k, u1, digits, second_terms, monkeypatch, pi_text_300
+def test_huge_second_argument_chains_with_own_budgets(
+    k, u1, digits, second_terms, cotangents, monkeypatch, pi_text_300
 ):
     formula = MachinFormula.two_term(k, Fraction(u1), solve_u2(Fraction(u1), k))
-    streamed = []
+    calls = []
 
-    def spy(c):
-        streamed.append(c)
-        return _cot_start(c)
+    def spy(x, terms, scale):
+        calls.append((x, terms))
+        return arctan_conjugate(x, terms, scale)
 
-    monkeypatch.setattr(series, "_cot_start", spy)
+    monkeypatch.setattr(series, "arctan_conjugate", spy)
     text, result = pi_digits_from_formula(formula, digits)
-    assert len(streamed) == 1 and streamed[0].contains(formula.terms[1][1])
-    assert result.term_counts == (result.terms_used, second_terms)
     assert text.startswith(pi_text_300)
+    (first, first_terms), *chain = calls
+    assert (first, first_terms) == (Fraction(1, u1), result.terms_used)
+    # Every split of the second arctangent has numerator 1, and each
+    # integer cotangent runs what reaches the slowest one's digits.
+    assert len(chain) == cotangents
+    assert all(x.numerator == 1 for x, _ in chain)
+    target = (result.terms_used - 2) * digits_per_term(Fraction(u1))
+    assert [terms for _, terms in chain] == [
+        min(result.terms_used, terms_for_digits(target, digits_per_term(1 / x)))
+        for x, _ in chain]
+    assert result.term_counts == (result.terms_used, second_terms)
+    assert second_terms == sum(terms for _, terms in chain)
+
+
+@given(st.integers(0, 10 ** 40), st.integers(1, 10 ** 40), st.integers(8, 600))
+def test_cotangent_chain_is_an_exact_identity(p, q, scale):
+    chain, p_rest, q_rest = _cotangent_chain(p, q, scale)
+    # (p + qi) * prod(m**2 + 1) = prod(m + i) * (p' + q'i) in Z[i]
+    rhs = GaussianInt(p_rest, q_rest)
+    for m in chain:
+        rhs = rhs * GaussianInt(m, 1)
+    assert GaussianInt(p, q).scaled(math.prod(m * m + 1 for m in chain)) == rhs
+    assert all(m >= 1 for m in chain)
+    assert q_rest == 0 or p_rest >= q_rest << scale
+    # the cotangent's bits double per step once it passes 2
+    assert len(chain) <= scale.bit_length() + 3
+
+
+@pytest.mark.parametrize("beta, scale, extra_ulp", [
+    (Fraction(12, 5), 512, 0),  # chain 3, 14, 577 ends exactly
+    (Fraction(-239), 512, 0),  # one step
+    (10, 8000, 1),  # k = 10 u2, 4,500-bit parts under 8000 bits: residual only
+    (10, 512, 2),  # rounded to a dyadic first, then a residual
+])
+def test_chain_bound_counts_rounding_and_residual(beta, scale, extra_ulp, monkeypatch,
+                                                   small_u2_arguments):
+    if isinstance(beta, int):
+        beta = 1 / small_u2_arguments[beta]
+    pieces = []
+
+    def spy(x, terms, scale):
+        pieces.append(arctan_conjugate(x, terms, scale))
+        return pieces[-1]
+
+    monkeypatch.setattr(series, "arctan_conjugate", spy)
+    got = _arctan_inverse(beta, 1000, 10 ** 6, scale).value
+    assert got.err_ulp == sum(piece.value.err_ulp for piece in pieces) + extra_ulp
+
+
+def _huge_cotangent(seed: int) -> Fraction:
+    """A cotangent with two parts of over 10**4 digits, of either sign
+    and magnitude between about 2**-6 and 2**20."""
+    rng = random.Random(seed)
+    q_bits = 34_000
+    p_bits = q_bits + rng.randint(-6, 20)
+    p = rng.getrandbits(p_bits) | 1 << (p_bits - 1)
+    q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
+    return Fraction(-p if seed & 1 else p, q)
+
+
+def assert_chain_sum_contains_bracket(beta: Fraction) -> None:
+    scale = 160
+    got = _arctan_inverse(beta, 50, 10 ** 6, scale).value
+    # 1/beta replaced by a dyadic within 2**-200, the gap joining the bound
+    x = 1 / beta
+    near = Fraction(round(x * (1 << 200)), 1 << 200)
+    mid, bound = arctan_enclosure(near, Fraction(1, 1 << (scale + 4)))
+    bound += abs(x - near)
+    assert got.lower <= mid - bound and mid + bound <= got.upper
+    assert got.err_ulp <= 64
+
+
+cotangents_any_sign = st.one_of(
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10 ** 9),
+    st.integers(-10 ** 9, 10 ** 9).map(Fraction),
+).filter(lambda beta: beta != 0)
+
+
+@given(cotangents_any_sign)
+@example(Fraction(-239))
+@example(Fraction(1, 3))
+@example(Fraction(-7, 10 ** 9))
+@example(Fraction(1))
+def test_chain_sum_contains_independent_bracket(beta):
+    assert_chain_sum_contains_bracket(beta)
+
+
+@given(st.integers(0, 2 ** 32))
+def test_chain_sum_of_huge_parts_contains_independent_bracket(seed):
+    # drawn by seed: hypothesis could not print the 10,000-digit parts
+    assert_chain_sum_contains_bracket(_huge_cotangent(seed))
 
 
 @pytest.mark.parametrize("k, terms, digits", [(2, 30, 50), (3, 12, 40), (40, 6, 170)])
