@@ -12,6 +12,12 @@ Exit codes (scriptable, one per error class):
   7  stored digit counts disagree with the stored value
   8  rounding residual too large for the requested denominator policy
 
+A record is checked in a fixed order, and its first failure decides the
+code: parsing (3; a u2 with both parts even included), digit counts (7),
+the exact verification (4), then the lowest-terms certificate of u2 (3).
+So a u2 whose parts share an odd factor and that also fails verification
+exits 4.
+
 MACHINPI_DIR, when set, is the default directory for records and reports.
 Primary outputs are byte-deterministic; timing goes to stderr only.
 """

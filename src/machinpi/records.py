@@ -2,18 +2,21 @@
 
 Unbounded integers are stored as decimal strings so any JSON parser
 round-trips them exactly; exact.int_to_text and exact.text_to_int
-convert them without touching the process's int <-> str digit cap.
-Second-term components at or above the inline threshold go to sidecar
-text files (decimal digits, optional leading minus, trailing newline)
-referenced by file name plus content hash; loading verifies the hash.
-Loading accepts each component only in the layout writing gives it,
-integer text only in the form str(int) writes, u1 and u2 only in lowest
-terms over a positive denominator, and sidecars only by bare file name
-in the record's directory, so an edited record cannot keep its meaning
-under a different spelling or read digits from elsewhere.  Writes are
-atomic (temp file then rename), byte-deterministic, and create files
-with mode 0o666 less the umask, as a plain open() would; a write that
-fails removes the sidecars it wrote.
+convert them in subquadratic time without touching the process's
+int <-> str digit cap.  Second-term components at or above the inline
+threshold go to sidecar text files (decimal digits, optional leading
+minus, trailing newline) referenced by file name plus content hash;
+loading verifies the hash.  Loading accepts each component only in the
+layout writing gives it, integer text only in the form str(int) writes,
+u1 only in lowest terms and u2 only with a part odd, each over a
+positive denominator, and sidecars only by bare file name in the
+record's directory, so an edited record cannot keep its meaning under a
+different spelling or read digits from elsewhere.  No gcd runs on u2's
+parts: check_record certifies u2's lowest terms from the exact
+verification, and takes the stored digit counts against the lengths of
+the text that was read.  Writes are atomic (temp file then rename),
+byte-deterministic, and create files with mode 0o666 less the umask, as
+a plain open() would; a write that fails removes the sidecars it wrote.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ import math
 import os
 import re
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .errors import DigitCountMismatch, RecordParseError, UnverifiedFormula
 from .exact import (_coprime_fraction, decimal_digit_count, format_decimal_head,
-                    int_to_text, text_to_int)
+                    int_to_text, second_term_in_lowest_terms, text_to_int)
 from .machin import MachinFormula, verify_formula
 
 SCHEMA_VERSION = 1
@@ -56,6 +59,10 @@ class FormulaRecord:
     verified: bool
     predicted_rate: float
     created_with: str
+    # Digits in the text a loaded record's u2 parts were read from; None
+    # for a record built in memory.
+    u2_text_digits: tuple[int, int] | None = field(default=None, compare=False,
+                                                   repr=False)
 
     def formula(self) -> MachinFormula:
         return MachinFormula.two_term(self.k, self.u1, self.u2)
@@ -79,15 +86,16 @@ def build_record(
         u1=u1,
         epsilon_decimal=epsilon_decimal,
         u2=u2,
-        u2_digit_counts=(
-            decimal_digit_count(u2.numerator),
-            decimal_digit_count(u2.denominator),
-        ),
+        u2_digit_counts=_digit_counts(u2),
         u2_decimal_head=format_decimal_head(u2),
         verified=verified,
         predicted_rate=predicted_rate,
         created_with=f"machinpi {__version__}",
     )
+
+
+def _digit_counts(u2: Fraction) -> tuple[int, int]:
+    return decimal_digit_count(u2.numerator), decimal_digit_count(u2.denominator)
 
 
 def _sha256_text(text: str) -> str:
@@ -173,15 +181,17 @@ def _int_from_text(text: str) -> int:
     return text_to_int(text)
 
 
-def _component_from_json(entry: dict, directory: Path) -> int:
-    """One u2 part, only in the layout _component_json gives it."""
+def _component_from_json(entry: dict, directory: Path) -> tuple[int, int]:
+    """One u2 part and its digit count, only in the layout _component_json
+    gives it."""
     inline = "value" in entry
     text = entry["value"] if inline else _sidecar_text(entry, directory)
     value = _int_from_text(text)
-    if (len(text.lstrip("-")) < SIDECAR_THRESHOLD_DIGITS) != inline:
+    digits = len(text.lstrip("-"))
+    if (digits < SIDECAR_THRESHOLD_DIGITS) != inline:
         raise RecordParseError(f"u2 part stored {'inline' if inline else 'in a sidecar'}"
                                f" against the {SIDECAR_THRESHOLD_DIGITS}-digit threshold")
-    return value
+    return value, digits
 
 
 def _sidecar_text(entry: dict, directory: Path) -> str:
@@ -202,6 +212,9 @@ def _sidecar_text(entry: dict, directory: Path) -> str:
 
 
 def load_record(path: str | os.PathLike) -> FormulaRecord:
+    """Parse a record in canonical form.  u2's parts are too large for a
+    gcd here: loading refuses a pair of even parts, and check_record
+    certifies that u2 is in lowest terms."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -228,12 +241,12 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
         raise RecordParseError(f"record {path}: k must be an integer >= 1")
     u1_num = _int_from_text(payload["u1"]["num"])
     u1_den = _int_from_text(payload["u1"]["den"])
-    u2_num = _component_from_json(payload["u2"]["num"], path.parent)
-    u2_den = _component_from_json(payload["u2"]["den"], path.parent)
-    for num, den in ((u1_num, u1_den), (u2_num, u2_den)):
-        if num == 0 or den <= 0 or math.gcd(num, den) != 1:
-            raise RecordParseError(f"record {path}: u1 and u2 must be nonzero "
-                                   "fractions in lowest terms, denominators positive")
+    u2_num, num_digits = _component_from_json(payload["u2"]["num"], path.parent)
+    u2_den, den_digits = _component_from_json(payload["u2"]["den"], path.parent)
+    if (u1_num == 0 or u1_den <= 0 or math.gcd(u1_num, u1_den) != 1
+            or u2_num == 0 or u2_den <= 0 or not (u2_num | u2_den) & 1):
+        raise RecordParseError(f"record {path}: u1 and u2 must be nonzero "
+                               "fractions in lowest terms, denominators positive")
     counts = payload["u2_digit_counts"]
     if not (_is_int(counts["num_digits"]) and _is_int(counts["den_digits"])):
         raise RecordParseError(f"record {path}: digit counts must be integers")
@@ -250,6 +263,7 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
         verified=payload["verified"],
         predicted_rate=payload["predicted_rate"],
         created_with=payload["created_with"],
+        u2_text_digits=(num_digits, den_digits),
     )
 
 
@@ -276,12 +290,12 @@ def _second_term_can_close(k: int, u1: Fraction, u2: Fraction) -> bool:
 
 
 def check_record(record: FormulaRecord) -> None:
-    """Recompute what the record claims: digit counts and the exact
-    verification.  DigitCountMismatch or UnverifiedFormula on failure."""
-    actual = (
-        decimal_digit_count(record.u2.numerator),
-        decimal_digit_count(record.u2.denominator),
-    )
+    """Recompute what the record claims: digit counts, the exact
+    verification and, for a verified formula, that u2 is in lowest terms
+    (exact.second_term_in_lowest_terms; load_record has refused a u2 with
+    both parts even).  DigitCountMismatch, UnverifiedFormula or
+    RecordParseError on failure, checked in that order."""
+    actual = record.u2_text_digits or _digit_counts(record.u2)
     if actual != record.u2_digit_counts:
         raise DigitCountMismatch(
             f"stored digit counts {record.u2_digit_counts} but value has {actual}"
@@ -296,3 +310,7 @@ def check_record(record: FormulaRecord) -> None:
         raise UnverifiedFormula(
             f"record's formula fails verification: {outcome.summary()}"
         )
+    u1 = record.u1
+    if not second_term_in_lowest_terms(outcome.product.re, u1.numerator,
+                                       u1.denominator, 1 << (record.k - 1)):
+        raise RecordParseError("record's u2 is not in lowest terms")

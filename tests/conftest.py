@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,23 @@ def int_text_cap_unchanged():
     before = sys.get_int_max_str_digits()
     yield
     assert sys.get_int_max_str_digits() == before, "int <-> str digit cap left changed"
+
+
+def _decimal_settings() -> tuple:
+    ctx = decimal.getcontext()
+    return (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.capitals, ctx.clamp,
+            dict(ctx.traps), dict(ctx.flags))
+
+
+@pytest.fixture(autouse=True)
+def decimal_context_unchanged():
+    """Fail any test that leaves the thread's decimal context changed
+    (precision, traps or flags): machinpi computes exactly in a private
+    context, never in the one every other decimal user in the process
+    shares."""
+    before = _decimal_settings()
+    yield
+    assert _decimal_settings() == before, "decimal context left changed"
 
 
 @pytest.fixture(scope="session")

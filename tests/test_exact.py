@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from machinpi import exact
 from machinpi.exact import (
+    _SPLIT_BITS,
     GaussianInt,
     decimal_digit_count,
     format_decimal_head,
@@ -84,11 +87,21 @@ class TestFractionSharingOnlyTwos:
             fraction_sharing_only_twos(1, 0)
 
 
+def _check_codec(n: int, text: str | None = None) -> None:
+    if text is None:
+        with big_int_text():
+            text = str(n)
+    with int_text_cap(640):
+        assert int_to_text(n) == text
+        assert text_to_int(text) == n
+
+
 class TestIntText:
     """The codec equals str() and int() at the lowest digit cap CPython
     allows, so it works whatever cap the process has."""
 
-    @given(st.integers() | st.integers(-(10 ** 3000), 10 ** 3000))
+    @given(st.integers() | st.integers(-(10 ** 3000), 10 ** 3000)
+           | st.integers(-(2 ** 70_000), 2 ** 70_000))  # across the switch
     @example(0)
     @example(1)
     @example(-1)
@@ -97,11 +110,39 @@ class TestIntText:
     @example(-(10 ** 1280 + 1))
     @example(7 * 10 ** 69_999 + 123_456_789)  # 70,000 digits
     def test_matches_str_and_int(self, n):
-        with big_int_text():
-            text = str(n)
-        with int_text_cap(640):
-            assert int_to_text(n) == text
-            assert text_to_int(text) == n
+        _check_codec(n)
+
+    # Both sides of int_to_text's switch from chunks to binary splits
+    # (about 18,000 digits), a 70,000-digit u2 part (depth 15) and a
+    # 320,000-digit one (depth 17), at 10**m - 1, 10**m and 10**m + 1,
+    # where a dropped or doubled leading digit or a lost carry would
+    # show.  The expected text is spelled out, not taken from str().
+    @pytest.mark.parametrize("m", [10_000, 18_061, 18_062, 70_000, 320_000])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_powers_of_ten_across_the_sizes(self, m, sign):
+        unit = -1 if sign else 1
+        _check_codec(unit * (10 ** m - 1), sign + "9" * m)
+        _check_codec(unit * 10 ** m, sign + "1" + "0" * m)
+        _check_codec(unit * (10 ** m + 1), sign + "1" + "0" * (m - 1) + "1")
+
+    # At 2**b - 1 and 2**b a split's low half is all ones or all zeros.
+    @pytest.mark.parametrize("bits", [_SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1,
+                                      2 * _SPLIT_BITS + 1])
+    def test_powers_of_two_across_the_switch(self, bits):
+        for n in (2 ** bits - 1, 2 ** bits, -(2 ** bits + 1),
+                  7 ** int(bits / math.log2(7))):
+            _check_codec(n)
+
+    def test_uses_no_process_decimal_context(self, monkeypatch):
+        # The conversion calls none of decimal's functions that read or
+        # set the thread's context; it works in a private one.
+        def refuse(*args):
+            raise AssertionError("the thread's decimal context was used")
+
+        monkeypatch.setattr(decimal, "getcontext", refuse)
+        monkeypatch.setattr(decimal, "setcontext", refuse)
+        monkeypatch.setattr(decimal, "localcontext", refuse)
+        _check_codec(3 ** 200_000)
 
 
 class TestSerialization:
@@ -112,8 +153,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_rational("abc")
 
-    def test_digit_count_matches_str(self):
-        for n in (0, 1, 9, 10, 99, 100, 10 ** 17 - 1, 10 ** 17, 7 ** 300):
+    # The float estimate from bit_length is off by at most its slack;
+    # a skewed log10(2) forces the corrections down and up to run.
+    @pytest.mark.parametrize("log10_2", [math.log10(2), 0.29, 0.31])
+    def test_digit_count_matches_str(self, monkeypatch, log10_2):
+        monkeypatch.setattr(exact, "_LOG10_2", log10_2)
+        edges = (10 ** m + d for m in (1, 2, 17, 300, 1000, 4000) for d in (-1, 0, 1))
+        for n in (0, 7 ** 300, *edges):
             assert decimal_digit_count(n) == len(str(abs(n)))
             assert decimal_digit_count(-n) == len(str(abs(n)))
 

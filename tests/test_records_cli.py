@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -16,7 +18,7 @@ import machinpi
 from machinpi import cli
 from machinpi.cli import generate_record
 from machinpi.errors import DigitCountMismatch, RecordParseError
-from machinpi.exact import GaussianInt
+from machinpi.exact import GaussianInt, _coprime_fraction
 from machinpi.records import (
     SIDECAR_THRESHOLD_DIGITS,
     build_record,
@@ -25,7 +27,7 @@ from machinpi.records import (
     write_record,
 )
 
-from oracles import int_text_cap, pi_digits
+from oracles import big_int_text, int_text_cap, pi_digits
 
 
 def run_cli(*argv: str) -> int:
@@ -142,6 +144,15 @@ class TestGenerateCommand:
         assert run_cli("generate", "3") == 0
         assert (tmp_path / "formula_k3.json").exists()
 
+    def test_runs_as_module(self, tmp_path):
+        src = str(Path(machinpi.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "MACHINPI_DIR": str(tmp_path)}
+        proc = subprocess.run([sys.executable, "-m", "machinpi", "generate", "3"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "u1 = 5" in proc.stdout
+        assert (tmp_path / "formula_k3.json").exists()
+
     @pytest.mark.parametrize("mask, mode", [(0o022, "-rw-r--r--"), (0o077, "-rw-------")])
     def test_generate_honours_umask(self, tmp_path, mask, mode):
         # The record and both k = 14 sidecars get the mode open() would.
@@ -213,6 +224,77 @@ class TestVerifyCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
         assert run_cli("verify", str(bad)) == cli.EXIT_PARSE
+
+
+def _odd_prime_factor(n: int) -> int:
+    """The least odd prime factor of n, which must have one."""
+    while n % 2 == 0:
+        n //= 2
+    return next((d for d in range(3, math.isqrt(n) + 1, 2) if n % d == 0), n)
+
+
+def _with_u2_parts(record, num: int, den: int):
+    """The record with u2 stored as num/den exactly as given (no
+    reduction) and digit counts that match those parts."""
+    with big_int_text():
+        counts = (len(str(abs(num))), len(str(den)))
+    return dataclasses.replace(record, u2=_coprime_fraction(num, den),
+                               u2_digit_counts=counts)
+
+
+class TestLowestTermsCertificate:
+    """Loading runs no gcd on u2; check_record certifies lowest terms
+    from the verified product instead (exact.second_term_in_lowest_terms),
+    after refusing a u2 with both parts even at load.  That every
+    generated record passes is test_digits_from_every_depth_match_machin's
+    exit 0."""
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        return {k: generate_record(k, 1, "nearest") for k in (3, 13)}
+
+    @staticmethod
+    def _factors(record):
+        """Common factors to scale u2 by; norm is p**2 + q**2 for u1 = p/q."""
+        p, q = record.u1.numerator, record.u1.denominator
+        norm = p * p + q * q
+        return {"2": 2, "3": 3, "odd_prime_of_norm": _odd_prime_factor(norm),
+                "norm": norm}
+
+    @pytest.mark.parametrize("k", [3, 13])
+    @pytest.mark.parametrize("factor", ["2", "3", "odd_prime_of_norm", "norm"])
+    @pytest.mark.parametrize("command", [
+        ("verify",), ("compute-pi", "--digits", "20", "--formula"),
+    ])
+    def test_scaled_second_term_exits_3(self, tmp_path, capsys, generated, k,
+                                        factor, command):
+        record = generated[k]
+        g = self._factors(record)[factor]
+        u2 = record.u2
+        scaled = _with_u2_parts(record, g * u2.numerator, g * u2.denominator)
+        path = write_record(scaled, tmp_path / "f.json")
+        capsys.readouterr()
+        assert run_cli(*command, str(path)) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "lowest terms" in captured.err
+
+    @pytest.mark.parametrize("factor", [3, 13, 26, 2 ** 5 * 13])
+    def test_check_record_refuses_unreduced_record_in_memory(self, generated, factor):
+        record = generated[3]  # u1 = 5, u2 = -239; 5**2 + 1 = 2 * 13
+        u2 = record.u2
+        with pytest.raises(RecordParseError, match="lowest terms"):
+            check_record(_with_u2_parts(record, factor * u2.numerator,
+                                        factor * u2.denominator))
+
+    def test_unreduced_and_unverifiable(self, tmp_path, generated):
+        # An odd common factor is found only after the exact check, so a
+        # pair that also fails it exits 4; two even parts exit 3 at load.
+        record = generated[3]
+        r, s = record.u2.numerator, record.u2.denominator
+        for g, code in ((3, cli.EXIT_VERIFICATION), (2, cli.EXIT_PARSE)):
+            path = write_record(_with_u2_parts(record, g * (r + 1), g * s),
+                                tmp_path / f"g{g}.json")
+            assert run_cli("verify", str(path)) == code
 
 
 MALFORMED = {
