@@ -13,8 +13,8 @@ Exit codes (scriptable, one per error class):
   8  rounding residual too large for the requested denominator policy
 
 A record is checked in a fixed order, and its first failure decides the
-code: parsing (3; a u2 with both parts even included), digit counts (7),
-the exact verification (4), then the lowest-terms certificate of u2 (3).
+code: parsing (3), a u2 with both parts even (3), digit counts (7), the
+exact verification (4), then the lowest-terms certificate of u2 (3).
 So a u2 whose parts share an odd factor and that also fails verification
 exits 4.
 
@@ -51,7 +51,7 @@ from .errors import (
 from .exact import format_decimal_head, int_to_text, parse_rational
 from .machin import MachinFormula, solve_second_term, solve_u2, verify_formula
 from .radicals import eval_radicals, select_u1
-from .records import FormulaRecord, build_record, check_record, load_record, write_record
+from .records import FormulaRecord, build_record, load_record, write_record
 from .series import digits_per_term, pi_digits_from_formula, pi_digits_from_radicals
 
 EXIT_OK = 0
@@ -131,8 +131,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    record = load_record(args.record)
-    check_record(record)
+    load_record(args.record)
     print(f"{args.record}: verified exactly; digit counts match")
     return EXIT_OK
 
@@ -148,9 +147,8 @@ def _cmd_compute_pi(args) -> int:
         raise ValueError("--terms must be at least 1")
 
     if args.formula is not None:
+        # load_record re-checks the record; its "verified" flag is not trusted.
         record = load_record(args.formula)
-        # The record's own "verified" flag is not trusted: re-check once.
-        check_record(record)
         text, result = pi_digits_from_formula(
             record.formula(), args.digits, args.terms, assume_verified=True
         )

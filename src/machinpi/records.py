@@ -8,15 +8,15 @@ threshold go to sidecar text files (decimal digits, optional leading
 minus, trailing newline) referenced by file name plus content hash;
 loading verifies the hash.  Loading accepts each component only in the
 layout writing gives it, integer text only in the form str(int) writes,
-u1 only in lowest terms and u2 only with a part odd, each over a
-positive denominator, and sidecars only by bare file name in the
-record's directory, so an edited record cannot keep its meaning under a
+u1 only in lowest terms, both fractions only over a positive
+denominator, and sidecars only by bare file name in the record's
+directory, so an edited record cannot keep its meaning under a
 different spelling or read digits from elsewhere.  No gcd runs on u2's
-parts: check_record certifies u2's lowest terms from the exact
-verification, and takes the stored digit counts against the lengths of
-the text that was read.  Writes are atomic (temp file then rename),
-byte-deterministic, and create files with mode 0o666 less the umask, as
-a plain open() would; a write that fails removes the sidecars it wrote.
+parts: load_record returns a record only once check_record has
+certified u2's lowest terms from the exact verification.  Writes are
+atomic (temp file then rename), byte-deterministic, and create files
+with mode 0o666 less the umask, as a plain open() would; a write that
+fails removes the sidecars it wrote.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import os
 import re
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,10 +59,6 @@ class FormulaRecord:
     verified: bool
     predicted_rate: float
     created_with: str
-    # Digits in the text a loaded record's u2 parts were read from; None
-    # for a record built in memory.
-    u2_text_digits: tuple[int, int] | None = field(default=None, compare=False,
-                                                   repr=False)
 
     def formula(self) -> MachinFormula:
         return MachinFormula.two_term(self.k, self.u1, self.u2)
@@ -181,17 +177,15 @@ def _int_from_text(text: str) -> int:
     return text_to_int(text)
 
 
-def _component_from_json(entry: dict, directory: Path) -> tuple[int, int]:
-    """One u2 part and its digit count, only in the layout _component_json
-    gives it."""
+def _component_from_json(entry: dict, directory: Path) -> int:
+    """One u2 part, only in the layout _component_json gives it."""
     inline = "value" in entry
     text = entry["value"] if inline else _sidecar_text(entry, directory)
     value = _int_from_text(text)
-    digits = len(text.lstrip("-"))
-    if (digits < SIDECAR_THRESHOLD_DIGITS) != inline:
+    if (len(text.lstrip("-")) < SIDECAR_THRESHOLD_DIGITS) != inline:
         raise RecordParseError(f"u2 part stored {'inline' if inline else 'in a sidecar'}"
                                f" against the {SIDECAR_THRESHOLD_DIGITS}-digit threshold")
-    return value, digits
+    return value
 
 
 def _sidecar_text(entry: dict, directory: Path) -> str:
@@ -212,9 +206,11 @@ def _sidecar_text(entry: dict, directory: Path) -> str:
 
 
 def load_record(path: str | os.PathLike) -> FormulaRecord:
-    """Parse a record in canonical form.  u2's parts are too large for a
-    gcd here: loading refuses a pair of even parts, and check_record
-    certifies that u2 is in lowest terms."""
+    """Read a record in canonical form and check what it claims
+    (check_record).  u2's parts are too large for a gcd here, so
+    check_record certifies their lowest terms instead, and no record
+    with an unreduced u2 is returned.  RecordParseError,
+    DigitCountMismatch or UnverifiedFormula on failure."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -223,9 +219,11 @@ def load_record(path: str | os.PathLike) -> FormulaRecord:
     except ValueError as exc:  # bad JSON, or an integer literal over the digit cap
         raise RecordParseError(f"record {path} is not valid JSON: {exc}") from exc
     try:
-        return _record_from_json(payload, path)
+        record = _record_from_json(payload, path)
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordParseError(f"record {path} is malformed: {exc}") from exc
+    check_record(record)
+    return record
 
 
 def _is_int(value) -> bool:
@@ -241,12 +239,12 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
         raise RecordParseError(f"record {path}: k must be an integer >= 1")
     u1_num = _int_from_text(payload["u1"]["num"])
     u1_den = _int_from_text(payload["u1"]["den"])
-    u2_num, num_digits = _component_from_json(payload["u2"]["num"], path.parent)
-    u2_den, den_digits = _component_from_json(payload["u2"]["den"], path.parent)
+    u2_num = _component_from_json(payload["u2"]["num"], path.parent)
+    u2_den = _component_from_json(payload["u2"]["den"], path.parent)
     if (u1_num == 0 or u1_den <= 0 or math.gcd(u1_num, u1_den) != 1
-            or u2_num == 0 or u2_den <= 0 or not (u2_num | u2_den) & 1):
+            or u2_num == 0 or u2_den <= 0):
         raise RecordParseError(f"record {path}: u1 and u2 must be nonzero "
-                               "fractions in lowest terms, denominators positive")
+                               "fractions, u1 in lowest terms, denominators positive")
     counts = payload["u2_digit_counts"]
     if not (_is_int(counts["num_digits"]) and _is_int(counts["den_digits"])):
         raise RecordParseError(f"record {path}: digit counts must be integers")
@@ -263,7 +261,6 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
         verified=payload["verified"],
         predicted_rate=payload["predicted_rate"],
         created_with=payload["created_with"],
-        u2_text_digits=(num_digits, den_digits),
     )
 
 
@@ -290,12 +287,15 @@ def _second_term_can_close(k: int, u1: Fraction, u2: Fraction) -> bool:
 
 
 def check_record(record: FormulaRecord) -> None:
-    """Recompute what the record claims: digit counts, the exact
-    verification and, for a verified formula, that u2 is in lowest terms
-    (exact.second_term_in_lowest_terms; load_record has refused a u2 with
-    both parts even).  DigitCountMismatch, UnverifiedFormula or
-    RecordParseError on failure, checked in that order."""
-    actual = record.u2_text_digits or _digit_counts(record.u2)
+    """Recompute what the record claims, in this order: that u2's parts
+    are not both even (RecordParseError), the digit counts
+    (DigitCountMismatch), the exact verification (UnverifiedFormula) and
+    that u2 is in lowest terms (RecordParseError), which
+    exact.second_term_in_lowest_terms certifies given the first check."""
+    u2 = record.u2
+    if not (u2.numerator | u2.denominator) & 1:
+        raise RecordParseError("record's u2 is not in lowest terms: both parts are even")
+    actual = _digit_counts(u2)
     if actual != record.u2_digit_counts:
         raise DigitCountMismatch(
             f"stored digit counts {record.u2_digit_counts} but value has {actual}"

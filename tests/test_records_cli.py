@@ -57,23 +57,16 @@ class TestRecords:
         check_record(record)
 
     def test_sidecar_written_and_verified(self, tmp_path):
-        huge = Fraction(10 ** SIDECAR_THRESHOLD_DIGITS + 7, 3)
-        record = build_record(
-            k=2,
-            denominator_policy=1,
-            rounding="nearest",
-            u1=Fraction(12, 5),
-            epsilon_decimal="-0.01421356237309504880",
-            u2=huge,
-            verified=False,
-            predicted_rate=1.0,
-        )
+        # Depth 13 is the first whose u2 parts reach the sidecar threshold.
+        record = generate_record(13, 1, "nearest")
+        assert min(record.u2_digit_counts) >= SIDECAR_THRESHOLD_DIGITS
         path = write_record(record, tmp_path / "big.json")
-        sidecar = tmp_path / "big.u2num.txt"
-        assert sidecar.exists()
-        assert sidecar.read_text().endswith("\n")
+        for part in ("num", "den"):
+            sidecar = tmp_path / f"big.u2{part}.txt"
+            assert sidecar.exists()
+            assert sidecar.read_text().endswith("\n")
         loaded = load_record(path)
-        assert loaded.u2 == huge
+        assert loaded.u2 == record.u2
 
     def test_sidecar_tamper_detected(self, tmp_path):
         huge = Fraction(10 ** SIDECAR_THRESHOLD_DIGITS + 7, 3)
@@ -243,11 +236,11 @@ def _with_u2_parts(record, num: int, den: int):
 
 
 class TestLowestTermsCertificate:
-    """Loading runs no gcd on u2; check_record certifies lowest terms
-    from the verified product instead (exact.second_term_in_lowest_terms),
-    after refusing a u2 with both parts even at load.  That every
-    generated record passes is test_digits_from_every_depth_match_machin's
-    exit 0."""
+    """Loading runs no gcd on u2; check_record, which load_record runs,
+    certifies lowest terms from the verified product instead
+    (exact.second_term_in_lowest_terms), after refusing a u2 with both
+    parts even before any other check.  That every generated record
+    passes is test_digits_from_every_depth_match_machin's exit 0."""
 
     @pytest.fixture(scope="class")
     def generated(self):
@@ -278,7 +271,7 @@ class TestLowestTermsCertificate:
         captured = capsys.readouterr()
         assert captured.out == "" and "lowest terms" in captured.err
 
-    @pytest.mark.parametrize("factor", [3, 13, 26, 2 ** 5 * 13])
+    @pytest.mark.parametrize("factor", [2, 3, 13, 26, 2 ** 5 * 13])
     def test_check_record_refuses_unreduced_record_in_memory(self, generated, factor):
         record = generated[3]  # u1 = 5, u2 = -239; 5**2 + 1 = 2 * 13
         u2 = record.u2
@@ -286,9 +279,24 @@ class TestLowestTermsCertificate:
             check_record(_with_u2_parts(record, factor * u2.numerator,
                                         factor * u2.denominator))
 
+    @pytest.mark.parametrize("k", [3, 13])
+    def test_load_record_returns_no_unreduced_second_term(self, tmp_path, generated, k):
+        # The library entry point, not only the CLI, refuses u2 scaled by
+        # 3, and what it does return is a normalised Fraction.
+        record = generated[k]
+        u2 = record.u2
+        path = write_record(_with_u2_parts(record, 3 * u2.numerator,
+                                           3 * u2.denominator), tmp_path / "g3.json")
+        with pytest.raises(RecordParseError, match="lowest terms"):
+            machinpi.load_record(path)
+        # Fraction equality compares numerators and denominators as stored.
+        loaded = machinpi.load_record(write_record(record, tmp_path / "g1.json"))
+        assert loaded.u2 == u2
+
     def test_unreduced_and_unverifiable(self, tmp_path, generated):
         # An odd common factor is found only after the exact check, so a
-        # pair that also fails it exits 4; two even parts exit 3 at load.
+        # pair that also fails it exits 4; two even parts exit 3 before
+        # any other check.
         record = generated[3]
         r, s = record.u2.numerator, record.u2.denominator
         for g, code in ((3, cli.EXIT_VERIFICATION), (2, cli.EXIT_PARSE)):
