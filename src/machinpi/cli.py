@@ -25,6 +25,7 @@ Primary outputs are byte-deterministic; timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -158,9 +159,8 @@ def _cmd_compute_pi(args) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
-    counts = result.term_counts or (result.terms_used,)
     print(
-        f"terms used: {'+'.join(map(str, counts))}; measured digits/term: "
+        f"terms used: {'+'.join(map(str, result.term_counts))}; measured digits/term: "
         f"{result.per_term_log10:.3f}",
         file=sys.stderr,
     )
@@ -248,6 +248,9 @@ def _cmd_solve_second(args) -> int:
     return EXIT_OK
 
 
+# One parser per process: parsing does not change it, and one per call left
+# reference cycles that raised a long-lived caller's peak RSS call by call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="machinpi",

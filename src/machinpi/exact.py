@@ -73,28 +73,34 @@ def int_to_text(n: int) -> str:
             n, low = divmod(n, unit)
             chunks.append(f"{low:0{_TEXT_CHUNK}d}")
         return str(n) + "".join(reversed(chunks))
-    ctx, powers = _exact_context(), {}
+    ctx = _exact_context()
+    return ctx.to_sci_string(_to_decimal(n, n.bit_length(), ctx, {}))
 
-    def power(w: int) -> decimal.Decimal:
-        result = powers.get(w)
-        if result is None:
-            if w <= _LEAF_BITS:
-                result = ctx.create_decimal(1 << w)
-            elif w - 1 in powers:
-                result = ctx.add(powers[w - 1], powers[w - 1])
-            else:
-                result = ctx.multiply(power(w >> 1), power(w - (w >> 1)))
-            powers[w] = result
-        return result
 
-    def convert(m: int, bits: int) -> decimal.Decimal:
-        if bits <= _LEAF_BITS:
-            return ctx.create_decimal(m)
-        w = bits >> 1
-        hi = m >> w
-        return ctx.fma(convert(hi, bits - w), power(w), convert(m - (hi << w), w))
+# Module functions, not closures: a recursive closure is a reference cycle
+# that keeps its text and powers alive until the cyclic collector runs.
 
-    return ctx.to_sci_string(convert(n, n.bit_length()))
+def _to_decimal(m: int, bits: int, ctx: decimal.Context, powers: dict) -> decimal.Decimal:
+    if bits <= _LEAF_BITS:
+        return ctx.create_decimal(m)
+    w = bits >> 1
+    hi = m >> w
+    return ctx.fma(_to_decimal(hi, bits - w, ctx, powers), _power_of_two(w, ctx, powers),
+                   _to_decimal(m - (hi << w), w, ctx, powers))
+
+
+def _power_of_two(w: int, ctx: decimal.Context, powers: dict) -> decimal.Decimal:
+    result = powers.get(w)
+    if result is None:
+        if w <= _LEAF_BITS:
+            result = ctx.create_decimal(1 << w)
+        elif w - 1 in powers:
+            result = ctx.add(powers[w - 1], powers[w - 1])
+        else:
+            result = ctx.multiply(_power_of_two(w >> 1, ctx, powers),
+                                  _power_of_two(w - (w >> 1), ctx, powers))
+        powers[w] = result
+    return result
 
 
 def text_to_int(text: str) -> int:
@@ -104,27 +110,28 @@ def text_to_int(text: str) -> int:
     formed once per call."""
     if text.startswith("-"):
         return -text_to_int(text[1:])
-    powers: dict[int, int] = {}
+    return _parse_digits(text, 0, len(text), {})
 
-    def power(m: int) -> int:
-        result = powers.get(m)
-        if result is None:
-            if m <= _TEXT_CHUNK:
-                result = 5 ** m
-            elif m - 1 in powers:
-                result = powers[m - 1] * 5
-            else:
-                result = power(m >> 1) * power(m - (m >> 1))
-            powers[m] = result
-        return result
 
-    def parse(start: int, end: int) -> int:
-        if end - start <= _TEXT_CHUNK:
-            return int(text[start:end])
-        m = (end - start) >> 1
-        return (parse(start, end - m) * power(m) << m) + parse(end - m, end)
+def _parse_digits(text: str, start: int, end: int, powers: dict[int, int]) -> int:
+    if end - start <= _TEXT_CHUNK:
+        return int(text[start:end])
+    m = (end - start) >> 1
+    return ((_parse_digits(text, start, end - m, powers) * _power_of_five(m, powers) << m)
+            + _parse_digits(text, end - m, end, powers))
 
-    return parse(0, len(text))
+
+def _power_of_five(m: int, powers: dict[int, int]) -> int:
+    result = powers.get(m)
+    if result is None:
+        if m <= _TEXT_CHUNK:
+            result = 5 ** m
+        elif m - 1 in powers:
+            result = powers[m - 1] * 5
+        else:
+            result = _power_of_five(m >> 1, powers) * _power_of_five(m - (m >> 1), powers)
+        powers[m] = result
+    return result
 
 
 @dataclass(frozen=True)

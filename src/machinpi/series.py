@@ -17,19 +17,20 @@ Three series are provided:
   log10(1 + 4/x**2) decimal digits per added term.
 
 pi comes either from a verified two-term formula (4 * sum of coefficient
-times arctan of the reciprocal argument) or, with no rational arguments
-at all, from the radical tower: pi = 2**(k+1) * arctan(1/c_k) evaluated
-by the conjugate series directly on the fixed-point c_k.  Certified
-digits from either source go through one driver that turns a digit
-target or a term budget into terms, scale, retries and the certified
-prefix (see _certified_pi).
+times arctan of the reciprocal argument) or, with no second term, from
+the radical tower: pi = 2**(k+1) * arccot(c_k).  Certified digits from
+either source go through one driver that turns a digit target or a term
+budget into terms, scale, retries and the certified prefix (see
+_certified_pi).
 
 A rational x = a/b is summed exactly by binary splitting over Gaussian
-integers and rounded once (arctan_conjugate); in a formula each
-cotangent first becomes a chain of integer cotangents, so that every
-split has numerator 1 (see _cotangent_chain).  The irrational tower
-value, and the convergence measurement, walk a fixed-point term stream
-from v = 1/(1 + 2ci) and v**2 built in interval arithmetic (_cot_start).
+integers and rounded once (arctan_conjugate).  Every cotangent of pi,
+a formula's or the tower's, first becomes a chain of integer
+cotangents, so that every split has numerator 1 (_arctan_inverse).  The
+irrational c_k enters the chain as the exact dyadic midpoint of its
+interval, and its own error widens the result once (pi_from_radicals).
+Only the convergence measurement walks a fixed-point term stream, from
+v = 1/(1 + 2ci) and v**2 built in interval arithmetic (_cot_start).
 
 Terms for all series are generated by multiplicative recurrences; no
 powers or factorials are recomputed per term.  Each result's error bound
@@ -44,7 +45,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count, islice
+from itertools import count
 
 from .errors import (
     DivergentArgument,
@@ -66,15 +67,16 @@ _GUARD_BITS = 64
 class SeriesResult:
     """A partial sum with its term count and measured convergence.
 
-    For pi from a formula, terms_used is the slowest arctangent's budget,
-    per_term_log10 is measured on its first integer cotangent, and
-    term_counts holds the terms each arctangent summed over its chain.
+    term_counts holds the terms each arctangent summed, over its chain of
+    integer cotangents where it has one.  For pi, from a formula or the
+    tower, terms_used is the slowest arctangent's budget and
+    per_term_log10 is measured on its first integer cotangent.
     """
 
     value: FixedReal
     terms_used: int
     per_term_log10: float
-    term_counts: tuple[int, ...] = ()
+    term_counts: tuple[int, ...]
 
 
 def approx_log10(fr: Fraction) -> float:
@@ -166,7 +168,7 @@ def arctan_gregory(x: Fraction, terms: int, scale: int) -> SeriesResult:
     tail = abs(x) ** (2 * terms + 1) / (2 * terms + 1)
     total = total.widened_by_fraction(tail)
     rate = _measured_rate(first, last, terms, 2 * approx_log10(1 / abs(x)) if x else 0.0)
-    return SeriesResult(total, terms, rate)
+    return SeriesResult(total, terms, rate, (terms,))
 
 
 def arctan_euler(x: Fraction, terms: int, scale: int) -> SeriesResult:
@@ -192,7 +194,7 @@ def arctan_euler(x: Fraction, terms: int, scale: int) -> SeriesResult:
     tail = abs(t) * one_plus  # 1/(1-q) = 1 + x**2
     total = total.widened_by_fraction(tail)
     fallback = approx_log10(1 / q) if x else 0.0
-    return SeriesResult(total, terms, _measured_rate(first, last, terms, fallback))
+    return SeriesResult(total, terms, _measured_rate(first, last, terms, fallback), (terms,))
 
 
 def _conjugate_terms(v_re, v_im, r_re, r_im) -> Iterator[FixedReal]:
@@ -202,19 +204,6 @@ def _conjugate_terms(v_re, v_im, r_re, r_im) -> Iterator[FixedReal]:
     for m in count(1):
         yield wi.mul_fraction(Fraction(-2, 2 * m - 1))
         wr, wi = wr * r_re - wi * r_im, wr * r_im + wi * r_re
-
-
-def _conjugate_sum(start: tuple, rho: Fraction, terms: int) -> SeriesResult:
-    """The first `terms` terms from start = (Re v, Im v, Re v**2, Im v**2)
-    summed, widened by the truncated tail for |v|**2 <= rho, with the rate
-    measured from the first and last term."""
-    stream = islice(_conjugate_terms(*start), terms)
-    total = first = last = next(stream)
-    for last in stream:
-        total = total + last
-    total = total.widened(_tail_ulps(rho, terms, total.scale))
-    rate = _measured_rate(first.value, last.value, terms, approx_log10(1 / rho))
-    return SeriesResult(total, terms, rate)
 
 
 def _cot_start(c: FixedReal) -> tuple:
@@ -280,7 +269,7 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     else:
         rate = _log10_int(rho.denominator) - _log10_int(rho.numerator)
     value = value.widened(_tail_ulps(rho, terms, scale))
-    return SeriesResult(value, terms, rate)
+    return SeriesResult(value, terms, rate, (terms,))
 
 
 # Fractional bits past the scale when a huge cotangent is rounded to a
@@ -330,7 +319,7 @@ def _arctan_inverse(beta: Fraction, digits: float, terms: int,
     value = sum((part.value for part in parts[1:]), parts[0].value)
     value = value.widened(rounded + (residual_den > 0))
     used = sum(part.terms_used for part in parts)
-    return SeriesResult(-value if beta < 0 else value, used, parts[0].per_term_log10)
+    return SeriesResult(-value if beta < 0 else value, used, parts[0].per_term_log10, (used,))
 
 
 def pi_from_formula(
@@ -365,19 +354,20 @@ def pi_from_formula(
 
 
 def pi_from_radicals(k: int, terms: int, scale: int) -> SeriesResult:
-    """pi = 2**(k+1) * arctan(1/c_k) evaluated without any rational
-    rounding: the conjugate-pair series runs directly on the fixed-point
-    tower value, so the argument stays irrational.
+    """pi = 2**(k+1) * arccot(c_k), with no second term.
 
-    Needs no second term; the per-term gain is log10(1 + 4*c_k**2).
+    c_k's midpoint is an exact dyadic rational, so its arccot is summed
+    like any cotangent of a formula (_arctan_inverse, at c_k's scale) for
+    D = (terms - 2) * r_k digits at the predicted rate r_k.  arccot is
+    1/(1 + c**2)-Lipschitz, so c_k's own error of e ulps moves it by under
+    e / 4**j ulps for 2**j <= c_k's lower end: one widening of (e >> 2j) + 1.
     """
-    if k < 2:
-        raise ValueError("depth k must be at least 2")
-    if terms < 1:
-        raise ValueError("terms must be at least 1")
     c = eval_radicals(k, math.ceil(scale * _LOG10_2) + 4).c_k
-    part = _conjugate_sum(_cot_start(c), 1 / (1 + 4 * c.lower ** 2), terms)
-    return SeriesResult(part.value.shift(k + 1), terms, part.per_term_log10)
+    beta = fraction_sharing_only_twos(c.mantissa, 1 << c.scale)
+    part = _arctan_inverse(beta, (terms - 2) * _radical_rate(k), terms, c.scale)
+    j = max(0, (c.mantissa - c.err_ulp).bit_length() - 1 - c.scale)
+    value = part.value.widened((c.err_ulp >> 2 * j) + 1).shift(k + 1)
+    return SeriesResult(value, terms, part.per_term_log10, (part.terms_used,))
 
 
 def _radical_rate(k: int) -> float:

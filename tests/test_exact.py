@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import decimal
+import gc
 import math
 from fractions import Fraction
 
@@ -124,6 +125,18 @@ class TestIntText:
         _check_codec(unit * (10 ** m - 1), sign + "9" * m)
         _check_codec(unit * 10 ** m, sign + "1" + "0" * m)
         _check_codec(unit * (10 ** m + 1), sign + "1" + "0" * (m - 1) + "1")
+
+    def test_conversion_leaves_no_cyclic_garbage(self):
+        # A reference cycle would keep the text and the powers of a
+        # conversion alive until the cyclic collector runs.
+        n = 7 * 10 ** 69_999 + 123_456_789
+        gc.collect()
+        gc.disable()
+        try:
+            assert text_to_int(int_to_text(n)) == n
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     # At 2**b - 1 and 2**b a split's low half is all ones or all zeros.
     @pytest.mark.parametrize("bits", [_SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1,

@@ -50,9 +50,11 @@ RECORD_FILES = {
 
 # compute-pi request -> (sha256 of stdout, stderr).  A request names a
 # record of RECORDS or a tower depth; stderr is the "terms used" line.
-# A non-integer second argument counts the terms summed over its chain
-# of integer cotangents (k10floor and k14; recorded when the chain
-# replaced the fixed-point stream, with every stdout hash unchanged).
+# A non-integer cotangent counts the terms summed over its chain of
+# integer cotangents: the second argument of k10floor and k14, and the
+# tower's c_k, whose rate is measured on its first one, ceil(c_k).  Both
+# were recorded when the chain replaced the fixed-point stream, with
+# every stdout hash unchanged.
 COMPUTE_PI = {
     "k3 --digits 3000": (
         "7fefd3a835c08f99cb466c15b07c8b61c72436c7f3d597cf7a0b4bce9d9d6b40",
@@ -84,15 +86,15 @@ COMPUTE_PI = {
     ),
     "k=2 --digits 1000": (
         "e898fea26734a6d3af5396b9f4c60ae5dcc88fc40944d835911a9ee8a672ea1b",
-        "terms used: 724; measured digits/term: 1.390\n",
+        "terms used: 1380; measured digits/term: 1.574\n",
     ),
     "k=2 --terms 30": (
         "a6f8685567a471088338bc5351326c54227878fc313aa7f271d01feeb10c4b45",
-        "terms used: 30; measured digits/term: 1.449\n",
+        "terms used: 72; measured digits/term: 1.638\n",
     ),
     "k=40 --terms 6": (
         "0ec610b5e30d4da6b2ee8b46a95dcb994c9748534a4e7f3d166c446202f4d4a9",
-        "terms used: 6; measured digits/term: 24.500\n",
+        "terms used: 21; measured digits/term: 24.500\n",
     ),
 }
 

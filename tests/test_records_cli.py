@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -32,6 +33,20 @@ from oracles import big_int_text, int_text_cap, pi_digits
 
 def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(capsys):
+    # Garbage left to the cyclic collector (a parser per call left about
+    # 225 objects) raises a long-lived caller's peak RSS call by call.
+    run_cli("compute-pi", "--k", "3", "--digits", "5")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert run_cli("compute-pi", "--k", "3", "--digits", "5") == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.fixture()
@@ -552,6 +567,26 @@ class TestComputePiCommand:
         # estimate 2**(k+1)/pi overstated the rate and ran out of terms.
         assert run_cli("compute-pi", "--k", "2", "--digits", "1000") == 0
         assert capsys.readouterr().out.strip() == pi_digits(1000)
+
+    @pytest.mark.parametrize("k", [3, 5, 10, 17, 40, 65, 400])
+    def test_tower_digits_from_every_depth_match_machin(self, capsys, k):
+        assert run_cli("compute-pi", "--k", str(k), "--digits", "2000") == 0
+        assert capsys.readouterr().out == pi_digits(2000) + "\n"
+
+    # Lengths, "3." included, that the fixed-point stream on c_k certified
+    # from these budgets.  The chain's first cotangent ceil(c_k) converges
+    # faster than c_k, so shallow towers may certify a few more.
+    @pytest.mark.parametrize("k, terms, floor", [
+        (2, 2, 3), (2, 6, 10), (2, 100, 141),
+        (3, 2, 5), (3, 3, 7), (3, 30, 63), (3, 100, 203),
+        (4, 6, 17), (4, 30, 79), (4, 100, 264),
+        (5, 30, 99), (5, 100, 324),
+    ])
+    def test_tower_terms_budget_keeps_its_length(self, capsys, k, terms, floor):
+        assert run_cli("compute-pi", "--k", str(k), "--terms", str(terms)) == 0
+        digits = capsys.readouterr().out.strip()
+        assert len(digits) >= floor
+        assert pi_digits(400).startswith(digits)
 
     def test_tower_terms_budget_deep(self, capsys, pi_text_300):
         assert run_cli("compute-pi", "--k", "40", "--terms", "6") == 0

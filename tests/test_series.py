@@ -208,12 +208,18 @@ class TestPiFromRadicals:
         assert ok and text == pi_text_300[:62]
 
     def test_depth_two_single_term(self):
-        # 8 * first term = 32 c / (1 + 4 c^2) with c = 1 + sqrt(2)
+        # One term from each integer cotangent m of c_2's chain (3, 15,
+        # 229, ...): 8 * sum of 4m / (1 + 4m^2), with the chain followed
+        # from c_2 = 1 + sqrt(2) to 200 digits; cotangents past 10**18
+        # add under 1e-17.
+        beta, closed = Fraction(cot_tower_digits(2, 200)), Fraction(0)
+        while (m := math.ceil(beta)) < 10 ** 18:
+            closed += Fraction(32 * m, 1 + 4 * m * m)
+            beta = (beta * m + 1) / (m - beta)
         r = pi_from_radicals(2, 1, 96)
-        c = 1 + 2 ** 0.5
-        coarse = 32 * c / (1 + 4 * c * c)
-        assert abs(float(r.value.value) - coarse) < 1e-9
-        assert 3.17 < float(r.value.value) < 3.18
+        assert r.term_counts == (7,)
+        assert abs(r.value.value - closed) < Fraction(1, 10 ** 15)
+        assert 3.16 < float(r.value.value) < 3.17
 
     def test_rejects_shallow_or_empty(self):
         with pytest.raises(ValueError):

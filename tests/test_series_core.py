@@ -1,26 +1,29 @@
-"""The shared conjugate-series core against the loops it replaced.
+"""The conjugate-series core against the loops it replaced.
 
-The tower value and the convergence measurement walk one fixed-point
-term stream started by one builder, _cot_start.  The tower and the
-convergence samples must reproduce their former loops bit for bit
-(tests/oracles.py keeps those loops as references); a stream started
-from a rounded rational cotangent, as the measurement starts it, must
-give the reference's mantissa and rate within 3 ulps more of error
-bound.  Rational arguments are summed exactly by binary splitting, which
-must agree with the reference loop within both error bounds, never claim
-a wider bound, and contain an independent bracket of the true
-arctangent.  In a formula every cotangent first becomes a chain of
-integer cotangents: the chain must be an exact Gaussian-integer
-identity, its certified sum must contain an independent bracket, and
-pi from a formula must never reach the stream.
+Only the convergence measurement walks a fixed-point term stream,
+started by _cot_start; its samples must reproduce their former loop bit
+for bit (tests/oracles.py keeps those loops as references), and a stream
+started from a rounded rational cotangent must give the reference's
+partial-sum mantissa.  Rational arguments are summed exactly by binary
+splitting, which must agree with the reference loop within both error
+bounds, never claim a wider bound, and contain an independent bracket of
+the true arctangent.  Every cotangent, of a formula or the tower's c_k,
+first becomes a chain of integer cotangents: the chain must be an exact
+Gaussian-integer identity, its certified sum must contain an independent
+bracket, and pi from either source must never reach the stream.  The
+tower's result must contain pi even when c_k's midpoint is moved within
+a widened interval, and its bound must stay within 0.1% of the former
+stream's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import example, given
@@ -31,12 +34,14 @@ from machinpi.analysis import KNOWN_DIGITS_PER_TERM, RATE_BAND, measure_converge
 from machinpi.cli import generate_record
 from machinpi.exact import GaussianInt
 from machinpi.machin import MachinFormula, solve_u2
+from machinpi.radicals import eval_radicals
 from machinpi.realnum import FixedReal
 from machinpi.series import (
     _arctan_inverse,
-    _conjugate_sum,
+    _conjugate_terms,
     _cot_start,
     _cotangent_chain,
+    _radical_rate,
     arctan_conjugate,
     digits_per_term,
     pi_digits_from_formula,
@@ -50,13 +55,9 @@ from oracles import (
     arctan_conjugate_reference,
     arctan_enclosure,
     convergence_samples_reference,
+    pi_digits,
     pi_from_radicals_reference,
 )
-
-
-def fingerprint(result):
-    return (result.value.mantissa, result.value.err_ulp, result.terms_used,
-            result.per_term_log10)
 
 
 @pytest.fixture(scope="module")
@@ -64,18 +65,6 @@ def small_u2_arguments():
     """1/u2 at depths 10 and 13: second arguments of 1,364 and about
     15,000 digits."""
     return {k: 1 / solve_u2(u1, k) for k, u1 in ((10, Fraction(651)), (13, Fraction(5215)))}
-
-
-@lru_cache(maxsize=None)
-def bracket_at_512(x):
-    """arctan(x) to a quarter ulp at scale 512.  A huge-component x is
-    first replaced by a dyadic x' within 2**-600 of it, and |x - x'|
-    joins the bound (arctan is 1-Lipschitz)."""
-    near = x
-    if max(x.numerator.bit_length(), x.denominator.bit_length()) > 600:
-        near = Fraction(round(x * (1 << 600)), 1 << 600)
-    mid, bound = arctan_bracket(near, Fraction(1, 1 << 515))
-    return mid, bound + abs(x - near)
 
 
 @pytest.mark.parametrize("terms", [1, 3, 12])
@@ -87,14 +76,9 @@ def test_cot_start_stream_matches_fraction_start(x, terms, small_u2_arguments):
     if isinstance(x, int):
         x = small_u2_arguments[x]
     scale = 512
-    a, b = x.numerator, x.denominator
-    rho = Fraction(a * a, a * a + 4 * b * b)
-    got = _conjugate_sum(_cot_start(FixedReal.from_fraction(1 / x, scale)), rho, terms)
-    mantissa, err_ulp, used, rate = arctan_conjugate_reference(x, terms, scale)
-    assert (got.value.mantissa, got.terms_used, got.per_term_log10) == (mantissa, used, rate)
-    assert got.value.err_ulp <= err_ulp + 3
-    mid, bound = bracket_at_512(x)
-    assert got.value.lower <= mid - bound and mid + bound <= got.value.upper
+    stream = _conjugate_terms(*_cot_start(FixedReal.from_fraction(1 / x, scale)))
+    total = sum(islice(stream, terms), FixedReal.zero(scale))
+    assert total.mantissa == arctan_conjugate_reference(x, terms, scale)[0]
 
 
 cotangents = st.builds(
@@ -121,13 +105,32 @@ def test_every_stream_starts_from_cot_start(monkeypatch, machin_formula, pi_refe
 
     monkeypatch.setattr(series, "_cot_start", spy)
     monkeypatch.setattr(analysis, "_cot_start", spy)
-    pi_from_radicals(3, 4, 256)
-    assert len(starts) == 1
+    pi_from_radicals(3, 4, 256)  # the tower sums through its chain
     arctan_conjugate(Fraction(1, 5), 200, 256)  # rational arguments always split
     series.pi_from_formula(machin_formula, 200, 256)
-    assert len(starts) == 1
+    assert starts == []
     measure_convergence(machin_formula, 3, pi_reference_300)
-    assert [c.value for c in starts[1:]] == [Fraction(5), Fraction(-239)]
+    assert [c.value for c in starts] == [Fraction(5), Fraction(-239)]
+
+
+def test_tower_sums_c_k_through_the_chain(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("the tower took the fixed-point stream")
+
+    calls = []
+
+    def spy(beta, digits, terms, scale):
+        calls.append((beta, scale))
+        return _arctan_inverse(beta, digits, terms, scale)
+
+    monkeypatch.setattr(series, "_cot_start", no_stream)
+    monkeypatch.setattr(series, "_conjugate_terms", no_stream)
+    monkeypatch.setattr(series, "_arctan_inverse", spy)
+    result = pi_from_radicals(3, 4, 256)
+    # one chain, from c_k's exact dyadic midpoint at c_k's own scale
+    c = eval_radicals(3, math.ceil(256 * math.log10(2)) + 4).c_k
+    assert calls == [(Fraction(c.mantissa, 1 << c.scale), c.scale)]
+    assert result.value.scale == c.scale
 
 
 def test_formula_never_reaches_the_stream(monkeypatch, k10_formula, pi_text_300):
@@ -135,7 +138,6 @@ def test_formula_never_reaches_the_stream(monkeypatch, k10_formula, pi_text_300)
         raise AssertionError("pi from a formula took the fixed-point stream")
 
     monkeypatch.setattr(series, "_cot_start", no_stream)
-    monkeypatch.setattr(series, "_conjugate_sum", no_stream)
     k14 = MachinFormula.two_term(14, Fraction(10430), solve_u2(Fraction(10430), 14))
     k2 = MachinFormula.two_term(2, Fraction(12, 5), Fraction(-239))
     for formula in (k10_formula, k14, k2):
@@ -177,7 +179,6 @@ def test_split_sum_agrees_with_reference_loop(x, terms, monkeypatch):
         raise AssertionError("a rational argument took the fixed-point stream")
 
     monkeypatch.setattr(series, "_cot_start", no_stream)
-    monkeypatch.setattr(series, "_conjugate_sum", no_stream)
     split = arctan_conjugate(x, terms, SPLIT_SCALE)
     mantissa, err_ulp, used, _ = arctan_conjugate_reference(x, terms, SPLIT_SCALE)
     value = split.value
@@ -323,11 +324,49 @@ def test_chain_sum_of_huge_parts_contains_independent_bracket(seed):
     assert_chain_sum_contains_bracket(_huge_cotangent(seed))
 
 
-@pytest.mark.parametrize("k, terms, digits", [(2, 30, 50), (3, 12, 40), (40, 6, 170)])
+def assert_contains_pi(value: FixedReal) -> None:
+    """value contains pi's bracket [t, t + 10**-n] for t = pi truncated
+    to n digits, with 10**-n under a tenth of value's ulp."""
+    n = math.ceil(value.scale * math.log10(2)) + 1
+    whole, frac = pi_digits(n).split(".")
+    low = Fraction(int(whole + frac), 10 ** n)
+    assert value.lower <= low and low + Fraction(1, 10 ** n) <= value.upper
+
+
+@pytest.mark.parametrize("k, terms, digits", [
+    (2, 30, 50), (3, 12, 40), (40, 6, 170), (10, 1, 40), (10, 4, 60), (65, 3, 120),
+])
 def test_tower_matches_its_former_loop(k, terms, digits):
+    # The chain replaced the fixed-point stream: same scale, an
+    # independent pi bracket inside, and a bound within 0.1% of the
+    # stream's (1.0003x at worst, k = 10 with one term).
     scale = scale_for_digits(digits)
-    got = fingerprint(pi_from_radicals(k, terms, scale))
-    assert got == pi_from_radicals_reference(k, terms, scale)
+    got = pi_from_radicals(k, terms, scale).value
+    _, err_ulp, _, _ = pi_from_radicals_reference(k, terms, scale)
+    assert_contains_pi(got)
+    assert got.err_ulp * 1000 <= err_ulp * 1001
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", [2, 3, 40, 400])
+def test_tower_widens_for_c_k_error(k, sign, monkeypatch):
+    # A c_k interval whose midpoint sits delta ulps off, with the bound
+    # grown by delta, still contains c_k; arccot moves the midpoint by
+    # about delta / c_k**2 = 2**17 ulps, which only the widening covers.
+    delta = 1 << (2 * k + 16)
+
+    def moved(k, digits):
+        state = eval_radicals(k, digits)
+        c = state.c_k
+        c = FixedReal(c.mantissa + sign * delta, c.scale, c.err_ulp + delta)
+        return dataclasses.replace(state, c_k=c)
+
+    scale = scale_for_digits(60)
+    # enough terms that truncation stays under an ulp at c_k's scale
+    c_scale = eval_radicals(k, math.ceil(scale * math.log10(2)) + 4).c_k.scale
+    terms = terms_for_digits(c_scale * math.log10(2), _radical_rate(k))
+    monkeypatch.setattr(series, "eval_radicals", moved)
+    assert_contains_pi(pi_from_radicals(k, terms, scale).value)
 
 
 @pytest.mark.parametrize("k, den", [(2, 10), (3, 1), (5, 1), (10, 1)])
