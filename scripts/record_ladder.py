@@ -5,12 +5,12 @@ growth rate.
 For each depth k (13..17 by default) the script generates the record in
 process, as `machinpi generate k` does, and times four layers on it:
 
-  generate       the whole command: tower, u2 solve, verification and
+  generate       the whole command: tower, u2 solve, branch check and
                  the record write
   int_to_text    decimal text of both u2 parts
   text_to_int    the parts back from that text
-  check_record   digit counts, exact verification and the lowest-terms
-                 certificate of the loaded record
+  check_record   digit counts, then u2 solved again from k and u1 and
+                 compared with the loaded parts, and the branch check
 
 Each time is the best of --repeat runs.  u2's parts double in size with
 each depth, so the least-squares slope of log(time) against log(bits of

@@ -9,8 +9,6 @@ divide once, as Fractions, only where a rational result is wanted.
 int_to_text and text_to_int convert big integers to and from decimal
 text in subquadratic time, without changing CPython's process-wide
 int <-> str digit cap or the thread's decimal context.
-second_term_in_lowest_terms certifies a verified second term's lowest
-terms without a gcd.
 """
 
 from __future__ import annotations
@@ -212,32 +210,6 @@ def fraction_sharing_only_twos(num: int, den: int) -> Fraction:
     if den < 0:
         num, den = -num, -den
     return _coprime_fraction(num, den)
-
-
-def second_term_in_lowest_terms(product_re: int, p: int, q: int, n: int) -> bool:
-    """Whether r/s is in lowest terms, certified without a gcd, for a pair
-    with s > 0 and r, s not both even that closes (p + qi)**n (r + si) =
-    c (1 + i), c != 0, where gcd(p, q) = 1; product_re is that product's
-    real part c.  The test is |c| * 2**t == (p**2 + q**2)**n for some
-    t >= 0.
-
-    Proof.  Put A + Bi = (p + qi)**n.  The product's real and imaginary
-    parts agree, so r (A - B) = s (A + B): r/s = (A + B)/(A - B).  As in
-    fraction_sharing_only_twos, A + B and A - B share only a power of
-    two 2**j, so the lowest terms are r0 = +-(A + B)/2**j and
-    s0 = +-(A - B)/2**j, with s0 > 0, and (r, s) = g (r0, s0) for an
-    integer g >= 1.  For the reduced pair (A + Bi)(r0 + s0 i) =
-    +-(A**2 + B**2)(1 + i)/2**j, and A**2 + B**2 = (p**2 + q**2)**n, so
-    |c| = g (p**2 + q**2)**n / 2**j.  The test holds with t = j when
-    g = 1.  For g > 1 it needs g = 2**(j - t), a power of two; but then
-    r and s are both even, which the premise excludes, so any g > 1 has
-    an odd factor and fails the test.
-    """
-    value, target = abs(product_re), (p * p + q * q) ** n
-    if not value:
-        return False
-    shift = _trailing_zero_bits(target) - _trailing_zero_bits(value)
-    return shift >= 0 and value << shift == target
 
 
 def _trailing_zero_bits(n: int) -> int:

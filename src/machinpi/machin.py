@@ -29,7 +29,8 @@ terms.  The same value falls out of the direct rearrangement
 
 which solve_second_term_direct evaluates on one Gaussian power as an
 independent cross-check path; the README records the algebra connecting
-the two.
+the two.  A stored second term is compared with the closed form
+(check_second_term), so no product with it is formed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateSecondTerm, NotExactlyVerifiable
+from .errors import DegenerateSecondTerm, NotExactlyVerifiable, UnverifiedFormula
 from .exact import GaussianInt, fraction_sharing_only_twos
 
 # Error of a term's float estimate alpha * atan(1/beta) per unit of
@@ -86,9 +87,6 @@ class VerificationResult:
     ok: bool
     product: GaussianInt
     turns: int = 0
-
-    def __bool__(self) -> bool:
-        return self.ok
 
     def summary(self) -> str:
         """Which test decided, in a few words, however large G is."""
@@ -169,6 +167,29 @@ def solve_u2(u1: Fraction, k: int) -> Fraction:
     return solve_second_term(1 << (k - 1), u1)
 
 
+def check_second_term(k: int, u1: Fraction, u2: Fraction) -> bool:
+    """Exact check of pi/4 = 2**(k-1) arctan(1/u1) + arctan(1/u2), u2 = r/s
+    as stored with s > 0, r != 0: G = (p + qi)**(2**(k-1)) (r + si) has
+    G.re == G.im != 0 iff r/s is the solved closing term, which is in
+    lowest terms (README, "Checking a record by re-solving u2").  Returns
+    whether (r, s) is that term part for part; UnverifiedFormula if a check
+    fails, NotExactlyVerifiable for a power over MAX_POWER_BITS."""
+    n = 1 << (k - 1)
+    _check_power_size(power_bits(n, u1), NotExactlyVerifiable)
+    try:
+        solved = solve_second_term(n, u1)
+    except DegenerateSecondTerm as exc:  # closing it needs r = 0 or s = 0
+        raise UnverifiedFormula(f"exact product check failed: {exc}") from exc
+    reduced = u2 == solved  # Fraction equality compares the stored parts
+    if not reduced and u2.numerator * solved.denominator != u2.denominator * solved.numerator:
+        raise UnverifiedFormula("exact product check failed: u2 is not the closing "
+                                "term (A + B)/(A - B), A + Bi = (p + qi)**2**(k-1)")
+    turns = sum_turns(MachinFormula.two_term(k, u1, solved))
+    if turns:
+        raise UnverifiedFormula(f"branch check failed: the sum is pi/4 {turns:+d}*pi")
+    return reduced
+
+
 def solve_second_term_direct(alpha1: int, beta1: Fraction) -> Fraction:
     """Same value as solve_second_term via the rearrangement 2/(z - i) - i;
     cross-check path.  With beta1 = p/q, X + Yi = (p + qi)**(2*alpha1) and
@@ -229,11 +250,11 @@ def verify_formula(formula: MachinFormula) -> VerificationResult:
         product = product * _term_factor(int(alpha), beta)
     if not product.re == product.im != 0:
         return VerificationResult(ok=False, product=product)
-    turns = _turns(formula)
+    turns = sum_turns(formula)
     return VerificationResult(ok=turns == 0, product=product, turns=turns)
 
 
-def _turns(formula: MachinFormula) -> int:
+def sum_turns(formula: MachinFormula) -> int:
     """n with sum of alpha * arctan(1/beta) = pi/4 + n*pi, for a formula
     whose product check holds.  The float estimate is within
     sum(|alpha|) * _ATAN_ERROR < pi/8 of the sum, so rounding picks n."""

@@ -12,8 +12,8 @@ u1 only in lowest terms, both fractions only over a positive
 denominator, and sidecars only by bare file name in the record's
 directory, so an edited record cannot keep its meaning under a
 different spelling or read digits from elsewhere.  No gcd runs on u2's
-parts: load_record returns a record only once check_record has
-certified u2's lowest terms from the exact verification.  Writes are
+parts: load_record returns a record only once check_record has found
+them equal to u2 re-solved from k and u1, in lowest terms.  Writes are
 atomic (temp file then rename), byte-deterministic, and create files
 with mode 0o666 less the umask, as a plain open() would; a write that
 fails removes the sidecars it wrote.
@@ -34,8 +34,8 @@ from pathlib import Path
 from . import __version__
 from .errors import DigitCountMismatch, RecordParseError, UnverifiedFormula
 from .exact import (_coprime_fraction, decimal_digit_count, format_decimal_head,
-                    int_to_text, second_term_in_lowest_terms, text_to_int)
-from .machin import MachinFormula, verify_formula
+                    int_to_text, text_to_int)
+from .machin import MachinFormula, check_second_term
 
 SCHEMA_VERSION = 1
 
@@ -208,8 +208,8 @@ def _sidecar_text(entry: dict, directory: Path) -> str:
 def load_record(path: str | os.PathLike) -> FormulaRecord:
     """Read a record in canonical form and check what it claims
     (check_record).  u2's parts are too large for a gcd here, so
-    check_record certifies their lowest terms instead, and no record
-    with an unreduced u2 is returned.  RecordParseError,
+    check_record proves their lowest terms by re-solving u2 instead, and
+    no record with an unreduced u2 is returned.  RecordParseError,
     DigitCountMismatch or UnverifiedFormula on failure."""
     path = Path(path)
     try:
@@ -266,7 +266,7 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
 
 def _second_term_can_close(k: int, u1: Fraction, u2: Fraction) -> bool:
     """Necessary condition for pi/4 = 2**(k-1) arctan(1/u1) + arctan(1/u2),
-    decided before the exact product of about 2**(k-1) log2|p + qi| bits
+    decided before the Gaussian power of about 2**(k-1) log2|p + qi| bits
     is formed, so an edited k cannot stall verification.
 
     With u1 = p/q, u2 = r/s and n = 2**(k-1), validity means
@@ -289,9 +289,9 @@ def _second_term_can_close(k: int, u1: Fraction, u2: Fraction) -> bool:
 def check_record(record: FormulaRecord) -> None:
     """Recompute what the record claims, in this order: that u2's parts
     are not both even (RecordParseError), the digit counts
-    (DigitCountMismatch), the exact verification (UnverifiedFormula) and
-    that u2 is in lowest terms (RecordParseError), which
-    exact.second_term_in_lowest_terms certifies given the first check."""
+    (DigitCountMismatch), a k too large for u2 to close, then u2
+    re-solved (machin.check_second_term): its value and branch
+    (UnverifiedFormula) and its lowest terms (RecordParseError)."""
     u2 = record.u2
     if not (u2.numerator | u2.denominator) & 1:
         raise RecordParseError("record's u2 is not in lowest terms: both parts are even")
@@ -305,12 +305,5 @@ def check_record(record: FormulaRecord) -> None:
             f"record's formula cannot verify: 2**{record.k - 1} * arctan(1/u1) "
             "is too large for its second term to close"
         )
-    outcome = verify_formula(record.formula())
-    if not outcome.ok:
-        raise UnverifiedFormula(
-            f"record's formula fails verification: {outcome.summary()}"
-        )
-    u1 = record.u1
-    if not second_term_in_lowest_terms(outcome.product.re, u1.numerator,
-                                       u1.denominator, 1 << (record.k - 1)):
+    if not check_second_term(record.k, record.u1, u2):
         raise RecordParseError("record's u2 is not in lowest terms")

@@ -101,9 +101,22 @@ def digits_per_term(beta: Fraction) -> float:
     p, q = beta.numerator, beta.denominator
     if p == 0:
         raise ValueError("the cotangent argument must be nonzero")
-    q2 = q * q
     shift = 0 if q & 1 else 2
-    return _log10_int((q2 + 4 * p * p) >> shift) - _log10_int(q2 >> shift)
+    return _log10_squares(q, 2 * abs(p), shift) - _log10_squares(q, 0, shift)
+
+
+def _log10_squares(x: int, y: int, shift: int) -> float:
+    """_log10_int((x**2 + y**2) >> shift), x > 0 <= y, with no big square
+    when 128-bit heads put the sum in [lo, hi) * 4**t and both ends share
+    the 53 leading bits _log10_int reads (squaring a depth-17 u2: 0.27 s)."""
+    t = max(0, x.bit_length() - 128, y.bit_length() - 128)
+    if t:
+        xh, yh = x >> t, y >> t
+        lo, hi = xh * xh + yh * yh, (xh + 1) ** 2 + (yh + 1) ** 2
+        drop = lo.bit_length() - 53
+        if hi.bit_length() == lo.bit_length() and lo >> drop == hi >> drop:
+            return math.log10(lo >> drop) + (drop + 2 * t - shift) * _LOG10_2
+    return _log10_int((x * x + y * y) >> shift)
 
 
 def scale_for_digits(digits: int) -> int:

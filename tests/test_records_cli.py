@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,11 +16,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import machinpi
-from machinpi import cli
+from machinpi import cli, machin
 from machinpi.cli import generate_record
-from machinpi.errors import DigitCountMismatch, RecordParseError
+from machinpi.errors import (DigitCountMismatch, NotExactlyVerifiable, RecordParseError,
+                             UnverifiedFormula)
 from machinpi.exact import GaussianInt, _coprime_fraction
 from machinpi.records import (
     SIDECAR_THRESHOLD_DIGITS,
@@ -28,7 +33,8 @@ from machinpi.records import (
     write_record,
 )
 
-from oracles import big_int_text, int_text_cap, pi_digits
+from oracles import (big_int_text, branch_turns, int_text_cap, pi_digits,
+                     rotation_power_reference, rotation_product_reference)
 
 
 def run_cli(*argv: str) -> int:
@@ -252,10 +258,11 @@ def _with_u2_parts(record, num: int, den: int):
 
 class TestLowestTermsCertificate:
     """Loading runs no gcd on u2; check_record, which load_record runs,
-    certifies lowest terms from the verified product instead
-    (exact.second_term_in_lowest_terms), after refusing a u2 with both
-    parts even before any other check.  That every generated record
-    passes is test_digits_from_every_depth_match_machin's exit 0."""
+    refuses a u2 with both parts even before any other check, then
+    re-solves u2 from k and u1 (machin.check_second_term) and compares
+    the stored parts with it, which proves lowest terms.  That every
+    generated record passes is test_digits_from_every_depth_match_machin's
+    exit 0."""
 
     @pytest.fixture(scope="class")
     def generated(self):
@@ -318,6 +325,131 @@ class TestLowestTermsCertificate:
             path = write_record(_with_u2_parts(record, g * (r + 1), g * s),
                                 tmp_path / f"g{g}.json")
             assert run_cli("verify", str(path)) == code
+
+
+def _record_with_u2(k: int, u1: Fraction, num: int, den: int):
+    """A record of depth k and first argument u1 whose u2 is stored as
+    num/den exactly as given."""
+    base = build_record(k=k, denominator_policy=1, rounding="nearest", u1=u1,
+                        epsilon_decimal="0", u2=Fraction(1), verified=True,
+                        predicted_rate=1.0)
+    return _with_u2_parts(base, num, den)
+
+
+def _check_verdict(record) -> int:
+    """The exit code check_record's outcome maps to: 0, 3 or 4."""
+    try:
+        check_record(record)
+    except RecordParseError:
+        return cli.EXIT_PARSE
+    except (UnverifiedFormula, NotExactlyVerifiable):
+        return cli.EXIT_VERIFICATION
+    return cli.EXIT_OK
+
+
+def _oracle_verdict(k: int, u1: Fraction, num: int, den: int) -> int:
+    """The same verdict from the oracles alone: two even parts exit 3,
+    a rotation product other than i or a sum of pi/4 + n*pi with n != 0
+    exits 4, and a valid pair that a gcd reduces exits 3."""
+    if not (num | den) & 1:
+        return cli.EXIT_PARSE
+    terms = ((1 << (k - 1), u1), (1, Fraction(num, den)))
+    if rotation_product_reference(terms) != (0, 1) or branch_turns(terms):
+        return cli.EXIT_VERIFICATION
+    return cli.EXIT_OK if math.gcd(num, den) == 1 else cli.EXIT_PARSE
+
+
+def _closing_parts(k: int, u1: Fraction) -> tuple[int, int] | None:
+    """(r, s) in lowest terms, s > 0, with r/s = 2/(z - i) - i for the
+    rotation z = ((u1 + i)/(u1 - i))**(2**(k-1)) (oracles), or None when
+    z = +-i leaves no nonzero second argument."""
+    c, d = rotation_power_reference(u1, 1 << (k - 1))
+    if c == 0:
+        return None
+    u2 = 2 * c / (c * c + (d - 1) ** 2)
+    return u2.numerator, u2.denominator
+
+
+@st.composite
+def _second_terms(draw):
+    """(k, u1, r, s): u1 = p/q coprime, u2 = r/s != 0 with s > 0 stored
+    unreduced, near the closing term (scaled, perturbed) or anywhere."""
+    k = draw(st.integers(1, 6))
+    p = draw(st.integers(-60, 60).filter(bool))
+    q = draw(st.integers(1, 60))
+    assume(math.gcd(p, q) == 1)
+    u1 = Fraction(p, q)
+    closing = _closing_parts(k, u1)
+    if closing is None or draw(st.booleans()) and draw(st.booleans()):
+        r = draw(st.integers(-500, 500).filter(bool))
+        return k, u1, r, draw(st.integers(1, 500))
+    g = draw(st.integers(1, 6))
+    r, s = g * closing[0] + draw(st.integers(-1, 1)), g * closing[1]
+    assume(r != 0)
+    return k, u1, r, s
+
+
+class TestRecordCheckBySolve:
+    """check_record re-solves u2 instead of forming the product
+    (p + qi)**2**(k-1) (r + si); its verdict must be the one the
+    oracles' rotation product, branch estimate and gcd give."""
+
+    @given(_second_terms())
+    @settings(max_examples=300)
+    def test_verdict_matches_oracles(self, case):
+        k, u1, r, s = case
+        expected = _oracle_verdict(k, u1, r, s)
+        assert _check_verdict(_record_with_u2(k, u1, r, s)) == expected
+
+    @pytest.mark.parametrize("k, u1, r, s, code", [
+        (3, Fraction(5), -3 * 239, 3, cli.EXIT_PARSE),          # scaled by 3
+        (3, Fraction(5), -3 * 239 + 1, 3, cli.EXIT_VERIFICATION),  # and perturbed
+        (3, Fraction(1, 2), -31, 17, cli.EXIT_VERIFICATION),    # pi/4 + pi
+        (3, Fraction(5), -2 * 239, 2, cli.EXIT_PARSE),          # scaled by 2
+        (3, Fraction(5), -239, 1, cli.EXIT_OK),
+    ])
+    def test_explicit_verdicts(self, k, u1, r, s, code):
+        assert _oracle_verdict(k, u1, r, s) == code
+        assert _check_verdict(_record_with_u2(k, u1, r, s)) == code
+
+    @pytest.mark.parametrize("u1", [Fraction(1), Fraction(-1)])
+    def test_degenerate_first_term_exits_4(self, tmp_path, capsys, u1):
+        # arctan(1) is pi/4 alone, and arctan(-1) is pi/4 less a right
+        # angle: solve_second_term calls both degenerate (exit 6), but a
+        # stored u2 != 0 simply fails the product check.
+        path = write_record(_record_with_u2(1, u1, 1, 1), tmp_path / "k1.json")
+        capsys.readouterr()
+        assert run_cli("verify", str(path)) == cli.EXIT_VERIFICATION
+        assert "exact product check failed" in capsys.readouterr().err
+
+    def test_power_over_the_limit_exits_4(self, k3_record_path, capsys, monkeypatch):
+        # solve_u2 refuses such a power as a usage error (ValueError, exit
+        # 2); a stored formula is one that cannot be verified.
+        monkeypatch.setattr(machin, "MAX_POWER_BITS", 8)
+        with pytest.raises(NotExactlyVerifiable, match="limit"):
+            load_record(k3_record_path)
+        capsys.readouterr()
+        assert run_cli("verify", str(k3_record_path)) == cli.EXIT_VERIFICATION
+        assert "limit" in capsys.readouterr().err
+
+    def test_record_path_forms_no_big_gaussian_product(self, tmp_path, monkeypatch):
+        # A product of two 10,000-bit Gaussian integers is what the check
+        # no longer forms; the power is made by squaring alone.
+        multiply = GaussianInt.__mul__
+
+        def small_only(a, b):
+            if min(max(abs(z.re).bit_length(), abs(z.im).bit_length())
+                   for z in (a, b)) > 10_000:
+                raise AssertionError("big Gaussian product formed")
+            return multiply(a, b)
+
+        monkeypatch.setattr(GaussianInt, "__mul__", small_only)
+        path = str(tmp_path / "k13.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("generate", "13", "--out", path) == 0
+            assert run_cli("verify", path) == 0
+        with pytest.raises(AssertionError, match="big Gaussian product"):
+            machin.verify_formula(load_record(path).formula())
 
 
 MALFORMED = {

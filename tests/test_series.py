@@ -255,6 +255,17 @@ class TestRatePrediction:
     def test_digits_per_term_matches_fraction_formula_at_huge_u2(self, u2):
         assert digits_per_term(u2) == digits_per_term_from_fractions(u2)
 
+    # Parts over 128 bits are read from 128-bit heads, and the squares are
+    # formed in full only when the heads leave the leading bits open, as
+    # for q = 2**400 - 1, whose square sits just under a power of two.
+    @given(st.integers(1, 1 << 700), st.integers(1, 1 << 700))
+    @example((1 << 400) - 1, 1)
+    @example(1, (1 << 400) - 1)
+    @example(3, (1 << 400) - 2)
+    def test_digits_per_term_matches_fraction_formula_at_big_parts(self, p, q):
+        beta = Fraction(p, q)
+        assert digits_per_term(beta) == digits_per_term_from_fractions(beta)
+
     def test_digits_per_term_examples(self):
         assert digits_per_term(Fraction(5)) == pytest.approx(2.00432, abs=1e-4)
         assert digits_per_term(Fraction(651)) == pytest.approx(6.22925, abs=1e-4)
