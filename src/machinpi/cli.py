@@ -29,6 +29,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .analysis import (
@@ -50,7 +51,8 @@ from .errors import (
     UnverifiedFormula,
 )
 from .exact import format_decimal_head, int_to_text, parse_rational
-from .machin import MachinFormula, solve_second_term, solve_u2, sum_turns
+from .machin import (MachinFormula, check_tower_depth, solve_second_term, solve_u2,
+                     sum_turns)
 from .radicals import eval_radicals, select_u1
 from .records import FormulaRecord, build_record, load_record, write_record
 from .series import digits_per_term, pi_digits_from_formula, pi_digits_from_radicals
@@ -90,17 +92,22 @@ _SELECTION_DIGITS = 26
 
 def generate_record(k: int, denominator: int, rounding: str) -> FormulaRecord:
     """Full pipeline: tower -> rational rounding -> exact second term ->
-    branch check (the closed form passes the product check by design)."""
+    branch check (the closed form passes the product check by design).
+    Up to four towers, at 26 to 50 digits, until u1 and 20 digits of eps
+    are certain; a depth past MAX_POWER_BITS is refused before the first."""
+    check_tower_depth(k)
     digits = _SELECTION_DIGITS
     for _ in range(4):
-        state = eval_radicals(k, digits)
-        selection = select_u1(state, denominator, rounding)
-        eps_text, ok = selection.epsilon.to_decimal(20)
+        try:
+            selection = select_u1(eval_radicals(k, digits), denominator, rounding)
+            eps_text, ok = selection.epsilon.to_decimal(20)
+        except AmbiguousRounding:
+            ok = False
         if ok:
             break
         digits += 8
     else:
-        raise PrecisionExhausted("could not pin 20 digits of the residual")
+        raise PrecisionExhausted("could not pin u1 and 20 digits of the residual")
     u2 = solve_u2(selection.u1, k)
     verified = sum_turns(MachinFormula.two_term(k, selection.u1, u2)) == 0
     return build_record(
@@ -182,6 +189,8 @@ def _cmd_bench(args) -> int:
     ks = [int(part) for part in args.k.split(",") if part]
     if not ks:
         raise ValueError("--k needs at least one depth")
+    for k in ks:  # refuse a hopeless depth before any tower of the list
+        check_tower_depth(k)
     records = [_bench_formula(k) for k in ks]
     ceiling = max(reference_digits(r.predicted_rate, args.max_terms) for r in records)
     reference = validated_pi_reference(ceiling + 4)
@@ -243,6 +252,10 @@ def _cmd_bench(args) -> int:
 def _cmd_solve_second(args) -> int:
     beta1 = parse_rational(args.beta1)
     beta2 = solve_second_term(args.alpha1, beta1)
+    turns = sum_turns(MachinFormula(((Fraction(args.alpha1), beta1), (Fraction(1), beta2))))
+    if turns:
+        raise DegenerateSecondTerm(f"{args.alpha1}*arctan(1/{beta1}) plus its closing "
+                                   f"term is pi/4 {turns:+d}*pi; none closes pi/4")
     print(f"beta2 = {int_to_text(beta2.numerator)}/{int_to_text(beta2.denominator)}")
     print(f"      ~ {format_decimal_head(beta2)}")
     return EXIT_OK

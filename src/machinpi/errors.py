@@ -20,8 +20,7 @@ class NegativeOperand(MachinPiError):
 class DivisorStraddlesZero(MachinPiError):
     """Division requested by an interval containing zero.
 
-    Signals catastrophic cancellation upstream; the caller should retry
-    at a higher working scale.
+    Signals catastrophic cancellation upstream.
     """
 
 

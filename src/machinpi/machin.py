@@ -56,6 +56,17 @@ _ATAN_ERROR = 2.0 ** -49
 MAX_POWER_BITS = 1 << 30
 
 
+def check_tower_depth(k: int) -> None:
+    """ValueError when no u1 the tower can select at depth k has a closing
+    power within MAX_POWER_BITS (k >= 27): u1 > 9/10 c_k > 2**(k-1), so
+    (p + qi)**(2**(k-1)) has over 2**(k-1) * (k-1) bits, bounded in logs."""
+    log2_bits = k - 1 + math.log2(k - 1) if k >= 2 else 0.0
+    if log2_bits > math.log2(MAX_POWER_BITS):
+        raise ValueError(f"depth {k} needs a Gaussian power of at least "
+                         f"2**{log2_bits:.1f} bits, over the limit of "
+                         f"{MAX_POWER_BITS:.3g} bits")
+
+
 @dataclass(frozen=True)
 class MachinFormula:
     """pi/4 = sum of alpha * arctan(1/beta) over the listed terms."""
@@ -132,11 +143,12 @@ def _term_factor(alpha: int, beta: Fraction) -> GaussianInt:
 
 
 def solve_second_term(alpha1: int, beta1: Fraction) -> Fraction:
-    """Exact beta2 with pi/4 = alpha1*arctan(1/beta1) + arctan(1/beta2).
+    """Exact beta2 with alpha1*arctan(1/beta1) + arctan(1/beta2) equal to
+    pi/4 modulo pi: the sum may be pi/4 + n*pi, and sum_turns gives n.
 
-    Raises DegenerateSecondTerm when the first term alone is pi/4 (the
-    rotation is already i) or is pi/4 plus a right angle (beta2 would be
-    zero, and arctan(1/beta2) undefined).
+    Raises DegenerateSecondTerm when the first term alone is pi/4 modulo
+    pi (the rotation is already i) or is pi/4 plus a right angle (beta2
+    would be zero, and arctan(1/beta2) undefined).
     """
     if alpha1 < 1:
         raise ValueError("first coefficient must be a positive integer")
@@ -146,9 +158,9 @@ def solve_second_term(alpha1: int, beta1: Fraction) -> Fraction:
     g = _term_factor(alpha1, beta1)
     a, b = g.re, g.im
     if a == b:
-        raise DegenerateSecondTerm(
-            f"{alpha1}*arctan(1/{beta1}) is already pi/4; no second term"
-        )
+        turns = sum_turns(MachinFormula.single(Fraction(alpha1), beta1))
+        raise DegenerateSecondTerm(f"{alpha1}*arctan(1/{beta1}) is already pi/4"
+                                   f"{f' {turns:+d}*pi' if turns else ''}; no second term")
     if a == -b:
         raise DegenerateSecondTerm(
             f"{alpha1}*arctan(1/{beta1}) differs from pi/4 by a right "

@@ -141,6 +141,8 @@ EXIT_CODES = {
     "bench --k ,": 2,
     "bench --k 3 --max-terms 0": 2,
     "solve-second --alpha1 1 --beta1 0": 2,
+    "solve-second --alpha1 8 --beta1 2": 6,
+    "generate 100000": 2,
 }
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from machinpi import radicals, realnum
-from machinpi.errors import AmbiguousRounding, EpsilonTooLarge, PrecisionExhausted
+from machinpi import realnum
+from machinpi.errors import AmbiguousRounding, EpsilonTooLarge
 from machinpi.radicals import eval_radicals, select_u1
 from machinpi.realnum import FixedReal
 from machinpi.series import pi_digits_from_formula
@@ -76,31 +76,28 @@ class TestTower:
         with pytest.raises(ValueError):
             eval_radicals(1, 10)
 
-    def test_precision_exhausted_without_guard(self, monkeypatch):
-        monkeypatch.setattr(radicals, "guard_bits", lambda k: 0)
-        monkeypatch.setattr(radicals, "_MAX_RETRIES", 0)
-        with pytest.raises(PrecisionExhausted):
-            eval_radicals(10, 30)
-
     @pytest.mark.parametrize("k", [65, 100, 400])
-    def test_guard_covers_deep_towers_first_time(self, monkeypatch, k):
-        # c_k's error bound grows as 2**(3k - 4) ulps; the starting guard
-        # must cover it, or every deep tower is evaluated twice.
-        scales = []
-        real = radicals._eval_at_scale
-
-        def spy(depth, scale):
-            scales.append(scale)
-            return real(depth, scale)
-
-        monkeypatch.setattr(radicals, "_eval_at_scale", spy)
+    def test_guard_covers_deep_towers_first_time(self, k):
+        # c_k's error bound grows as 2**(3k - 4) ulps; the guard of the one
+        # evaluation must cover it.
         assert eval_radicals(k, 50).c_k.to_decimal(50)[1]
-        assert len(scales) == 1
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 23, 40, 65, 400])
+    @pytest.mark.parametrize("digits", [1, 26, 300])
+    def test_one_evaluation_keeps_sixty_guard_bits(self, k, digits):
+        # Why nothing is retried: every root of the ladder is within 2
+        # ulps, 2 - a_(k-1) stays far from zero, and c_k's error of about
+        # 2**(3k - 4) ulps leaves 60 of the 3k + 64 guard bits.
+        state = eval_radicals(k, digits)
+        assert state.a_k.err_ulp <= 2 and state.a_km1.err_ulp <= 2
+        two = FixedReal.from_int(2, state.a_k.scale)
+        assert (two - state.a_km1).lower > Fraction(1, 2 ** (2 * k - 3))
+        assert state.c_k.err_ulp.bit_length() <= 3 * k + 4
+        assert state.c_k.to_decimal(digits)[1]
 
     def test_one_isqrt_per_tower_root(self, monkeypatch):
         # k roots climb the ladder and one more divides c_k; each interval
-        # root takes a single integer square root, and 10,024 digits need
-        # no retry.
+        # root takes a single integer square root.
         calls = []
 
         def counting_isqrt(n):
@@ -110,12 +107,6 @@ class TestTower:
         monkeypatch.setattr(realnum, "isqrt", counting_isqrt)
         assert eval_radicals(400, 10024).c_k.to_decimal(10024)[1]
         assert len(calls) == 401
-
-    def test_retry_recovers_from_small_guard(self, monkeypatch):
-        monkeypatch.setattr(radicals, "guard_bits", lambda k: 1)
-        monkeypatch.setattr(radicals, "_MAX_RETRIES", 6)
-        state = eval_radicals(10, 30)
-        assert state.c_k.to_decimal(30)[1]
 
 
 class TestSelection:

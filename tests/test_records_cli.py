@@ -16,15 +16,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import machinpi
 from machinpi import cli, machin
 from machinpi.cli import generate_record
-from machinpi.errors import (DigitCountMismatch, NotExactlyVerifiable, RecordParseError,
-                             UnverifiedFormula)
+from machinpi.errors import (DigitCountMismatch, EpsilonTooLarge, NotExactlyVerifiable,
+                             RecordParseError, UnverifiedFormula)
 from machinpi.exact import GaussianInt, _coprime_fraction
+from machinpi.radicals import eval_radicals, select_u1
 from machinpi.records import (
     SIDECAR_THRESHOLD_DIGITS,
     build_record,
@@ -35,6 +36,7 @@ from machinpi.records import (
 
 from oracles import (big_int_text, branch_turns, int_text_cap, pi_digits,
                      rotation_power_reference, rotation_product_reference)
+from test_golden_outputs import RECORD_FILES
 
 
 def run_cli(*argv: str) -> int:
@@ -128,6 +130,43 @@ class TestGenerateCommand:
         assert record.u1 == 5 and record.u2 == -239 and record.verified
         printed = capsys.readouterr().out
         assert "u1 = 5" in printed and "-239" in printed
+
+    @staticmethod
+    def blur_towers(monkeypatch, blur: Fraction, count: int) -> list[int]:
+        """Widen c_k by blur in the first `count` towers generate asks
+        for; returns the digits of every tower asked for."""
+        requested = []
+        tower = cli.eval_radicals
+
+        def blurred(k, digits):
+            requested.append(digits)
+            state = tower(k, digits)
+            if len(requested) > count:
+                return state
+            return dataclasses.replace(state, c_k=state.c_k.widened_by_fraction(blur))
+
+        monkeypatch.setattr(cli, "eval_radicals", blurred)
+        return requested
+
+    @pytest.mark.parametrize("blur", [Fraction(1), Fraction(1, 10 ** 18)],
+                             ids=["ambiguous-rounding", "uncertain-residual"])
+    def test_selection_retries_until_certain(self, tmp_path, monkeypatch, blur):
+        # Either u1's rounding or the residual's 20 digits are uncertain in
+        # the first tower; the one at 8 more digits must write the golden
+        # k = 3 record byte for byte.
+        requested = self.blur_towers(monkeypatch, blur, 1)
+        out = tmp_path / "k3.json"
+        assert run_cli("generate", "3", "--out", str(out)) == 0
+        assert requested == [26, 34]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORD_FILES["k3.json"]
+
+    def test_selection_gives_up_after_four_towers(self, tmp_path, monkeypatch, capsys):
+        requested = self.blur_towers(monkeypatch, Fraction(1), 4)
+        out = tmp_path / "k3.json"
+        assert run_cli("generate", "3", "--out", str(out)) == cli.EXIT_PRECISION
+        assert requested == [26, 34, 42, 50]
+        assert not out.exists()
+        assert "could not pin" in capsys.readouterr().err
 
     def test_generate_depth_two_needs_finer_grid(self, tmp_path):
         assert run_cli(
@@ -580,6 +619,32 @@ def test_large_component_inline_is_parse_error(tmp_path, capsys, command):
     assert "inline" in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ("verify",), ("compute-pi", "--digits", "20", "--formula"),
+])
+@pytest.mark.parametrize("damage, message", [
+    ("newline", "lacks its final newline"), ("missing", "unreadable"),
+])
+def test_damaged_sidecar_is_parse_error(tmp_path, capsys, command, damage, message):
+    # A k = 14 sidecar loses its final newline, its hash updated to match
+    # so that only the newline check can refuse it, or goes missing.
+    path = write_record(generate_record(14, 1, "nearest"), tmp_path / "k14.json")
+    payload = json.loads(path.read_text())
+    sidecar = tmp_path / payload["u2"]["num"]["file"]
+    if damage == "missing":
+        sidecar.unlink()
+    else:
+        body = sidecar.read_text()[:-1]
+        sidecar.write_text(body)
+        payload["u2"]["num"]["sha256"] = hashlib.sha256(body.encode()).hexdigest()
+        path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(*command, str(path)) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
 class TestIntTextCap:
     """machinpi never changes CPython's int <-> str digit cap: it converts
     big values in chunks short enough that the cap is never checked, so
@@ -841,6 +906,42 @@ class TestPowerSizeLimit:
         assert "limit" in errors[0]
         assert max(exponents, default=0) <= 2  # bench's depth 2 only
 
+    @pytest.mark.parametrize("argv", [
+        ("generate", "27"), ("generate", "100000"), ("bench", "--k", "100000"),
+        ("bench", "--k", "3,100000"),
+    ])
+    def test_hopeless_depth_refused_before_the_tower(self, tmp_path, monkeypatch,
+                                                     capsys, argv):
+        def no_tower(k, digits):
+            raise AssertionError(f"tower evaluated at depth {k}")
+
+        monkeypatch.setattr(cli, "eval_radicals", no_tower)
+        monkeypatch.setenv("MACHINPI_DIR", str(tmp_path))
+        start = time.perf_counter()
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "limit" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("k, den, rounding", [
+        (k, den, rounding) for k in range(2, 24) for den in (1, 10, 100)
+        for rounding in ("nearest", "floor")])
+    def test_depth_bound_is_below_every_selectable_power(self, k, den, rounding):
+        # The refusal's bound 2**(k-1) * (k-1) must not exceed the power
+        # of any u1 the tower can select, or a workable depth is refused.
+        try:
+            u1 = select_u1(eval_radicals(k, 26), den, rounding).u1
+        except EpsilonTooLarge:
+            return
+        assert machin.power_bits(1 << (k - 1), u1) >= (1 << (k - 1)) * (k - 1)
+        machin.check_tower_depth(k)
+
+    def test_depth_bound_first_refuses_27(self):
+        machin.check_tower_depth(26)  # 2**25 * 25 bits, under the limit
+        with pytest.raises(ValueError, match="limit"):
+            machin.check_tower_depth(27)
+
 
 class TestBenchCommand:
     def test_small_bench(self, tmp_path, capsys):
@@ -890,7 +991,38 @@ class TestSolveSecondCommand:
         assert run_cli("solve-second", "--alpha1", "2", "--beta1", "2") == 0
         assert "beta2 = -7/1" in capsys.readouterr().out
 
-    def test_degenerate_exit_code(self):
+    @pytest.mark.parametrize("alpha1, beta1, where", [
+        ("1", "1", "is already pi/4; "),
+        ("3", "-1", "is already pi/4 -1*pi; "),
+        ("8", "2", "is pi/4 +1*pi; "),
+    ], ids=["pi/4", "pi/4-pi", "closing-term-pi/4+pi"])
+    def test_degenerate_exit_code(self, capsys, alpha1, beta1, where):
+        # 8 arctan(1/2) + arctan(191/863) is pi/4 + pi: the closing term
+        # modulo pi closes no formula for pi.
         assert run_cli(
-            "solve-second", "--alpha1", "1", "--beta1", "1"
+            "solve-second", "--alpha1", alpha1, "--beta1", beta1
         ) == cli.EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.out == "" and where in captured.err
+
+    @given(st.integers(1, 40), st.integers(-60, 60).filter(bool), st.integers(1, 60))
+    @example(8, 2, 1).via("pi/4 + pi")
+    @example(3, -1, 1).via("already pi/4 - pi")
+    @example(2, 2, 1).via("closes")
+    def test_printed_second_term_closes_pi_over_4(self, alpha1, p, q):
+        # Exit 0 iff some beta2 closes pi/4 exactly, by an independent
+        # product and branch estimate; stdout then names that beta2.
+        beta1 = Fraction(p, q)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli("solve-second", "--alpha1", str(alpha1), f"--beta1={beta1}")
+        # The rotation w = (beta2 + i)/(beta2 - i) = i / z = im + i*re of
+        # beta2 = 2 re / ((im - 1)**2 + re**2); re = 0 leaves none.
+        re, im = rotation_power_reference(beta1, alpha1)
+        beta2 = 2 * re / ((im - 1) ** 2 + re ** 2) if re else None
+        if beta2 is None or branch_turns([(alpha1, beta1), (1, beta2)]):
+            assert code == cli.EXIT_DEGENERATE and out.getvalue() == ""
+        else:
+            assert code == 0
+            assert out.getvalue().startswith(
+                f"beta2 = {beta2.numerator}/{beta2.denominator}\n")

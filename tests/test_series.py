@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,9 +8,13 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from machinpi.errors import DivergentArgument, UnverifiedFormula, ZeroArgument
+from machinpi import cli, series
+from machinpi.errors import (DivergentArgument, PrecisionExhausted, UnverifiedFormula,
+                             ZeroArgument)
 from machinpi.machin import MachinFormula, solve_u2
+from machinpi.realnum import FixedReal
 from machinpi.series import (
+    SeriesResult,
     _radical_rate,
     approx_log10,
     arctan_conjugate,
@@ -21,6 +26,7 @@ from machinpi.series import (
     pi_from_formula,
     pi_from_radicals,
     scale_for_digits,
+    terms_for_digits,
 )
 
 from oracles import arctan_bracket, cot_tower_digits
@@ -199,6 +205,53 @@ class TestPiFromFormula:
     def test_needs_exactly_one_positive_budget(self, machin_formula, budget):
         with pytest.raises(ValueError):
             pi_digits_from_formula(machin_formula, **budget)
+
+
+class TestCertifiedPiRetries:
+    """A digit target that the first run cannot certify is run again with
+    3 more terms and 128, 256, 512, 1024 more bits of scale, at most four
+    times, then PrecisionExhausted (exit 5 from the CLI)."""
+
+    # The first run of 50 digits from 4 arctan(1/5) - arctan(1/239), whose
+    # slowest arctangent is arctan(1/5).
+    FIRST = (terms_for_digits(50, digits_per_term(Fraction(5))), scale_for_digits(50))
+
+    @staticmethod
+    def uncertain_until(attempt, calls):
+        # Pi from the formula, widened by 1 until the given attempt.
+        def evaluate(formula, terms, scale, assume_verified=False):
+            calls.append((terms, scale))
+            result = pi_from_formula(formula, terms, scale, assume_verified)
+            if len(calls) < attempt:
+                return dataclasses.replace(result, value=result.value.widened(1 << scale))
+            return result
+        return evaluate
+
+    def test_second_run_certifies(self, monkeypatch, machin_formula, pi_text_300):
+        calls = []
+        monkeypatch.setattr(series, "pi_from_formula", self.uncertain_until(2, calls))
+        text, _ = pi_digits_from_formula(machin_formula, 50)
+        assert text == pi_text_300[:52]
+        terms, scale = self.FIRST
+        assert calls == [(terms, scale), (terms + 3, scale + 128)]
+
+    def test_gives_up_after_four_retries(self, monkeypatch, machin_formula):
+        calls = []
+        monkeypatch.setattr(series, "pi_from_formula", self.uncertain_until(6, calls))
+        with pytest.raises(PrecisionExhausted, match="50 digits"):
+            pi_digits_from_formula(machin_formula, 50)
+        terms, scale = self.FIRST
+        assert calls == [(terms + 3 * i, scale + extra)
+                         for i, extra in enumerate((0, 128, 384, 896, 1920))]
+
+    def test_cli_exits_5_when_digits_stay_uncertain(self, monkeypatch, capsys):
+        def uncertain(k, terms, scale):
+            return SeriesResult(FixedReal(3 << scale, scale, 1 << scale), terms, 1.0, (terms,))
+
+        monkeypatch.setattr(series, "pi_from_radicals", uncertain)
+        assert cli.main(["compute-pi", "--k", "3", "--digits", "20"]) == cli.EXIT_PRECISION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "could not validate 20 digits" in captured.err
 
 
 class TestPiFromRadicals:
