@@ -175,14 +175,13 @@ def _cmd_compute_pi(args) -> int:
 
 
 def _bench_formula(k: int):
-    """Record for one depth, easing the denominator when the integer grid
-    puts the rounding residual over the smallness limit."""
-    for denominator in (1, 10, 100):
-        try:
-            return generate_record(k, denominator, "nearest")
-        except EpsilonTooLarge:
-            continue
-    raise EpsilonTooLarge(f"no workable denominator policy for k = {k}")
+    """Record for one depth, on tenths when the integer grid puts the
+    rounding residual over the smallness limit.  Tenths always suffice:
+    |eps| <= 1/20 there, while u1 >= 12/5 at every depth k >= 2."""
+    try:
+        return generate_record(k, 1, "nearest")
+    except EpsilonTooLarge:
+        return generate_record(k, 10, "nearest")
 
 
 def _cmd_bench(args) -> int:

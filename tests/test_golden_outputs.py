@@ -96,6 +96,16 @@ COMPUTE_PI = {
         "0ec610b5e30d4da6b2ee8b46a95dcb994c9748534a4e7f3d166c446202f4d4a9",
         "terms used: 21; measured digits/term: 24.500\n",
     ),
+    # Towers whose roots are tens of thousands of bits wide, recorded
+    # while every root was still one math.isqrt call.
+    "k=40 --digits 10000": (
+        "d44e2dba39a378de3f41dace85394c8a02130e8442a61e91f3a8dd8e406f61e6",
+        "terms used: 850; measured digits/term: 24.299\n",
+    ),
+    "k=400 --digits 10000": (
+        "d44e2dba39a378de3f41dace85394c8a02130e8442a61e91f3a8dd8e406f61e6",
+        "terms used: 100; measured digits/term: 241.079\n",
+    ),
 }
 
 # sha256 of the two report files of `bench --k 2,3,5,10 --max-terms 80`.

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from machinpi import realnum
 from machinpi.errors import DivisorStraddlesZero, NegativeOperand
+from machinpi.radicals import eval_radicals
 from machinpi.realnum import (
+    _SQRTREM_CROSSOVER,
     FixedReal,
     _ceil_div,
     _div_nearest,
     _shift_ceil,
     _shift_nearest,
+    _sqrtrem,
 )
 
 from oracles import (
@@ -40,6 +44,23 @@ def narrow_intervals(draw):
     e_max = min(m // 16, isqrt(isqrt((m ** 3) >> s)))
     assume(e_max >= 1)
     return m, draw(st.integers(min_value=1, max_value=e_max)), s
+
+
+@st.composite
+def sized_naturals(draw):
+    """n >= 0 of every bit length up to four times the crossover, so the
+    recursion runs up to three levels and meets both normalisation
+    shifts (t = 0 and t = 1)."""
+    bits = draw(st.integers(min_value=0, max_value=4 * _SQRTREM_CROSSOVER))
+    if bits == 0:
+        return 0
+    return draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+
+
+def isqrt_rem(n: int) -> tuple[int, int]:
+    """The reference: math.isqrt and its remainder."""
+    s = isqrt(n)
+    return s, n - s * s
 
 
 def exactly(fr: Fraction, scale: int = 128) -> FixedReal:
@@ -75,6 +96,10 @@ class TestSqrt:
         x = FixedReal(0, 64, 4)
         root = x.sqrt()
         assert root.lower <= 0 <= root.upper
+        # hi = 4 ulps is 2**66 at double scale, a square: [0, 2**33]
+        # exactly.  One more ulp has a remainder and rounds the top up.
+        assert root == FixedReal(1 << 32, 64, 1 << 32)
+        assert FixedReal(0, 64, 5).sqrt().upper * (1 << 64) == isqrt(5 << 64) + 1
 
     @given(fractions_pos, scales)
     def test_sqrt_contains_true_root(self, fr, scale):
@@ -113,6 +138,51 @@ class TestSqrt:
         m, e, s = mes
         x = FixedReal(m, s, e)
         assert x.sqrt().err_ulp <= sqrt_two_roots_reference(x).err_ulp + 1
+
+
+class TestSqrtRem:
+    @given(sized_naturals())
+    def test_matches_isqrt(self, n):
+        assert _sqrtrem(n) == isqrt_rem(n)
+
+    @pytest.mark.parametrize("bits", [
+        _SQRTREM_CROSSOVER - 1, _SQRTREM_CROSSOVER, _SQRTREM_CROSSOVER + 1,
+        _SQRTREM_CROSSOVER + 2, _SQRTREM_CROSSOVER + 3,
+        2 * _SQRTREM_CROSSOVER + 1, 2 * _SQRTREM_CROSSOVER + 2,
+        4 * _SQRTREM_CROSSOVER, 69_000,
+    ])
+    def test_squares_and_their_neighbours(self, bits):
+        # r**2 has remainder 0, r**2 - 1 the root below, r**2 + 2r the
+        # largest remainder a root r can have.
+        r = (1 << (bits // 2)) | 0x9E3779B97F4A7C15
+        for n in (0, 1, r * r, r * r - 1, r * r + 2 * r,
+                  (1 << bits) - 1, 1 << (bits - 1)):
+            assert _sqrtrem(n) == isqrt_rem(n)
+        assert _sqrtrem(r * r) == (r, 0)
+        assert _sqrtrem(r * r + 2 * r) == (r, 2 * r)
+
+    def test_powers_of_four(self):
+        c = _SQRTREM_CROSSOVER
+        for j in [*range(64), c // 2 - 1, c // 2, c // 2 + 1, c - 1, c, c + 1,
+                  2 * c - 1, 2 * c, 2 * c + 1]:
+            assert _sqrtrem(4 ** j) == (2 ** j, 0)
+            assert _sqrtrem(4 ** j - 1) == isqrt_rem(4 ** j - 1)
+
+    @pytest.mark.parametrize("bits", [0, 5 * _SQRTREM_CROSSOVER])
+    def test_negative_raises_like_isqrt(self, bits):
+        n = -(1 << bits)
+        with pytest.raises(ValueError):
+            isqrt(n)
+        with pytest.raises(ValueError):
+            _sqrtrem(n)
+
+    def test_deep_tower_unchanged_from_isqrt(self, monkeypatch):
+        # Every root of a 10,000-digit, depth-400 tower is tens of
+        # thousands of bits wide; the same tower with math.isqrt alone
+        # must give the same intervals, bit for bit.
+        fast = eval_radicals(400, 10000)
+        monkeypatch.setattr(realnum, "_sqrtrem", isqrt_rem)
+        assert eval_radicals(400, 10000) == fast
 
 
 class TestArithmetic:
