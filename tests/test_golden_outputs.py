@@ -30,6 +30,7 @@ RECORDS = {
     "k2den10": ("2", "--den", "10"),
     "k10floor": ("10", "--round", "floor"),
     "k14": ("14",),
+    "k15": ("15",),
 }
 
 # sha256 of every file `generate` writes for RECORDS, sidecars included.
@@ -42,6 +43,14 @@ RECORD_FILES = {
         "75988d2b396e3c692b9406c2204dc735a416e5d92a44911c5a1816e1ce0362af",
     "k14.u2num.txt":
         "d29dfcaf8a3f7868ea569d4610f2892b648465b61986d09e743561b87cbae671",
+    # Depth 15 (68,303/68,298 digits), recorded while u2 was still formed
+    # as a binary int power and written by the int -> text codec.
+    "k15.json":
+        "2a792a00f2ce3524fe176c82587206e93f2559784deec163b777501ec0ecb293",
+    "k15.u2den.txt":
+        "3394bce35bd038570c6c28ee295ff80e5b886fb4805bba647e143fd4f830d7b0",
+    "k15.u2num.txt":
+        "4ec747b2ad25e9a3eb6ae78433078787fb4599e830fc4c8c935296209385edec",
     "k2den10.json":
         "3ee2f4e3bb8eb8ab34a08eb912ddef443b4568c8676493376b9c2224c0864cd0",
     "k3.json":
@@ -116,11 +125,21 @@ BENCH_FILES = {
         "3e22c57836cf2a428348499f3ebac3a68aa2af8a69b25d3f96e2f46f581a9e41",
 }
 
-# sha256 of the stdout of `solve-second` (the depth-14 closing term,
-# 65,879 bytes).
+# sha256 of the stdout of `solve-second`: the depth-14 closing term
+# (65,879 bytes), then odd exponents and first arguments with both parts
+# odd, the last 74,855 bytes.  The odd cases were recorded while the
+# solver still formed the power in binary int.
 SOLVE_SECOND = {
     "--alpha1 8192 --beta1 10430":
         "f857ac9c121d8a07687a71705a87f83f903ffe3534ec7831c6809c08ccc210d2",
+    "--alpha1 3 --beta1 7":
+        "70b8e8174209d437883a72bb0f9723e097c206de0cb3f03ff0255e4f672c6729",
+    "--alpha1 3 --beta1 13/5":
+        "a44cfb2baef0f29c026a56b99b58035bcef07103f2160d62fd6866ff87cc4328",
+    "--alpha1 5 --beta1 -7":
+        "551e673dc6165a439650583f08991c9a6d4d5048a034090965dc28244fd112be",
+    "--alpha1 8191 --beta1 52151/5":
+        "8d14e8496b116391a5020c76161ca9357f31931fd3a30488f991003d5f6e35f0",
 }
 
 # sha256 of the stdout of each script under scripts/, run without flags.
