@@ -3,20 +3,23 @@
 growth rate.
 
 For each depth k (13..17 by default) the script generates the record in
-process, as `machinpi generate k` does, and times four layers on it:
+process, as `machinpi generate k` does, and times three layers on it:
 
-  generate       the whole command: tower, u2 solve, branch check and
-                 the record write
-  int_to_text    decimal text of both u2 parts
-  text_to_int    the parts back from that text
+  generate       the whole command: tower, u2 solved as decimal text,
+                 branch check and the record write
   check_record   digit counts, then u2 solved again from k and u1 and
-                 compared with the loaded parts, and the branch check
+                 compared with the stored text, and the branch check
+  text_to_int    both u2 parts from their text to int: the one
+                 conversion compute-pi makes before its series
 
 Each time is the best of --repeat runs.  u2's parts double in size with
 each depth, so the least-squares slope of log(time) against log(bits of
 u2) is the layer's empirical growth exponent: about 1.58 for Karatsuba
-integer products, closer to 1 for the decimal text, 2 for a quadratic
-loop.  It runs for several seconds and is not part of the test suite:
+integer products, closer to 1 for libmpdec's products and decimal text,
+2 for a quadratic loop.  Each row also carries the sha256 of every file
+the record was written to, so two runs (two commits) can be checked to
+write byte-identical records.  It runs for several seconds and is not
+part of the test suite:
 
     PYTHONPATH=src python scripts/record_ladder.py [--depths 13-17]
         [--repeat 3] [--json ladder.json]
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -36,10 +40,10 @@ import time
 from pathlib import Path
 
 from machinpi import cli
-from machinpi.exact import int_to_text, text_to_int
+from machinpi.exact import text_to_int
 from machinpi.records import check_record, load_record
 
-LAYERS = ("generate", "int_to_text", "text_to_int", "check_record")
+LAYERS = ("generate", "check_record", "text_to_int")
 
 
 def best_of(repeat: int, fn) -> float:
@@ -59,8 +63,18 @@ def slope(xs: list[float], ys: list[float]) -> float:
             / sum((a - mx) ** 2 for a in lx))
 
 
+def u2_texts(path: Path) -> list[str]:
+    """u2's two parts as the record stores them, inline or in sidecars."""
+    parts = json.loads(path.read_text())["u2"]
+    return [entry["value"] if "value" in entry
+            else (path.parent / entry["file"]).read_text()[:-1]
+            for entry in (parts["num"], parts["den"])]
+
+
 def measure(k: int, repeat: int, work: Path) -> dict:
-    path = work / f"formula_k{k}.json"
+    directory = work / f"k{k}"
+    directory.mkdir()
+    path = directory / f"formula_k{k}.json"
 
     def generate():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -68,13 +82,13 @@ def measure(k: int, repeat: int, work: Path) -> dict:
 
     row = {"k": k, "generate": best_of(repeat, generate)}
     record = load_record(path)
-    parts = (record.u2.numerator, record.u2.denominator)
-    texts = [int_to_text(part) for part in parts]
-    row["u2_bits"] = max(part.bit_length() for part in parts)
+    texts = u2_texts(path)
+    row["u2_bits"] = max(text_to_int(text).bit_length() for text in texts)
     row["u2_digits"] = max(len(text.lstrip("-")) for text in texts)
-    row["int_to_text"] = best_of(repeat, lambda: [int_to_text(p) for p in parts])
-    row["text_to_int"] = best_of(repeat, lambda: [text_to_int(t) for t in texts])
     row["check_record"] = best_of(repeat, lambda: check_record(record))
+    row["text_to_int"] = best_of(repeat, lambda: [text_to_int(t) for t in texts])
+    row["files_sha256"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                           for p in sorted(directory.iterdir())}
     return row
 
 

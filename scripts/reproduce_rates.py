@@ -21,8 +21,8 @@ from machinpi.analysis import (
     measure_convergence,
     validated_pi_reference,
 )
-from machinpi.exact import decimal_digit_count, format_decimal_head
-from machinpi.machin import solve_u2, verify_formula, MachinFormula
+from machinpi.exact import decimal_head, fraction_from_text
+from machinpi.machin import second_term_text, verify_formula, MachinFormula
 from machinpi.radicals import eval_radicals, select_u1
 from machinpi.series import digits_per_term, pi_from_radicals, scale_for_digits
 
@@ -62,17 +62,17 @@ def main() -> int:
                   f"{'-':>15} {predicted:6.2f} {'-':>6} "
                   f"{KNOWN_DIGITS_PER_TERM[k]:4d}")
             continue
-        u2 = solve_u2(sel.u1, k)
+        num, den = second_term_text(1 << (k - 1), sel.u1)
+        u2 = fraction_from_text(num, den)
         assert verify_formula(MachinFormula.two_term(k, sel.u1, u2)).ok
-        counts = f"{decimal_digit_count(u2.numerator)}/" \
-                 f"{decimal_digit_count(u2.denominator)}"
+        counts = f"{len(num.lstrip('-'))}/{len(den)}"
         measured = "-"
         if predicted * args.max_terms < MEASURED_DIGITS:
             report = measure_convergence(
                 MachinFormula.two_term(k, sel.u1, u2), args.max_terms, reference
             )
             measured = f"{report.measured_digits_per_term:6.2f}"
-        print(f"{k:3d} {str(sel.u1):>12} {format_decimal_head(u2):>28} "
+        print(f"{k:3d} {str(sel.u1):>12} {decimal_head(num, den):>28} "
               f"{counts:>15} {predicted:6.2f} {measured:>6} "
               f"{KNOWN_DIGITS_PER_TERM[k]:4d}")
 

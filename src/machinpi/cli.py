@@ -29,7 +29,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .analysis import (
@@ -50,9 +49,8 @@ from .errors import (
     RecordParseError,
     UnverifiedFormula,
 )
-from .exact import format_decimal_head, int_to_text, parse_rational
-from .machin import (MachinFormula, check_tower_depth, solve_second_term, solve_u2,
-                     sum_turns)
+from .exact import decimal_head, parse_rational
+from .machin import check_tower_depth, closing_turns, second_term_text
 from .radicals import eval_radicals, select_u1
 from .records import FormulaRecord, build_record, load_record, write_record
 from .series import digits_per_term, pi_digits_from_formula, pi_digits_from_radicals
@@ -91,10 +89,11 @@ _SELECTION_DIGITS = 26
 
 
 def generate_record(k: int, denominator: int, rounding: str) -> FormulaRecord:
-    """Full pipeline: tower -> rational rounding -> exact second term ->
-    branch check (the closed form passes the product check by design).
-    Up to four towers, at 26 to 50 digits, until u1 and 20 digits of eps
-    are certain; a depth past MAX_POWER_BITS is refused before the first."""
+    """Full pipeline: tower -> rational rounding -> exact second term, as
+    decimal text -> branch check (the closed form passes the product check
+    by design).  Up to four towers, at 26 to 50 digits, until u1 and 20
+    digits of eps are certain; a depth past MAX_POWER_BITS is refused
+    before the first."""
     check_tower_depth(k)
     digits = _SELECTION_DIGITS
     for _ in range(4):
@@ -108,15 +107,15 @@ def generate_record(k: int, denominator: int, rounding: str) -> FormulaRecord:
         digits += 8
     else:
         raise PrecisionExhausted("could not pin u1 and 20 digits of the residual")
-    u2 = solve_u2(selection.u1, k)
-    verified = sum_turns(MachinFormula.two_term(k, selection.u1, u2)) == 0
+    u2_text = second_term_text(1 << (k - 1), selection.u1)
+    verified = closing_turns(1 << (k - 1), selection.u1, u2_text) == 0
     return build_record(
         k=k,
         denominator_policy=denominator,
         rounding=rounding,
         u1=selection.u1,
         epsilon_decimal=eps_text,
-        u2=u2,
+        u2_text=u2_text,
         verified=verified,
         predicted_rate=digits_per_term(selection.u1),
     )
@@ -250,13 +249,13 @@ def _cmd_bench(args) -> int:
 
 def _cmd_solve_second(args) -> int:
     beta1 = parse_rational(args.beta1)
-    beta2 = solve_second_term(args.alpha1, beta1)
-    turns = sum_turns(MachinFormula(((Fraction(args.alpha1), beta1), (Fraction(1), beta2))))
+    num, den = second_term_text(args.alpha1, beta1)
+    turns = closing_turns(args.alpha1, beta1, (num, den))
     if turns:
         raise DegenerateSecondTerm(f"{args.alpha1}*arctan(1/{beta1}) plus its closing "
                                    f"term is pi/4 {turns:+d}*pi; none closes pi/4")
-    print(f"beta2 = {int_to_text(beta2.numerator)}/{int_to_text(beta2.denominator)}")
-    print(f"      ~ {format_decimal_head(beta2)}")
+    print(f"beta2 = {num}/{den}")
+    print(f"      ~ {decimal_head(num, den)}")
     return EXIT_OK
 
 

@@ -6,19 +6,22 @@ immutable pair of ints; every operation is exact, no floating point
 anywhere.  A rotation (p + qi)/(p - qi) is never formed as a quotient:
 callers keep the Gaussian integer (p + qi)**n and its norm apart, and
 divide once, as Fractions, only where a rational result is wanted.
+
+The record path works in exact decimal instead: decimal_gaussian_power
+forms (p + qi)**n in a private libmpdec context in which every integer
+operation is exact, so its decimal text costs linear time, and
+decimal_head reads the leading digits of a quotient of two such texts.
 int_to_text and text_to_int convert big integers to and from decimal
-text in subquadratic time, without changing CPython's process-wide
-int <-> str digit cap or the thread's decimal context.
+text in subquadratic time where an int is still wanted; none of them
+changes CPython's process-wide int <-> str digit cap or the thread's
+decimal context.
 """
 
 from __future__ import annotations
 
 import decimal
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-_LOG10_2 = math.log10(2)
 
 
 # CPython checks an int <-> decimal-text conversion against its digit cap
@@ -176,6 +179,29 @@ class GaussianInt:
         return self.re * self.re + self.im * self.im
 
 
+def decimal_gaussian_power(re: int, im: int, n: int,
+                           ctx: decimal.Context) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """The parts of (re + im i)**n for n >= 1 as integer Decimals
+    (exponent 0), by square-and-multiply in ctx, which must be an
+    _exact_context(): unbounded precision with Inexact and Rounded
+    trapped, so any rounding raises instead of passing.  Each square
+    takes two multiplications, (a + b)(a - b) and ab."""
+    if n < 1:
+        raise ValueError("the exponent of a decimal Gaussian power must be positive")
+    a, b = ctx.create_decimal(re), ctx.create_decimal(im)
+    result = None
+    while True:
+        if n & 1:
+            result = (a, b) if result is None else (
+                ctx.subtract(ctx.multiply(result[0], a), ctx.multiply(result[1], b)),
+                ctx.add(ctx.multiply(result[0], b), ctx.multiply(result[1], a)))
+        n >>= 1
+        if not n:
+            return result
+        ab = ctx.multiply(a, b)
+        a, b = ctx.multiply(ctx.add(a, b), ctx.subtract(a, b)), ctx.add(ab, ab)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "5", "-239", "24/10", or "2.4" into an exact Fraction."""
     try:
@@ -224,61 +250,31 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return Fraction(num, den, _normalize=False)
 
 
-def decimal_digit_count(n: int) -> int:
-    """Number of decimal digits of |n| without a full str() conversion.
+def fraction_from_text(num: str, den: str) -> Fraction:
+    """The Fraction num/den from decimal integer text of a coprime pair
+    with den > 0, as the second-term solver returns it; no gcd runs."""
+    return _coprime_fraction(text_to_int(num), text_to_int(den))
 
-    bit_length brackets the answer to two candidates, e and e + 1; one
-    power 5**e settles it, since n < 10**e exactly when n >> e < 5**e.
+
+def decimal_head(num: str, den: str) -> str:
+    """Leading decimal expansion of num/den, given as integer text with
+    den > 0: 20 digits after the point, truncated toward zero, in plain
+    fixed point below 10**6 in magnitude and as d.<20 digits>e<exp> above.
+
+    With a and b the digit counts of |num| and den, |num/den| lies in
+    [10**(a-b-1), 10**(a-b+1)), so floor(|num/den| * 10**(21-a+b)) has
+    21 or 22 digits; its length gives the exponent, and its first 21
+    digits are the truncated mantissa, since dropping an integer's last
+    digit truncates once more.  Both quotients are exact divide_int
+    calls with small results; nothing of the parts' size is converted.
     """
-    n = abs(n)
-    if n == 0:
-        return 1
-    e = int(n.bit_length() * _LOG10_2)
-    five = 5 ** e
-    # n has e or e + 1 digits, up to the float slack: step down while
-    # n < 10**e, then up while n >= 10**(e + 1).
-    while n >> e < five:
-        e -= 1
-        five //= 5
-    while n >> (e + 1) >= five * 5:
-        e += 1
-        five *= 5
-    return e + 1
-
-
-def fraction_to_fixed_text(fr: Fraction, digits: int) -> str:
-    """Render fr with `digits` digits after the point, truncated toward zero."""
-    if digits < 0:
-        raise ValueError("digits must be non-negative")
-    sign = "-" if fr < 0 else ""
-    scaled = abs(fr.numerator) * 10 ** digits // fr.denominator
-    whole, frac = divmod(scaled, 10 ** digits)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
-
-
-def fraction_to_sci_text(fr: Fraction, digits: int) -> str:
-    """Scientific form d.<digits>e<exp>, mantissa truncated toward zero."""
-    if fr == 0:
-        return f"0.{'0' * digits}e0"
-    # The bit-length difference brackets the exponent to within one, and
-    # no power of ten of the parts' size is formed.
-    exp = int((abs(fr.numerator).bit_length() - fr.denominator.bit_length()) * _LOG10_2)
-    mantissa = abs(fr) / Fraction(10) ** exp
-    while mantissa >= 10:
-        mantissa /= 10
-        exp += 1
-    while mantissa < 1:
-        mantissa *= 10
-        exp -= 1
-    sign = "-" if fr < 0 else ""
-    return f"{sign}{fraction_to_fixed_text(mantissa, digits)}e{exp}"
-
-
-def format_decimal_head(fr: Fraction) -> str:
-    """Leading decimal expansion of a rational, 20 digits after the point:
-    plain fixed-point for magnitudes below 10**6, scientific above."""
-    if abs(fr) < 10 ** 6:
-        return fraction_to_fixed_text(fr, 20)
-    return fraction_to_sci_text(fr, 20)
+    ctx = _exact_context()
+    sign = "-" if num.startswith("-") else ""
+    magnitude, divisor = ctx.create_decimal(num[len(sign):]), ctx.create_decimal(den)
+    shift = len(num) - len(sign) - len(den)
+    mantissa = str(ctx.divide_int(ctx.scaleb(magnitude, 21 - shift), divisor))
+    exp = shift - 22 + len(mantissa)
+    if exp >= 6:
+        return f"{sign}{mantissa[0]}.{mantissa[1:21]}e{exp}"
+    fixed = str(ctx.divide_int(ctx.scaleb(magnitude, 20), divisor)).zfill(21)
+    return f"{sign}{fixed[:-20]}.{fixed[-20:]}"

@@ -22,14 +22,17 @@ A + Bi = (p + qi) ** alpha1,
 
 and demanding the product equal i gives beta2 = (A + B)/(A - B).  The
 only common factor of A + B and A - B is a power of two (see
-exact.fraction_sharing_only_twos), so one shift puts beta2 in lowest
-terms.  The same value falls out of the direct rearrangement
+exact.fraction_sharing_only_twos), and its exponent follows from the
+parities of p and q alone (second_term_text), so beta2 comes out in
+lowest terms with nothing divided.  The solver works in exact decimal
+and returns beta2's parts as decimal text, which is what a record
+stores.  The same value falls out of the direct rearrangement
 
     beta2 = 2 / (z - i) - i,      z = ((beta1 + i)/(beta1 - i)) ** alpha1,
 
-which solve_second_term_direct evaluates on one Gaussian power as an
+which solve_second_term_direct evaluates on one int Gaussian power as an
 independent cross-check path; the README records the algebra connecting
-the two.  A stored second term is compared with the closed form
+the two.  A stored second term is compared with the closed form as text
 (check_second_term), so no product with it is formed.
 """
 
@@ -40,15 +43,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSecondTerm, NotExactlyVerifiable, UnverifiedFormula
-from .exact import GaussianInt, fraction_sharing_only_twos
+from .exact import GaussianInt, _exact_context, decimal_gaussian_power, fraction_from_text
 
 # Error of a term's float estimate alpha * atan(1/beta) per unit of
 # |alpha|.  The atan is off by at most 2**-50 + 2**-54: 4 ulps of
 # |atan| <= pi/2 for libm, and 2**-54 for rounding y = 1/beta to a float,
 # since atan'(y) <= 1/(1 + y**2).  Beyond |y| = 2**64 the float pi/2
 # stands in, off by at most 2**-53 + 2**-64.  The float product and the
-# correctly rounded fsum add 2**-52 each; the total is below 2**-49.
+# correctly rounded fsum add 2**-52 each.  A cotangent given as text is
+# read from _HEAD_DIGITS-digit heads (_text_ratio): y moves by a factor
+# within 1 +- 2.1e-39, so atan(y) by at most 2**-127 |y|/(1 + y**2) <=
+# 2**-128, and the cap on its exponent adds under 10**-399.  The total
+# is 0.79 * 2**-49, below 2**-49.
 _ATAN_ERROR = 2.0 ** -49
+
+# Leading digits of each part of a decimal-text cotangent that the
+# branch check reads.
+_HEAD_DIGITS = 40
 
 # Largest Gaussian power formed, in bits of its parts.  Depth 23's second
 # term needs about 1.08e8 bits; a power past 2**30 bits would run for
@@ -142,31 +153,74 @@ def _term_factor(alpha: int, beta: Fraction) -> GaussianInt:
     return g.conjugate() if alpha < 0 else g
 
 
-def solve_second_term(alpha1: int, beta1: Fraction) -> Fraction:
+def second_term_text(alpha1: int, beta1: Fraction) -> tuple[str, str]:
     """Exact beta2 with alpha1*arctan(1/beta1) + arctan(1/beta2) equal to
-    pi/4 modulo pi: the sum may be pi/4 + n*pi, and sum_turns gives n.
+    pi/4 modulo pi, as the decimal text (num, den) of its lowest terms
+    with den > 0; the sum may be pi/4 + n*pi, and closing_turns gives n.
 
-    Raises DegenerateSecondTerm when the first term alone is pi/4 modulo
-    pi (the rotation is already i) or is pi/4 plus a right angle (beta2
-    would be zero, and arctan(1/beta2) undefined).
+    With beta1 = p/q and A + Bi = (p + qi)**n, n = alpha1, beta2 is
+    (A + B)/(A - B) over the power of two the two share (the only common
+    factor, exact.fraction_sharing_only_twos), and that power is known
+    from the parities of p and q:
+
+    - p + q odd: the norm p**2 + q**2 is odd, so is A**2 + B**2, so A
+      and B have opposite parity and A + B, A - B are odd: nothing is
+      shared, and beta2 = (A + B)/(A - B) as it stands.
+    - p, q both odd: p + qi = (1 + i) h with h = ((p + q) + (q - p) i)/2,
+      whose norm (p**2 + q**2)/2 is odd, so h**n = C + Di has C, D of
+      opposite parity.  As (1 + i)**2 = 2i, (p + qi)**n = 2**m i**m
+      (1 + i)**(n - 2m) (C + Di) with m = floor(n/2).  Let x + yi =
+      i**m (C + Di), again of opposite parity; i**2 = -1 scales A and B
+      alike and leaves beta2 unchanged, so only m mod 2 matters.  For
+      even n, A + B = 2**m (x + y) and A - B = 2**m (x - y), with x +- y
+      odd; for odd n the factor 1 + i makes them 2**(m+1) x and
+      -2**(m+1) y, with x, y of opposite parity.  So 2**ceil(n/2) is all
+      they share, and beta2 is (x + y)/(x - y) or x/(-y).
+
+    The power is formed in exact decimal (exact.decimal_gaussian_power),
+    whose text costs linear time.  ValueError for a power over
+    MAX_POWER_BITS, checked before it is formed.  DegenerateSecondTerm
+    when the first term alone is pi/4 modulo pi (A = B: the rotation is
+    already i) or is pi/4 plus a right angle (A = -B: beta2 would be
+    zero, and arctan(1/beta2) undefined).
     """
     if alpha1 < 1:
         raise ValueError("first coefficient must be a positive integer")
     beta1 = Fraction(beta1)
     if beta1 == 0:
         raise ValueError("first cotangent argument must be nonzero")
-    g = _term_factor(alpha1, beta1)
-    a, b = g.re, g.im
-    if a == b:
+    _check_power_size(power_bits(alpha1, beta1), ValueError)
+    p, q = beta1.numerator, beta1.denominator
+    ctx = _exact_context()
+    if (p + q) & 1:
+        a, b = decimal_gaussian_power(p, q, alpha1, ctx)
+        num, den = ctx.add(a, b), ctx.subtract(a, b)
+    else:
+        x, y = decimal_gaussian_power((p + q) >> 1, (q - p) >> 1, alpha1, ctx)
+        if alpha1 & 2:  # times i**m up to a sign, which cancels in the quotient
+            x, y = y.copy_negate(), x
+        if alpha1 & 1:
+            num, den = x, y.copy_negate()
+        else:
+            num, den = ctx.add(x, y), ctx.subtract(x, y)
+    if den.is_zero():
         turns = sum_turns(MachinFormula.single(Fraction(alpha1), beta1))
         raise DegenerateSecondTerm(f"{alpha1}*arctan(1/{beta1}) is already pi/4"
                                    f"{f' {turns:+d}*pi' if turns else ''}; no second term")
-    if a == -b:
+    if num.is_zero():
         raise DegenerateSecondTerm(
             f"{alpha1}*arctan(1/{beta1}) differs from pi/4 by a right "
             "angle; the second argument degenerates to zero"
         )
-    return fraction_sharing_only_twos(a + b, a - b)
+    if den.is_signed():
+        num, den = num.copy_negate(), den.copy_negate()
+    return str(num), str(den)
+
+
+def solve_second_term(alpha1: int, beta1: Fraction) -> Fraction:
+    """second_term_text's beta2 as a Fraction, for callers that compute
+    with it; its parts are converted from the text."""
+    return fraction_from_text(*second_term_text(alpha1, beta1))
 
 
 def solve_u2(u1: Fraction, k: int) -> Fraction:
@@ -179,24 +233,31 @@ def solve_u2(u1: Fraction, k: int) -> Fraction:
     return solve_second_term(1 << (k - 1), u1)
 
 
-def check_second_term(k: int, u1: Fraction, u2: Fraction) -> bool:
+def check_second_term(k: int, u1: Fraction, u2: tuple[str, str]) -> bool:
     """Exact check of pi/4 = 2**(k-1) arctan(1/u1) + arctan(1/u2), u2 = r/s
-    as stored with s > 0, r != 0: G = (p + qi)**(2**(k-1)) (r + si) has
-    G.re == G.im != 0 iff r/s is the solved closing term, which is in
-    lowest terms (README, "Checking a record by re-solving u2").  Returns
-    whether (r, s) is that term part for part; UnverifiedFormula if a check
-    fails, NotExactlyVerifiable for a power over MAX_POWER_BITS."""
+    given as the decimal text (r, s) a record stores, s > 0, r != 0:
+    G = (p + qi)**(2**(k-1)) (r + si) has G.re == G.im != 0 iff r/s is
+    the solved closing term, which is in lowest terms (README, "Checking a
+    record by re-solving u2").  So equal text proves the product check and
+    lowest terms at once.  Text that differs is told apart by one exact
+    decimal cross-multiplication: the same value unreduced, or another
+    value.  Returns whether (r, s) is the solved text; UnverifiedFormula
+    if a check fails, NotExactlyVerifiable for a power over
+    MAX_POWER_BITS."""
     n = 1 << (k - 1)
     _check_power_size(power_bits(n, u1), NotExactlyVerifiable)
     try:
-        solved = solve_second_term(n, u1)
+        solved = second_term_text(n, u1)
     except DegenerateSecondTerm as exc:  # closing it needs r = 0 or s = 0
         raise UnverifiedFormula(f"exact product check failed: {exc}") from exc
-    reduced = u2 == solved  # Fraction equality compares the stored parts
-    if not reduced and u2.numerator * solved.denominator != u2.denominator * solved.numerator:
-        raise UnverifiedFormula("exact product check failed: u2 is not the closing "
-                                "term (A + B)/(A - B), A + Bi = (p + qi)**2**(k-1)")
-    turns = sum_turns(MachinFormula.two_term(k, u1, solved))
+    reduced = u2 == solved
+    if not reduced:
+        ctx = _exact_context()
+        r, s, r0, s0 = (ctx.create_decimal(part) for part in (*u2, *solved))
+        if ctx.multiply(r, s0) != ctx.multiply(s, r0):
+            raise UnverifiedFormula("exact product check failed: u2 is not the closing "
+                                    "term (A + B)/(A - B), A + Bi = (p + qi)**2**(k-1)")
+    turns = closing_turns(n, u1, solved)
     if turns:
         raise UnverifiedFormula(f"branch check failed: the sum is pi/4 {turns:+d}*pi")
     return reduced
@@ -270,17 +331,43 @@ def sum_turns(formula: MachinFormula) -> int:
     """n with sum of alpha * arctan(1/beta) = pi/4 + n*pi, for a formula
     whose product check holds.  The float estimate is within
     sum(|alpha|) * _ATAN_ERROR < pi/8 of the sum, so rounding picks n."""
-    estimate = math.fsum(float(alpha) * _atan_inverse(beta)
-                         for alpha, beta in formula.terms)
+    return _turns((alpha, _atan_inverse(beta.numerator, beta.denominator))
+                  for alpha, beta in formula.terms)
+
+
+def closing_turns(alpha1: int, beta1: Fraction, beta2: tuple[str, str]) -> int:
+    """sum_turns of alpha1*arctan(1/beta1) + arctan(1/beta2), with beta2
+    as the decimal text (num, den) that second_term_text returns."""
+    return _turns(((alpha1, _atan_inverse(beta1.numerator, beta1.denominator)),
+                   (1, _atan_inverse(*_text_ratio(*beta2)))))
+
+
+def _turns(terms) -> int:
+    estimate = math.fsum(float(alpha) * atan for alpha, atan in terms)
     return round((estimate - math.pi / 4) / math.pi)
 
 
-def _atan_inverse(beta: Fraction) -> float:
-    """atan(1/beta) as a float.  q / p is float(Fraction(q, p)), rounded
-    once from the integers however large they are; beyond |1/beta| = 2**64
-    the result is +-pi/2, within 2**-64 of the arctangent."""
-    p, q = beta.numerator, beta.denominator
+def _atan_inverse(p: int, q: int) -> float:
+    """atan(q/p) as a float for q > 0.  q / p is rounded once from the
+    integers however large they are; beyond |q/p| = 2**64 the result is
+    +-pi/2, within 2**-64 of the arctangent."""
     if q > abs(p) << 64:
         return math.copysign(math.pi / 2, p)
     return math.atan(q / p)
 
+
+def _text_ratio(num: str, den: str) -> tuple[int, int]:
+    """(p, q), q > 0, for decimal integer text with den > 0, from the
+    leading _HEAD_DIGITS digits of each part: q/p is within a factor
+    1 +- 2.1e-39 of den/num.  A part of L > _HEAD_DIGITS digits is its
+    head h >= 10**(_HEAD_DIGITS-1) times 10**(L - _HEAD_DIGITS), plus less
+    than one unit of that power.  The difference of the two powers moves
+    to one part, capped at 400: past the cap |q/p| and |den/num| are both
+    over 10**359 (the +-pi/2 branch either way) or both under 10**-359
+    (arctangents within 10**-359 of each other)."""
+    sign = -1 if num.startswith("-") else 1
+    digits = num[sign < 0:]
+    p, q = int(digits[:_HEAD_DIGITS]), int(den[:_HEAD_DIGITS])
+    shift = max(len(den), _HEAD_DIGITS) - max(len(digits), _HEAD_DIGITS)
+    shift = max(-400, min(400, shift))
+    return sign * p * 10 ** max(0, -shift), q * 10 ** max(0, shift)

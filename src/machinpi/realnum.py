@@ -166,10 +166,6 @@ class FixedReal:
         return Fraction(self.mantissa, 1 << self.scale)
 
     @property
-    def err(self) -> Fraction:
-        return Fraction(self.err_ulp, 1 << self.scale)
-
-    @property
     def lower(self) -> Fraction:
         return Fraction(self.mantissa - self.err_ulp, 1 << self.scale)
 

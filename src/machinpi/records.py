@@ -1,26 +1,30 @@
 """Formula records: versioned JSON artifacts with big-value sidecars.
 
 Unbounded integers are stored as decimal strings so any JSON parser
-round-trips them exactly; exact.int_to_text and exact.text_to_int
-convert them in subquadratic time without touching the process's
-int <-> str digit cap.  Second-term components at or above the inline
-threshold go to sidecar text files (decimal digits, optional leading
-minus, trailing newline) referenced by file name plus content hash;
-loading verifies the hash.  Loading accepts each component only in the
-layout writing gives it, integer text only in the form str(int) writes,
-u1 only in lowest terms, both fractions only over a positive
-denominator, and sidecars only by bare file name in the record's
-directory, so an edited record cannot keep its meaning under a
-different spelling or read digits from elsewhere.  No gcd runs on u2's
-parts: load_record returns a record only once check_record has found
-them equal to u2 re-solved from k and u1, in lowest terms.  Writes are
-atomic (temp file then rename), byte-deterministic, and create files
-with mode 0o666 less the umask, as a plain open() would; a write that
-fails removes the sidecars it wrote.
+round-trips them exactly.  u2 is held as that text from end to end:
+generate solves it as decimal text (machin.second_term_text) and writes
+it, the digit counts are the texts' lengths, and the record check
+re-solves u2 the same way and compares strings, so neither writing nor
+checking converts u2 between binary and decimal.  FormulaRecord.u2, the
+Fraction, is converted from the text only when a caller computes with it.
+Second-term components at or above the inline threshold go to sidecar
+text files (decimal digits, optional leading minus, trailing newline)
+referenced by file name plus content hash; loading verifies the hash.
+Loading accepts each component only in the layout writing gives it,
+integer text only in the form str(int) writes, u1 only in lowest terms,
+both fractions only over a positive denominator, and sidecars only by
+bare file name in the record's directory, so an edited record cannot
+keep its meaning under a different spelling or read digits from
+elsewhere.  No gcd runs on u2's parts: load_record returns a record only
+once check_record has found them equal to u2 re-solved from k and u1,
+which is in lowest terms.  Writes are atomic (temp file then rename),
+byte-deterministic, and create files with mode 0o666 less the umask, as
+a plain open() would; a write that fails removes the sidecars it wrote.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,8 +37,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DigitCountMismatch, RecordParseError, UnverifiedFormula
-from .exact import (_coprime_fraction, decimal_digit_count, format_decimal_head,
-                    int_to_text, text_to_int)
+from .exact import _coprime_fraction, decimal_head, fraction_from_text
 from .machin import MachinFormula, check_second_term
 
 SCHEMA_VERSION = 1
@@ -42,7 +45,9 @@ SCHEMA_VERSION = 1
 # Components at or above this many decimal digits move to sidecar files.
 SIDECAR_THRESHOLD_DIGITS = 10_000
 
-_INT_TEXT = re.compile(r"-?(0|[1-9][0-9]*)")
+_INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
+
+_LOG2_10 = math.log2(10)
 
 
 @dataclass(frozen=True)
@@ -53,12 +58,18 @@ class FormulaRecord:
     rounding: str
     u1: Fraction
     epsilon_decimal: str
-    u2: Fraction
+    u2_text: tuple[str, str]  # (num, den) as decimal text, as stored
     u2_digit_counts: tuple[int, int]
     u2_decimal_head: str
     verified: bool
     predicted_rate: float
     created_with: str
+
+    @functools.cached_property
+    def u2(self) -> Fraction:
+        """u2 as a Fraction, converted from u2_text on first use, for the
+        callers that compute with it (compute-pi's series, bench)."""
+        return fraction_from_text(*self.u2_text)
 
     def formula(self) -> MachinFormula:
         return MachinFormula.two_term(self.k, self.u1, self.u2)
@@ -70,7 +81,7 @@ def build_record(
     rounding: str,
     u1: Fraction,
     epsilon_decimal: str,
-    u2: Fraction,
+    u2_text: tuple[str, str],
     verified: bool,
     predicted_rate: float,
 ) -> FormulaRecord:
@@ -81,17 +92,18 @@ def build_record(
         rounding=rounding,
         u1=u1,
         epsilon_decimal=epsilon_decimal,
-        u2=u2,
-        u2_digit_counts=_digit_counts(u2),
-        u2_decimal_head=format_decimal_head(u2),
+        u2_text=u2_text,
+        u2_digit_counts=_digit_counts(u2_text),
+        u2_decimal_head=decimal_head(*u2_text),
         verified=verified,
         predicted_rate=predicted_rate,
         created_with=f"machinpi {__version__}",
     )
 
 
-def _digit_counts(u2: Fraction) -> tuple[int, int]:
-    return decimal_digit_count(u2.numerator), decimal_digit_count(u2.denominator)
+def _digit_counts(u2_text: tuple[str, str]) -> tuple[int, int]:
+    num, den = u2_text
+    return len(num) - num.startswith("-"), len(den)
 
 
 def _sha256_text(text: str) -> str:
@@ -112,10 +124,10 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _component_json(value: int, stem: str, label: str, sidecars: dict) -> dict:
-    """JSON for one component; one at or above the threshold is added to
-    `sidecars` (file name -> text) and referenced by name and hash."""
-    text = int_to_text(value)
+def _component_json(text: str, stem: str, label: str, sidecars: dict) -> dict:
+    """JSON for one component's text; one at or above the threshold is
+    added to `sidecars` (file name -> text) and referenced by name and
+    hash."""
     if len(text.lstrip("-")) < SIDECAR_THRESHOLD_DIGITS:
         return {"value": text}
     filename = f"{stem}.{label}.txt"
@@ -154,8 +166,8 @@ def _record_json(record: FormulaRecord, stem: str, sidecars: dict) -> dict:
         "u1": {"num": str(record.u1.numerator), "den": str(record.u1.denominator)},
         "epsilon_decimal": record.epsilon_decimal,
         "u2": {
-            "num": _component_json(record.u2.numerator, stem, "u2num", sidecars),
-            "den": _component_json(record.u2.denominator, stem, "u2den", sidecars),
+            "num": _component_json(record.u2_text[0], stem, "u2num", sidecars),
+            "den": _component_json(record.u2_text[1], stem, "u2den", sidecars),
         },
         "u2_digit_counts": {
             "num_digits": record.u2_digit_counts[0],
@@ -168,24 +180,23 @@ def _record_json(record: FormulaRecord, stem: str, sidecars: dict) -> dict:
     }
 
 
-def _int_from_text(text: str) -> int:
-    """The integer that str(int) writes as `text`; any other spelling
-    (sign, spaces, leading zeros, underscores, non-ASCII digits) or a
-    non-string is a parse error."""
+def _canonical_text(text: str) -> str:
+    """`text` if it is an integer as str(int) writes it; any other
+    spelling (sign, spaces, leading zeros, underscores, non-ASCII digits,
+    "-0") or a non-string is a parse error."""
     if not isinstance(text, str) or not _INT_TEXT.fullmatch(text):
         raise RecordParseError(f"not an integer in canonical decimal text: {text!r:.40}")
-    return text_to_int(text)
+    return text
 
 
-def _component_from_json(entry: dict, directory: Path) -> int:
-    """One u2 part, only in the layout _component_json gives it."""
+def _component_from_json(entry: dict, directory: Path) -> str:
+    """One u2 part's text, only in the layout _component_json gives it."""
     inline = "value" in entry
-    text = entry["value"] if inline else _sidecar_text(entry, directory)
-    value = _int_from_text(text)
+    text = _canonical_text(entry["value"] if inline else _sidecar_text(entry, directory))
     if (len(text.lstrip("-")) < SIDECAR_THRESHOLD_DIGITS) != inline:
         raise RecordParseError(f"u2 part stored {'inline' if inline else 'in a sidecar'}"
                                f" against the {SIDECAR_THRESHOLD_DIGITS}-digit threshold")
-    return value
+    return text
 
 
 def _sidecar_text(entry: dict, directory: Path) -> str:
@@ -237,12 +248,14 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
     k = payload["k"]
     if not _is_int(k) or k < 1:
         raise RecordParseError(f"record {path}: k must be an integer >= 1")
-    u1_num = _int_from_text(payload["u1"]["num"])
-    u1_den = _int_from_text(payload["u1"]["den"])
+    # u1 is written by str(int) and read back by int(): a part past the
+    # process's int <-> str digit cap is malformed (ValueError).
+    u1_num = int(_canonical_text(payload["u1"]["num"]))
+    u1_den = int(_canonical_text(payload["u1"]["den"]))
     u2_num = _component_from_json(payload["u2"]["num"], path.parent)
     u2_den = _component_from_json(payload["u2"]["den"], path.parent)
     if (u1_num == 0 or u1_den <= 0 or math.gcd(u1_num, u1_den) != 1
-            or u2_num == 0 or u2_den <= 0):
+            or u2_num == "0" or u2_den == "0" or u2_den.startswith("-")):
         raise RecordParseError(f"record {path}: u1 and u2 must be nonzero "
                                "fractions, u1 in lowest terms, denominators positive")
     counts = payload["u2_digit_counts"]
@@ -255,7 +268,7 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
         rounding=payload["rounding"],
         u1=_coprime_fraction(u1_num, u1_den),
         epsilon_decimal=payload["epsilon_decimal"],
-        u2=_coprime_fraction(u2_num, u2_den),
+        u2_text=(u2_num, u2_den),
         u2_digit_counts=(counts["num_digits"], counts["den_digits"]),
         u2_decimal_head=payload["u2_decimal_head"],
         verified=payload["verified"],
@@ -264,7 +277,7 @@ def _record_from_json(payload: dict, path: Path) -> FormulaRecord:
     )
 
 
-def _second_term_can_close(k: int, u1: Fraction, u2: Fraction) -> bool:
+def _second_term_can_close(k: int, u1: Fraction, u2_text: tuple[str, str]) -> bool:
     """Necessary condition for pi/4 = 2**(k-1) arctan(1/u1) + arctan(1/u2),
     decided before the Gaussian power of about 2**(k-1) log2|p + qi| bits
     is formed, so an edited k cannot stall verification.
@@ -274,7 +287,10 @@ def _second_term_can_close(k: int, u1: Fraction, u2: Fraction) -> bool:
     Gaussian prime of (p + qi)**n and its conjugate then divide c, so
     r**2 + s**2 >= 2 ((p**2 + q**2) / 4**e)**n, with e = 1 when p and q
     are both odd and 0 otherwise; in bits, n log2((p**2 + q**2) / 4**e)
-    < 2 max(bits(r), bits(s)).  |u1| = 1 makes that base 1/2 and the
+    < 2 max(bits(r), bits(s)).  The bits are bounded above from the digit
+    counts (a part of d digits is below 10**d, so it has at most
+    ceil(d log2(10)) bits; one more covers the float product), which
+    keeps the condition necessary.  |u1| = 1 makes that base 1/2 and the
     bound empty, but then n * pi/4 >= pi for k >= 3 and no arctangent
     closes the gap.
     """
@@ -282,28 +298,30 @@ def _second_term_can_close(k: int, u1: Fraction, u2: Fraction) -> bool:
     log_base = math.log2(p * p + q * q) - 2 * (p & q & 1)
     if log_base <= 0:
         return k <= 2
-    bits = max(u2.numerator.bit_length(), u2.denominator.bit_length())
+    bits = max(_digit_counts(u2_text)) * _LOG2_10 + 2
     return (k - 1) + math.log2(log_base) < math.log2(2 * bits + 1)
 
 
 def check_record(record: FormulaRecord) -> None:
-    """Recompute what the record claims, in this order: that u2's parts
-    are not both even (RecordParseError), the digit counts
+    """Recompute what the record claims from its u2 text, in this order:
+    that u2's parts are not both even, read off their last digits
+    (RecordParseError), the digit counts as the texts' lengths
     (DigitCountMismatch), a k too large for u2 to close, then u2
-    re-solved (machin.check_second_term): its value and branch
-    (UnverifiedFormula) and its lowest terms (RecordParseError)."""
-    u2 = record.u2
-    if not (u2.numerator | u2.denominator) & 1:
+    re-solved as text and compared (machin.check_second_term): its value
+    and branch (UnverifiedFormula) and its lowest terms
+    (RecordParseError)."""
+    num, den = record.u2_text
+    if not (int(num[-1]) | int(den[-1])) & 1:
         raise RecordParseError("record's u2 is not in lowest terms: both parts are even")
-    actual = _digit_counts(u2)
+    actual = _digit_counts(record.u2_text)
     if actual != record.u2_digit_counts:
         raise DigitCountMismatch(
             f"stored digit counts {record.u2_digit_counts} but value has {actual}"
         )
-    if not _second_term_can_close(record.k, record.u1, record.u2):
+    if not _second_term_can_close(record.k, record.u1, record.u2_text):
         raise UnverifiedFormula(
             f"record's formula cannot verify: 2**{record.k - 1} * arctan(1/u1) "
             "is too large for its second term to close"
         )
-    if not check_second_term(record.k, record.u1, u2):
+    if not check_second_term(record.k, record.u1, record.u2_text):
         raise RecordParseError("record's u2 is not in lowest terms")

@@ -17,8 +17,9 @@ from fractions import Fraction
 from machinpi import cli
 from machinpi.analysis import compare_methods, measure_convergence
 from machinpi.cli import generate_record
-from machinpi.exact import decimal_digit_count, format_decimal_head
-from machinpi.machin import MachinFormula, solve_second_term, solve_u2, verify_formula
+from machinpi.exact import decimal_head, fraction_from_text
+from machinpi.machin import (MachinFormula, second_term_text, solve_second_term, solve_u2,
+                             verify_formula)
 from machinpi.radicals import eval_radicals, select_u1
 from machinpi.realnum import FixedReal
 from machinpi.records import build_record, write_record
@@ -83,31 +84,31 @@ def test_criterion_2_depth_five_exact():
         elapsed = time.perf_counter() - start
         assert u2 == Fraction(-945426570789006031681, 13176476709447727679)
         assert u2 == Fraction(u2.numerator, u2.denominator)  # reduced by type
-        assert decimal_digit_count(u2.numerator) == 21
-        assert decimal_digit_count(u2.denominator) == 20
+        assert len(str(abs(u2.numerator))) == 21
+        assert len(str(u2.denominator)) == 20
         assert elapsed < 1.0
 
 
 def test_criterion_3_depth_ten():
     with criterion("3", "depth-10 second argument: 1364/1361 digits, 20-digit head"):
         start = time.perf_counter()
-        u2 = solve_u2(Fraction(651), 10)
+        num, den = second_term_text(1 << 9, Fraction(651))
         elapsed = time.perf_counter() - start
-        assert decimal_digit_count(u2.numerator) == 1364
-        assert decimal_digit_count(u2.denominator) == 1361
-        assert format_decimal_head(u2) == "-922.88953146392823766085"
+        assert len(num.lstrip("-")) == 1364
+        assert len(den) == 1361
+        assert decimal_head(num, den) == "-922.88953146392823766085"
         assert elapsed < 10.0
 
 
 def test_criterion_4_depth_seventeen():
     with criterion("4", "depth-17 second argument: 312665/312658 digits"):
         start = time.perf_counter()
-        u2 = solve_u2(Fraction(83443), 17)
-        assert decimal_digit_count(u2.numerator) == 312665
-        assert decimal_digit_count(u2.denominator) == 312658
-        assert format_decimal_head(u2) == "-3.96432252145804935647e6"
+        num, den = second_term_text(1 << 16, Fraction(83443))
+        assert len(num.lstrip("-")) == 312665
+        assert len(den) == 312658
+        assert decimal_head(num, den) == "-3.96432252145804935647e6"
         assert verify_formula(
-            MachinFormula.two_term(17, Fraction(83443), u2)
+            MachinFormula.two_term(17, Fraction(83443), fraction_from_text(num, den))
         ).ok
         elapsed = time.perf_counter() - start
         assert elapsed < 1800.0
@@ -121,9 +122,10 @@ def test_criterion_5_counterexample_reproduction():
             999999992999999979000000035000000034999999978999999993000000001,
         )
         # the printed value has a 64-digit numerator over 63 digits
-        assert decimal_digit_count(beta2.numerator) == 64
-        assert decimal_digit_count(beta2.denominator) == 63
-        assert format_decimal_head(beta2) == "1.00000001400000009800"
+        num, den = second_term_text(7, Fraction(10 ** 9))
+        assert len(num) == 64
+        assert len(den) == 63
+        assert decimal_head(num, den) == "1.00000001400000009800"
 
 
 def test_criterion_6_radical_targets():
@@ -189,10 +191,11 @@ def test_criterion_9_independent_formula_oracle(tmp_path, capsys):
         assert cli.main(["generate", "3", "--out", str(k3_path)]) == 0
 
         u1 = Fraction(651)
-        u2 = solve_u2(u1, 10)
+        u2_text = second_term_text(1 << 9, u1)
+        u2 = fraction_from_text(*u2_text)
         k10 = build_record(
             k=10, denominator_policy=1, rounding="floor",
-            u1=u1, epsilon_decimal="-0.89813557739378661810", u2=u2,
+            u1=u1, epsilon_decimal="-0.89813557739378661810", u2_text=u2_text,
             verified=verify_formula(MachinFormula.two_term(10, u1, u2)).ok,
             predicted_rate=digits_per_term(u1),
         )
@@ -244,7 +247,7 @@ def test_criterion_11_property_suites(pi_text_300):
         c, d = Fraction(1, 7), Fraction(1, 9)
         lhs = arctan_conjugate(c, 12, 256).value + arctan_conjugate(d, 12, 256).value
         rhs = arctan_conjugate((c + d) / (1 - c * d), 12, 256).value
-        assert abs(lhs.value - rhs.value) <= lhs.err + rhs.err
+        assert abs(lhs.mantissa - rhs.mantissa) <= lhs.err_ulp + rhs.err_ulp
 
         # every generated record re-verifies
         for k in (2, 3, 5, 8, 10):

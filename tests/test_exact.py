@@ -9,15 +9,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from machinpi import exact
 from machinpi.exact import (
     _SPLIT_BITS,
     GaussianInt,
-    decimal_digit_count,
-    format_decimal_head,
+    _exact_context,
+    decimal_gaussian_power,
+    decimal_head,
     fraction_sharing_only_twos,
-    fraction_to_fixed_text,
-    fraction_to_sci_text,
     int_to_text,
     parse_rational,
     text_to_int,
@@ -63,6 +61,27 @@ class TestGaussianInt:
         # |(p + qi)**n / (p - qi)**n| = 1: the rotations stay on the unit circle
         g = GaussianInt(a, b)
         assert (g ** n).norm() == g.norm() ** n
+
+
+class TestDecimalGaussianPower:
+    @given(small_ints, small_ints, st.integers(min_value=1, max_value=40))
+    def test_matches_naive_power(self, a, b, n):
+        expected = gi_pow_naive(GaussianInt(a, b), n)
+        re, im = decimal_gaussian_power(a, b, n, _exact_context())
+        assert (re, im) == (expected.re, expected.im)
+        assert re.as_tuple().exponent == im.as_tuple().exponent == 0
+
+    def test_rounding_is_trapped(self):
+        # A context that may round must not pass a rounded power off as
+        # exact; the exact context makes any rounding an error.
+        ctx = _exact_context()
+        ctx.prec = 20
+        with pytest.raises(decimal.Rounded):
+            decimal_gaussian_power(5, 1, 64, ctx)
+
+    def test_exponent_must_be_positive(self):
+        with pytest.raises(ValueError):
+            decimal_gaussian_power(5, 1, 0, _exact_context())
 
 
 class TestFractionSharingOnlyTwos:
@@ -166,30 +185,42 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_rational("abc")
 
-    # The float estimate from bit_length is off by at most its slack;
-    # a skewed log10(2) forces the corrections down and up to run.
-    @pytest.mark.parametrize("log10_2", [math.log10(2), 0.29, 0.31])
-    def test_digit_count_matches_str(self, monkeypatch, log10_2):
-        monkeypatch.setattr(exact, "_LOG10_2", log10_2)
-        edges = (10 ** m + d for m in (1, 2, 17, 300, 1000, 4000) for d in (-1, 0, 1))
-        for n in (0, 7 ** 300, *edges):
-            assert decimal_digit_count(n) == len(str(abs(n)))
-            assert decimal_digit_count(-n) == len(str(abs(n)))
-
     def test_fixed_text(self):
-        assert fraction_to_fixed_text(Fraction(1, 4), 3) == "0.250"
-        assert fraction_to_fixed_text(Fraction(-239), 2) == "-239.00"
+        assert decimal_head("1", "4") == "0.25000000000000000000"
+        assert decimal_head("-239", "1") == "-239.00000000000000000000"
         # Truncation toward zero, never rounding.
-        assert fraction_to_fixed_text(Fraction(-1999, 1000), 2) == "-1.99"
+        assert decimal_head("-2", "3") == "-0.66666666666666666666"
+        assert decimal_head("-1", "10" + "0" * 25) == "-0.00000000000000000000"
 
     def test_sci_text(self):
-        assert fraction_to_sci_text(Fraction(123456), 3) == "1.234e5"
-        assert fraction_to_sci_text(Fraction(-1, 400), 2) == "-2.50e-3"
+        assert decimal_head("1234567", "1") == "1.23456700000000000000e6"
+        assert decimal_head("-" + "9" * 30, "7") == "-1.42857142857142857142e29"
 
     def test_decimal_head_switches_to_scientific(self):
-        assert format_decimal_head(Fraction(-239)) == "-239.00000000000000000000"
-        head = format_decimal_head(Fraction(-3964322, 1))
+        assert decimal_head("-999999", "1") == "-999999.00000000000000000000"
+        assert decimal_head("-1999999", "2") == "-999999.50000000000000000000"
+        assert decimal_head("1000000", "1") == "1.00000000000000000000e6"
+        head = decimal_head("-3964322", "1")
         assert head.startswith("-3.9643") and head.endswith("e6")
+
+    @given(st.integers(-10 ** 60, 10 ** 60).filter(bool), st.integers(1, 10 ** 60))
+    @example(10 ** 6, 1)
+    @example(-10 ** 40 + 1, 10 ** 34)
+    def test_decimal_head_matches_fraction_truncation(self, num, den):
+        # The head from the exact quotient of the two Fractions, with the
+        # exponent found by stepping; the parts need not be coprime.
+        value = abs(Fraction(num, den))
+        sign = "-" if num < 0 else ""
+        if value < 10 ** 6:
+            scaled = math.floor(value * 10 ** 20)
+            expected = f"{sign}{scaled // 10 ** 20}.{scaled % 10 ** 20:020d}"
+        else:
+            exp = 6
+            while value >= 10 ** (exp + 1):
+                exp += 1
+            scaled = math.floor(value / Fraction(10) ** exp * 10 ** 20)
+            expected = f"{sign}{scaled // 10 ** 20}.{scaled % 10 ** 20:020d}e{exp}"
+        assert decimal_head(str(num), str(den)) == expected
 
 
 def test_every_public_name_resolves():

@@ -29,6 +29,7 @@ RECORDS = {
     "k3": ("3",),
     "k2den10": ("2", "--den", "10"),
     "k10floor": ("10", "--round", "floor"),
+    "k13": ("13",),
     "k14": ("14",),
     "k15": ("15",),
 }
@@ -37,14 +38,20 @@ RECORDS = {
 RECORD_FILES = {
     "k10floor.json":
         "fc0892d7fd39a5fd4bb37586de6de5b57d742e393adf1af8d6ef70d3cfd6cfcd",
+    # Depths 13 and 15 were recorded while u2 was still formed as a binary
+    # int power and written by the int -> text codec.
+    "k13.json":
+        "b0ae8a5c1ae83065afe54cbfb23e21322232f45764cc33666b00597bba97e764",
+    "k13.u2den.txt":
+        "4e639fb3c608b78f006e7e8c1994f15eae68fe813f3c15e5a5bcf19443dbe0ea",
+    "k13.u2num.txt":
+        "79f07abab3595a858249fc38c2f59b02331bbbefa4d8189b1cc26b34156591a9",
     "k14.json":
         "17bbdc224101f5141c8dd29af2408098df6346e6afa39c742b596fd8ab4f91f2",
     "k14.u2den.txt":
         "75988d2b396e3c692b9406c2204dc735a416e5d92a44911c5a1816e1ce0362af",
     "k14.u2num.txt":
         "d29dfcaf8a3f7868ea569d4610f2892b648465b61986d09e743561b87cbae671",
-    # Depth 15 (68,303/68,298 digits), recorded while u2 was still formed
-    # as a binary int power and written by the int -> text codec.
     "k15.json":
         "2a792a00f2ce3524fe176c82587206e93f2559784deec163b777501ec0ecb293",
     "k15.u2den.txt":

@@ -5,16 +5,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from machinpi import machin
 from machinpi.cli import generate_record
 from machinpi.errors import DegenerateSecondTerm, NotExactlyVerifiable
-from machinpi.exact import GaussianInt, decimal_digit_count, format_decimal_head
+from machinpi.exact import GaussianInt, decimal_head
 from machinpi.machin import (
     MAX_POWER_BITS,
     MachinFormula,
     power_bits,
+    second_term_text,
     solve_second_term,
     solve_second_term_direct,
     solve_u2,
@@ -48,14 +50,13 @@ class TestSolve:
         expected = Fraction(-945426570789006031681, 13176476709447727679)
         got = solve_u2(Fraction(20), 5)
         assert got == expected
-        assert decimal_digit_count(got.numerator) == 21
-        assert decimal_digit_count(got.denominator) == 20
+        num, den = second_term_text(1 << 4, Fraction(20))
+        assert (len(num.lstrip("-")), len(den)) == (21, 20)
 
     def test_depth_ten_digit_counts_and_head(self):
-        u2 = solve_u2(Fraction(651), 10)
-        assert decimal_digit_count(u2.numerator) == 1364
-        assert decimal_digit_count(u2.denominator) == 1361
-        assert format_decimal_head(u2) == "-922.88953146392823766085"
+        num, den = second_term_text(1 << 9, Fraction(651))
+        assert (len(num.lstrip("-")), len(den)) == (1364, 1361)
+        assert decimal_head(num, den) == "-922.88953146392823766085"
 
     def test_degenerate_when_first_term_is_quarter_turn(self):
         with pytest.raises(DegenerateSecondTerm):
@@ -75,7 +76,8 @@ class TestSolve:
     def test_random_integer_substitution(self):
         beta2 = solve_second_term(7, Fraction(10 ** 9))
         assert beta2 == Fraction(BETA2_FOR_BILLION_NUM, BETA2_FOR_BILLION_DEN)
-        assert format_decimal_head(beta2) == "1.00000001400000009800"
+        assert decimal_head(*second_term_text(7, Fraction(10 ** 9))) == \
+            "1.00000001400000009800"
 
     def test_small_closures(self):
         assert solve_second_term(2, Fraction(2)) == -7
@@ -113,6 +115,28 @@ class TestDirectPathEquivalence:
                 solve_second_term_direct(alpha, beta)
             return
         assert fast == solve_second_term_direct(alpha, beta)
+
+    @given(st.integers(min_value=1, max_value=300), st.integers(-100, 100),
+           st.integers(2, 100), st.sampled_from(["p + q odd", "p and q odd"]))
+    @example(255, 1, 3, "p and q odd")  # beta1 = 3/7, odd exponent
+    @example(6, -3, 4, "p + q odd")  # beta1 = -3/4
+    def test_decimal_solver_matches_direct(self, alpha, p, q, parity):
+        # second_term_text takes the shared power of two from p and q's
+        # parities; the direct path reduces its own quotient by gcd.
+        if parity == "p and q odd":
+            p, q = 2 * p + 1, 2 * q + 1
+        else:
+            q += (p + q + 1) & 1
+        assume(math.gcd(p, q) == 1)
+        beta = Fraction(p, q)
+        try:
+            direct = solve_second_term_direct(alpha, beta)
+        except DegenerateSecondTerm:
+            with pytest.raises(DegenerateSecondTerm):
+                second_term_text(alpha, beta)
+            return
+        assert second_term_text(alpha, beta) == (str(direct.numerator),
+                                                 str(direct.denominator))
 
     def test_power_of_two_wrapper_matches_general_solver(self):
         for k in range(1, 9):
@@ -288,6 +312,24 @@ class TestGcdFreeSolve:
         u1 = _selected_u1(k)
         g = GaussianInt(u1.numerator, u1.denominator) ** (1 << (k - 1))
         assert math.gcd(g.re + g.im, g.re - g.im) == shared
+
+
+class TestBranchEstimateFromText:
+    # The branch check reads a text cotangent off 40-digit heads, with the
+    # digit-count difference capped at 400; its arctangent must stay
+    # within the float error of the one read off the exact integers.
+    @pytest.mark.parametrize("num, den", [
+        ("7" * 60, "3" * 45),
+        ("-" + "9" * 45, "1" + "0" * 44),
+        ("1", "1" + "0" * 500),  # |1/beta| past the cap: +pi/2
+        ("-1" + "0" * 500, "3"),  # past the cap the other way: -0
+        ("3", "1" + "0" * 19),  # |1/beta| just under 2**64
+        ("12345678901234567890123456789012345678901", "1" + "0" * 40),
+    ])
+    def test_heads_match_exact_arctangent(self, num, den):
+        with big_int_text():
+            exact = machin._atan_inverse(int(num), int(den))
+        assert abs(machin._atan_inverse(*machin._text_ratio(num, den)) - exact) <= 2 ** -52
 
 
 @lru_cache(maxsize=None)

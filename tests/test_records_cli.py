@@ -24,7 +24,7 @@ from machinpi import cli, machin
 from machinpi.cli import generate_record
 from machinpi.errors import (DigitCountMismatch, EpsilonTooLarge, NotExactlyVerifiable,
                              RecordParseError, UnverifiedFormula)
-from machinpi.exact import GaussianInt, _coprime_fraction
+from machinpi.exact import GaussianInt
 from machinpi.radicals import eval_radicals, select_u1
 from machinpi.records import (
     SIDECAR_THRESHOLD_DIGITS,
@@ -92,10 +92,10 @@ class TestRecords:
         assert loaded.u2 == record.u2
 
     def test_sidecar_tamper_detected(self, tmp_path):
-        huge = Fraction(10 ** SIDECAR_THRESHOLD_DIGITS + 7, 3)
+        huge = ("1" + "0" * (SIDECAR_THRESHOLD_DIGITS - 1) + "7", "3")
         record = build_record(
             k=2, denominator_policy=1, rounding="nearest",
-            u1=Fraction(12, 5), epsilon_decimal="0", u2=huge,
+            u1=Fraction(12, 5), epsilon_decimal="0", u2_text=huge,
             verified=False, predicted_rate=1.0,
         )
         path = write_record(record, tmp_path / "big.json")
@@ -241,11 +241,12 @@ class TestVerifyCommand:
         # One changed digit in a depth-13 u2 (about 15,000 digits, so
         # sidecar-backed) must report a summary, not the certificate.
         record = generate_record(13, 1, "nearest")
-        num = record.u2.numerator
+        num, den = record.u2.numerator, record.u2.denominator
+        with big_int_text():
+            u2_text = (str(num + 10 ** 5000), str(den))
         perturbed = build_record(
             k=13, denominator_policy=1, rounding="nearest", u1=record.u1,
-            epsilon_decimal=record.epsilon_decimal,
-            u2=Fraction(num + 10 ** 5000, record.u2.denominator),
+            epsilon_decimal=record.epsilon_decimal, u2_text=u2_text,
             verified=True, predicted_rate=record.predicted_rate,
         )
         path = write_record(perturbed, tmp_path / "k13.json")
@@ -264,7 +265,7 @@ class TestVerifyCommand:
         # sum to 5 pi/4, and compute-pi printed 5 pi with exit 0.
         record = build_record(
             k=3, denominator_policy=2, rounding="nearest", u1=Fraction(1, 2),
-            epsilon_decimal="0", u2=Fraction(-31, 17), verified=True,
+            epsilon_decimal="0", u2_text=("-31", "17"), verified=True,
             predicted_rate=0.0,
         )
         path = write_record(record, tmp_path / "k3.json")
@@ -290,9 +291,9 @@ def _with_u2_parts(record, num: int, den: int):
     """The record with u2 stored as num/den exactly as given (no
     reduction) and digit counts that match those parts."""
     with big_int_text():
-        counts = (len(str(abs(num))), len(str(den)))
-    return dataclasses.replace(record, u2=_coprime_fraction(num, den),
-                               u2_digit_counts=counts)
+        u2_text = (str(num), str(den))
+    counts = (len(u2_text[0].lstrip("-")), len(u2_text[1]))
+    return dataclasses.replace(record, u2_text=u2_text, u2_digit_counts=counts)
 
 
 class TestLowestTermsCertificate:
@@ -370,7 +371,7 @@ def _record_with_u2(k: int, u1: Fraction, num: int, den: int):
     """A record of depth k and first argument u1 whose u2 is stored as
     num/den exactly as given."""
     base = build_record(k=k, denominator_policy=1, rounding="nearest", u1=u1,
-                        epsilon_decimal="0", u2=Fraction(1), verified=True,
+                        epsilon_decimal="0", u2_text=("1", "1"), verified=True,
                         predicted_rate=1.0)
     return _with_u2_parts(base, num, den)
 
@@ -489,6 +490,37 @@ class TestRecordCheckBySolve:
             assert run_cli("verify", path) == 0
         with pytest.raises(AssertionError, match="big Gaussian product"):
             machin.verify_formula(load_record(path).formula())
+
+
+def test_generate_and_verify_stay_in_decimal(tmp_path, monkeypatch):
+    # generate and verify solve, write and compare u2 as decimal text: no
+    # int Gaussian power is formed and no u2 part is converted between
+    # int and text, yet the record is byte for byte the pinned one.  Only
+    # the residual's 20 digits (FixedReal.to_decimal) may use the codec.
+    def refuse(*args):
+        raise AssertionError("binary u2 path taken")
+
+    def small_only(convert):
+        def guarded(value):
+            if len(value) > 64 if isinstance(value, str) else value.bit_length() > 212:
+                refuse()
+            return convert(value)
+        return guarded
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("machinpi")]:
+        for name, value in list(vars(module).items()):
+            if value is machinpi.exact.int_to_text or value is machinpi.exact.text_to_int:
+                monkeypatch.setattr(module, name, small_only(value))
+    monkeypatch.setattr(GaussianInt, "__pow__", refuse)
+    monkeypatch.setattr(GaussianInt, "square", refuse)
+    path = tmp_path / "k13.json"
+    assert run_cli("generate", "13", "--out", str(path)) == 0
+    assert run_cli("verify", str(path)) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == {
+        name: digest for name, digest in RECORD_FILES.items() if name.startswith("k13.")}
+    with pytest.raises(AssertionError, match="binary u2 path"):
+        load_record(path).u2  # the Fraction is converted on request
 
 
 MALFORMED = {
