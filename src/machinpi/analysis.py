@@ -5,20 +5,24 @@ decimal expansions after the leading "3." against a reference constant
 whose own digits were validated independently.  Per-term slope comes from
 a least-squares fit over samples with at least three terms, skipping the
 pre-asymptotic transient.
+
+The measurement walks each conjugate series on plain integers; a sample
+reads only pi's midpoint, so no error bound is carried.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
+from os.path import commonprefix
 
 from .errors import InsufficientReference
 from .machin import MachinFormula, solve_u2
-from .realnum import FixedReal
+from .realnum import FixedReal, _div_nearest, _shift_nearest
 from .series import (
-    _conjugate_terms,
-    _cot_start,
     approx_log10,
     arctan_conjugate,
     arctan_euler,
@@ -53,17 +57,6 @@ def reference_digits(rate: float, max_terms: int) -> int:
     return int(rate * (max_terms + 1)) + 8
 
 
-def _common_prefix_digits(sample: str, reference: str) -> int:
-    """Matching digit count after the '3.'; both strings look like 3.14159..."""
-    n = 0
-    for a, b in zip(sample, reference):
-        if a != b:
-            break
-        if a not in ".-":
-            n += 1
-    return max(0, n - 1)  # drop the leading "3"
-
-
 def _least_squares_slope(points: list[tuple[int, int]]) -> float:
     n = len(points)
     if n < 2:
@@ -75,14 +68,31 @@ def _least_squares_slope(points: list[tuple[int, int]]) -> float:
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
+def _term_mantissas(beta: Fraction, s: int) -> Iterator[int]:
+    """Mantissas at scale s of the terms -2 Im(v**(2m-1)) / (2m-1) of
+    arctan(1/beta), v = (1 - 2ci)/(1 + 4c**2) for beta rounded to c, each
+    step multiplying by r = v**2: every product and quotient is rounded to
+    nearest, the midpoints of FixedReal's operations."""
+    c = _div_nearest(beta.numerator << s, beta.denominator)
+    d = (1 << s) + 4 * _shift_nearest(c * c, s)
+    wr, wi = _div_nearest(1 << 2 * s, d), _div_nearest(-(2 * c) << s, d)
+    rr = _shift_nearest(wr * wr, s) - _shift_nearest(wi * wi, s)
+    ri = 2 * _shift_nearest(wr * wi, s)
+    for m in count(1):
+        yield _div_nearest(-2 * wi, 2 * m - 1)
+        wr, wi = (_shift_nearest(wr * rr, s) - _shift_nearest(wi * ri, s),
+                  _shift_nearest(wr * ri, s) + _shift_nearest(wi * rr, s))
+
+
 def measure_convergence(formula: MachinFormula, max_terms: int,
                         reference_pi: FixedReal) -> ConvergenceReport:
     """Count correct digits of pi at each truncation 1..max_terms and fit
     the digits-per-term slope.
 
-    One pass walks each arctangent's terms once, reading pi's midpoint off
-    the running sums at every m.  The reference must out-resolve
-    everything the run can produce, else InsufficientReference.
+    One pass walks each arctangent's terms once (_term_mantissas),
+    reading pi's midpoint off the running sums at every m.  The reference
+    must out-resolve everything the run can produce, else
+    InsufficientReference.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -99,17 +109,15 @@ def measure_convergence(formula: MachinFormula, max_terms: int,
     assert ok
     scale = scale_for_digits(ceiling)
     t0 = time.perf_counter()
-    streams = [_conjugate_terms(*_cot_start(FixedReal.from_fraction(beta, scale)))
-               for _, beta in formula.terms]
-    sums = [FixedReal.zero(scale)] * len(streams)
+    streams = [_term_mantissas(beta, scale) for _, beta in formula.terms]
+    sums = [0] * len(streams)
     samples: list[tuple[int, int]] = []
     for m in range(1, max_terms + 1):
         sums = [part + next(stream) for part, stream in zip(sums, streams)]
-        total = FixedReal.zero(scale)
-        for (alpha, _), part in zip(formula.terms, sums):
-            total = total + part.mul_fraction(alpha)
-        text, _ = total.shift(2).to_decimal(ref_digits)
-        samples.append((m, _common_prefix_digits(text, ref_text)))
+        total = sum(_div_nearest(part * alpha.numerator, alpha.denominator)
+                    for (alpha, _), part in zip(formula.terms, sums))
+        text = FixedReal(total << 2, scale).to_decimal(ref_digits)[0]
+        samples.append((m, max(0, len(commonprefix([text, ref_text])) - 2)))
     elapsed = time.perf_counter() - t0
     fit_points = [p for p in samples if p[0] >= 3]
     slope = _least_squares_slope(fit_points if len(fit_points) >= 2 else samples)

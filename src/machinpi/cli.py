@@ -4,10 +4,10 @@ Subcommands: generate, verify, compute-pi, bench, solve-second.
 
 Exit codes (scriptable, one per error class):
   0  success
-  2  usage error
+  2  usage error (includes a working scale over machin.MAX_POWER_BITS)
   3  record/sidecar parse or integrity failure
   4  exact verification failed (or not exactly verifiable)
-  5  precision exhausted (includes ambiguous rounding and cancellation)
+  5  precision exhausted (ambiguous rounding, cancellation, no digit certified)
   6  degenerate second term
   7  stored digit counts disagree with the stored value
   8  rounding residual too large for the requested denominator policy

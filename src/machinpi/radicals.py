@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmbiguousRounding, EpsilonTooLarge
+from .machin import MAX_POWER_BITS
 from .realnum import FixedReal
 
 _LOG2_10 = math.log2(10)
@@ -51,13 +52,16 @@ def eval_radicals(k: int, decimal_digits: int) -> RadicalState:
     to about e/4 + 1, as a_j ~= 2), and at scale s >= 3k + 68 the
     difference 2 - a_(k-1) is at least 2**(s - 2k + 3) ulps, so nothing
     here straddles zero.  Callers certify the digits they print from c_k's
-    error bound; nothing is certified or retried here.
+    error bound; nothing is certified or retried here.  A scale over
+    MAX_POWER_BITS is ValueError, before the first root.
     """
     if k < 2:
         raise ValueError("depth k must be at least 2")
     if decimal_digits < 1:
         raise ValueError("decimal_digits must be at least 1")
     scale = math.ceil(decimal_digits * _LOG2_10) + 3 * k + 64
+    if scale > MAX_POWER_BITS:
+        raise ValueError(f"the depth-{k} tower needs over {MAX_POWER_BITS:.3g} working bits")
     two = FixedReal.from_int(2, scale)
     a = two.sqrt()
     a_prev = a

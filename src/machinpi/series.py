@@ -29,8 +29,8 @@ a formula's or the tower's, first becomes a chain of integer
 cotangents, so that every split has numerator 1 (_arctan_inverse).  The
 irrational c_k enters the chain as the exact dyadic midpoint of its
 interval, and its own error widens the result once (pi_from_radicals).
-Only the convergence measurement walks a fixed-point term stream, from
-v = 1/(1 + 2ci) and v**2 built in interval arithmetic (_cot_start).
+Every evaluator here certifies an error bound; the convergence
+measurement walks its own integer term stream (analysis).
 
 Terms for all series are generated by multiplicative recurrences; no
 powers or factorials are recomputed per term.  Each result's error bound
@@ -41,11 +41,9 @@ measured from the actual term magnitudes and reported.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count
 
 from .errors import (
     DivergentArgument,
@@ -54,7 +52,7 @@ from .errors import (
     ZeroArgument,
 )
 from .exact import GaussianInt, fraction_sharing_only_twos
-from .machin import MachinFormula, verify_formula
+from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
 from .radicals import eval_radicals
 from .realnum import FixedReal
 
@@ -120,7 +118,11 @@ def _log10_squares(x: int, y: int, shift: int) -> float:
 
 
 def scale_for_digits(digits: int) -> int:
-    return math.ceil(digits * _LOG2_10) + _GUARD_BITS
+    """Working bits for `digits` decimals; ValueError over MAX_POWER_BITS."""
+    scale = math.ceil(digits * _LOG2_10) + _GUARD_BITS
+    if scale > MAX_POWER_BITS:
+        raise ValueError(f"{digits} digits need over {MAX_POWER_BITS:.3g} working bits")
+    return scale
 
 
 def terms_for_digits(digits: int, rate: float) -> int:
@@ -208,27 +210,6 @@ def arctan_euler(x: Fraction, terms: int, scale: int) -> SeriesResult:
     total = total.widened_by_fraction(tail)
     fallback = approx_log10(1 / q) if x else 0.0
     return SeriesResult(total, terms, _measured_rate(first, last, terms, fallback), (terms,))
-
-
-def _conjugate_terms(v_re, v_im, r_re, r_im) -> Iterator[FixedReal]:
-    """The terms -2 * Im(v**(2m-1)) / (2m-1) for m = 1, 2, ...; each step
-    multiplies the running power by r = v**2 in complex fixed point."""
-    wr, wi = v_re, v_im
-    for m in count(1):
-        yield wi.mul_fraction(Fraction(-2, 2 * m - 1))
-        wr, wi = wr * r_re - wi * r_im, wr * r_im + wi * r_re
-
-
-def _cot_start(c: FixedReal) -> tuple:
-    """Start (Re v, Im v, Re v**2, Im v**2) of the series for arctan(1/c):
-    v = 1/(1 + 2ci) = (1 - 2ci)/(1 + 4c**2) in interval arithmetic at c's
-    scale, so each part contains its exact value for every c in c's
-    interval."""
-    one = FixedReal.from_int(1, c.scale)
-    denom = one + (c * c).shift(2)
-    v_re = one / denom
-    v_im = -c.shift(1) / denom
-    return v_re, v_im, v_re * v_re - v_im * v_im, (v_re * v_im).shift(1)
 
 
 def _split(a2: int, g2: GaussianInt, lo: int, hi: int):
@@ -430,7 +411,8 @@ def _certified_pi(evaluate, rate: float, digits: int | None,
     the first run uses terms_for_digits at scale_for_digits, and each of
     up to four retries adds 3 terms and 128, 256, ... bits of scale.  A
     term budget runs those terms once, at the scale of the digits they
-    could reach, and prints the certified prefix (at least one digit).
+    could reach, and prints the certified prefix, PrecisionExhausted if
+    empty.  A scale over MAX_POWER_BITS is ValueError (scale_for_digits).
     """
     if (digits is None) == (terms is None):
         raise ValueError("exactly one of digits or terms is required")
@@ -440,7 +422,9 @@ def _certified_pi(evaluate, rate: float, digits: int | None,
         limit = int(rate * terms) + 10
         result = evaluate(terms, scale_for_digits(limit + 6))
         valid = result.value.valid_decimal_digits(limit)
-        return result.value.to_decimal(max(1, valid))[0], result
+        if valid < 1:
+            raise PrecisionExhausted(f"{terms} terms certify no digit of pi")
+        return result.value.to_decimal(valid)[0], result
     if digits < 1:
         raise ValueError("digits must be at least 1")
     terms = terms_for_digits(digits, rate)

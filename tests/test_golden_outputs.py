@@ -179,6 +179,13 @@ EXIT_CODES = {
     "solve-second --alpha1 1 --beta1 0": 2,
     "solve-second --alpha1 8 --beta1 2": 6,
     "generate 100000": 2,
+    # working scales over machin.MAX_POWER_BITS, refused before allocation
+    "compute-pi --k 3 --digits 1000000000000": 2,
+    "compute-pi --k 3 --terms 1000000000000": 2,
+    "compute-pi --k 1000000000000 --digits 5": 2,
+    "compute-pi --formula RECORD --digits 1000000000000": 2,
+    "bench --k 3 --max-terms 1000000000000": 2,
+    "compute-pi --k 3 --digits 400000000": 2,
 }
 
 

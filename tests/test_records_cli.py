@@ -447,6 +447,8 @@ class TestRecordCheckBySolve:
         (3, Fraction(1, 2), -31, 17, cli.EXIT_VERIFICATION),    # pi/4 + pi
         (3, Fraction(5), -2 * 239, 2, cli.EXIT_PARSE),          # scaled by 2
         (3, Fraction(5), -239, 1, cli.EXIT_OK),
+        (2, Fraction(1), -1, 1, cli.EXIT_OK),                   # 2 arctan 1 - arctan 1
+        (1, Fraction(2), 3, 1, cli.EXIT_OK),                    # Euler's arctan 1/2 + 1/3
     ])
     def test_explicit_verdicts(self, k, u1, r, s, code):
         assert _oracle_verdict(k, u1, r, s) == code
@@ -530,6 +532,7 @@ MALFORMED = {
     "k=3.5": (("k",), 3.5),
     "k=0": (("k",), 0),
     "u1.num=0": (("u1", "num"), "0"),
+    "num_digits='3'": (("u2_digit_counts", "num_digits"), "3"),
     # The same values in non-canonical spellings.
     "u2=239/-1": (("u2",), {"num": {"value": "239"}, "den": {"value": "-1"}}),
     "u1=-5/-1": (("u1",), {"num": "-5", "den": "-1"}),
@@ -786,6 +789,25 @@ class TestComputePiCommand:
         capsys.readouterr()
         assert run_cli("compute-pi", "--formula", str(path), "--digits", "2000") == 0
         assert capsys.readouterr().out == pi_digits(2000) + "\n"
+
+    @pytest.mark.parametrize("k, u1, u2_text", [
+        (2, Fraction(1), ("-1", "1")),  # certifies [2.0, 4.4]
+        (1, Fraction(2), ("3", "1")),  # certifies [3.117, 3.243]
+    ])
+    def test_terms_budget_certifying_no_digit_exits_5(self, tmp_path, capsys, k, u1,
+                                                      u2_text):
+        # One term printed "3.1" with exit 0 from both of these formulas.
+        record = build_record(
+            k=k, denominator_policy=1, rounding="nearest", u1=u1, epsilon_decimal="0",
+            u2_text=u2_text, verified=True, predicted_rate=0.0,
+        )
+        path = write_record(record, tmp_path / "f.json")
+        assert run_cli("verify", str(path)) == cli.EXIT_OK
+        capsys.readouterr()
+        assert run_cli("compute-pi", "--formula", str(path), "--terms", "1") \
+            == cli.EXIT_PRECISION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "certify no digit" in captured.err
 
     def test_tower_source(self, capsys, pi_text_300):
         assert run_cli("compute-pi", "--k", "6", "--digits", "40") == 0

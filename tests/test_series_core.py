@@ -1,8 +1,9 @@
 """The conjugate-series core against the loops it replaced.
 
-Only the convergence measurement walks a fixed-point term stream,
-started by _cot_start; its samples must reproduce their former loop bit
-for bit (tests/oracles.py keeps those loops as references), and a stream
+Only the convergence measurement walks a term stream, on plain integers
+(analysis._term_mantissas); its samples must reproduce their former
+FixedReal loop bit for bit with no FixedReal arithmetic at all
+(tests/oracles.py keeps those loops as references), and a stream
 started from a rounded rational cotangent must give the reference's
 partial-sum mantissa.  Rational arguments are summed exactly by binary
 splitting, which must agree with the reference loop within both error
@@ -38,8 +39,6 @@ from machinpi.radicals import eval_radicals
 from machinpi.realnum import FixedReal
 from machinpi.series import (
     _arctan_inverse,
-    _conjugate_terms,
-    _cot_start,
     _cotangent_chain,
     _radical_rate,
     arctan_conjugate,
@@ -72,50 +71,34 @@ def small_u2_arguments():
     "x", [Fraction(1, 2), Fraction(1, 5), Fraction(-1, 239), Fraction(2, 7), 10, 13],
     ids=["1/2", "1/5", "-1/239", "2/7", "1/u2@k10", "1/u2@k13"],
 )
-def test_cot_start_stream_matches_fraction_start(x, terms, small_u2_arguments):
+def test_measurement_stream_matches_fraction_start(x, terms, small_u2_arguments):
     if isinstance(x, int):
         x = small_u2_arguments[x]
     scale = 512
-    stream = _conjugate_terms(*_cot_start(FixedReal.from_fraction(1 / x, scale)))
-    total = sum(islice(stream, terms), FixedReal.zero(scale))
-    assert total.mantissa == arctan_conjugate_reference(x, terms, scale)[0]
+    total = sum(islice(analysis._term_mantissas(1 / x, scale), terms))
+    assert total == arctan_conjugate_reference(x, terms, scale)[0]
 
 
-cotangents = st.builds(
-    lambda c, negative: -c if negative else c,
-    st.fractions(min_value=Fraction(1, 2), max_value=10 ** 12, max_denominator=10 ** 12),
-    st.booleans(),
-)
-
-
-@given(cotangents, st.integers(min_value=8, max_value=400))
-def test_cot_start_contains_exact_start(c, scale):
-    d = 1 + 4 * c * c
-    exact = (1 / d, -2 * c / d, (1 - 4 * c * c) / (d * d), -4 * c / (d * d))
-    start = _cot_start(FixedReal.from_fraction(c, scale))
-    assert all(part.contains(value) for part, value in zip(start, exact))
-
-
-def test_every_stream_starts_from_cot_start(monkeypatch, machin_formula, pi_reference_300):
+def test_only_measurement_starts_a_stream(monkeypatch, machin_formula, pi_reference_300):
     starts = []
+    term_mantissas = analysis._term_mantissas
 
-    def spy(c):
-        starts.append(c)
-        return _cot_start(c)
+    def spy(beta, scale):
+        starts.append(beta)
+        return term_mantissas(beta, scale)
 
-    monkeypatch.setattr(series, "_cot_start", spy)
-    monkeypatch.setattr(analysis, "_cot_start", spy)
+    monkeypatch.setattr(analysis, "_term_mantissas", spy)
     pi_from_radicals(3, 4, 256)  # the tower sums through its chain
     arctan_conjugate(Fraction(1, 5), 200, 256)  # rational arguments always split
     series.pi_from_formula(machin_formula, 200, 256)
     assert starts == []
     measure_convergence(machin_formula, 3, pi_reference_300)
-    assert [c.value for c in starts] == [Fraction(5), Fraction(-239)]
+    assert starts == [Fraction(5), Fraction(-239)]
 
 
 def test_tower_sums_c_k_through_the_chain(monkeypatch):
     def no_stream(*args):
-        raise AssertionError("the tower took the fixed-point stream")
+        raise AssertionError("the tower took the measurement's term stream")
 
     calls = []
 
@@ -123,8 +106,7 @@ def test_tower_sums_c_k_through_the_chain(monkeypatch):
         calls.append((beta, scale))
         return _arctan_inverse(beta, digits, terms, scale)
 
-    monkeypatch.setattr(series, "_cot_start", no_stream)
-    monkeypatch.setattr(series, "_conjugate_terms", no_stream)
+    monkeypatch.setattr(analysis, "_term_mantissas", no_stream)
     monkeypatch.setattr(series, "_arctan_inverse", spy)
     result = pi_from_radicals(3, 4, 256)
     # one chain, from c_k's exact dyadic midpoint at c_k's own scale
@@ -135,9 +117,9 @@ def test_tower_sums_c_k_through_the_chain(monkeypatch):
 
 def test_formula_never_reaches_the_stream(monkeypatch, k10_formula, pi_text_300):
     def no_stream(*args):
-        raise AssertionError("pi from a formula took the fixed-point stream")
+        raise AssertionError("pi from a formula took the measurement's term stream")
 
-    monkeypatch.setattr(series, "_cot_start", no_stream)
+    monkeypatch.setattr(analysis, "_term_mantissas", no_stream)
     k14 = MachinFormula.two_term(14, Fraction(10430), solve_u2(Fraction(10430), 14))
     k2 = MachinFormula.two_term(2, Fraction(12, 5), Fraction(-239))
     for formula in (k10_formula, k14, k2):
@@ -176,9 +158,9 @@ def bracket(x):
 )
 def test_split_sum_agrees_with_reference_loop(x, terms, monkeypatch):
     def no_stream(*args):
-        raise AssertionError("a rational argument took the fixed-point stream")
+        raise AssertionError("a rational argument took the measurement's term stream")
 
-    monkeypatch.setattr(series, "_cot_start", no_stream)
+    monkeypatch.setattr(analysis, "_term_mantissas", no_stream)
     split = arctan_conjugate(x, terms, SPLIT_SCALE)
     mantissa, err_ulp, used, _ = arctan_conjugate_reference(x, terms, SPLIT_SCALE)
     value = split.value
@@ -380,6 +362,19 @@ def test_one_pass_samples_single_term_formula(pi_reference_300):
     formula = MachinFormula.single(Fraction(1), Fraction(1))
     report = measure_convergence(formula, 40, pi_reference_300)
     assert report.samples == convergence_samples_reference(formula, 40, pi_reference_300)
+
+
+def test_measurement_does_no_fixed_real_arithmetic(monkeypatch, k10_formula,
+                                                  pi_reference_300):
+    expected = convergence_samples_reference(k10_formula, 40, pi_reference_300)
+
+    def interval_arithmetic(*args):
+        raise AssertionError("the measurement did FixedReal arithmetic")
+
+    for name in ("__mul__", "__truediv__", "mul_fraction", "__add__"):
+        monkeypatch.setattr(FixedReal, name, interval_arithmetic)
+    report = measure_convergence(k10_formula, 40, pi_reference_300)
+    assert report.samples == expected
 
 
 def test_measurement_never_rebuilds_pi(monkeypatch, machin_formula, pi_reference_300):
