@@ -20,7 +20,7 @@ from itertools import count
 from os.path import commonprefix
 
 from .errors import InsufficientReference
-from .machin import MachinFormula, solve_u2
+from .machin import MAX_POWER_BITS, MachinFormula, solve_u2
 from .realnum import FixedReal, _div_nearest, _shift_nearest
 from .series import (
     approx_log10,
@@ -53,7 +53,10 @@ class ConvergenceReport:
 
 def reference_digits(rate: float, max_terms: int) -> int:
     """Digits a reference pi must resolve to score max_terms terms of a
-    series gaining `rate` digits per term."""
+    series gaining `rate` digits per term; ValueError for more than
+    MAX_POWER_BITS terms, before max_terms meets a float."""
+    if max_terms > MAX_POWER_BITS:
+        raise ValueError(f"max_terms must be at most {MAX_POWER_BITS}")
     return int(rate * (max_terms + 1)) + 8
 
 

@@ -210,38 +210,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def fraction_sharing_only_twos(num: int, den: int) -> Fraction:
-    """num/den in lowest terms, for a pair whose gcd is a power of two.
-
-    The common power of two is the smaller count of trailing zero bits,
-    so one shift reduces the pair; no gcd of the big values is run.
-
-    The second-term solve needs this for num = A + B, den = A - B, where
-    A + Bi = (p + qi)**n and gcd(p, q) = 1.  An odd prime l dividing
-    A + B and A - B divides 2A and 2B, hence A and B, hence (p + qi)**n
-    in Z[i].  If l = 3 (mod 4) it is a Gaussian prime, so it divides
-    p + qi; if l = 1 (mod 4) it splits as a conjugate pair of
-    non-associate primes that both divide p + qi.  Either way l divides
-    p and q, which are coprime.  Only the ramified prime 1 + i can be
-    shared, so the gcd is a power of two.  The caller vouches for that
-    precondition; this helper does not check it.
-    """
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if num == 0:
-        return Fraction(0)
-    shift = min(_trailing_zero_bits(num), _trailing_zero_bits(den))
-    num >>= shift
-    den >>= shift
-    if den < 0:
-        num, den = -num, -den
-    return _coprime_fraction(num, den)
-
-
-def _trailing_zero_bits(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
 def _coprime_fraction(num: int, den: int) -> Fraction:
     """Fraction from a coprime pair with den > 0, skipping Fraction's
     normalising gcd (the constructor spelling changed in Python 3.12)."""

@@ -21,9 +21,9 @@ A + Bi = (p + qi) ** alpha1,
     ((beta1 + i)/(beta1 - i)) ** alpha1 = (A + Bi)/(A - Bi),
 
 and demanding the product equal i gives beta2 = (A + B)/(A - B).  The
-only common factor of A + B and A - B is a power of two (see
-exact.fraction_sharing_only_twos), and its exponent follows from the
-parities of p and q alone (second_term_text), so beta2 comes out in
+only common factor of A + B and A - B is a power of two (README,
+"(A + B)/(A - B) is reduced by a shift"), and its exponent follows from
+the parities of p and q alone (second_term_text), so beta2 comes out in
 lowest terms with nothing divided.  The solver works in exact decimal
 and returns beta2's parts as decimal text, which is what a record
 stores.  The same value falls out of the direct rearrangement
@@ -70,8 +70,10 @@ MAX_POWER_BITS = 1 << 30
 def check_tower_depth(k: int) -> None:
     """ValueError when no u1 the tower can select at depth k has a closing
     power within MAX_POWER_BITS (k >= 27): u1 > 9/10 c_k > 2**(k-1), so
-    (p + qi)**(2**(k-1)) has over 2**(k-1) * (k-1) bits, bounded in logs."""
-    log2_bits = k - 1 + math.log2(k - 1) if k >= 2 else 0.0
+    (p + qi)**(2**(k-1)) has over 2**(k-1) * (k-1) bits, bounded in logs
+    with k capped at MAX_POWER_BITS, so that no huge int meets a float."""
+    n = min(k, MAX_POWER_BITS) - 1
+    log2_bits = n + math.log2(n) if n >= 1 else 0.0
     if log2_bits > math.log2(MAX_POWER_BITS):
         raise ValueError(f"depth {k} needs a Gaussian power of at least "
                          f"2**{log2_bits:.1f} bits, over the limit of "
@@ -160,8 +162,8 @@ def second_term_text(alpha1: int, beta1: Fraction) -> tuple[str, str]:
 
     With beta1 = p/q and A + Bi = (p + qi)**n, n = alpha1, beta2 is
     (A + B)/(A - B) over the power of two the two share (the only common
-    factor, exact.fraction_sharing_only_twos), and that power is known
-    from the parities of p and q:
+    factor: README, "(A + B)/(A - B) is reduced by a shift"), and that
+    power is known from the parities of p and q:
 
     - p + q odd: the norm p**2 + q**2 is odd, so is A**2 + B**2, so A
       and B have opposite parity and A + B, A - B are odd: nothing is

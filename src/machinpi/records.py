@@ -38,7 +38,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DigitCountMismatch, RecordParseError, UnverifiedFormula
 from .exact import _coprime_fraction, decimal_head, fraction_from_text
-from .machin import MachinFormula, check_second_term
+from .machin import MAX_POWER_BITS, MachinFormula, check_second_term
 
 SCHEMA_VERSION = 1
 
@@ -292,14 +292,15 @@ def _second_term_can_close(k: int, u1: Fraction, u2_text: tuple[str, str]) -> bo
     ceil(d log2(10)) bits; one more covers the float product), which
     keeps the condition necessary.  |u1| = 1 makes that base 1/2 and the
     bound empty, but then n * pi/4 >= pi for k >= 3 and no arctangent
-    closes the gap.
+    closes the gap.  k is capped at MAX_POWER_BITS, where the test fails
+    already, so that no huge int meets a float.
     """
     p, q = u1.numerator, u1.denominator
     log_base = math.log2(p * p + q * q) - 2 * (p & q & 1)
     if log_base <= 0:
         return k <= 2
     bits = max(_digit_counts(u2_text)) * _LOG2_10 + 2
-    return (k - 1) + math.log2(log_base) < math.log2(2 * bits + 1)
+    return min(k, MAX_POWER_BITS) - 1 + math.log2(log_base) < math.log2(2 * bits + 1)
 
 
 def check_record(record: FormulaRecord) -> None:

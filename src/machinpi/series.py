@@ -27,10 +27,10 @@ A rational x = a/b is summed exactly by binary splitting over Gaussian
 integers and rounded once (arctan_conjugate).  Every cotangent of pi,
 a formula's or the tower's, first becomes a chain of integer
 cotangents, so that every split has numerator 1 (_arctan_inverse).  The
-irrational c_k enters the chain as the exact dyadic midpoint of its
-interval, and its own error widens the result once (pi_from_radicals).
-Every evaluator here certifies an error bound; the convergence
-measurement walks its own integer term stream (analysis).
+irrational c_k enters the chain as the integer pair (M, 2**s) of its
+interval's midpoint, and its own error widens the result once
+(pi_from_radicals).  Every evaluator here certifies an error bound; the
+convergence measurement walks its own integer term stream (analysis).
 
 Terms for all series are generated by multiplicative recurrences; no
 powers or factorials are recomputed per term.  Each result's error bound
@@ -51,7 +51,7 @@ from .errors import (
     UnverifiedFormula,
     ZeroArgument,
 )
-from .exact import GaussianInt, fraction_sharing_only_twos
+from .exact import GaussianInt
 from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
 from .radicals import eval_radicals
 from .realnum import FixedReal
@@ -118,8 +118,9 @@ def _log10_squares(x: int, y: int, shift: int) -> float:
 
 
 def scale_for_digits(digits: int) -> int:
-    """Working bits for `digits` decimals; ValueError over MAX_POWER_BITS."""
-    scale = math.ceil(digits * _LOG2_10) + _GUARD_BITS
+    """Working bits for `digits` decimals; ValueError over MAX_POWER_BITS
+    (digits capped there first, so that no huge int meets a float)."""
+    scale = math.ceil(min(digits, MAX_POWER_BITS) * _LOG2_10) + _GUARD_BITS
     if scale > MAX_POWER_BITS:
         raise ValueError(f"{digits} digits need over {MAX_POWER_BITS:.3g} working bits")
     return scale
@@ -129,29 +130,21 @@ def terms_for_digits(digits: int, rate: float) -> int:
     return math.ceil(digits / rate) + 2
 
 
-def _cap_upper(fr: Fraction) -> Fraction:
-    """Cheap upper bound on a non-negative rational with huge components:
-    keep 64 significant bits of each side, rounding the ratio up."""
-    num, den = fr.numerator, fr.denominator
+def _tail_ulps(num: int, den: int, terms: int, scale: int) -> int:
+    """Truncated-tail bound for the conjugate-pair series in ulps at
+    `scale`, rounded up, for rho = |v|**2 = num/den < 1, a pair in lowest
+    terms or not.  The first omitted term is at most
+    2 |v|**(2*terms+1) / (2*terms+1), and the rest decay by rho.  rho is
+    capped by p/q from 64 leading bits of each part, num rounded up and
+    2**(td - tn) shifted onto q; a cap of 1 or more takes num/den.  With
+    sqrt(p/q) <= (isqrt(pq) + 1)/q the bound is formed on integers."""
     tn = max(0, num.bit_length() - 64)
     td = max(0, den.bit_length() - 64)
-    num_top = (num >> tn) + (1 if tn else 0)
-    return Fraction(num_top, den >> td) * Fraction(2) ** (tn - td)
-
-
-def _tail_ulps(rho: Fraction, terms: int, scale: int) -> int:
-    """Truncated-tail bound for the conjugate-pair series in ulps at
-    `scale`, rounded up.  The first omitted term is at most
-    2 |v|**(2*terms+1) / (2*terms+1) with |v| = sqrt(rho), and the rest
-    decay by rho; with rho <= p/q (_cap_upper) and sqrt(p/q) <=
-    (isqrt(pq) + 1)/q, the bound is formed on integers, with no gcd."""
-    rho_ub = _cap_upper(rho)
-    if rho_ub >= 1:
-        rho_ub = rho  # huge near-one operands: fall back to the exact ratio
-    p, q = rho_ub.numerator, rho_ub.denominator
-    num = 2 * p ** terms * (math.isqrt(p * q) + 1)
-    den = q ** terms * (2 * terms + 1) * (q - p)
-    return -(-(num << scale) // den)
+    p, q = (num >> tn) + (tn > 0), (den >> td) << (td - tn)
+    if p >= q:
+        p, q = num, den  # huge near-one operands: the exact ratio
+    bound = (2 * p ** terms * (math.isqrt(p * q) + 1)) << scale
+    return -(-bound // (q ** terms * (2 * terms + 1) * (q - p)))
 
 
 def _measured_rate(first: Fraction, last: Fraction, terms: int, fallback: float) -> float:
@@ -234,7 +227,8 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     a**(2m-1) / ((2m-1) g**(2m-1)), whose term ratio is a**2 (2m-1) /
     (g**2 (2m+1)).  Splitting gives S = a (Q + T) / (g Q) in Gaussian
     integers, so the bound is the final rounding (1 ulp) plus the tail for
-    the exact rho = |v|**2 = a**2 / (a**2 + 4b**2).  The rate comes from
+    rho = |v|**2 = a**2 / (a**2 + 4b**2), whose parts share 4 for even a
+    and nothing for odd a, so one shift reduces them.  The rate comes from
     the exact first and last terms; term `terms` of S is a P / (g Q).
     """
     x = Fraction(x)
@@ -244,7 +238,8 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
         raise ValueError("terms must be at least 1")
     a, b = x.numerator, x.denominator
     a2 = a * a
-    rho = fraction_sharing_only_twos(a2, a2 + 4 * b * b)
+    shift = 0 if a & 1 else 2
+    rho_num, rho_den = a2 >> shift, (a2 + 4 * b * b) >> shift
     g = GaussianInt(a, 2 * b)
     if terms == 1:
         p, q, t = 1, GaussianInt(1, 0), GaussianInt(0, 0)
@@ -261,8 +256,8 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
         log_last = _log10_int(abs(2 * a * p)) + _log10_int(abs(z.im)) - _log10_int(norm)
         rate = (log_first - log_last) / (terms - 1)
     else:
-        rate = _log10_int(rho.denominator) - _log10_int(rho.numerator)
-    value = value.widened(_tail_ulps(rho, terms, scale))
+        rate = _log10_int(rho_den) - _log10_int(rho_num)
+    value = value.widened(_tail_ulps(rho_num, rho_den, terms, scale))
     return SeriesResult(value, terms, rate, (terms,))
 
 
@@ -290,10 +285,12 @@ def _cotangent_chain(p: int, q: int, scale: int) -> tuple[list[int], int, int]:
             return chain, p, q
 
 
-def _arctan_inverse(beta: Fraction, digits: float, terms: int,
+def _arctan_inverse(num: int, den: int, digits: float, terms: int,
                     scale: int) -> SeriesResult:
-    """arctan(1/beta) at `scale`, summed by arctan_conjugate over the
-    integer cotangents of its chain (_cotangent_chain), sign folded out.
+    """arctan(den/num) for num != 0 < den at `scale`, summed by
+    arctan_conjugate over the integer cotangents of the chain of
+    beta = num/den (_cotangent_chain), sign folded out.  The pair may share
+    a factor g: the chain's m_j stay the same and its later pairs scale by g.
 
     A denominator over w = scale + _CHAIN_GUARD bits is first rounded down
     to a dyadic beta' with w fractional bits, from the top w + 64 bits of
@@ -301,7 +298,7 @@ def _arctan_inverse(beta: Fraction, digits: float, terms: int,
     ulp, and the dropped residual arccot(p'/q') <= 2**-scale is one more.
     Cotangent m sums min(terms, terms_for_digits(digits, its rate)) terms.
     """
-    p, q = abs(beta.numerator), beta.denominator
+    p, q = abs(num), den
     w = scale + _CHAIN_GUARD
     rounded = q.bit_length() > w
     if rounded:
@@ -313,7 +310,7 @@ def _arctan_inverse(beta: Fraction, digits: float, terms: int,
     value = sum((part.value for part in parts[1:]), parts[0].value)
     value = value.widened(rounded + (residual_den > 0))
     used = sum(part.terms_used for part in parts)
-    return SeriesResult(-value if beta < 0 else value, used, parts[0].per_term_log10, (used,))
+    return SeriesResult(-value if num < 0 else value, used, parts[0].per_term_log10, (used,))
 
 
 def pi_from_formula(
@@ -338,7 +335,8 @@ def pi_from_formula(
             )
     rates = [digits_per_term(beta) for _, beta in formula.terms]
     target = (terms - 2) * min(rates)
-    parts = [_arctan_inverse(beta, target, terms, scale) for _, beta in formula.terms]
+    parts = [_arctan_inverse(beta.numerator, beta.denominator, target, terms, scale)
+             for _, beta in formula.terms]
     total = FixedReal.zero(scale)
     for (alpha, _), part in zip(formula.terms, parts):
         total = total + part.value.mul_fraction(alpha)
@@ -350,15 +348,16 @@ def pi_from_formula(
 def pi_from_radicals(k: int, terms: int, scale: int) -> SeriesResult:
     """pi = 2**(k+1) * arccot(c_k), with no second term.
 
-    c_k's midpoint is an exact dyadic rational, so its arccot is summed
-    like any cotangent of a formula (_arctan_inverse, at c_k's scale) for
-    D = (terms - 2) * r_k digits at the predicted rate r_k.  arccot is
-    1/(1 + c**2)-Lipschitz, so c_k's own error of e ulps moves it by under
-    e / 4**j ulps for 2**j <= c_k's lower end: one widening of (e >> 2j) + 1.
+    c_k's midpoint is the exact dyadic M / 2**s, so its arccot is summed
+    like any cotangent of a formula, from the pair (M, 2**s) unreduced
+    (_arctan_inverse, at c_k's scale), for D = (terms - 2) * r_k digits at
+    the predicted rate r_k.  arccot is 1/(1 + c**2)-Lipschitz, so c_k's own
+    error of e ulps moves it by under e / 4**j ulps for 2**j <= c_k's lower
+    end: one widening of (e >> 2j) + 1.
     """
     c = eval_radicals(k, math.ceil(scale * _LOG10_2) + 4).c_k
-    beta = fraction_sharing_only_twos(c.mantissa, 1 << c.scale)
-    part = _arctan_inverse(beta, (terms - 2) * _radical_rate(k), terms, c.scale)
+    digits = (terms - 2) * _radical_rate(k)
+    part = _arctan_inverse(c.mantissa, 1 << c.scale, digits, terms, c.scale)
     j = max(0, (c.mantissa - c.err_ulp).bit_length() - 1 - c.scale)
     value = part.value.widened((c.err_ulp >> 2 * j) + 1).shift(k + 1)
     return SeriesResult(value, terms, part.per_term_log10, (part.terms_used,))
@@ -398,7 +397,9 @@ def pi_digits_from_radicals(
     for exactly one of a digit target or a term budget."""
     if k < 2:
         raise ValueError("depth k must be at least 2")
-    return _certified_pi(partial(pi_from_radicals, k), _radical_rate(k), digits, terms)
+    # eval_radicals refuses any k over MAX_POWER_BITS; capped, k meets no float
+    rate = _radical_rate(min(k, MAX_POWER_BITS))
+    return _certified_pi(partial(pi_from_radicals, k), rate, digits, terms)
 
 
 def _certified_pi(evaluate, rate: float, digits: int | None,
@@ -412,13 +413,16 @@ def _certified_pi(evaluate, rate: float, digits: int | None,
     up to four retries adds 3 terms and 128, 256, ... bits of scale.  A
     term budget runs those terms once, at the scale of the digits they
     could reach, and prints the certified prefix, PrecisionExhausted if
-    empty.  A scale over MAX_POWER_BITS is ValueError (scale_for_digits).
+    empty.  A scale over MAX_POWER_BITS is ValueError (scale_for_digits),
+    and so are more terms: each multiplies Q by g**2, |g|**2 >= 5 (_split).
     """
     if (digits is None) == (terms is None):
         raise ValueError("exactly one of digits or terms is required")
     if terms is not None:
         if terms < 1:
             raise ValueError("terms must be at least 1")
+        if terms > MAX_POWER_BITS:
+            raise ValueError(f"terms must be at most {MAX_POWER_BITS}")
         limit = int(rate * terms) + 10
         result = evaluate(terms, scale_for_digits(limit + 6))
         valid = result.value.valid_decimal_digits(limit)
@@ -427,8 +431,8 @@ def _certified_pi(evaluate, rate: float, digits: int | None,
         return result.value.to_decimal(valid)[0], result
     if digits < 1:
         raise ValueError("digits must be at least 1")
-    terms = terms_for_digits(digits, rate)
     scale = scale_for_digits(digits)
+    terms = terms_for_digits(digits, rate)
     for attempt in range(5):
         result = evaluate(terms, scale)
         text, ok = result.value.to_decimal(digits)

@@ -15,7 +15,6 @@ from machinpi.exact import (
     _exact_context,
     decimal_gaussian_power,
     decimal_head,
-    fraction_sharing_only_twos,
     int_to_text,
     parse_rational,
     text_to_int,
@@ -82,29 +81,6 @@ class TestDecimalGaussianPower:
     def test_exponent_must_be_positive(self):
         with pytest.raises(ValueError):
             decimal_gaussian_power(5, 1, 0, _exact_context())
-
-
-class TestFractionSharingOnlyTwos:
-    @given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
-           st.integers(min_value=-10 ** 30, max_value=10 ** 30).filter(bool),
-           st.integers(min_value=0, max_value=80),
-           st.integers(min_value=0, max_value=80))
-    def test_matches_reduced_fraction(self, x, y, a, b):
-        odd_gcd = math.gcd(x, y)
-        while odd_gcd % 2 == 0:
-            odd_gcd //= 2
-        num, den = (x // odd_gcd) << a, (y // odd_gcd) << b
-        got = fraction_sharing_only_twos(num, den)
-        expected = Fraction(num, den)
-        assert (got.numerator, got.denominator) == (
-            expected.numerator, expected.denominator)
-
-    def test_zero_and_signs(self):
-        assert fraction_sharing_only_twos(0, -12) == 0
-        got = fraction_sharing_only_twos(12, -40)
-        assert (got.numerator, got.denominator) == (-3, 10)
-        with pytest.raises(ZeroDivisionError):
-            fraction_sharing_only_twos(1, 0)
 
 
 def _check_codec(n: int, text: str | None = None) -> None:

@@ -157,6 +157,9 @@ SCRIPTS = {
         "398e4a7d72c09bbe40b453392c09bba151baf73dc3e581b730a609960f6b135b",
 }
 
+# An integer past a float's range, written in for HUGE in EXIT_CODES.
+HUGE = str(10 ** 400)
+
 # Bad flags and bad depths: argv -> exit code.  Flag checks run before
 # the record is loaded, so a missing record with --digits 0 is exit 2.
 EXIT_CODES = {
@@ -186,6 +189,15 @@ EXIT_CODES = {
     "compute-pi --formula RECORD --digits 1000000000000": 2,
     "bench --k 3 --max-terms 1000000000000": 2,
     "compute-pi --k 3 --digits 400000000": 2,
+    # sizes past a float's range, refused before they meet a float
+    "compute-pi --k 3 --digits HUGE": 2,
+    "compute-pi --k 3 --terms HUGE": 2,
+    "compute-pi --k HUGE --digits 5": 2,
+    "compute-pi --formula RECORD --digits HUGE": 2,
+    "compute-pi --formula RECORD --terms HUGE": 2,
+    "bench --k 3 --max-terms HUGE": 2,
+    "bench --k HUGE": 2,
+    "generate HUGE": 2,
 }
 
 
@@ -243,7 +255,8 @@ def script_stdout(name: str) -> bytes:
 
 
 def exit_code(argv: str, directory: Path) -> int:
-    return run(*argv.replace("RECORD", str(directory / "k3.json")).split())[0]
+    argv = argv.replace("RECORD", str(directory / "k3.json")).replace("HUGE", HUGE)
+    return run(*argv.split())[0]
 
 
 @pytest.fixture(scope="module")

@@ -576,10 +576,11 @@ def test_integer_literal_over_digit_cap_is_parse_error(k3_record_path, capsys, c
 ])
 @pytest.mark.parametrize("edit", [
     {"k": 10 ** 6},
+    {"k": 10 ** 400},
     {"k": 40, "u1": {"num": "1", "den": "1"},
      "u2": {"num": {"value": "1"}, "den": {"value": "1"}},
      "u2_digit_counts": {"num_digits": 1, "den_digits": 1}},
-], ids=["k=10**6", "k=40,u1=u2=1"])
+], ids=["k=10**6", "k=10**400", "k=40,u1=u2=1"])
 def test_depth_too_deep_for_second_term_fails_fast(k3_record_path, capsys, command, edit):
     # The exact product would take about 2**(k-1) bits; the size bound on
     # the second term refuses it before any power is formed.

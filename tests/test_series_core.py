@@ -8,10 +8,13 @@ started from a rounded rational cotangent must give the reference's
 partial-sum mantissa.  Rational arguments are summed exactly by binary
 splitting, which must agree with the reference loop within both error
 bounds, never claim a wider bound, and contain an independent bracket of
-the true arctangent.  Every cotangent, of a formula or the tower's c_k,
-first becomes a chain of integer cotangents: the chain must be an exact
-Gaussian-integer identity, its certified sum must contain an independent
-bracket, and pi from either source must never reach the stream.  The
+the true arctangent; the tail bound on rho's integer pair must be the
+reference's for a = 1 and never looser for any a.  Every cotangent, of a
+formula or the tower's c_k, first becomes a chain of integer cotangents:
+the chain must be an exact Gaussian-integer identity that a common
+factor of the pair does not change, its certified sum must contain an
+independent bracket, and pi from either source must never reach the
+stream.  The
 tower's result must contain pi even when c_k's midpoint is moved within
 a widened interval, and its bound must stay within 0.1% of the former
 stream's.
@@ -41,6 +44,7 @@ from machinpi.series import (
     _arctan_inverse,
     _cotangent_chain,
     _radical_rate,
+    _tail_ulps,
     arctan_conjugate,
     digits_per_term,
     pi_digits_from_formula,
@@ -50,6 +54,7 @@ from machinpi.series import (
 )
 
 from oracles import (
+    _tail_bound,
     arctan_bracket,
     arctan_conjugate_reference,
     arctan_enclosure,
@@ -102,16 +107,17 @@ def test_tower_sums_c_k_through_the_chain(monkeypatch):
 
     calls = []
 
-    def spy(beta, digits, terms, scale):
-        calls.append((beta, scale))
-        return _arctan_inverse(beta, digits, terms, scale)
+    def spy(num, den, digits, terms, scale):
+        calls.append((num, den, scale))
+        return _arctan_inverse(num, den, digits, terms, scale)
 
     monkeypatch.setattr(analysis, "_term_mantissas", no_stream)
     monkeypatch.setattr(series, "_arctan_inverse", spy)
     result = pi_from_radicals(3, 4, 256)
-    # one chain, from c_k's exact dyadic midpoint at c_k's own scale
+    # one chain, from c_k's exact dyadic midpoint at c_k's own scale,
+    # entered as the integer pair (M, 2**s) with nothing reduced
     c = eval_radicals(3, math.ceil(256 * math.log10(2)) + 4).c_k
-    assert calls == [(Fraction(c.mantissa, 1 << c.scale), c.scale)]
+    assert calls == [(c.mantissa, 1 << c.scale, c.scale)]
     assert result.value.scale == c.scale
 
 
@@ -240,6 +246,44 @@ def test_cotangent_chain_is_an_exact_identity(p, q, scale):
     assert len(chain) <= scale.bit_length() + 3
 
 
+@given(st.integers(0, 10 ** 40), st.integers(1, 10 ** 40), st.integers(1, 2 ** 80),
+       st.integers(8, 600))
+@example(3 << 300, 1 << 300, 2 ** 80, 8)  # the tower's (M, 2**s) shape
+def test_cotangent_chain_ignores_a_common_factor(p, q, g, scale):
+    # The tower enters its chain as (M, 2**s) unreduced: scaling the pair
+    # by g must keep every m_j and scale the residual pair by g.
+    chain, p_rest, q_rest = _cotangent_chain(p, q, scale)
+    assert _cotangent_chain(g * p, g * q, scale) == (chain, g * p_rest, g * q_rest)
+
+
+@given(st.integers(1, 2 ** 200), st.integers(1, 60), st.integers(8, 600))
+@example(1, 1, 8)
+@example(2 ** 40, 3, 64)  # 1 + 4m**2 has 83 bits: the cap shifts q back up
+def test_tail_ulps_of_a_unit_argument_is_the_reference_bound(m, terms, scale):
+    # Every production series has a = 1, so rho = 1/(1 + 4m**2) is its own
+    # lowest terms and the bound must be the reference's to the ulp.
+    expected = _tail_bound(Fraction(1, 1 + 4 * m * m), terms) * 2 ** scale
+    assert _tail_ulps(1, 1 + 4 * m * m, terms, scale) == math.ceil(expected)
+
+
+@given(st.integers(-2 ** 200, 2 ** 200).filter(bool), st.integers(1, 2 ** 200),
+       st.integers(1, 60), st.integers(8, 600))
+@example(2 ** 100 + 2, 5 ** 40, 4, 64)  # even a: the parts share 4, then capped
+def test_tail_ulps_of_any_rho_pair_is_sound_and_never_looser(a, b, terms, scale):
+    # arctan_conjugate's pair (a**2, a**2 + 4b**2) >> shift is capped
+    # without a gcd, so its bound may come out tighter than the
+    # reference's, never looser, and never under the exact
+    # 2 rho**(terms + 1/2) / ((2 terms + 1)(1 - rho)) in ulps.
+    x = Fraction(a, b)
+    a, b = x.numerator, x.denominator
+    shift = 0 if a & 1 else 2
+    got = _tail_ulps(a * a >> shift, (a * a + 4 * b * b) >> shift, terms, scale)
+    rho = Fraction(a * a, a * a + 4 * b * b)
+    assert got <= math.ceil(_tail_bound(rho, terms) * 2 ** scale)
+    exact = 2 ** (scale + 1) * rho ** terms / ((2 * terms + 1) * (1 - rho))
+    assert got > 0 and got * got >= exact * exact * rho
+
+
 @pytest.mark.parametrize("beta, scale, extra_ulp", [
     (Fraction(12, 5), 512, 0),  # chain 3, 14, 577 ends exactly
     (Fraction(-239), 512, 0),  # one step
@@ -257,7 +301,7 @@ def test_chain_bound_counts_rounding_and_residual(beta, scale, extra_ulp, monkey
         return pieces[-1]
 
     monkeypatch.setattr(series, "arctan_conjugate", spy)
-    got = _arctan_inverse(beta, 1000, 10 ** 6, scale).value
+    got = _arctan_inverse(beta.numerator, beta.denominator, 1000, 10 ** 6, scale).value
     assert got.err_ulp == sum(piece.value.err_ulp for piece in pieces) + extra_ulp
 
 
@@ -274,7 +318,7 @@ def _huge_cotangent(seed: int) -> Fraction:
 
 def assert_chain_sum_contains_bracket(beta: Fraction) -> None:
     scale = 160
-    got = _arctan_inverse(beta, 50, 10 ** 6, scale).value
+    got = _arctan_inverse(beta.numerator, beta.denominator, 50, 10 ** 6, scale).value
     # 1/beta replaced by a dyadic within 2**-200, the gap joining the bound
     x = 1 / beta
     near = Fraction(round(x * (1 << 200)), 1 << 200)
