@@ -102,14 +102,12 @@ def measure_convergence(formula: MachinFormula, max_terms: int,
     u1 = min(abs(beta) for _, beta in formula.terms)
     predicted = digits_per_term(u1)
     ceiling = reference_digits(predicted, max_terms)
-    ref_digits = reference_pi.valid_decimal_digits(ceiling)
-    if ref_digits < ceiling:
+    ref_text, ok = reference_pi.to_decimal(ceiling)
+    if not ok:
         raise InsufficientReference(
-            f"reference pi resolves {ref_digits} digits; the measurement "
-            f"could reach about {ceiling}"
+            f"reference pi resolves {len(ref_text.partition('.')[2])} digits; "
+            f"the measurement could reach about {ceiling}"
         )
-    ref_text, ok = reference_pi.to_decimal(ref_digits)
-    assert ok
     scale = scale_for_digits(ceiling)
     t0 = time.perf_counter()
     streams = [_term_mantissas(beta, scale) for _, beta in formula.terms]
@@ -119,7 +117,7 @@ def measure_convergence(formula: MachinFormula, max_terms: int,
         sums = [part + next(stream) for part, stream in zip(sums, streams)]
         total = sum(_div_nearest(part * alpha.numerator, alpha.denominator)
                     for (alpha, _), part in zip(formula.terms, sums))
-        text = FixedReal(total << 2, scale).to_decimal(ref_digits)[0]
+        text = FixedReal(total << 2, scale).to_decimal(ceiling)[0]
         samples.append((m, max(0, len(commonprefix([text, ref_text])) - 2)))
     elapsed = time.perf_counter() - t0
     fit_points = [p for p in samples if p[0] >= 3]

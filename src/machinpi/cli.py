@@ -2,7 +2,7 @@
 
 Subcommands: generate, verify, compute-pi, bench, solve-second.
 
-Exit codes (scriptable, one per error class):
+Exit codes (scriptable, one per kind of failure):
   0  success
   2  usage error (includes a working scale over machin.MAX_POWER_BITS)
   3  record/sidecar parse or integrity failure

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps each class to a distinct exit code.
+class.  The CLI maps classes to exit codes by kind, so some share one:
+the four precision failures (PrecisionExhausted, AmbiguousRounding,
+NegativeOperand, DivisorStraddlesZero) exit 5, and UnverifiedFormula and
+NotExactlyVerifiable exit 4 (see machinpi.cli).
 """
 
 
@@ -49,8 +52,9 @@ class DegenerateSecondTerm(MachinPiError):
 
 
 class NotExactlyVerifiable(MachinPiError):
-    """Formula has a non-integer coefficient; exact verification needs
-    integer exponents."""
+    """Exact verification cannot run: a coefficient is not an integer,
+    the coefficients sum too large for the branch check, or a Gaussian
+    power would exceed machin.MAX_POWER_BITS."""
 
 
 class DivergentArgument(MachinPiError):

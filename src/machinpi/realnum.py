@@ -8,6 +8,8 @@ an integer error counter e; the true real value is guaranteed to lie in
 All arithmetic is integer-only (binary fixed point internally, decimal
 only at the I/O boundary) and every operation widens e conservatively,
 so containment of the true value is an invariant, not a heuristic.
+to_decimal, the one way out to text, prints only the places both ends
+of the interval agree on, so every printed digit and sign is certain.
 
 Binary operations take two operands at the same scale s and return one
 at s; mixing scales raises ValueError.  Per-operation error growth, in
@@ -149,11 +151,11 @@ class FixedReal:
 
     @classmethod
     def _from_ratio(cls, num: int, den: int, scale: int) -> "FixedReal":
-        """num/den (den > 0) rounded to nearest.  The result depends only
-        on the value, so the pair need not be in lowest terms."""
-        scaled = num << scale
-        m = _div_nearest(scaled, den)
-        return cls(m, scale, 0 if m * den == scaled else 1)
+        """num/den (den > 0) rounded to nearest, ties away from zero; the
+        pair need not be in lowest terms.  q, r = divmod(2 |num| 2**scale
+        + den, 2 den) gives the magnitude q, exact iff r == den."""
+        q, r = divmod((abs(num) << (scale + 1)) + den, den << 1)
+        return cls(-q if num < 0 else q, scale, 0 if r == den else 1)
 
     @classmethod
     def zero(cls, scale: int) -> "FixedReal":
@@ -302,44 +304,28 @@ class FixedReal:
 
     # -- decimal I/O ----------------------------------------------------
 
-    def _dec_trunc(self, m: int, unit: int) -> tuple[bool, int]:
-        """Sign of m, and |m| * 2**-scale truncated toward zero in units
-        of 1/unit."""
-        return m < 0, (abs(m) * unit) >> self.scale
-
     def to_decimal(self, digits: int) -> tuple[str, bool]:
-        """Decimal expansion with `digits` digits after the point,
-        truncated toward zero, plus a validity flag.
-
-        The sign follows the mantissa, so a negative value prints "-"
-        even when every shown digit is zero.  The flag is True only when
-        both ends of the error interval truncate to the same signed
-        string, i.e. every printed digit and the sign are certain.
-        Callers seeing False must re-run at a higher scale.
+        """The longest expansion of at most `digits` places on which both
+        interval ends, each truncated toward zero, agree character for
+        character, sign included, and whether all `digits` places are
+        there.  A negative interval prints "-" even when every shown
+        digit is zero; one straddling zero gives ("", False).  Each
+        distinct end is truncated once: a zero-width interval, certified
+        by construction, costs one multiplication.
         """
         if digits < 1:
             raise ValueError("digits must be at least 1")
         unit = 10 ** digits
-        lo = self._dec_trunc(self.mantissa - self.err_ulp, unit)
-        hi = self._dec_trunc(self.mantissa + self.err_ulp, unit)
-        negative, n_mid = self._dec_trunc(self.mantissa, unit)
-        body = int_to_text(n_mid).zfill(digits + 1)
-        sign = "-" if negative else ""
-        return f"{sign}{body[:-digits]}.{body[-digits:]}", lo == hi
-
-    def valid_decimal_digits(self, limit: int) -> int:
-        """Largest digit count <= limit that to_decimal reports valid
-        (0 when even one digit is uncertain)."""
-        # Decimal cells nest: an end truncated to d digits is its
-        # limit-digit truncation without the last limit - d digits, so d
-        # is valid exactly when the signs agree and the two zero-padded
-        # strings share their first width - limit + d characters.
-        unit = 10 ** max(limit, 0)
-        lo_negative, lo = self._dec_trunc(self.mantissa - self.err_ulp, unit)
-        hi_negative, hi = self._dec_trunc(self.mantissa + self.err_ulp, unit)
-        if lo_negative != hi_negative:
-            return 0
-        lo_text, hi_text = int_to_text(lo), int_to_text(hi)
-        width = max(len(lo_text), len(hi_text), limit)
-        common = commonprefix([lo_text.zfill(width), hi_text.zfill(width)])
-        return max(0, len(common) - (width - limit))
+        m, e = self.mantissa, self.err_ulp
+        ends = {(end < 0, (abs(end) * unit) >> self.scale) for end in {m - e, m + e}}
+        texts = []
+        for negative, n in ends:
+            body = int_to_text(n).zfill(digits + 1)
+            texts.append(f"{'-' if negative else ''}{body[:-digits]}.{body[-digits:]}")
+        if len(texts) == 1:
+            return texts[0], True
+        # Distinct truncations print distinct texts, so some place is
+        # missing; a common prefix that stops at or before the point
+        # certifies none.
+        text = commonprefix(texts)
+        return (text if "." in text[:-1] else ""), False

@@ -412,9 +412,10 @@ def _certified_pi(evaluate, rate: float, digits: int | None,
     the first run uses terms_for_digits at scale_for_digits, and each of
     up to four retries adds 3 terms and 128, 256, ... bits of scale.  A
     term budget runs those terms once, at the scale of the digits they
-    could reach, and prints the certified prefix, PrecisionExhausted if
-    empty.  A scale over MAX_POWER_BITS is ValueError (scale_for_digits),
-    and so are more terms: each multiplies Q by g**2, |g|**2 >= 5 (_split).
+    could reach, and prints to_decimal's certified text for that many
+    digits, PrecisionExhausted if it is empty.  A scale over
+    MAX_POWER_BITS is ValueError (scale_for_digits), and so are more
+    terms: each multiplies Q by g**2, |g|**2 >= 5 (_split).
     """
     if (digits is None) == (terms is None):
         raise ValueError("exactly one of digits or terms is required")
@@ -425,10 +426,10 @@ def _certified_pi(evaluate, rate: float, digits: int | None,
             raise ValueError(f"terms must be at most {MAX_POWER_BITS}")
         limit = int(rate * terms) + 10
         result = evaluate(terms, scale_for_digits(limit + 6))
-        valid = result.value.valid_decimal_digits(limit)
-        if valid < 1:
+        text, _ = result.value.to_decimal(limit)
+        if not text:
             raise PrecisionExhausted(f"{terms} terms certify no digit of pi")
-        return result.value.to_decimal(valid)[0], result
+        return text, result
     if digits < 1:
         raise ValueError("digits must be at least 1")
     scale = scale_for_digits(digits)

@@ -3,13 +3,13 @@
 Powers are repeated multiplication, rotations are reduced pairs of
 Fractions, decimal expansions and interval square roots come from
 integer square roots, and arctangent references are alternating partial
-sums with their classical remainder bound.  Two kinds are the exception:
-the valid-digit count asks FixedReal.to_decimal, which defines validity,
-at every digit count, and the series references at the end keep
-machinpi's fixed-point arithmetic (FixedReal, eval_radicals and
-scale_for_digits) so that the production series can be held to them bit
-for bit.  Their tail bound, rate and log helpers are copies kept here,
-so a change to machinpi.series moves only the side under test.
+sums with their classical remainder bound.  Decimal text is the exact
+truncation of a Fraction.  The series references at the end are the
+exception: they keep machinpi's fixed-point arithmetic (FixedReal,
+eval_radicals and scale_for_digits) so that the production series can be
+held to them bit for bit.  Their tail bound, rate and log helpers are
+copies kept here, so a change to machinpi.series moves only the side
+under test.
 """
 
 from __future__ import annotations
@@ -208,11 +208,21 @@ def rotation_product_reference(terms) -> tuple[Fraction, Fraction]:
     return re, im
 
 
+def decimal_text_reference(fr: Fraction, digits: int) -> str:
+    """fr truncated toward zero to `digits` fractional digits, "-" for
+    any negative fr even when every shown digit is zero."""
+    whole, frac = divmod(abs(fr.numerator) * 10 ** digits // fr.denominator, 10 ** digits)
+    with big_int_text():
+        return f"{'-' if fr < 0 else ''}{whole}.{frac:0{digits}d}"
+
+
 def valid_decimal_digits_reference(x: FixedReal, limit: int) -> int:
-    """Largest d <= limit with x.to_decimal(d) valid, 0 when there is
-    none: every d is tried, assuming nothing about how validity varies
-    with d."""
-    return max((d for d in range(1, limit + 1) if x.to_decimal(d)[1]), default=0)
+    """Largest d <= limit at which the exact ends x.lower and x.upper
+    truncate to the same signed text, 0 when there is none: every d is
+    tried, assuming nothing about how agreement varies with d."""
+    return max((d for d in range(1, limit + 1)
+                if decimal_text_reference(x.lower, d) == decimal_text_reference(x.upper, d)),
+               default=0)
 
 
 
@@ -316,8 +326,8 @@ def convergence_samples_reference(formula, max_terms: int, reference_pi):
     every arctangent from scratch at each m."""
     u1 = min(abs(beta) for _, beta in formula.terms)
     ceiling = int(digits_per_term(u1) * (max_terms + 1)) + 8
-    ref_digits = reference_pi.valid_decimal_digits(ceiling)
-    ref_text, _ = reference_pi.to_decimal(ref_digits)
+    ref_digits = valid_decimal_digits_reference(reference_pi, ceiling)
+    ref_text = decimal_text_reference(reference_pi.lower, ref_digits)
     scale = scale_for_digits(ceiling)
     samples = []
     for m in range(1, max_terms + 1):
@@ -325,7 +335,7 @@ def convergence_samples_reference(formula, max_terms: int, reference_pi):
         for alpha, beta in formula.terms:
             mantissa = arctan_conjugate_reference(1 / beta, m, scale)[0]
             total = total + FixedReal(mantissa, scale).mul_fraction(alpha)
-        text, _ = total.shift(2).to_decimal(ref_digits)
+        text = decimal_text_reference(total.shift(2).value, ref_digits)
         same = 0
         while same < len(text) and text[same] == ref_text[same]:
             same += 1

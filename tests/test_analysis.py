@@ -69,7 +69,9 @@ class TestMeasureConvergence:
 
     def test_insufficient_reference_rejected(self, k10_formula):
         shallow = FixedReal.from_fraction(Fraction(314159, 100000), 64).widened(1)
-        with pytest.raises(InsufficientReference):
+        # 3.14159 is not dyadic, so the lower end reads 3.14158...: the
+        # message names the 4 places both ends agree on.
+        with pytest.raises(InsufficientReference, match="resolves 4 digits"):
             measure_convergence(k10_formula, 20, shallow)
 
 

@@ -21,6 +21,7 @@ from machinpi.realnum import (
 )
 
 from oracles import (
+    decimal_text_reference,
     sqrt_digits,
     sqrt_two_roots_reference,
     valid_decimal_digits_reference,
@@ -75,10 +76,13 @@ class TestSqrt:
 
     def test_sqrt_two_at_scale_128_gives_38_digits(self):
         root = FixedReal.from_int(2, 128).sqrt()
+        # The midpoint reads all 38 digits right ...
+        midpoint = FixedReal(root.mantissa, root.scale)
+        assert midpoint.to_decimal(38) == (sqrt_digits(2, 38), True)
+        # ... and one ulp at scale 128 certifies at least 37 of them.
         text, _ = root.to_decimal(38)
-        assert text == sqrt_digits(2, 38)
-        # One ulp at scale 128 pins at least 37 of those digits outright.
-        assert root.valid_decimal_digits(38) >= 37
+        assert len(text) >= len("1.") + 37
+        assert sqrt_digits(2, 38).startswith(text)
 
     def test_sqrt_zero(self):
         assert FixedReal.from_int(0, 64).sqrt() == FixedReal(0, 64, 0)
@@ -294,10 +298,13 @@ class TestDecimal:
         assert ok9
 
     def test_valid_decimal_digits(self):
+        # Blurred by 1e-10, sqrt(2) keeps 9 certain places of 40.
         root = FixedReal.from_int(2, 256).sqrt()
         blurred = root.widened_by_fraction(Fraction(1, 10 ** 10))
-        assert blurred.valid_decimal_digits(40) == 9
+        assert blurred.to_decimal(40) == (sqrt_digits(2, 9), False)
 
+    # The limit starts at 0 only for the @example below: a request for
+    # no places is a ValueError.
     @given(st.integers(min_value=-10 ** 12, max_value=10 ** 12),
            st.integers(min_value=0, max_value=10 ** 6),
            st.integers(min_value=0, max_value=40),
@@ -308,15 +315,54 @@ class TestDecimal:
     @example(10 << 20, 1, 20, 10)  # whole parts 9 and 10
     @example(-(10 << 20), 1, 20, 10)  # whole parts -10 and -9
     @example(-11, 9, 0, 1)  # whole parts -20 and -2
+    @example(7, 3, 4, 0)  # no places asked for
     def test_valid_decimal_digits_matches_brute_force(self, m, err, scale, limit):
         x = FixedReal(m, scale, err)
-        assert x.valid_decimal_digits(limit) == valid_decimal_digits_reference(x, limit)
+        if limit == 0:
+            with pytest.raises(ValueError):
+                x.to_decimal(limit)
+            return
+        text, _ = x.to_decimal(limit)
+        places = len(text.partition(".")[2])
+        assert places == valid_decimal_digits_reference(x, limit)
 
     def test_straddling_zero_invalid_unless_tiny(self):
         wobbling = FixedReal(1, 64, 100)  # interval about +/- 5.4e-18
-        assert wobbling.to_decimal(20)[1] is False
-        # Twelve zero digits, but the sign is uncertain: not valid.
-        assert wobbling.to_decimal(12) == ("0.000000000000", False)
+        assert wobbling.to_decimal(20) == ("", False)
+        # Twelve zero places on both ends, but the sign is uncertain:
+        # nothing is certified.
+        assert wobbling.to_decimal(12) == ("", False)
+        # Off zero by more than its radius, [5.4e-20, 1.09e-17] certifies
+        # 16 zero places.
+        tiny = FixedReal(101, 64, 100)
+        assert tiny.to_decimal(20) == ("0." + "0" * 16, False)
+
+    @given(st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+           st.integers(min_value=0, max_value=10 ** 6),
+           st.integers(min_value=0, max_value=60),
+           st.integers(min_value=1, max_value=14))
+    @example(5, 10, 20, 6)  # straddles zero
+    @example(-10, 10, 20, 6)  # upper end at zero: signs differ
+    @example(10, 10, 20, 6)  # lower end at zero: both non-negative
+    @example(-123456789, 1000, 30, 8)  # negative, partly certain
+    @example(10 << 20, 1, 20, 10)  # whole parts 9 and 10
+    @example(-3 << 20, 0, 20, 12)  # exact
+    def test_text_is_what_both_ends_agree_on(self, m, err, scale, digits):
+        x = FixedReal(m, scale, err)
+        text, ok = x.to_decimal(digits)
+        lo = decimal_text_reference(x.lower, digits)
+        hi = decimal_text_reference(x.upper, digits)
+        # Every character is both ends' own, sign included ...
+        assert lo.startswith(text) and hi.startswith(text)
+        if text:
+            assert (x.lower < 0) == (x.upper < 0) == text.startswith("-")
+            assert "." in text and not text.endswith(".")
+        if x.lower < 0 <= x.upper:
+            assert (text, ok) == ("", False)
+        # ... the next place is not, and ok means every place is there.
+        assert ok == (text == lo == hi)
+        if not ok and text:
+            assert lo[len(text)] != hi[len(text)]
 
     @given(fractions_mid, st.integers(min_value=1, max_value=25))
     @example(Fraction(-1, 11), 1)
@@ -352,3 +398,25 @@ class TestShiftRounding:
     def test_shift_helpers_match_division(self, n, bits):
         assert _shift_nearest(n, bits) == _div_nearest(n, 1 << bits)
         assert _shift_ceil(n, bits) == _ceil_div(n, 1 << bits)
+
+
+class TestFromRatio:
+    """A rational enters rounded to nearest, ties away from zero, and is
+    exact only when the scaled value is an integer; the pair need not be
+    in lowest terms."""
+
+    @given(st.integers(min_value=-(1 << 200), max_value=1 << 200),
+           st.integers(min_value=1, max_value=1 << 100),
+           st.integers(min_value=0, max_value=160))
+    @example(1, 2, 0)  # tie: 1/2 -> 1
+    @example(-3, 2, 0)  # negative tie: -3/2 -> -2
+    @example(-1, 4, 1)  # negative tie after scaling: -1/2 -> -1
+    @example(6, 3, 0)  # exact, not in lowest terms
+    @example(-5, 8, 3)  # exact and negative
+    @example(0, 7, 10)  # zero
+    def test_matches_fraction_rounding(self, num, den, scale):
+        scaled = Fraction(num, den) * 2 ** scale
+        q = int(abs(scaled) + Fraction(1, 2))  # floor of a non-negative
+        expected = FixedReal(-q if scaled < 0 else q, scale,
+                             0 if scaled.denominator == 1 else 1)
+        assert FixedReal._from_ratio(num, den, scale) == expected
