@@ -1,0 +1,167 @@
+#!/usr/bin/env python3
+"""Time every link of the arctangent chains of compute-pi and print each
+layer's growth rate.
+
+Each request runs `machinpi compute-pi` in process: from the k = 3, 5
+and 10 (floor) records, generated first as `machinpi generate` does, and
+from the tower at depth 40 (`--k 40`), at each digit count of --digits
+(10^3 and 10^4 by default; with 100000 added for 10^5 the run takes
+about 90 s on a 2-vCPU Xeon with Python 3.11).  Every chain link is one
+call of series.arctan_conjugate for an integer cotangent m, and prints
+one row:
+
+  m bits       the bits of the cotangent m
+  terms        the terms the link sums
+  split ms     the binary split, series._split
+  round ms     the final rounding, series._rounded_sum, from the cut
+               operands to the certified mantissa
+  num, den     the bits of the numerator and the divisor of its one
+               division, FixedReal._from_ratio, against the scale
+
+Each time is the best of --repeat runs of the whole request.  The slope
+of log(time) against log(digits) of a request's split and rounding
+totals is that layer's empirical growth exponent: about 1.58 for
+Karatsuba products and 2 for a quadratic division, plus the growth of
+the term count.  It runs for several seconds and is not part of the
+test suite:
+
+    PYTHONPATH=src python scripts/chain_ladder.py [--digits 1000,10000]
+        [--repeat 3] [--json chain.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import platform
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from machinpi import cli, series
+from machinpi.realnum import FixedReal
+from record_ladder import slope
+
+# (name, generate arguments or None for the tower, compute-pi source)
+SOURCES = (("k3", ["3"], None), ("k5", ["5"], None),
+           ("k10floor", ["10", "--round", "floor"], None),
+           ("k40", None, ["--k", "40"]))
+LAYERS = ("split", "round")
+
+
+class LinkSpy:
+    """Patches the series layer to record one row per chain link."""
+
+    def __init__(self):
+        self.rows: list[dict] = []
+        self.depth = 0
+
+    def _timed(self, fn, key):
+        def wrapper(*args):
+            self.depth += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                self.depth -= 1
+                if self.depth == 0:  # the outermost call of a recursion
+                    self.rows[-1][key] += time.perf_counter() - start
+        return wrapper
+
+    @contextlib.contextmanager
+    def patched(self):
+        conjugate, split, rounded = (series.arctan_conjugate, series._split,
+                                     series._rounded_sum)
+        from_ratio = FixedReal._from_ratio.__func__
+
+        def link(x, terms, scale):  # x = 1/m
+            self.rows.append({"m_bits": x.denominator.bit_length(), "terms": terms,
+                              "scale": scale, "split": 0.0, "round": 0.0})
+            return conjugate(x, terms, scale)
+
+        def division(cls, num, den, scale):
+            if self.depth:  # inside _rounded_sum
+                self.rows[-1].update(num_bits=num.bit_length(), den_bits=den.bit_length())
+            return from_ratio(cls, num, den, scale)
+
+        try:
+            series.arctan_conjugate = link
+            series._split = self._timed(split, "split")
+            series._rounded_sum = self._timed(rounded, "round")
+            FixedReal._from_ratio = classmethod(division)
+            yield self
+        finally:
+            series.arctan_conjugate, series._split = conjugate, split
+            series._rounded_sum = rounded
+            FixedReal._from_ratio = classmethod(from_ratio)
+
+
+def run_request(argv: list[str], repeat: int) -> list[dict]:
+    """The links of one compute-pi request, each time the best of
+    `repeat` runs."""
+    best: list[dict] = []
+    for _ in range(repeat):
+        spy = LinkSpy()
+        with spy.patched(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        if not best:
+            best = spy.rows
+        for kept, row in zip(best, spy.rows):
+            for layer in LAYERS:
+                kept[layer] = min(kept[layer], row[layer])
+    return best
+
+
+def print_request(name: str, digits: int, links: list[dict]) -> None:
+    print(f"{name} --digits {digits}: {len(links)} links, scale {links[0]['scale']}")
+    print(f"  {'m bits':>8} {'terms':>6} {'split ms':>9} {'round ms':>9} "
+          f"{'num bits':>9} {'den bits':>9}")
+    for row in links:
+        print(f"  {row['m_bits']:8d} {row['terms']:6d} {row['split'] * 1e3:9.3f} "
+              f"{row['round'] * 1e3:9.3f} {row['num_bits']:9d} {row['den_bits']:9d}",
+              flush=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--digits", default="1000,10000",
+                        help="comma-separated digit counts")
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--json", help="also write the rows and slopes here")
+    args = parser.parse_args(argv)
+    ladder = [int(part) for part in args.digits.split(",") if part]
+    if len(ladder) < 2 or min(ladder) < 1 or args.repeat < 1:
+        parser.error("need at least two positive digit counts and --repeat >= 1")
+
+    requests, slopes = [], {}
+    with tempfile.TemporaryDirectory() as work:
+        for name, generate, source in SOURCES:
+            if generate:
+                path = str(Path(work) / f"{name}.json")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(["generate", *generate, "--out", path]) == 0
+                source = ["--formula", path]
+            totals = {layer: [] for layer in LAYERS}
+            for digits in ladder:
+                links = run_request(["compute-pi", *source, "--digits", str(digits)],
+                                    args.repeat)
+                print_request(name, digits, links)
+                requests.append({"source": name, "digits": digits, "links": links})
+                for layer in LAYERS:
+                    totals[layer].append(sum(row[layer] for row in links))
+            slopes[name] = {layer: slope(ladder, totals[layer]) for layer in LAYERS}
+            print(f"slope {name}: " + " ".join(
+                f"{layer} {value:.2f}" for layer, value in slopes[name].items()))
+    if args.json:
+        Path(args.json).write_text(json.dumps({
+            "python": platform.python_version(), "repeat": args.repeat,
+            "requests": requests, "slopes": slopes}, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,11 +17,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from os.path import commonprefix
 
 from .errors import InsufficientReference
 from .machin import MAX_POWER_BITS, MachinFormula, solve_u2
-from .realnum import FixedReal, _div_nearest, _shift_nearest
+from .realnum import FixedReal, _common_prefix_length, _div_nearest, _shift_nearest
 from .series import (
     approx_log10,
     arctan_conjugate,
@@ -118,7 +117,7 @@ def measure_convergence(formula: MachinFormula, max_terms: int,
         total = sum(_div_nearest(part * alpha.numerator, alpha.denominator)
                     for (alpha, _), part in zip(formula.terms, sums))
         text = FixedReal(total << 2, scale).to_decimal(ceiling)[0]
-        samples.append((m, max(0, len(commonprefix([text, ref_text])) - 2)))
+        samples.append((m, max(0, _common_prefix_length(text, ref_text) - 2)))
     elapsed = time.perf_counter() - t0
     fit_points = [p for p in samples if p[0] >= 3]
     slope = _least_squares_slope(fit_points if len(fit_points) >= 2 else samples)

@@ -142,9 +142,6 @@ class GaussianInt:
     re: int
     im: int
 
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
     def __mul__(self, other: "GaussianInt") -> "GaussianInt":
         a, b, c, d = self.re, self.im, other.re, other.im
         return GaussianInt(a * c - b * d, a * d + b * c)
@@ -170,10 +167,6 @@ class GaussianInt:
 
     def conjugate(self) -> "GaussianInt":
         return GaussianInt(self.re, -self.im)
-
-    def scaled(self, n: int) -> "GaussianInt":
-        """Product with the rational integer n."""
-        return GaussianInt(self.re * n, self.im * n)
 
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im

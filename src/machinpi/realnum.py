@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from os.path import commonprefix
 
 from .errors import DivisorStraddlesZero, NegativeOperand
 from .exact import int_to_text
@@ -94,6 +93,14 @@ def _sqrtrem(n: int) -> tuple[int, int]:
         r = (r + (2 * s - s0) * s0) >> (2 * t)
         s >>= t
     return s, r
+
+
+def _common_prefix_length(x: str, y: str) -> int:
+    """Length of the longest common prefix of two ASCII strings: their
+    first difference is the top nonzero byte of the XOR of their bytes."""
+    n = min(len(x), len(y))
+    diff = int.from_bytes(x[:n].encode(), "big") ^ int.from_bytes(y[:n].encode(), "big")
+    return n - (diff.bit_length() + 7) // 8
 
 
 def _div_nearest(a: int, b: int) -> int:
@@ -327,5 +334,5 @@ class FixedReal:
         # Distinct truncations print distinct texts, so some place is
         # missing; a common prefix that stops at or before the point
         # certifies none.
-        text = commonprefix(texts)
+        text = texts[0][:_common_prefix_length(*texts)]
         return (text if "." in text[:-1] else ""), False

@@ -23,11 +23,11 @@ either source go through one driver that turns a digit target or a term
 budget into terms, scale, retries and the certified prefix (see
 _certified_pi).
 
-A rational x = a/b is summed exactly by binary splitting over Gaussian
-integers and rounded once (arctan_conjugate).  Every cotangent of pi,
-a formula's or the tower's, first becomes a chain of integer
-cotangents, so that every split has numerator 1 (_arctan_inverse).  The
-irrational c_k enters the chain as the integer pair (M, 2**s) of its
+A rational x = a/b is split on int pairs and rounded from operands cut
+to the scale, within the proved ulp plus the tail (arctan_conjugate).
+Every cotangent of pi, a formula's or the tower's, first becomes a chain
+of integer cotangents, each split with numerator 1 (_arctan_inverse).
+The irrational c_k enters the chain as the integer pair (M, 2**s) of its
 interval's midpoint, and its own error widens the result once
 (pi_from_radicals).  Every evaluator here certifies an error bound; the
 convergence measurement walks its own integer term stream (analysis).
@@ -51,7 +51,6 @@ from .errors import (
     UnverifiedFormula,
     ZeroArgument,
 )
-from .exact import GaussianInt
 from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
 from .radicals import eval_radicals
 from .realnum import FixedReal
@@ -205,31 +204,64 @@ def arctan_euler(x: Fraction, terms: int, scale: int) -> SeriesResult:
     return SeriesResult(total, terms, _measured_rate(first, last, terms, fallback), (terms,))
 
 
-def _split(a2: int, g2: GaussianInt, lo: int, hi: int):
-    """Binary splitting of the term ratios p(j)/q(j), p(j) = a2 (2j - 1)
-    and q(j) = g2 (2j + 1), over j in [lo, hi): returns (P, Q, T) with P
-    and Q their products and T/Q = sum over n in [lo, hi) of the products
-    of p(j)/q(j) for j = lo..n (Haible and Papanikolaou, 1998)."""
+def _split(a2: int, gr: int, gi: int, lo: int, hi: int):
+    """Binary splitting on plain ints of p(j)/q(j), p(j) = a2 (2j - 1) and
+    q(j) = (gr + gi i)(2j + 1), over j in [lo, hi): (P, Qr, Qi, Tr, Ti)
+    for P and Q = Qr + Qi i the products and T/Q = sum over n of the
+    products of p(j)/q(j), j = lo..n (Haible and Papanikolaou, 1998)."""
     if hi - lo == 1:
         p = a2 * (2 * lo - 1)
-        return p, g2.scaled(2 * lo + 1), GaussianInt(p, 0)
+        return p, gr * (2 * lo + 1), gi * (2 * lo + 1), p, 0
     mid = (lo + hi) // 2
-    p1, q1, t1 = _split(a2, g2, lo, mid)
-    p2, q2, t2 = _split(a2, g2, mid, hi)
-    return p1 * p2, q1 * q2, t1 * q2 + t2.scaled(p1)
+    p1, qr1, qi1, tr1, ti1 = _split(a2, gr, gi, lo, mid)
+    p2, qr2, qi2, tr2, ti2 = _split(a2, gr, gi, mid, hi)
+    return (p1 * p2, qr1 * qr2 - qi1 * qi2, qr1 * qi2 + qi1 * qr2,
+            tr1 * qr2 - ti1 * qi2 + p1 * tr2, tr1 * qi2 + ti1 * qr2 + p1 * ti2)
+
+
+def _rounded_sum(a: int, zr: int, zi: int, wr: int, wi: int, terms: int, scale: int):
+    """-2 Im(a w / z) = -2a Im(w conj(z)) / |z|**2 at `scale`, rounded to
+    nearest from operands cut to the scale, for a w / z = S the partial
+    sum of `terms` terms of arctan_conjugate.  As |a/g| < 1, |S| <= terms,
+    so |w/z| <= terms/|a|.
+
+    * z and w lose their low t = bits(z) - scale - 66 - bits(|a| + terms)
+      bits together, bits(z) the longer part's.  With z = 2**t (z' + e)
+      and w = 2**t (w' + h), each part of e and h in [0, 1), w'/z' - w/z
+      = (e w/z - h) / z' and |z'| >= 2**(bits(z) - 1 - t), so the value
+      moves by at most 2 |a| sqrt(2) (terms/|a| + 1) / |z'|: under
+      2**-63.5 ulp.
+    * The cut cross product N and norm D then lose their low u =
+      bits(D) - scale - 64 - c bits, c = max(0, bits(N) - bits(D)), so
+      that |N/D| < 2**(c + 1) and D'' = D >> u >= 2**(scale + 63 + c).
+      With N = 2**u N'' + r and D = 2**u D'' + r', 0 <= r, r' < 2**u,
+      N/D - N''/D'' = (r - (N/D) r') / (2**u D''), under
+      (1 + 2**(c + 1)) 2**-(scale + 63 + c): at most 3 * 2**-63 ulp.
+
+    Rounding N''/D'' to nearest adds half an ulp, so after any cut the
+    midpoint is within 1/2 + 2**-61 ulp of S's value: one ulp of error.
+    With nothing cut, the rounding's own exact flag stands.
+    """
+    t = max(0, max(abs(zr), abs(zi)).bit_length() - scale - 66
+            - (abs(a) + terms).bit_length())
+    zr, zi, wr, wi = zr >> t, zi >> t, wr >> t, wi >> t
+    num, den = -2 * a * (wi * zr - wr * zi), zr * zr + zi * zi
+    u = max(0, den.bit_length() - scale - 64 - max(0, num.bit_length() - den.bit_length()))
+    value = FixedReal._from_ratio(num >> u, den >> u, scale)
+    return FixedReal(value.mantissa, scale, 1) if t or u else value
 
 
 def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     """The first `terms` terms of the conjugate-pair series for x != 0,
-    summed exactly by binary splitting and rounded once.
+    split on int pairs and rounded once from operands cut to the scale.
 
     With x = a/b and g = a + 2bi, arctan(x) = -2 Im(S) for S = sum of
     a**(2m-1) / ((2m-1) g**(2m-1)), whose term ratio is a**2 (2m-1) /
-    (g**2 (2m+1)).  Splitting gives S = a (Q + T) / (g Q) in Gaussian
-    integers, so the bound is the final rounding (1 ulp) plus the tail for
-    rho = |v|**2 = a**2 / (a**2 + 4b**2), whose parts share 4 for even a
-    and nothing for odd a, so one shift reduces them.  The rate comes from
-    the exact first and last terms; term `terms` of S is a P / (g Q).
+    (g**2 (2m+1)).  Splitting gives S = a w / z, z = g Q and w = Q + T,
+    so the bound is the final rounding (1 ulp, _rounded_sum) plus the
+    tail for rho = |v|**2 = a**2 / (a**2 + 4b**2), whose parts share 4
+    for even a and nothing for odd a.  The rate comes from the exact
+    first and last terms, off the uncut z; the last term is a P / (g Q).
     """
     x = Fraction(x)
     if x == 0:
@@ -240,23 +272,18 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     a2 = a * a
     shift = 0 if a & 1 else 2
     rho_num, rho_den = a2 >> shift, (a2 + 4 * b * b) >> shift
-    g = GaussianInt(a, 2 * b)
-    if terms == 1:
-        p, q, t = 1, GaussianInt(1, 0), GaussianInt(0, 0)
-    else:
-        p, q, t = _split(a2, g.square(), 1, terms)
-    z = g * q
-    w = q + t
-    norm = z.norm()
-    # -2 Im(a w / z) = -2a Im(w conj(z)) / |z|**2
-    value = FixedReal._from_ratio(-2 * a * (w.im * z.re - w.re * z.im), norm, scale)
-    if terms > 1 and z.im:
+    p, qr, qi, tr, ti = (_split(a2, a2 - 4 * b * b, 4 * a * b, 1, terms) if terms > 1
+                         else (1, 1, 0, 0, 0))
+    zr, zi = a * qr - 2 * b * qi, a * qi + 2 * b * qr
+    if terms > 1 and zi:
         # The last term is -2 Im(a p / z) = 2 a p Im(z) / |z|**2.
         log_first = _log10_int(abs(4 * a * b)) - _log10_int(a2 + 4 * b * b)
-        log_last = _log10_int(abs(2 * a * p)) + _log10_int(abs(z.im)) - _log10_int(norm)
+        log_last = (_log10_int(abs(2 * a * p)) + _log10_int(abs(zi))
+                    - _log10_squares(abs(zi), abs(zr), 0))
         rate = (log_first - log_last) / (terms - 1)
     else:
         rate = _log10_int(rho_den) - _log10_int(rho_num)
+    value = _rounded_sum(a, zr, zi, qr + tr, qi + ti, terms, scale)
     value = value.widened(_tail_ulps(rho_num, rho_den, terms, scale))
     return SeriesResult(value, terms, rate, (terms,))
 

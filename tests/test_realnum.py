@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from os.path import commonprefix
 
 import pytest
 from hypothesis import assume, example, given
@@ -14,6 +15,7 @@ from machinpi.realnum import (
     _SQRTREM_CROSSOVER,
     FixedReal,
     _ceil_div,
+    _common_prefix_length,
     _div_nearest,
     _shift_ceil,
     _shift_nearest,
@@ -420,3 +422,12 @@ class TestFromRatio:
         expected = FixedReal(-q if scaled < 0 else q, scale,
                              0 if scaled.denominator == 1 else 1)
         assert FixedReal._from_ratio(num, den, scale) == expected
+
+
+@given(st.text("3.14159-", max_size=40), st.text("3.14159-", max_size=40))
+@example("3.14159", "3.14159")
+@example("3.14159", "3.1416")
+@example("", "3.1")
+def test_common_prefix_length_is_commonprefix(x, y):
+    # the prefix count of to_decimal and of the convergence samples
+    assert _common_prefix_length(x, y) == len(commonprefix([x, y]))

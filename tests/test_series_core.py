@@ -8,7 +8,10 @@ started from a rounded rational cotangent must give the reference's
 partial-sum mantissa.  Rational arguments are summed exactly by binary
 splitting, which must agree with the reference loop within both error
 bounds, never claim a wider bound, and contain an independent bracket of
-the true arctangent; the tail bound on rho's integer pair must be the
+the true arctangent.  Its one rounding, from operands cut to the working
+scale, must stay within half an ulp plus 2**-61 of the exact partial sum
+summed term by term, and no chain link may divide by more than scale +
+64 bits.  The tail bound on rho's integer pair must be the
 reference's for a = 1 and never looser for any a.  Every cotangent, of a
 formula or the tower's c_k, first becomes a chain of integer cotangents:
 the chain must be an exact Gaussian-integer identity that a common
@@ -33,7 +36,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from machinpi import analysis, series
+from machinpi import analysis, cli, series
 from machinpi.analysis import KNOWN_DIGITS_PER_TERM, RATE_BAND, measure_convergence
 from machinpi.cli import generate_record
 from machinpi.exact import GaussianInt
@@ -201,6 +204,86 @@ def test_split_rate_measured_from_exact_terms(x, terms):
     assert abs(rate - digits_per_term(1 / x)) > 0.01
 
 
+def exact_partial_sum(x: Fraction, terms: int) -> tuple[int, int]:
+    """(N, D) with N/D the first `terms` terms -2 Im(v**(2m-1)) / (2m-1),
+    v = x/(x + 2i), summed term by term over the common denominator
+    lcm(1, 3, ..., 2 terms - 1) d**(2 terms - 1), d = |a + 2bi|**2: the
+    sum of exact_term with no gcd of the 10**5-bit parts."""
+    a, b = x.numerator, x.denominator
+    d = a * a + 4 * b * b
+    vr, vi = a * a, -2 * a * b  # d v
+    v2r, v2i = vr * vr - vi * vi, 2 * vr * vi
+    lcm = math.lcm(*range(1, 2 * terms, 2))
+    num, wr, wi = 0, vr, vi  # w = d**(2m-1) v**(2m-1)
+    for m in range(1, terms + 1):
+        num = num * d * d - 2 * wi * (lcm // (2 * m - 1))
+        wr, wi = wr * v2r - wi * v2i, wr * v2i + wi * v2r
+    return num, lcm * d ** (2 * terms - 1)
+
+
+def _cut_case(seed: int) -> tuple[Fraction, int, int]:
+    """(x, terms, scale) with x = a/b, |a| up to 2**400 and the cotangent
+    b/|a| between 2**(scale/3) and 2**scale, so that z = g Q outgrows the
+    scale from two terms on, and |z|**2 for large cotangents from one."""
+    rng = random.Random(seed)
+    scale = rng.randint(64, 2048)
+    a = rng.randint(1, 2 ** 400) * rng.choice((1, -1))
+    bits = rng.randint(scale // 3, scale)
+    b = rng.randint(abs(a) << (bits - 1), abs(a) << bits)
+    return Fraction(a, b), rng.randint(1, 30), scale
+
+
+# drawn by seed, so that the sizes spread evenly over their ranges
+@given(st.integers(0, 2 ** 32).map(_cut_case))
+@example((Fraction(1, 5), 1, 64))  # nothing cut: the rounding's own flag
+@example((Fraction(-1, 3 << 2047), 30, 2048))
+@example((Fraction(-(2 ** 400 - 1), 2 ** 700 + 1), 30, 900))
+def test_cut_rounding_contains_the_exact_partial_sum(case):
+    x, terms, scale = case
+    value = arctan_conjugate(x, terms, scale).value
+    num, den = exact_partial_sum(x, terms)
+    # |S - midpoint| < 1/2 + 2**-61 ulp: the proved bound of the cuts
+    # plus the final rounding, inside err_ulp with the tail on top
+    gap = abs((num << scale) - value.mantissa * den)
+    assert gap << 61 < ((1 << 60) + 1) * den
+    assert gap <= value.err_ulp * den
+    assert value.err_ulp >= 1 or gap == 0
+    assert abs(value.mantissa - FixedReal._from_ratio(num, den, scale).mantissa) <= 1
+
+
+@pytest.fixture
+def divisor_sizes(monkeypatch):
+    """Every rounding's (divisor bits, scale) while the fixture is live."""
+    sizes = []
+    from_ratio = FixedReal._from_ratio.__func__
+
+    def spy(cls, num, den, scale):
+        sizes.append((den.bit_length(), scale))
+        return from_ratio(cls, num, den, scale)
+
+    monkeypatch.setattr(FixedReal, "_from_ratio", classmethod(spy))
+    return sizes
+
+
+@pytest.mark.parametrize("source, links", [(["--k", "40"], 8), (None, 11)],
+                         ids=["k40", "k10floor"])
+def test_every_link_divides_at_the_working_scale(source, links, divisor_sizes, tmp_path,
+                                                 capsys, pi_text_300):
+    # Each chain link rounds once, from a divisor cut to scale + 64 bits;
+    # uncut, |z|**2 has 2-6 times the scale's bits.
+    if source is None:
+        path = str(tmp_path / "k10.json")
+        assert cli.main(["generate", "10", "--round", "floor", "--out", path]) == 0
+        source = ["--formula", path]
+    divisor_sizes.clear()
+    capsys.readouterr()
+    assert cli.main(["compute-pi", *source, "--digits", "2000"]) == 0
+    assert capsys.readouterr().out.startswith(pi_text_300)
+    assert len(divisor_sizes) == links
+    assert all(bits <= scale + 64 for bits, scale in divisor_sizes)
+    assert max(bits - scale for bits, scale in divisor_sizes) == 64
+
+
 @pytest.mark.parametrize("k, u1, digits, second_terms, cotangents", [
     (10, 651, 5000, 1479, 11),  # floor u1: u2 ~ -922.9 with 1,364-digit parts
     (14, 10430, 1000, 226, 8),  # u2 with about 32,000-digit parts
@@ -239,7 +322,8 @@ def test_cotangent_chain_is_an_exact_identity(p, q, scale):
     rhs = GaussianInt(p_rest, q_rest)
     for m in chain:
         rhs = rhs * GaussianInt(m, 1)
-    assert GaussianInt(p, q).scaled(math.prod(m * m + 1 for m in chain)) == rhs
+    n = math.prod(m * m + 1 for m in chain)
+    assert GaussianInt(p * n, q * n) == rhs
     assert all(m >= 1 for m in chain)
     assert q_rest == 0 or p_rest >= q_rest << scale
     # the cotangent's bits double per step once it passes 2
