@@ -9,6 +9,8 @@ __version__ = "0.1.0"
 
 from .analysis import (
     ConvergenceReport,
+    arctan_euler,
+    arctan_gregory,
     compare_methods,
     measure_convergence,
     validated_pi_reference,
@@ -28,8 +30,6 @@ from .records import FormulaRecord, build_record, check_record, load_record, wri
 from .series import (
     SeriesResult,
     arctan_conjugate,
-    arctan_euler,
-    arctan_gregory,
     digits_per_term,
     pi_digits_from_formula,
     pi_digits_from_radicals,

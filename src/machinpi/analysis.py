@@ -7,7 +7,10 @@ a least-squares fit over samples with at least three terms, skipping the
 pre-asymptotic transient.
 
 The measurement walks each conjugate series on plain integers; a sample
-reads only pi's midpoint, so no error bound is carried.
+reads only pi's midpoint, so no error bound is carried.  The comparison's
+Gregory and Euler series are exact rational partial sums, each with a
+bound on its omitted tail; only the conjugate series it measures them
+against runs at a working scale.
 """
 
 from __future__ import annotations
@@ -18,14 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
-from .errors import InsufficientReference
+from .errors import DivergentArgument, InsufficientReference
 from .machin import MAX_POWER_BITS, MachinFormula, solve_u2
 from .realnum import FixedReal, _common_prefix_length, _div_nearest, _shift_nearest
 from .series import (
     approx_log10,
     arctan_conjugate,
-    arctan_euler,
-    arctan_gregory,
     digits_per_term,
     pi_digits_from_formula,
     scale_for_digits,
@@ -74,7 +75,7 @@ def _term_mantissas(beta: Fraction, s: int) -> Iterator[int]:
     """Mantissas at scale s of the terms -2 Im(v**(2m-1)) / (2m-1) of
     arctan(1/beta), v = (1 - 2ci)/(1 + 4c**2) for beta rounded to c, each
     step multiplying by r = v**2: every product and quotient is rounded to
-    nearest, the midpoints of FixedReal's operations."""
+    nearest, ties away from zero."""
     c = _div_nearest(beta.numerator << s, beta.denominator)
     d = (1 << s) + 4 * _shift_nearest(c * c, s)
     wr, wi = _div_nearest(1 << 2 * s, d), _div_nearest(-(2 * c) << s, d)
@@ -135,13 +136,47 @@ def measure_convergence(formula: MachinFormula, max_terms: int,
     )
 
 
+def arctan_gregory(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """The alternating odd-power partial sum of `terms` terms for |x| < 1,
+    exact, and the first omitted term, which bounds the tail."""
+    x = Fraction(x)
+    if abs(x) >= 1:
+        raise DivergentArgument(f"|{x}| >= 1 diverges in the odd-power series")
+    if terms < 1:
+        raise ValueError("terms must be at least 1")
+    total, p = Fraction(0), x
+    for n in range(1, terms + 1):
+        total += p / (2 * n - 1)
+        p *= -x * x
+    return total, abs(p) / (2 * terms + 1)
+
+
+def arctan_euler(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """The all-positive partial sum of `terms` terms in q = x**2/(1+x**2),
+    exact for every real x, and a bound on its tail.
+
+    t_0 = x/(1+x**2) and t_(n+1) = t_n * q * 2(n+1)/(2n+3); the tail after
+    the last term is at most |t_terms| / (1 - q) = |t_terms| (1 + x**2).
+    """
+    x = Fraction(x)
+    if terms < 1:
+        raise ValueError("terms must be at least 1")
+    one_plus = 1 + x * x
+    q = x * x / one_plus
+    total, t = Fraction(0), x / one_plus
+    for n in range(terms):
+        total += t
+        t *= q * Fraction(2 * (n + 1), 2 * n + 3)
+    return total, abs(t) * one_plus
+
+
 def compare_methods(
     x: Fraction, terms: int, scale: int
 ) -> list[tuple[str, Fraction]]:
     """Absolute truncation error of each series at equal term counts,
     measured against the conjugate-pair series run at four times the
-    terms.  Errors are exact rationals (they can be far below float
-    range)."""
+    terms; both conjugate sums run at `scale`.  Errors are exact
+    rationals (they can be far below float range)."""
     x = Fraction(x)
     if abs(x) >= 1:
         raise ValueError("comparison domain is |x| < 1")
@@ -149,14 +184,11 @@ def compare_methods(
         # arctan(0) = 0; every method is exact there.
         return [("gregory", Fraction(0)), ("euler", Fraction(0)), ("conjugate", Fraction(0))]
     reference = arctan_conjugate(x, 4 * terms, scale).value.value
-    rows = []
-    for name, fn in (
-        ("gregory", arctan_gregory),
-        ("euler", arctan_euler),
-        ("conjugate", arctan_conjugate),
-    ):
-        rows.append((name, abs(fn(x, terms, scale).value.value - reference)))
-    return rows
+    return [
+        ("gregory", abs(arctan_gregory(x, terms)[0] - reference)),
+        ("euler", abs(arctan_euler(x, terms)[0] - reference)),
+        ("conjugate", abs(arctan_conjugate(x, terms, scale).value.value - reference)),
+    ]
 
 
 def format_error(err: Fraction) -> str:

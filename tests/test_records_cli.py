@@ -143,7 +143,8 @@ class TestGenerateCommand:
             state = tower(k, digits)
             if len(requested) > count:
                 return state
-            return dataclasses.replace(state, c_k=state.c_k.widened_by_fraction(blur))
+            ulps = math.ceil(blur * 2 ** state.c_k.scale)
+            return dataclasses.replace(state, c_k=state.c_k.widened(ulps))
 
         monkeypatch.setattr(cli, "eval_radicals", blurred)
         return requested

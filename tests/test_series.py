@@ -9,6 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from machinpi import cli, series
+from machinpi.analysis import arctan_euler, arctan_gregory
 from machinpi.errors import (DivergentArgument, PrecisionExhausted, UnverifiedFormula,
                              ZeroArgument)
 from machinpi.machin import MachinFormula, solve_u2
@@ -18,8 +19,6 @@ from machinpi.series import (
     _radical_rate,
     approx_log10,
     arctan_conjugate,
-    arctan_euler,
-    arctan_gregory,
     digits_per_term,
     pi_digits_from_formula,
     pi_digits_from_radicals,
@@ -49,51 +48,58 @@ def atan_fifth_ref() -> Fraction:
 
 class TestGregory:
     def test_zero_argument(self):
-        r = arctan_gregory(Fraction(0), 5, 64)
-        assert r.value.value == 0 and r.value.contains(Fraction(0))
+        assert arctan_gregory(Fraction(0), 5) == (0, 0)
 
     def test_three_term_hand_sum(self):
         # 1/2 - 1/24 + 1/160 exactly
-        r = arctan_gregory(Fraction(1, 2), 3, 128)
-        assert r.value.contains(Fraction(223, 480))
+        total, tail = arctan_gregory(Fraction(1, 2), 3)
+        assert total == Fraction(223, 480) and tail == Fraction(1, 2 ** 7 * 7)
 
     def test_divergent_argument_rejected(self):
         with pytest.raises(DivergentArgument):
-            arctan_gregory(Fraction(1), 3, 64)
+            arctan_gregory(Fraction(1), 3)
         with pytest.raises(DivergentArgument):
-            arctan_gregory(Fraction(-7, 5), 3, 64)
+            arctan_gregory(Fraction(-7, 5), 3)
+
+    def test_needs_a_term(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            arctan_gregory(Fraction(1, 2), 0)
 
     def test_agrees_with_conjugate_series_to_forty_digits(self, atan_fifth_ref):
-        r = arctan_gregory(Fraction(1, 5), 30, 256)
-        assert abs_error(r, atan_fifth_ref) < Fraction(1, 10 ** 40)
+        total, _ = arctan_gregory(Fraction(1, 5), 30)
+        assert abs(total - atan_fifth_ref) < Fraction(1, 10 ** 40)
 
     def test_result_interval_honest(self, atan_fifth_ref):
         for terms in (3, 8, 20):
-            r = arctan_gregory(Fraction(1, 5), terms, 192)
-            assert r.value.contains(atan_fifth_ref)
+            total, tail = arctan_gregory(Fraction(1, 5), terms)
+            assert abs(total - atan_fifth_ref) <= tail
 
 
 class TestEuler:
     def test_zero_argument(self):
-        assert arctan_euler(Fraction(0), 4, 64).value.value == 0
+        assert arctan_euler(Fraction(0), 4) == (0, 0)
 
     def test_converges_to_quarter_turn_at_one(self):
         ref = arctan_conjugate(Fraction(1), 60, 512)
-        r = arctan_euler(Fraction(1), 120, 512)
-        assert abs(r.value.value - ref.value.value) < Fraction(1, 10 ** 30)
-        # ratio factor 1/2 per term: about 0.30 digits each
-        assert r.per_term_log10 == pytest.approx(0.301, abs=0.03)
+        total, tail = arctan_euler(Fraction(1), 120)
+        assert abs(total - ref.value.value) < Fraction(1, 10 ** 30)
+        # the tail shrinks by about 1/2 per term: about 0.30 digits each
+        assert arctan_euler(Fraction(1), 121)[1] / tail == pytest.approx(0.5, abs=0.01)
+
+    def test_needs_a_term(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            arctan_euler(Fraction(2), 0)
 
     def test_truncation_dominated_by_conjugate_series(self, atan_fifth_ref):
         at_terms = 10
-        e = abs_error(arctan_euler(Fraction(1, 5), at_terms, 512), atan_fifth_ref)
+        e = abs(arctan_euler(Fraction(1, 5), at_terms)[0] - atan_fifth_ref)
         c = abs_error(arctan_conjugate(Fraction(1, 5), at_terms, 512), atan_fifth_ref)
         assert c < e
 
     def test_result_interval_honest(self, atan_fifth_ref):
         for terms in (2, 9):
-            r = arctan_euler(Fraction(1, 5), terms, 192)
-            assert r.value.contains(atan_fifth_ref)
+            total, tail = arctan_euler(Fraction(1, 5), terms)
+            assert abs(total - atan_fifth_ref) <= tail
 
 
 class TestConjugateSeries:
@@ -105,7 +111,7 @@ class TestConjugateSeries:
         # arctan(1) = 4*arctan(1/5)... shifted: check pi/4 both ways instead
         direct = arctan_conjugate(Fraction(1), 40, 512).value
         composed = (
-            arctan_conjugate(Fraction(1, 5), 40, 512).value.mul_fraction(Fraction(4))
+            arctan_conjugate(Fraction(1, 5), 40, 512).value.shift(2)
             - arctan_conjugate(Fraction(1, 239), 40, 512).value
         )
         assert abs(direct.mantissa - composed.mantissa) <= direct.err_ulp + composed.err_ulp
@@ -159,11 +165,9 @@ class TestConjugateSeries:
 
     def test_cross_method_agreement(self):
         for x in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 239)):
-            g = arctan_gregory(x, 40, 512).value
-            e = arctan_euler(x, 40, 512).value
             c = arctan_conjugate(x, 40, 512).value
-            assert abs(g.mantissa - c.mantissa) <= g.err_ulp + c.err_ulp
-            assert abs(e.mantissa - c.mantissa) <= e.err_ulp + c.err_ulp
+            for total, tail in (arctan_gregory(x, 40), arctan_euler(x, 40)):
+                assert c.lower - tail <= total <= c.upper + tail
 
 
 class TestPiFromFormula:
@@ -189,6 +193,29 @@ class TestPiFromFormula:
         # explicit opt-out still evaluates
         r = pi_from_formula(broken, 5, 128, assume_verified=True)
         assert r.terms_used == 5
+
+    def test_integer_coefficients_scale_bounds_exactly(self, monkeypatch, machin_formula):
+        # 4 * sum alpha * arctan is formed on integers: no rounding ulp.
+        inverse, parts = series._arctan_inverse, []
+
+        def spy(*args):
+            parts.append(inverse(*args))
+            return parts[-1]
+
+        monkeypatch.setattr(series, "_arctan_inverse", spy)
+        got = pi_from_formula(machin_formula, 20, 256).value
+        pairs = [(alpha, part.value) for (alpha, _), part in zip(machin_formula.terms, parts)]
+        assert got.mantissa == 4 * sum(a * v.mantissa for a, v in pairs)
+        assert got.err_ulp == 4 * sum(abs(a) * v.err_ulp for a, v in pairs)
+
+    def test_non_integer_coefficient_refused_when_vouched_for(self):
+        # An opt-out of verification must not let a fractional alpha be
+        # truncated or rounded into the sum.
+        half = MachinFormula.single(Fraction(1, 2), Fraction(1))
+        with pytest.raises(ValueError, match="integer coefficients"):
+            pi_from_formula(half, 5, 128, assume_verified=True)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            pi_digits_from_formula(half, 20, assume_verified=True)
 
     def test_digit_target_driver(self, machin_formula, pi_text_300):
         text, result = pi_digits_from_formula(machin_formula, 120)

@@ -1,11 +1,11 @@
 """The conjugate-series core against the loops it replaced.
 
 Only the convergence measurement walks a term stream, on plain integers
-(analysis._term_mantissas); its samples must reproduce their former
-FixedReal loop bit for bit with no FixedReal arithmetic at all
-(tests/oracles.py keeps those loops as references), and a stream
-started from a rounded rational cotangent must give the reference's
-partial-sum mantissa.  Rational arguments are summed exactly by binary
+(analysis._term_mantissas); its samples must reproduce the loops it
+replaced bit for bit, with no FixedReal arithmetic on either side
+(tests/oracles.py keeps those loops as references, on their own int
+pairs), and a stream started from a rounded rational cotangent must
+give the reference's partial-sum mantissa.  Rational arguments are summed exactly by binary
 splitting, which must agree with the reference loop within both error
 bounds, never claim a wider bound, and contain an independent bracket of
 the true arctangent.  Its one rounding, from operands cut to the working
@@ -492,17 +492,33 @@ def test_one_pass_samples_single_term_formula(pi_reference_300):
     assert report.samples == convergence_samples_reference(formula, 40, pi_reference_300)
 
 
+FIXED_REAL_ARITHMETIC = ("__add__", "__sub__", "__truediv__", "sqrt", "shift", "widened")
+
+
+def forbid_fixed_real_arithmetic(monkeypatch, who):
+    def interval_arithmetic(*args):
+        raise AssertionError(f"{who} did FixedReal arithmetic")
+
+    for name in FIXED_REAL_ARITHMETIC:
+        monkeypatch.setattr(FixedReal, name, interval_arithmetic)
+
+
 def test_measurement_does_no_fixed_real_arithmetic(monkeypatch, k10_formula,
                                                   pi_reference_300):
     expected = convergence_samples_reference(k10_formula, 40, pi_reference_300)
-
-    def interval_arithmetic(*args):
-        raise AssertionError("the measurement did FixedReal arithmetic")
-
-    for name in ("__mul__", "__truediv__", "mul_fraction", "__add__"):
-        monkeypatch.setattr(FixedReal, name, interval_arithmetic)
+    forbid_fixed_real_arithmetic(monkeypatch, "the measurement")
     report = measure_convergence(k10_formula, 40, pi_reference_300)
     assert report.samples == expected
+
+
+def test_series_references_do_no_fixed_real_arithmetic(monkeypatch, k10_formula,
+                                                      pi_reference_300):
+    # The references must not lean on the arithmetic of the code they
+    # check; pi_reference_300 is built before the patch.
+    forbid_fixed_real_arithmetic(monkeypatch, "a series reference")
+    assert arctan_conjugate_reference(Fraction(1, 5), 12, 512)[2] == 12
+    samples = convergence_samples_reference(k10_formula, 10, pi_reference_300)
+    assert [m for m, _ in samples] == list(range(1, 11))
 
 
 def test_measurement_never_rebuilds_pi(monkeypatch, machin_formula, pi_reference_300):
