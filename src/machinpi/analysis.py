@@ -115,8 +115,7 @@ def measure_convergence(formula: MachinFormula, max_terms: int,
     samples: list[tuple[int, int]] = []
     for m in range(1, max_terms + 1):
         sums = [part + next(stream) for part, stream in zip(sums, streams)]
-        total = sum(_div_nearest(part * alpha.numerator, alpha.denominator)
-                    for (alpha, _), part in zip(formula.terms, sums))
+        total = sum(part * alpha for (alpha, _), part in zip(formula.terms, sums))
         text = FixedReal(total << 2, scale).to_decimal(ceiling)[0]
         samples.append((m, max(0, _common_prefix_length(text, ref_text) - 2)))
     elapsed = time.perf_counter() - t0

@@ -52,9 +52,8 @@ class DegenerateSecondTerm(MachinPiError):
 
 
 class NotExactlyVerifiable(MachinPiError):
-    """Exact verification cannot run: a coefficient is not an integer,
-    the coefficients sum too large for the branch check, or a Gaussian
-    power would exceed machin.MAX_POWER_BITS."""
+    """Exact verification cannot run: the coefficients sum too large for
+    the branch check, or a Gaussian power is over machin.MAX_POWER_BITS."""
 
 
 class DivergentArgument(MachinPiError):

@@ -82,24 +82,33 @@ def check_tower_depth(k: int) -> None:
 
 @dataclass(frozen=True)
 class MachinFormula:
-    """pi/4 = sum of alpha * arctan(1/beta) over the listed terms."""
+    """pi/4 = sum of alpha * arctan(1/beta) over the terms, held as (int
+    alpha, Fraction beta != 0).  alpha must be an int or an integral
+    Fraction, else ValueError; a Fraction beta is copied with no gcd."""
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    terms: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("a formula needs at least one term")
-        for _, beta in self.terms:
-            if beta == 0:
-                raise ValueError("every cotangent argument must be nonzero")
+        terms = tuple((_integer(alpha), Fraction(beta)) for alpha, beta in self.terms)
+        if any(beta == 0 for _, beta in terms):
+            raise ValueError("every cotangent argument must be nonzero")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def two_term(cls, k: int, u1: Fraction, u2: Fraction) -> "MachinFormula":
-        return cls(((Fraction(1 << (k - 1)), Fraction(u1)), (Fraction(1), Fraction(u2))))
+        return cls(((1 << (k - 1), u1), (1, u2)))
 
     @classmethod
-    def single(cls, alpha: Fraction, beta: Fraction) -> "MachinFormula":
-        return cls(((Fraction(alpha), Fraction(beta)),))
+    def single(cls, alpha: int, beta: Fraction) -> "MachinFormula":
+        return cls(((alpha, beta),))
+
+
+def _integer(value) -> int:
+    if isinstance(value, (int, Fraction)) and value.denominator == 1:
+        return int(value)
+    raise ValueError("formula coefficients must be integers")
 
 
 @dataclass(frozen=True)
@@ -141,18 +150,6 @@ def _check_power_size(bits: float, error: type[Exception]) -> None:
     if bits > MAX_POWER_BITS:
         raise error(f"a Gaussian power of {bits:.3g} bits is over the "
                     f"limit of {MAX_POWER_BITS:.3g} bits")
-
-
-def _term_factor(alpha: int, beta: Fraction) -> GaussianInt:
-    """(p + qi) ** |alpha| with beta = p/q, conjugated when alpha < 0.
-
-    The rotation ((beta + i)/(beta - i)) ** alpha is this factor squared
-    over its norm.  ValueError when the power is over MAX_POWER_BITS.
-    """
-    beta = Fraction(beta)
-    _check_power_size(power_bits(alpha, beta), ValueError)
-    g = GaussianInt(beta.numerator, beta.denominator) ** abs(alpha)
-    return g.conjugate() if alpha < 0 else g
 
 
 def second_term_text(alpha1: int, beta1: Fraction) -> tuple[str, str]:
@@ -206,7 +203,7 @@ def second_term_text(alpha1: int, beta1: Fraction) -> tuple[str, str]:
         else:
             num, den = ctx.add(x, y), ctx.subtract(x, y)
     if den.is_zero():
-        turns = sum_turns(MachinFormula.single(Fraction(alpha1), beta1))
+        turns = sum_turns(MachinFormula.single(alpha1, beta1))
         raise DegenerateSecondTerm(f"{alpha1}*arctan(1/{beta1}) is already pi/4"
                                    f"{f' {turns:+d}*pi' if turns else ''}; no second term")
     if num.is_zero():
@@ -301,28 +298,21 @@ def verify_formula(formula: MachinFormula) -> VerificationResult:
     """Exact check that the rotations multiply to i, on Gaussian integers,
     and that the sum of the terms is pi/4 itself, not pi/4 + n*pi.
 
-    Only integer coefficients admit an exact algebraic check; rational
-    coefficients raise NotExactlyVerifiable rather than guessing a branch,
-    and so do coefficients too large for the float estimate to tell the
-    branches apart, and a product over MAX_POWER_BITS.
-    """
-    for alpha, _ in formula.terms:
-        if alpha.denominator != 1:
-            raise NotExactlyVerifiable(
-                f"coefficient {alpha} is not an integer"
-            )
+    Coefficients too large for the float estimate to tell the branches
+    apart raise NotExactlyVerifiable rather than guessing a branch, and so
+    does a product over MAX_POWER_BITS, checked once on the power_bits
+    summed over the terms, a sum that bounds every factor as well."""
     # Exact comparison: the divisor is a power of two; no float overflow.
     weight = sum(abs(alpha) for alpha, _ in formula.terms)
     if weight >= math.pi / 8 / _ATAN_ERROR:
-        raise NotExactlyVerifiable(
-            f"coefficients summing to a {int(weight).bit_length()}-bit "
-            "magnitude are too large for the branch check"
-        )
-    bits = sum(power_bits(int(alpha), beta) for alpha, beta in formula.terms)
+        raise NotExactlyVerifiable(f"coefficients summing to a {weight.bit_length()}-bit "
+                                   "magnitude are too large for the branch check")
+    bits = sum(power_bits(alpha, beta) for alpha, beta in formula.terms)
     _check_power_size(bits, NotExactlyVerifiable)
     product = GaussianInt(1, 0)
     for alpha, beta in formula.terms:
-        product = product * _term_factor(int(alpha), beta)
+        g = GaussianInt(beta.numerator, beta.denominator) ** abs(alpha)
+        product = product * (g.conjugate() if alpha < 0 else g)
     if not product.re == product.im != 0:
         return VerificationResult(ok=False, product=product)
     turns = sum_turns(formula)

@@ -67,6 +67,14 @@ class TestMeasureConvergence:
         assert digits == sorted(digits)
         assert report.wall_time_per_term > 0
 
+    def test_negative_coefficient_matches_negated_cotangent(self, pi_reference_300):
+        # -arctan(1/239) = arctan(1/-239): the integer scale and the
+        # rounded term stream agree sample for sample.
+        by_alpha = measure_convergence(MachinFormula(((4, 5), (-1, 239))), 12, pi_reference_300)
+        by_beta = measure_convergence(MachinFormula(((4, 5), (1, -239))), 12, pi_reference_300)
+        assert by_alpha.samples == by_beta.samples
+        assert by_alpha.samples[-1][1] > 20
+
     def test_insufficient_reference_rejected(self, k10_formula):
         shallow = FixedReal.from_fraction(Fraction(314159, 100000), 64).widened(1)
         # 3.14159 is not dyadic, so the lower end reads 3.14158...: the

@@ -176,8 +176,9 @@ class TestVerify:
         assert outcome.product.re != outcome.product.im
 
     def test_rational_coefficient_rejected(self):
-        with pytest.raises(NotExactlyVerifiable):
-            verify_formula(MachinFormula.single(Fraction(1, 2), Fraction(1)))
+        # refused when the formula is built, before any check could run
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            MachinFormula.single(Fraction(1, 2), Fraction(1))
 
     def test_formula_holding_only_modulo_pi_fails(self):
         # 5 arctan(1) = pi/4 + pi: G = (1 + i)**5 = -4 - 4i passes the
@@ -227,6 +228,18 @@ class TestVerify:
         with pytest.raises(NotExactlyVerifiable, match="branch check"):
             verify_formula(MachinFormula.single(Fraction(below + 1), Fraction(1)))
 
+    def test_power_size_checked_once_on_the_sum(self, monkeypatch):
+        # The summed power_bits refuse a single oversized term before any
+        # power is formed.
+        def no_power(*args):
+            raise AssertionError("a Gaussian power was formed")
+
+        monkeypatch.setattr(GaussianInt, "__pow__", no_power)
+        formula = MachinFormula.single(1 << 40, Fraction(1))
+        assert power_bits(1 << 40, Fraction(1)) > MAX_POWER_BITS
+        with pytest.raises(NotExactlyVerifiable, match="limit"):
+            verify_formula(formula)
+
     def test_formula_validation(self):
         with pytest.raises(ValueError):
             MachinFormula(((Fraction(1), Fraction(0)),))
@@ -243,6 +256,27 @@ class TestVerify:
     def test_every_generated_record_passes_the_branch_check(self, k):
         record = generate_record(k, 10 if k == 2 else 1, "nearest")
         assert record.verified
+
+
+class TestFormulaTerms:
+    def test_terms_normalized_to_int_and_fraction(self):
+        formula = MachinFormula(((Fraction(4), 5), (-1, Fraction(239))))
+        assert formula.terms == ((4, Fraction(5)), (-1, Fraction(239)))
+        for alpha, beta in formula.terms:
+            assert type(alpha) is int and type(beta) is Fraction
+
+    def test_two_term_holds_the_power_of_two_as_int(self):
+        k = 14
+        formula = MachinFormula.two_term(k, Fraction(4099), Fraction(-7, 3))
+        assert formula.terms == ((1 << (k - 1), Fraction(4099)), (1, Fraction(-7, 3)))
+        assert all(type(alpha) is int for alpha, _ in formula.terms)
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), 0.5, "1/2"])
+    def test_non_integer_coefficient_refused(self, alpha):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            MachinFormula(((alpha, Fraction(1)),))
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            MachinFormula.single(alpha, Fraction(1))
 
 
 class TestSecondArgumentMagnitude:

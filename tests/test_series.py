@@ -210,12 +210,9 @@ class TestPiFromFormula:
 
     def test_non_integer_coefficient_refused_when_vouched_for(self):
         # An opt-out of verification must not let a fractional alpha be
-        # truncated or rounded into the sum.
-        half = MachinFormula.single(Fraction(1, 2), Fraction(1))
-        with pytest.raises(ValueError, match="integer coefficients"):
-            pi_from_formula(half, 5, 128, assume_verified=True)
-        with pytest.raises(ValueError, match="integer coefficients"):
-            pi_digits_from_formula(half, 20, assume_verified=True)
+        # truncated or rounded into the sum: no such formula can be built.
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            MachinFormula.single(Fraction(1, 2), Fraction(1))
 
     def test_digit_target_driver(self, machin_formula, pi_text_300):
         text, result = pi_digits_from_formula(machin_formula, 120)
