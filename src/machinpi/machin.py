@@ -189,6 +189,12 @@ def second_term_text(alpha1: int, beta1: Fraction) -> tuple[str, str]:
     if beta1 == 0:
         raise ValueError("first cotangent argument must be nonzero")
     _check_power_size(power_bits(alpha1, beta1), ValueError)
+    return _second_term_text(alpha1, beta1)
+
+
+def _second_term_text(alpha1: int, beta1: Fraction) -> tuple[str, str]:
+    """second_term_text for alpha1 >= 1 and a nonzero Fraction beta1
+    whose power the caller has already sized."""
     p, q = beta1.numerator, beta1.denominator
     ctx = _exact_context()
     if (p + q) & 1:
@@ -233,8 +239,9 @@ def solve_u2(u1: Fraction, k: int) -> Fraction:
 
 
 def check_second_term(k: int, u1: Fraction, u2: tuple[str, str]) -> bool:
-    """Exact check of pi/4 = 2**(k-1) arctan(1/u1) + arctan(1/u2), u2 = r/s
-    given as the decimal text (r, s) a record stores, s > 0, r != 0:
+    """Exact check of pi/4 = 2**(k-1) arctan(1/u1) + arctan(1/u2), k >= 1
+    and u1 a nonzero Fraction, u2 = r/s given as the decimal text (r, s) a
+    record stores, s > 0, r != 0:
     G = (p + qi)**(2**(k-1)) (r + si) has G.re == G.im != 0 iff r/s is
     the solved closing term, which is in lowest terms (README, "Checking a
     record by re-solving u2").  So equal text proves the product check and
@@ -242,11 +249,11 @@ def check_second_term(k: int, u1: Fraction, u2: tuple[str, str]) -> bool:
     decimal cross-multiplication: the same value unreduced, or another
     value.  Returns whether (r, s) is the solved text; UnverifiedFormula
     if a check fails, NotExactlyVerifiable for a power over
-    MAX_POWER_BITS."""
+    MAX_POWER_BITS, checked once before the power is formed."""
     n = 1 << (k - 1)
     _check_power_size(power_bits(n, u1), NotExactlyVerifiable)
     try:
-        solved = second_term_text(n, u1)
+        solved = _second_term_text(n, u1)
     except DegenerateSecondTerm as exc:  # closing it needs r = 0 or s = 0
         raise UnverifiedFormula(f"exact product check failed: {exc}") from exc
     reduced = u2 == solved

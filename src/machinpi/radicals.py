@@ -91,14 +91,12 @@ def select_u1(
     lo = (c.mantissa - c.err_ulp) * d
     hi = (c.mantissa + c.err_ulp) * d
     mid = c.mantissa * d
-    one = 1 << c.scale
     if rounding == "nearest":
-        # floor(x + 1/2) on mantissas scaled by d.
-        n_lo, n_hi, n = (
-            (2 * v + one) // (2 * one) for v in (lo, hi, mid)
-        )
+        # floor(x + 1/2) on mantissas scaled by d; a shift floors.
+        one = 1 << c.scale
+        n_lo, n_hi, n = ((2 * v + one) >> (c.scale + 1) for v in (lo, hi, mid))
     else:
-        n_lo, n_hi, n = (v // one for v in (lo, hi, mid))
+        n_lo, n_hi, n = (v >> c.scale for v in (lo, hi, mid))
     if n_lo != n_hi:
         raise AmbiguousRounding(
             f"c_{state.k} interval straddles a {rounding} boundary at "

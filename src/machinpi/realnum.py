@@ -20,7 +20,8 @@ ulps of 2**-s:
                           / (|m_y| (|m_y| - e_y))) + 1, requiring the
            divisor interval to exclude zero.
 * sqrt:    one integer square root with remainder per call (_sqrtrem,
-           Karatsuba square root).  The root of the midpoint, taken
+           Karatsuba square root, whose one half-size division per level
+           is exact.int_divmod's).  The root of the midpoint, taken
            with _SQRT_GUARD extra bits and rounded to nearest, is the
            mantissa; tangent-line bounds on both ends give
            e_out <= ceil(e / (2 sqrt(value)) + 1/2 + small), derived in
@@ -37,7 +38,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DivisorStraddlesZero, NegativeOperand
-from .exact import int_to_text
+from .exact import int_divmod, int_to_text
 
 
 # Extra bits in the interval square root's one _sqrtrem: they place the
@@ -50,8 +51,11 @@ _SQRT_GUARD = 32
 # _sqrtrem recurses.  Timed on random operands with Python 3.11:
 # math.isqrt is faster below about 3000 bits, the two are within noise
 # up to about 6000, and the recursion is 1.9x faster at 8192 bits.
-# Crossovers of 2048, 4096 and 8192 bits timed the same on the tower's
-# 69k-bit roots.
+# With exact.int_divmod doing each level's division, crossovers of 2048
+# to 8192 bits all took 0.60-0.61 ms on 69k-bit roots, the tower's at
+# 10^4 digits (best of 40 alternating rounds, 2-vCPU Xeon VM).  On 5k-
+# to 15k-bit roots 2048 to 4096 were within 10% of each other, and
+# 6144 and 8192 up to 1.6x slower.
 _SQRTREM_CROSSOVER = 4096
 
 
@@ -66,9 +70,10 @@ def _sqrtrem(n: int) -> tuple[int, int]:
     then gives q, u = divmod(r' b + a1, 2s'), s = s' b + q and
     r = u b + a0 - q**2, and one step s -= 1 corrects a negative r.  The
     shift comes off as s = S 2**t + s0, with n - S**2 = (r + 2 s0 s -
-    s0**2) / 4**t.  Each level costs one half-size division and one
-    half-size square, and the recursion is linear, so the one isqrt
-    call is at the bottom.  A negative n raises ValueError.
+    s0**2) / 4**t.  Each level costs one half-size division, by
+    exact.int_divmod's recursion, and one half-size square, both
+    subquadratic, and the recursion is linear, so the one isqrt call is
+    at the bottom.  A negative n raises ValueError.
     """
     if n.bit_length() <= _SQRTREM_CROSSOVER:
         s = isqrt(n)
@@ -80,7 +85,7 @@ def _sqrtrem(n: int) -> tuple[int, int]:
     n <<= 2 * t
     mask = (1 << k) - 1
     s, r = _sqrtrem(n >> 2 * k)
-    q, u = divmod((r << k) | ((n >> k) & mask), s << 1)
+    q, u = int_divmod((r << k) | ((n >> k) & mask), s << 1)
     s = (s << k) + q
     r = (u << k) + (n & mask) - q * q
     if r < 0:
@@ -104,13 +109,14 @@ def _common_prefix_length(x: str, y: str) -> int:
 def _div_nearest(a: int, b: int) -> int:
     """Round a/b to the nearest integer, ties away from zero; b > 0."""
     if a >= 0:
-        return (2 * a + b) // (2 * b)
-    return -((-2 * a + b) // (2 * b))
+        return int_divmod(2 * a + b, 2 * b)[0]
+    return -int_divmod(-2 * a + b, 2 * b)[0]
 
 
 def _ceil_div(a: int, b: int) -> int:
-    """Ceiling of a/b for b > 0."""
-    return -((-a) // b)
+    """Ceiling of a/b for a >= 0 < b."""
+    q, r = int_divmod(a, b)
+    return q + (r > 0)
 
 
 def _shift_nearest(n: int, bits: int) -> int:
@@ -152,9 +158,9 @@ class FixedReal:
     @classmethod
     def _from_ratio(cls, num: int, den: int, scale: int) -> "FixedReal":
         """num/den (den > 0) rounded to nearest, ties away from zero; the
-        pair need not be in lowest terms.  q, r = divmod(2 |num| 2**scale
-        + den, 2 den) gives the magnitude q, exact iff r == den."""
-        q, r = divmod((abs(num) << (scale + 1)) + den, den << 1)
+        pair need not be in lowest terms.  q, r = int_divmod(2 |num|
+        2**scale + den, 2 den) gives the magnitude q, exact iff r == den."""
+        q, r = int_divmod((abs(num) << (scale + 1)) + den, den << 1)
         return cls(-q if num < 0 else q, scale, 0 if r == den else 1)
 
     # -- exact views ---------------------------------------------------

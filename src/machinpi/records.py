@@ -30,7 +30,6 @@ import json
 import math
 import os
 import re
-import secrets
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -113,7 +112,7 @@ def _sha256_text(text: str) -> str:
 def _atomic_write_text(path: Path, text: str) -> None:
     # O_EXCL makes the temp file ours alone, and the OS applies the umask
     # to 0o666, so the file gets the mode a plain open() would give it.
-    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:

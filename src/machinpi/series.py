@@ -42,9 +42,10 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import PrecisionExhausted, UnverifiedFormula, ZeroArgument
+from .exact import int_divmod
 from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
 from .radicals import eval_radicals
-from .realnum import FixedReal
+from .realnum import FixedReal, _ceil_div
 
 _LOG2_10 = math.log2(10)
 _LOG10_2 = math.log10(2)
@@ -138,7 +139,7 @@ def _tail_ulps(num: int, den: int, terms: int, scale: int) -> int:
     if p >= q:
         p, q = num, den  # huge near-one operands: the exact ratio
     bound = (2 * p ** terms * (math.isqrt(p * q) + 1)) << scale
-    return -(-bound // (q ** terms * (2 * terms + 1) * (q - p)))
+    return _ceil_div(bound, q ** terms * (2 * terms + 1) * (q - p))
 
 
 def _split(a2: int, gr: int, gi: int, lo: int, hi: int):
@@ -242,7 +243,7 @@ def _cotangent_chain(p: int, q: int, scale: int) -> tuple[list[int], int, int]:
     """
     chain = []
     while True:
-        m = max(1, -(-p // q))
+        m = max(1, _ceil_div(p, q))
         chain.append(m)
         p, q = p * m + q, m * q - p
         if q == 0 or p >> scale >= q:
@@ -267,7 +268,7 @@ def _arctan_inverse(num: int, den: int, digits: float, terms: int,
     rounded = q.bit_length() > w
     if rounded:
         drop = max(0, q.bit_length() - w - 64)
-        p, q = ((p >> drop) << w) // ((q >> drop) + 1), 1 << w
+        p, q = int_divmod((p >> drop) << w, (q >> drop) + 1)[0], 1 << w
     chain, _, residual_den = _cotangent_chain(p, q, scale)
     parts = [arctan_conjugate(Fraction(1, m), min(terms, terms_for_digits(
         digits, digits_per_term(m))), scale) for m in chain]

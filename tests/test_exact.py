@@ -3,6 +3,7 @@ from __future__ import annotations
 import decimal
 import gc
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from machinpi.exact import (
+    _DIV_CROSSOVER,
     _SPLIT_BITS,
     GaussianInt,
     _exact_context,
     decimal_gaussian_power,
     decimal_head,
+    int_divmod,
     int_to_text,
     parse_rational,
     text_to_int,
@@ -151,6 +154,37 @@ class TestIntText:
         monkeypatch.setattr(decimal, "setcontext", refuse)
         monkeypatch.setattr(decimal, "localcontext", refuse)
         _check_codec(3 ** 200_000)
+
+
+@st.composite
+def division_operands(draw) -> tuple[int, int]:
+    """(a, b) with a >= 0 < b: a divisor of n = 1 to 70,000 bits, random,
+    all ones (where 3-by-2 steps take the capped estimate 2**n - 1) or a
+    power of two, and a dividend below b, equal to b * 2**n - 1 (the
+    largest one 2n-by-n division takes), random up to 2n bits, or of
+    2n + 1 to 5n + 1 bits, with a quotient longer than n bits."""
+    n = draw(st.integers(1, 70_000) | st.sampled_from(
+        [_DIV_CROSSOVER, _DIV_CROSSOVER + 1, 2 * _DIV_CROSSOVER + 1, 33_333, 69_999]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    b = draw(st.sampled_from([
+        rng.getrandbits(n) | 1 << (n - 1), (1 << n) - 1, 1 << (n - 1)]))
+    a = draw(st.sampled_from([
+        rng.randrange(b), (b << n) - 1, rng.getrandbits(2 * n),
+        rng.getrandbits(2 * n + rng.randrange(1, 3 * n + 2))]))
+    return a, b
+
+
+class TestIntDivmod:
+    """int_divmod is divmod, checked against divmod itself."""
+
+    @given(division_operands())
+    @example(((((1 << 9001) - 1) << 9001) - 1, (1 << 9001) - 1))  # all ones, odd n
+    @example(((1 << 140_000) - 1, 1 << 69_999))
+    @example(((1 << 30_000) - 1, (1 << 8_000) + 1))  # quotient of 22,000 bits
+    @example((0, 3 ** 10_000))
+    def test_matches_divmod(self, operands):
+        a, b = operands
+        assert int_divmod(a, b) == divmod(a, b)
 
 
 class TestSerialization:

@@ -333,6 +333,18 @@ class TestPowerSizeLimit:
         with pytest.raises(NotExactlyVerifiable, match="limit"):
             verify_formula(formula)
 
+    def test_check_second_term_sizes_the_power_once(self, monkeypatch):
+        u2 = second_term_text(4, Fraction(5))
+        calls = []
+
+        def counting(alpha, beta):
+            calls.append((alpha, beta))
+            return power_bits(alpha, beta)
+
+        monkeypatch.setattr(machin, "power_bits", counting)
+        assert machin.check_second_term(3, Fraction(5), u2)
+        assert calls == [(4, Fraction(5))]
+
 
 class TestGcdFreeSolve:
     @pytest.mark.parametrize("k", range(2, 16))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from machinpi import cli, series
+from machinpi import cli, exact, series
 from machinpi.analysis import arctan_euler, arctan_gregory
 from machinpi.errors import (DivergentArgument, PrecisionExhausted, UnverifiedFormula,
                              ZeroArgument)
@@ -279,6 +279,24 @@ class TestCertifiedPiRetries:
 
 
 class TestPiFromRadicals:
+    def test_tower_divisions_take_the_recursion(self, monkeypatch, capsys):
+        # At 2000 digits the working scale is about 6,700 bits, past the
+        # division crossover: the roundings take the 2n-by-n recursion,
+        # and every division it makes is divmod's.
+        quotient_bits = []
+        recursion = exact._div2n1n
+
+        def checked(a, b, n):
+            quotient_bits.append(a.bit_length() - n)
+            result = recursion(a, b, n)
+            assert result == divmod(a, b)
+            return result
+
+        monkeypatch.setattr(exact, "_div2n1n", checked)
+        assert cli.main(["compute-pi", "--k", "40", "--digits", "2000"]) == 0
+        assert capsys.readouterr().out.startswith("3.14159265358979323846")
+        assert max(quotient_bits) > exact._DIV_CROSSOVER
+
     def test_depth_three_sixty_digits(self, pi_text_300):
         r = pi_from_radicals(3, 30, scale_for_digits(60))
         text, ok = r.value.to_decimal(60)
