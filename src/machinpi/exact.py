@@ -1,11 +1,12 @@
 """Exact integer, rational, and Gaussian-integer arithmetic.
 
 Rationals are `fractions.Fraction` (always reduced, positive denominator,
-zero canonically 0/1).  The only complex type is GaussianInt, an
-immutable pair of ints; every operation is exact, no floating point
-anywhere.  A rotation (p + qi)/(p - qi) is never formed as a quotient:
-callers keep the Gaussian integer (p + qi)**n and its norm apart, and
-divide once, as Fractions, only where a rational result is wanted.
+zero canonically 0/1).  A Gaussian integer is a plain (re, im) pair of
+ints, and gaussian_power raises one to a power; every operation is
+exact, no floating point anywhere.  A rotation (p + qi)/(p - qi) is
+never formed as a quotient: callers keep the Gaussian integer
+(p + qi)**n and its norm apart, and divide once, as Fractions, only
+where a rational result is wanted.
 
 The record path works in exact decimal instead: decimal_gaussian_power
 forms (p + qi)**n in a private libmpdec context in which every integer
@@ -21,7 +22,6 @@ division of working-scale operands.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -206,41 +206,17 @@ def _power_of_five(m: int, powers: dict[int, int]) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    """Complex number with arbitrary-precision integer parts."""
-
-    re: int
-    im: int
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianInt(a * c - b * d, a * d + b * c)
-
-    def __pow__(self, n: int) -> "GaussianInt":
-        """Square-and-multiply; O(log n) multiplications."""
-        if n < 0:
-            raise ValueError("negative exponent on a Gaussian integer")
-        result = GaussianInt(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base.square()
-        return result
-
-    def square(self) -> "GaussianInt":
-        """(a + bi)**2 with two big multiplications instead of four."""
-        a, b = self.re, self.im
-        return GaussianInt((a + b) * (a - b), (a * b) << 1)
-
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
+def gaussian_power(re: int, im: int, n: int) -> tuple[int, int]:
+    """The parts of (re + im i)**n for n >= 0 as a pair of ints, (1, 0)
+    for n = 0, by square-and-multiply from the top bit of n: each square
+    takes two multiplications, (a + b)(a - b) and ab, and each multiply
+    is by the base itself."""
+    a, b = 1, 0
+    for i in reversed(range(n.bit_length())):
+        a, b = (a + b) * (a - b), (a * b) << 1
+        if n >> i & 1:
+            a, b = a * re - b * im, a * im + b * re
+    return a, b
 
 
 def decimal_gaussian_power(re: int, im: int, n: int,

@@ -14,6 +14,8 @@ G.re == G.im != 0.  No rational reduction and no gcd is needed.  That
 pins the sum of alpha * arctan(1/beta) only modulo pi, so a float
 estimate of the sum, with a stated error bound, fixes the branch: the
 sum is pi/4 + n*pi for an integer n, and only n = 0 is a formula for pi.
+verify_formula forms G as a pair of ints (exact.gaussian_power) and
+raises UnverifiedFormula when either check fails.
 
 Solving for the closing second term: with beta1 = p/q in lowest terms and
 A + Bi = (p + qi) ** alpha1,
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSecondTerm, NotExactlyVerifiable, UnverifiedFormula
-from .exact import GaussianInt, _exact_context, decimal_gaussian_power, fraction_from_text
+from .exact import _exact_context, decimal_gaussian_power, fraction_from_text, gaussian_power
 
 # Error of a term's float estimate alpha * atan(1/beta) per unit of
 # |alpha|.  The atan is off by at most 2**-50 + 2**-54: 4 ulps of
@@ -109,28 +111,6 @@ def _integer(value) -> int:
     if isinstance(value, (int, Fraction)) and value.denominator == 1:
         return int(value)
     raise ValueError("formula coefficients must be integers")
-
-
-@dataclass(frozen=True)
-class VerificationResult:
-    """Outcome of the check.  The Gaussian-integer product G certifies the
-    angle modulo pi (G.re == G.im != 0); when it does, `turns` is the n in
-    sum = pi/4 + n*pi, and the formula is valid iff n = 0."""
-
-    ok: bool
-    product: GaussianInt
-    turns: int = 0
-
-    def summary(self) -> str:
-        """Which test decided, in a few words, however large G is."""
-        re, im = self.product.re, self.product.im
-        sizes = f"G.re ({re.bit_length()} bits) {{}} G.im ({im.bit_length()} bits)"
-        if not re == im != 0:
-            return "exact product check failed: " + sizes.format("!=")
-        if self.turns:
-            return (f"branch check failed: the sum is pi/4 {self.turns:+d}*pi "
-                    "(the product check holds: " + sizes.format("==") + ")")
-        return sizes.format("==") + " and the sum is pi/4"
 
 
 def power_bits(alpha: int, beta: Fraction) -> float:
@@ -283,10 +263,10 @@ def solve_second_term_direct(alpha1: int, beta1: Fraction) -> Fraction:
         raise ValueError("first coefficient must be a positive integer")
     beta1 = Fraction(beta1)
     _check_power_size(power_bits(2 * alpha1, beta1), ValueError)
-    g = GaussianInt(beta1.numerator, beta1.denominator)
-    power = g ** (2 * alpha1)
-    n = g.norm() ** alpha1
-    x, y = power.re, power.im - n
+    p, q = beta1.numerator, beta1.denominator
+    x, y = gaussian_power(p, q, 2 * alpha1)
+    n = (p * p + q * q) ** alpha1
+    y -= n
     if x == 0 and y == 0:
         raise DegenerateSecondTerm(
             f"{alpha1}*arctan(1/{beta1}) is already pi/4; no second term"
@@ -301,9 +281,11 @@ def solve_second_term_direct(alpha1: int, beta1: Fraction) -> Fraction:
     return Fraction(2 * n * x, denom)
 
 
-def verify_formula(formula: MachinFormula) -> VerificationResult:
+def verify_formula(formula: MachinFormula) -> None:
     """Exact check that the rotations multiply to i, on Gaussian integers,
     and that the sum of the terms is pi/4 itself, not pi/4 + n*pi.
+    UnverifiedFormula names the check that fails and the sizes of G's
+    parts, however large G is.
 
     Coefficients too large for the float estimate to tell the branches
     apart raise NotExactlyVerifiable rather than guessing a branch, and so
@@ -316,14 +298,18 @@ def verify_formula(formula: MachinFormula) -> VerificationResult:
                                    "magnitude are too large for the branch check")
     bits = sum(power_bits(alpha, beta) for alpha, beta in formula.terms)
     _check_power_size(bits, NotExactlyVerifiable)
-    product = GaussianInt(1, 0)
+    re, im = 1, 0
     for alpha, beta in formula.terms:
-        g = GaussianInt(beta.numerator, beta.denominator) ** abs(alpha)
-        product = product * (g.conjugate() if alpha < 0 else g)
-    if not product.re == product.im != 0:
-        return VerificationResult(ok=False, product=product)
+        q = beta.denominator if alpha >= 0 else -beta.denominator
+        c, d = gaussian_power(beta.numerator, q, abs(alpha))
+        re, im = re * c - im * d, re * d + im * c
+    sizes = f"G.re ({re.bit_length()} bits) {{}} G.im ({im.bit_length()} bits)"
+    if not re == im != 0:
+        raise UnverifiedFormula("exact product check failed: " + sizes.format("!="))
     turns = sum_turns(formula)
-    return VerificationResult(ok=turns == 0, product=product, turns=turns)
+    if turns:
+        raise UnverifiedFormula(f"branch check failed: the sum is pi/4 {turns:+d}*pi "
+                                "(the product check holds: " + sizes.format("==") + ")")
 
 
 def sum_turns(formula: MachinFormula) -> int:

@@ -177,9 +177,6 @@ class FixedReal:
     def upper(self) -> Fraction:
         return Fraction(self.mantissa + self.err_ulp, 1 << self.scale)
 
-    def contains(self, fr: Fraction) -> bool:
-        return self.lower <= fr <= self.upper
-
     # -- arithmetic ----------------------------------------------------
 
     def __neg__(self) -> "FixedReal":

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import PrecisionExhausted, UnverifiedFormula, ZeroArgument
+from .errors import PrecisionExhausted, ZeroArgument
 from .exact import int_divmod
 from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
 from .radicals import eval_radicals
@@ -289,15 +289,12 @@ def pi_from_formula(
     The slowest arctangent's `terms` reach D = (terms - 2) * r_min digits
     at its predicted rate r_min; every integer cotangent of every chain
     runs what reaches D at its own rate, at most `terms` (_arctan_inverse).
-    The formula must verify exactly unless the caller vouches for it; its
-    integer coefficients scale each mantissa and error bound exactly.
+    The formula must verify exactly unless the caller vouches for it
+    (verify_formula raises UnverifiedFormula); its integer coefficients
+    scale each mantissa and error bound exactly.
     """
     if not assume_verified:
-        outcome = verify_formula(formula)
-        if not outcome.ok:
-            raise UnverifiedFormula(
-                f"formula failed verification: {outcome.summary()}"
-            )
+        verify_formula(formula)
     rates = [digits_per_term(beta) for _, beta in formula.terms]
     target = (terms - 2) * min(rates)
     parts = [_arctan_inverse(beta.numerator, beta.denominator, target, terms, scale)

@@ -1,12 +1,13 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Powers are repeated multiplication, rotations are reduced pairs of
-Fractions, decimal expansions and interval square roots come from
-integer square roots, and arctangent references are alternating partial
-sums with their classical remainder bound.  Decimal text is the exact
-truncation of a Fraction.  The series references at the end run on
-(mantissa, err) int pairs with their own rounding; they take c_k from
-machinpi's eval_radicals and the working scale from its scale_for_digits.
+Gaussian powers are repeated multiplication of (re, im) int pairs,
+rotations are reduced pairs of Fractions, decimal expansions and
+interval square roots come from integer square roots, and arctangent
+references are alternating partial sums with their classical remainder
+bound.  Decimal text is the exact truncation of a Fraction.  The series
+references at the end run on (mantissa, err) int pairs with their own
+rounding; they take c_k from machinpi's eval_radicals and the working
+scale from its scale_for_digits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 from fractions import Fraction
 from math import isqrt
 
-from machinpi.exact import GaussianInt
 from machinpi.radicals import eval_radicals
 from machinpi.realnum import FixedReal
 from machinpi.series import scale_for_digits
@@ -41,12 +41,14 @@ def big_int_text():
     return int_text_cap(0)
 
 
-def gi_mul_naive(a: GaussianInt, b: GaussianInt) -> GaussianInt:
-    return GaussianInt(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+def gi_mul_naive(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a + bi)(c + di) for Gaussian integers held as (re, im) pairs."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
 
 
-def gi_pow_naive(g: GaussianInt, n: int) -> GaussianInt:
-    acc = GaussianInt(1, 0)
+def gi_pow_naive(g: tuple[int, int], n: int) -> tuple[int, int]:
+    acc = (1, 0)
     for _ in range(n):
         acc = gi_mul_naive(acc, g)
     return acc
@@ -188,8 +190,7 @@ def rotation_power_reference(beta: Fraction, alpha: int) -> tuple[Fraction, Frac
     beta = p/q, then one reduction over its norm; negative exponents
     conjugate (the rotation has unit modulus)."""
     beta = Fraction(beta)
-    g = gi_pow_naive(GaussianInt(beta.numerator, beta.denominator), abs(alpha))
-    a, b = g.re, g.im
+    a, b = gi_pow_naive((beta.numerator, beta.denominator), abs(alpha))
     n = a * a + b * b
     re, im = Fraction(a * a - b * b, n), Fraction(2 * a * b, n)
     return (re, -im) if alpha < 0 else (re, im)

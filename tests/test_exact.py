@@ -13,64 +13,57 @@ from hypothesis import strategies as st
 from machinpi.exact import (
     _DIV_CROSSOVER,
     _SPLIT_BITS,
-    GaussianInt,
     _exact_context,
     decimal_gaussian_power,
     decimal_head,
+    gaussian_power,
     int_divmod,
     int_to_text,
     parse_rational,
     text_to_int,
 )
 
-from oracles import big_int_text, gi_pow_naive, int_text_cap
+from oracles import big_int_text, gi_mul_naive, gi_pow_naive, int_text_cap
 
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
 
-class TestGaussianInt:
+class TestGaussianPower:
     def test_pow_matches_hand_expansion(self):
-        assert GaussianInt(5, 1) ** 4 == GaussianInt(476, 480)
-        assert GaussianInt(24, 10) ** 2 == GaussianInt(476, 480)
-        assert GaussianInt(0, 1) ** 2 == GaussianInt(-1, 0)
+        assert gaussian_power(5, 1, 4) == (476, 480)
+        assert gaussian_power(24, 10, 2) == (476, 480)
+        assert gaussian_power(0, 1, 2) == (-1, 0)
 
     def test_pow_zero_is_one(self):
-        assert GaussianInt(7, -3) ** 0 == GaussianInt(1, 0)
-
-    def test_pow_rejects_negative(self):
-        with pytest.raises(ValueError):
-            GaussianInt(1, 1) ** -1
+        assert gaussian_power(7, -3, 0) == (1, 0)
 
     @given(small_ints, small_ints, st.integers(min_value=0, max_value=64))
     def test_pow_agrees_with_repeated_multiplication(self, a, b, n):
-        g = GaussianInt(a, b)
-        assert g ** n == gi_pow_naive(g, n)
+        assert gaussian_power(a, b, n) == gi_pow_naive((a, b), n)
 
     @given(st.integers(), st.integers())
     def test_square_matches_multiplication(self, a, b):
-        g = GaussianInt(a, b)
-        assert g.square() == gi_pow_naive(g, 2)
+        assert gaussian_power(a, b, 2) == gi_mul_naive((a, b), (a, b))
 
-    @given(small_ints, small_ints, small_ints, small_ints, small_ints, small_ints)
-    def test_multiplication_commutes_and_associates(self, a, b, c, d, e, f):
-        x, y, z = GaussianInt(a, b), GaussianInt(c, d), GaussianInt(e, f)
-        assert x * y == y * x
-        assert (x * y) * z == x * (y * z)
+    @given(small_ints, small_ints, st.integers(min_value=0, max_value=40),
+           st.integers(min_value=0, max_value=40))
+    def test_powers_add(self, a, b, m, n):
+        assert gaussian_power(a, b, m + n) == gi_mul_naive(gaussian_power(a, b, m),
+                                                          gaussian_power(a, b, n))
 
     @given(small_ints, small_ints, st.integers(min_value=0, max_value=40))
     def test_norm_of_power_is_power_of_norm(self, a, b, n):
         # |(p + qi)**n / (p - qi)**n| = 1: the rotations stay on the unit circle
-        g = GaussianInt(a, b)
-        assert (g ** n).norm() == g.norm() ** n
+        re, im = gaussian_power(a, b, n)
+        assert re * re + im * im == (a * a + b * b) ** n
 
 
 class TestDecimalGaussianPower:
     @given(small_ints, small_ints, st.integers(min_value=1, max_value=40))
     def test_matches_naive_power(self, a, b, n):
-        expected = gi_pow_naive(GaussianInt(a, b), n)
         re, im = decimal_gaussian_power(a, b, n, _exact_context())
-        assert (re, im) == (expected.re, expected.im)
+        assert (re, im) == gi_pow_naive((a, b), n)
         assert re.as_tuple().exponent == im.as_tuple().exponent == 0
 
     def test_rounding_is_trapped(self):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from machinpi import machin
 from machinpi.cli import generate_record
-from machinpi.errors import DegenerateSecondTerm, NotExactlyVerifiable
-from machinpi.exact import GaussianInt, decimal_head
+from machinpi.errors import DegenerateSecondTerm, NotExactlyVerifiable, UnverifiedFormula
+from machinpi.exact import decimal_head, gaussian_power
 from machinpi.machin import (
     MAX_POWER_BITS,
     MachinFormula,
@@ -27,6 +27,8 @@ from machinpi.radicals import eval_radicals, select_u1
 from oracles import (
     big_int_text,
     branch_turns,
+    gi_mul_naive,
+    gi_pow_naive,
     rotation_product_reference,
 )
 
@@ -37,6 +39,15 @@ BETA2_FOR_BILLION_NUM = int(
 BETA2_FOR_BILLION_DEN = int(
     "999999992999999979000000035000000034999999978999999993000000001"
 )
+
+
+def verifies(formula: MachinFormula) -> bool:
+    """verify_formula's verdict: False where it raises UnverifiedFormula."""
+    try:
+        verify_formula(formula)
+    except UnverifiedFormula:
+        return False
+    return True
 
 
 class TestSolve:
@@ -146,34 +157,35 @@ class TestDirectPathEquivalence:
 
 class TestVerify:
     def test_classic_formula(self):
-        assert verify_formula(
+        assert verifies(
             MachinFormula(((Fraction(4), Fraction(5)), (Fraction(1), Fraction(-239))))
-        ).ok
+        )
 
     def test_tenths_variant(self):
-        assert verify_formula(
+        assert verifies(
             MachinFormula(((Fraction(2), Fraction(24, 10)), (Fraction(1), Fraction(-239))))
-        ).ok
+        )
 
     def test_single_term_quarter_turn(self):
-        assert verify_formula(MachinFormula.single(Fraction(1), Fraction(1))).ok
+        assert verifies(MachinFormula.single(Fraction(1), Fraction(1)))
 
     def test_two_simple_terms(self):
-        assert verify_formula(
+        assert verifies(
             MachinFormula(((Fraction(1), Fraction(2)), (Fraction(1), Fraction(3))))
-        ).ok
+        )
 
     def test_negative_coefficient_spelling(self):
-        assert verify_formula(
+        assert verifies(
             MachinFormula(((Fraction(2), Fraction(2)), (Fraction(-1), Fraction(7))))
-        ).ok
+        )
 
     def test_sign_flip_fails_with_certificate(self):
-        outcome = verify_formula(
-            MachinFormula(((Fraction(4), Fraction(5)), (Fraction(1), Fraction(239))))
-        )
-        assert not outcome.ok
-        assert outcome.product.re != outcome.product.im
+        # G = (5 + i)**4 (239 + i) = 113284 + 115196i: the parts differ
+        with pytest.raises(UnverifiedFormula, match=(
+                r"^exact product check failed: G\.re \(17 bits\) != G\.im \(17 bits\)$")):
+            verify_formula(
+                MachinFormula(((Fraction(4), Fraction(5)), (Fraction(1), Fraction(239))))
+            )
 
     def test_rational_coefficient_rejected(self):
         # refused when the formula is built, before any check could run
@@ -183,30 +195,31 @@ class TestVerify:
     def test_formula_holding_only_modulo_pi_fails(self):
         # 5 arctan(1) = pi/4 + pi: G = (1 + i)**5 = -4 - 4i passes the
         # product check, the branch check rejects it.
-        outcome = verify_formula(MachinFormula.single(Fraction(5), Fraction(1)))
-        assert not outcome.ok
-        assert outcome.product == GaussianInt(-4, -4) and outcome.turns == 1
-        assert "branch check failed" in outcome.summary()
+        with pytest.raises(UnverifiedFormula, match=(
+                r"^branch check failed: the sum is pi/4 \+1\*pi \(the product check "
+                r"holds: G\.re \(3 bits\) == G\.im \(3 bits\)\)$")):
+            verify_formula(MachinFormula.single(Fraction(5), Fraction(1)))
+        assert gaussian_power(1, 1, 5) == (-4, -4)
 
     def test_closing_term_off_the_principal_branch_fails(self):
         # what solve_u2 returns for u1 = 1/2 at depth 3: 4 arctan(2) +
         # arctan(-17/31) = 5 pi/4
         u2 = solve_u2(Fraction(1, 2), 3)
         assert u2 == Fraction(-31, 17)
-        outcome = verify_formula(MachinFormula.two_term(3, Fraction(1, 2), u2))
-        assert not outcome.ok and outcome.turns == 1
+        with pytest.raises(UnverifiedFormula, match=r"the sum is pi/4 \+1\*pi"):
+            verify_formula(MachinFormula.two_term(3, Fraction(1, 2), u2))
 
     def test_failure_summary_names_the_product_check(self):
-        outcome = verify_formula(
-            MachinFormula(((Fraction(4), Fraction(5)), (Fraction(1), Fraction(239))))
-        )
-        assert outcome.summary().startswith("exact product check failed")
+        with pytest.raises(UnverifiedFormula, match="^exact product check failed"):
+            verify_formula(
+                MachinFormula(((Fraction(4), Fraction(5)), (Fraction(1), Fraction(239))))
+            )
 
     def test_tiny_argument_needs_no_float_overflow(self):
         # 1/beta = 10**400 is beyond float range; the pair cancels exactly.
         tiny = Fraction(1, 10 ** 400)
         terms = ((Fraction(1), Fraction(1)), (Fraction(1), tiny), (Fraction(-1), tiny))
-        assert verify_formula(MachinFormula(terms)).ok
+        assert verifies(MachinFormula(terms))
 
     def test_coefficients_too_large_for_branch_check(self):
         with pytest.raises(NotExactlyVerifiable):
@@ -234,7 +247,7 @@ class TestVerify:
         def no_power(*args):
             raise AssertionError("a Gaussian power was formed")
 
-        monkeypatch.setattr(GaussianInt, "__pow__", no_power)
+        monkeypatch.setattr(machin, "gaussian_power", no_power)
         formula = MachinFormula.single(1 << 40, Fraction(1))
         assert power_bits(1 << 40, Fraction(1)) > MAX_POWER_BITS
         with pytest.raises(NotExactlyVerifiable, match="limit"):
@@ -250,7 +263,7 @@ class TestVerify:
     def test_generated_formulas_round_trip(self, k, den):
         sel = select_u1(eval_radicals(k, 26), den)
         u2 = solve_u2(sel.u1, k)
-        assert verify_formula(MachinFormula.two_term(k, sel.u1, u2)).ok
+        assert verifies(MachinFormula.two_term(k, sel.u1, u2))
 
     @pytest.mark.parametrize("k", range(2, 18))
     def test_every_generated_record_passes_the_branch_check(self, k):
@@ -308,8 +321,8 @@ class TestPowerSizeLimit:
         (1000, Fraction(5)), (7, Fraction(-24, 10)), (3, Fraction(3 ** 200, 7 ** 50)),
     ])
     def test_size_matches_formed_power(self, alpha, beta):
-        g = GaussianInt(beta.numerator, beta.denominator) ** alpha
-        formed = max(abs(g.re).bit_length(), abs(g.im).bit_length())
+        re, im = gaussian_power(beta.numerator, beta.denominator, alpha)
+        formed = max(abs(re).bit_length(), abs(im).bit_length())
         assert abs(power_bits(alpha, beta) - formed) <= 1
 
     @pytest.mark.parametrize("k, allowed", [(23, True), (26, True), (27, False)])
@@ -323,7 +336,7 @@ class TestPowerSizeLimit:
         def refuse(*args):
             raise AssertionError("Gaussian power formed")
 
-        monkeypatch.setattr(GaussianInt, "__pow__", refuse)
+        monkeypatch.setattr(machin, "gaussian_power", refuse)
         for alpha in (1 << 40, 10 ** 400):
             with pytest.raises(ValueError, match="limit"):
                 solve_second_term(alpha, Fraction(5))
@@ -356,8 +369,8 @@ class TestGcdFreeSolve:
     @pytest.mark.parametrize("k,shared", [(3, 4), (14, 1), (15, 1 << 8192)])
     def test_shared_factor_is_a_power_of_two(self, k, shared):
         u1 = _selected_u1(k)
-        g = GaussianInt(u1.numerator, u1.denominator) ** (1 << (k - 1))
-        assert math.gcd(g.re + g.im, g.re - g.im) == shared
+        re, im = gaussian_power(u1.numerator, u1.denominator, 1 << (k - 1))
+        assert math.gcd(re + im, re - im) == shared
 
 
 class TestBranchEstimateFromText:
@@ -395,10 +408,22 @@ def _record_terms(k: int, variant: str):
     return MachinFormula.two_term(k, u1, u2).terms
 
 
-def _rotation_of(g: GaussianInt) -> tuple[Fraction, Fraction]:
+def _product(terms) -> tuple[int, int]:
+    """G, the product of (p + qi)**|alpha| over the terms, conjugated
+    where alpha < 0, by the oracles' repeated multiplication."""
+    g = (1, 0)
+    for alpha, beta in terms:
+        beta = Fraction(beta)
+        c, d = gi_pow_naive((beta.numerator, beta.denominator), abs(alpha))
+        g = gi_mul_naive(g, (c, -d) if alpha < 0 else (c, d))
+    return g
+
+
+def _rotation_of(g: tuple[int, int]) -> tuple[Fraction, Fraction]:
     """G**2 / |G|**2, the rotation the certificate G stands for."""
-    n = g.norm()
-    return Fraction(g.re * g.re - g.im * g.im, n), Fraction(2 * g.re * g.im, n)
+    re, im = g
+    n = re * re + im * im
+    return Fraction(re * re - im * im, n), Fraction(2 * re * im, n)
 
 
 small_alphas = st.integers(min_value=-6, max_value=6)
@@ -429,16 +454,28 @@ class TestVerifyAgainstReference:
     def test_records(self, k, variant, valid):
         terms = _record_terms(k, variant)
         reference = rotation_product_reference(terms) == (0, 1)
-        assert verify_formula(MachinFormula(terms)).ok == reference == valid
+        assert verifies(MachinFormula(terms)) == reference == valid
 
     @given(st.lists(st.tuples(small_alphas, small_betas), min_size=1, max_size=3))
     def test_random_small_formulas(self, terms):
-        outcome = verify_formula(_formula(terms))
+        # The failure text names G's sizes, so it pins the G that
+        # verify_formula formed to the one whose rotation is checked here.
         reference = rotation_product_reference(terms)
         turns = branch_turns(terms) if reference == (0, 1) else 0
-        assert outcome.ok == (reference == (0, 1) and turns == 0)
-        assert outcome.turns == turns
-        assert _rotation_of(outcome.product) == reference
+        re, im = _product(terms)
+        assert _rotation_of((re, im)) == reference
+        sizes = f"G.re ({re.bit_length()} bits) {{}} G.im ({im.bit_length()} bits)"
+        if reference != (0, 1):
+            expected = "exact product check failed: " + sizes.format("!=")
+        elif turns:
+            expected = (f"branch check failed: the sum is pi/4 {turns:+d}*pi "
+                        "(the product check holds: " + sizes.format("==") + ")")
+        else:
+            assert verifies(_formula(terms))
+            return
+        with pytest.raises(UnverifiedFormula) as failure:
+            verify_formula(_formula(terms))
+        assert str(failure.value) == expected
 
     @given(st.sampled_from(VALID_SMALL_FORMULAS), small_alphas, small_betas,
            st.booleans())
@@ -448,4 +485,4 @@ class TestVerifyAgainstReference:
         cancel = (-alpha, beta) if flip else (alpha, -beta)
         terms = base + ((alpha, beta), cancel)
         assert rotation_product_reference(terms) == (0, 1)
-        assert verify_formula(_formula(terms)).ok
+        assert verifies(_formula(terms))

@@ -24,7 +24,6 @@ from machinpi import cli, machin
 from machinpi.cli import generate_record
 from machinpi.errors import (DigitCountMismatch, EpsilonTooLarge, NotExactlyVerifiable,
                              RecordParseError, UnverifiedFormula)
-from machinpi.exact import GaussianInt
 from machinpi.radicals import eval_radicals, select_u1
 from machinpi.records import (
     SIDECAR_THRESHOLD_DIGITS,
@@ -41,6 +40,15 @@ from test_golden_outputs import RECORD_FILES
 
 def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
+
+
+def _patch_everywhere(monkeypatch, function, replacement) -> None:
+    """Bind `replacement` in place of `function` in every machinpi module
+    that imports it, so a spy sees each call whoever makes it."""
+    for module in [m for name, m in sys.modules.items() if name.startswith("machinpi")]:
+        for name, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, name, replacement)
 
 
 def test_repeated_calls_leave_no_cyclic_garbage(capsys):
@@ -476,17 +484,18 @@ class TestRecordCheckBySolve:
         assert "limit" in capsys.readouterr().err
 
     def test_record_path_forms_no_big_gaussian_product(self, tmp_path, monkeypatch):
-        # A product of two 10,000-bit Gaussian integers is what the check
-        # no longer forms; the power is made by squaring alone.
-        multiply = GaussianInt.__mul__
+        # A product of 10,000-bit Gaussian integers is what the check no
+        # longer forms in int.  Every such product is made from
+        # gaussian_power's results, so a result that big marks one.
+        power = machinpi.exact.gaussian_power
 
-        def small_only(a, b):
-            if min(max(abs(z.re).bit_length(), abs(z.im).bit_length())
-                   for z in (a, b)) > 10_000:
+        def small_only(re, im, n):
+            result = power(re, im, n)
+            if max(abs(part).bit_length() for part in result) > 10_000:
                 raise AssertionError("big Gaussian product formed")
-            return multiply(a, b)
+            return result
 
-        monkeypatch.setattr(GaussianInt, "__mul__", small_only)
+        _patch_everywhere(monkeypatch, power, small_only)
         path = str(tmp_path / "k13.json")
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_cli("generate", "13", "--out", path) == 0
@@ -510,12 +519,9 @@ def test_generate_and_verify_stay_in_decimal(tmp_path, monkeypatch):
             return convert(value)
         return guarded
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("machinpi")]:
-        for name, value in list(vars(module).items()):
-            if value is machinpi.exact.int_to_text or value is machinpi.exact.text_to_int:
-                monkeypatch.setattr(module, name, small_only(value))
-    monkeypatch.setattr(GaussianInt, "__pow__", refuse)
-    monkeypatch.setattr(GaussianInt, "square", refuse)
+    for convert in (machinpi.exact.int_to_text, machinpi.exact.text_to_int):
+        _patch_everywhere(monkeypatch, convert, small_only(convert))
+    _patch_everywhere(monkeypatch, machinpi.exact.gaussian_power, refuse)
     path = tmp_path / "k13.json"
     assert run_cli("generate", "13", "--out", str(path)) == 0
     assert run_cli("verify", str(path)) == 0
@@ -945,13 +951,13 @@ class TestPowerSizeLimit:
     ])
     def test_refused_at_once(self, tmp_path, monkeypatch, capsys, argv):
         exponents = []
-        power = GaussianInt.__pow__
+        power = machinpi.exact.gaussian_power
 
-        def spy(self, n):
+        def spy(re, im, n):
             exponents.append(n)
-            return power(self, n)
+            return power(re, im, n)
 
-        monkeypatch.setattr(GaussianInt, "__pow__", spy)
+        _patch_everywhere(monkeypatch, power, spy)
         monkeypatch.setenv("MACHINPI_DIR", str(tmp_path))
         start = time.perf_counter()
         assert run_cli(*argv) == cli.EXIT_USAGE
