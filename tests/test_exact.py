@@ -53,6 +53,18 @@ class TestGaussianPower:
                                                           gaussian_power(a, b, n))
 
     @given(small_ints, small_ints, st.integers(min_value=0, max_value=40))
+    def test_power_of_conjugate_is_conjugate_of_power(self, a, b, n):
+        # verify_formula takes (p, -q) for a negative alpha
+        re, im = gaussian_power(a, b, n)
+        assert gaussian_power(a, -b, n) == (re, -im)
+
+    @given(small_ints, small_ints, small_ints, small_ints,
+           st.integers(min_value=0, max_value=30))
+    def test_power_of_product_is_product_of_powers(self, a, b, c, d, n):
+        assert gaussian_power(*gi_mul_naive((a, b), (c, d)), n) == gi_mul_naive(
+            gaussian_power(a, b, n), gaussian_power(c, d, n))
+
+    @given(small_ints, small_ints, st.integers(min_value=0, max_value=40))
     def test_norm_of_power_is_power_of_norm(self, a, b, n):
         # |(p + qi)**n / (p - qi)**n| = 1: the rotations stay on the unit circle
         re, im = gaussian_power(a, b, n)
