@@ -12,16 +12,18 @@ The record path works in exact decimal instead: decimal_gaussian_power
 forms (p + qi)**n in a private libmpdec context in which every integer
 operation is exact, so its decimal text costs linear time, and
 decimal_head reads the leading digits of a quotient of two such texts.
-int_to_text and text_to_int convert big integers to and from decimal
-text in subquadratic time where an int is still wanted; none of them
-changes CPython's process-wide int <-> str digit cap or the thread's
-decimal context.  int_divmod is divmod in subquadratic time, for every
+Both powers share one square-and-multiply loop.  int_to_text and
+text_to_int convert big integers to and from decimal text in
+subquadratic time where an int is still wanted; none of them changes
+CPython's process-wide int <-> str digit cap or the thread's decimal
+context.  int_divmod is divmod in subquadratic time, for every
 division of working-scale operands.
 """
 
 from __future__ import annotations
 
 import decimal
+import operator
 from fractions import Fraction
 
 
@@ -208,38 +210,35 @@ def _power_of_five(m: int, powers: dict[int, int]) -> int:
 
 def gaussian_power(re: int, im: int, n: int) -> tuple[int, int]:
     """The parts of (re + im i)**n for n >= 0 as a pair of ints, (1, 0)
-    for n = 0, by square-and-multiply from the top bit of n: each square
-    takes two multiplications, (a + b)(a - b) and ab, and each multiply
-    is by the base itself."""
-    a, b = 1, 0
-    for i in reversed(range(n.bit_length())):
-        a, b = (a + b) * (a - b), (a * b) << 1
-        if n >> i & 1:
-            a, b = a * re - b * im, a * im + b * re
-    return a, b
+    for n = 0."""
+    return _square_and_multiply(re, im, n, operator.mul, operator.add, operator.sub)
 
 
 def decimal_gaussian_power(re: int, im: int, n: int,
                            ctx: decimal.Context) -> tuple[decimal.Decimal, decimal.Decimal]:
     """The parts of (re + im i)**n for n >= 1 as integer Decimals
-    (exponent 0), by square-and-multiply in ctx, which must be an
-    _exact_context(): unbounded precision with Inexact and Rounded
-    trapped, so any rounding raises instead of passing.  Each square
-    takes two multiplications, (a + b)(a - b) and ab."""
+    (exponent 0), computed in ctx, which must be an _exact_context(), so
+    that any rounding raises instead of passing."""
     if n < 1:
         raise ValueError("the exponent of a decimal Gaussian power must be positive")
-    a, b = ctx.create_decimal(re), ctx.create_decimal(im)
-    result = None
-    while True:
-        if n & 1:
-            result = (a, b) if result is None else (
-                ctx.subtract(ctx.multiply(result[0], a), ctx.multiply(result[1], b)),
-                ctx.add(ctx.multiply(result[0], b), ctx.multiply(result[1], a)))
-        n >>= 1
-        if not n:
-            return result
-        ab = ctx.multiply(a, b)
-        a, b = ctx.multiply(ctx.add(a, b), ctx.subtract(a, b)), ctx.add(ab, ab)
+    return _square_and_multiply(ctx.create_decimal(re), ctx.create_decimal(im), n,
+                                ctx.multiply, ctx.add, ctx.subtract)
+
+
+def _square_and_multiply(re, im, n: int, mul, add, sub):
+    """(re + im i)**n for n >= 0 in the arithmetic mul, add and sub, by
+    square-and-multiply from the top bit of n: each square takes two
+    multiplications, (a + b)(a - b) and ab, and each multiply is by the
+    base, which also starts the loop for n >= 1."""
+    if not n:
+        return 1, 0
+    a, b = re, im
+    for i in reversed(range(n.bit_length() - 1)):
+        ab = mul(a, b)
+        a, b = mul(add(a, b), sub(a, b)), add(ab, ab)
+        if n >> i & 1:
+            a, b = sub(mul(a, re), mul(b, im)), add(mul(a, im), mul(b, re))
+    return a, b
 
 
 def parse_rational(text: str) -> Fraction:

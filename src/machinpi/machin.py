@@ -52,16 +52,9 @@ from .exact import _exact_context, decimal_gaussian_power, fraction_from_text, g
 # |atan| <= pi/2 for libm, and 2**-54 for rounding y = 1/beta to a float,
 # since atan'(y) <= 1/(1 + y**2).  Beyond |y| = 2**64 the float pi/2
 # stands in, off by at most 2**-53 + 2**-64.  The float product and the
-# correctly rounded fsum add 2**-52 each.  A cotangent given as text is
-# read from _HEAD_DIGITS-digit heads (_text_ratio): y moves by a factor
-# within 1 +- 2.1e-39, so atan(y) by at most 2**-127 |y|/(1 + y**2) <=
-# 2**-128, and the cap on its exponent adds under 10**-399.  The total
-# is 0.79 * 2**-49, below 2**-49.
+# correctly rounded fsum add 2**-52 each.  The total is 0.79 * 2**-49,
+# below 2**-49.
 _ATAN_ERROR = 2.0 ** -49
-
-# Leading digits of each part of a decimal-text cotangent that the
-# branch check reads.
-_HEAD_DIGITS = 40
 
 # Largest Gaussian power formed, in bits of its parts.  Depth 23's second
 # term needs about 1.08e8 bits; a power past 2**30 bits would run for
@@ -316,20 +309,21 @@ def sum_turns(formula: MachinFormula) -> int:
     """n with sum of alpha * arctan(1/beta) = pi/4 + n*pi, for a formula
     whose product check holds.  The float estimate is within
     sum(|alpha|) * _ATAN_ERROR < pi/8 of the sum, so rounding picks n."""
-    return _turns((alpha, _atan_inverse(beta.numerator, beta.denominator))
-                  for alpha, beta in formula.terms)
+    estimate = math.fsum(float(alpha) * _atan_inverse(beta.numerator, beta.denominator)
+                         for alpha, beta in formula.terms)
+    return round((estimate - math.pi / 4) / math.pi)
 
 
 def closing_turns(alpha1: int, beta1: Fraction, beta2: tuple[str, str]) -> int:
-    """sum_turns of alpha1*arctan(1/beta1) + arctan(1/beta2), with beta2
-    as the decimal text (num, den) that second_term_text returns."""
-    return _turns(((alpha1, _atan_inverse(beta1.numerator, beta1.denominator)),
-                   (1, _atan_inverse(*_text_ratio(*beta2)))))
-
-
-def _turns(terms) -> int:
-    estimate = math.fsum(float(alpha) * atan for alpha, atan in terms)
-    return round((estimate - math.pi / 4) / math.pi)
+    """n with alpha1*arctan(1/beta1) + arctan(1/beta2) = pi/4 + n*pi, for
+    the text beta2 = (num, den) that second_term_text returns; only num's
+    sign is read.  arctan(1/beta2) is in (0, pi/2) or (-pi/2, 0) as beta2
+    is positive or negative, so theta = alpha1*arctan(1/beta1) has theta/pi
+    within 1/4 of n or n + 1/2: an estimate within pi/4 of theta rounds to
+    n with the half taken off.  Callers size the power first, so alpha1 <=
+    2**31 (MAX_POWER_BITS) and theta's float error is under 2**-17."""
+    theta = float(alpha1) * _atan_inverse(beta1.numerator, beta1.denominator)
+    return round(theta / math.pi - 0.5 * beta2[0].startswith("-"))
 
 
 def _atan_inverse(p: int, q: int) -> float:
@@ -339,20 +333,3 @@ def _atan_inverse(p: int, q: int) -> float:
     if q > abs(p) << 64:
         return math.copysign(math.pi / 2, p)
     return math.atan(q / p)
-
-
-def _text_ratio(num: str, den: str) -> tuple[int, int]:
-    """(p, q), q > 0, for decimal integer text with den > 0, from the
-    leading _HEAD_DIGITS digits of each part: q/p is within a factor
-    1 +- 2.1e-39 of den/num.  A part of L > _HEAD_DIGITS digits is its
-    head h >= 10**(_HEAD_DIGITS-1) times 10**(L - _HEAD_DIGITS), plus less
-    than one unit of that power.  The difference of the two powers moves
-    to one part, capped at 400: past the cap |q/p| and |den/num| are both
-    over 10**359 (the +-pi/2 branch either way) or both under 10**-359
-    (arctangents within 10**-359 of each other)."""
-    sign = -1 if num.startswith("-") else 1
-    digits = num[sign < 0:]
-    p, q = int(digits[:_HEAD_DIGITS]), int(den[:_HEAD_DIGITS])
-    shift = max(len(den), _HEAD_DIGITS) - max(len(digits), _HEAD_DIGITS)
-    shift = max(-400, min(400, shift))
-    return sign * p * 10 ** max(0, -shift), q * 10 ** max(0, shift)

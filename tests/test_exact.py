@@ -22,6 +22,7 @@ from machinpi.exact import (
     parse_rational,
     text_to_int,
 )
+from machinpi.radicals import eval_radicals, select_u1
 
 from oracles import big_int_text, gi_mul_naive, gi_pow_naive, int_text_cap
 
@@ -85,6 +86,14 @@ class TestDecimalGaussianPower:
         ctx.prec = 20
         with pytest.raises(decimal.Rounded):
             decimal_gaussian_power(5, 1, 64, ctx)
+
+    # Production shapes: generate's n = 2**(k-1) on k = 13's selected u1,
+    # and an odd n, where every bit below the top multiplies by the base.
+    @pytest.mark.parametrize("n", [1 << 12, 3001])
+    def test_matches_int_power_at_record_sizes(self, n):
+        u1 = select_u1(eval_radicals(13, 26), 1).u1
+        re, im = decimal_gaussian_power(u1.numerator, u1.denominator, n, _exact_context())
+        assert (int(re), int(im)) == gaussian_power(u1.numerator, u1.denominator, n)
 
     def test_exponent_must_be_positive(self):
         with pytest.raises(ValueError):

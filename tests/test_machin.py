@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
@@ -231,10 +233,15 @@ class TestVerify:
         with pytest.raises(NotExactlyVerifiable, match=f"{bits + 1}-bit magnitude"):
             verify_formula(MachinFormula.single(Fraction(2 ** bits), Fraction(1)))
 
-    def test_branch_check_boundary_is_exact(self):
+    def test_branch_check_boundary_is_exact(self, monkeypatch):
         # The bound pi/8 / 2**-49 is exact in a float, so the weights on
         # either side of it fall on either side of the guard; the one
-        # below reaches the power-size check instead.
+        # below reaches the power-size check instead.  Neither may form
+        # its power: (1 + i)**(2.2e14) would exhaust memory.
+        def no_power(*args):
+            raise AssertionError("a Gaussian power was formed")
+
+        monkeypatch.setattr(machin, "gaussian_power", no_power)
         below = math.floor(Fraction(math.pi / 8 / 2.0 ** -49))
         with pytest.raises(NotExactlyVerifiable, match="limit"):
             verify_formula(MachinFormula.single(Fraction(below), Fraction(1)))
@@ -373,22 +380,45 @@ class TestGcdFreeSolve:
         assert math.gcd(re + im, re - im) == shared
 
 
-class TestBranchEstimateFromText:
-    # The branch check reads a text cotangent off 40-digit heads, with the
-    # digit-count difference capped at 400; its arctangent must stay
-    # within the float error of the one read off the exact integers.
-    @pytest.mark.parametrize("num, den", [
-        ("7" * 60, "3" * 45),
-        ("-" + "9" * 45, "1" + "0" * 44),
-        ("1", "1" + "0" * 500),  # |1/beta| past the cap: +pi/2
-        ("-1" + "0" * 500, "3"),  # past the cap the other way: -0
-        ("3", "1" + "0" * 19),  # |1/beta| just under 2**64
-        ("12345678901234567890123456789012345678901", "1" + "0" * 40),
+class TestClosingTurns:
+    """closing_turns reads only the sign of the solved u2; the branch it
+    gives is checked against the oracles' own arctangent estimate."""
+
+    # (2, 1) and (6, 1): u2 = -1 and theta/pi is 1/2 and 3/2, the middle
+    # of the interval the sign rule shifts by a half; (8, 1): u2 = 1.
+    @pytest.mark.parametrize("alpha1, beta1, turns", [
+        (2, Fraction(1), 0), (6, Fraction(1), 1), (8, Fraction(1), 2), (4, Fraction(5), 0),
     ])
-    def test_heads_match_exact_arctangent(self, num, den):
-        with big_int_text():
-            exact = machin._atan_inverse(int(num), int(den))
-        assert abs(machin._atan_inverse(*machin._text_ratio(num, den)) - exact) <= 2 ** -52
+    def test_hand_pins(self, alpha1, beta1, turns):
+        assert machin.closing_turns(alpha1, beta1, second_term_text(alpha1, beta1)) == turns
+
+    @given(st.integers(1, 64), st.integers(-50, 50).filter(bool), st.integers(1, 50))
+    @example(6, 1, 1).via("u2 < 0, n = 1")
+    @example(8, 1, 1).via("u2 > 0, n = 2")
+    @example(40, -7, 3).via("n < 0")
+    def test_matches_oracle_branch(self, alpha1, p, q):
+        beta1 = Fraction(p, q)
+        try:
+            num, den = second_term_text(alpha1, beta1)
+        except DegenerateSecondTerm:
+            assume(False)
+        beta2 = Fraction(int(num), int(den))
+        assert machin.closing_turns(alpha1, beta1, (num, den)) == branch_turns(
+            [(alpha1, beta1), (1, beta2)])
+
+
+def test_oracles_import_nothing_from_exact_or_machin():
+    # The branch and power oracles are independent references only while
+    # tests/oracles.py builds them without the code they check.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not imported & {"machinpi.exact", "machinpi.machin"}
 
 
 @lru_cache(maxsize=None)
