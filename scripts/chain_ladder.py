@@ -12,7 +12,9 @@ one row:
 
   m bits       the bits of the cotangent m
   terms        the terms the link sums
-  split ms     the binary split, series._split
+  split ms     the binary split, series._lcm_split
+  z bits       the bits of the split's top operand z, the longer of
+               its two parts, a count that repeats exactly
   round ms     the final rounding, series._rounded_sum, from the cut
                operands to the certified mantissa
   num, den     the bits of the numerator and the divisor of its one
@@ -86,7 +88,7 @@ class LinkSpy:
 
     @contextlib.contextmanager
     def patched(self):
-        conjugate, split, rounded = (series.arctan_conjugate, series._split,
+        conjugate, split, rounded = (series.arctan_conjugate, series._lcm_split,
                                      series._rounded_sum)
         from_ratio = FixedReal._from_ratio.__func__
 
@@ -95,6 +97,11 @@ class LinkSpy:
                               "scale": scale, "split": 0.0, "round": 0.0})
             return conjugate(x, terms, scale)
 
+        def split_sum(a, b, terms):
+            result = split(a, b, terms)
+            self.rows[-1]["z_bits"] = max(result[1].bit_length(), result[2].bit_length())
+            return result
+
         def division(cls, num, den, scale):
             if self.depth:  # inside _rounded_sum
                 self.rows[-1].update(num_bits=num.bit_length(), den_bits=den.bit_length())
@@ -102,12 +109,12 @@ class LinkSpy:
 
         try:
             series.arctan_conjugate = link
-            series._split = self._timed(split, "split")
+            series._lcm_split = self._timed(split_sum, "split")
             series._rounded_sum = self._timed(rounded, "round")
             FixedReal._from_ratio = classmethod(division)
             yield self
         finally:
-            series.arctan_conjugate, series._split = conjugate, split
+            series.arctan_conjugate, series._lcm_split = conjugate, split
             series._rounded_sum = rounded
             FixedReal._from_ratio = classmethod(from_ratio)
 
@@ -141,12 +148,12 @@ def run_request(argv: list[str], repeat: int) -> list[dict]:
 def print_request(name: str, digits: int, links: list[dict], probe_s: float) -> None:
     print(f"{name} --digits {digits}: {len(links)} links, scale {links[0]['scale']}, "
           f"probe {probe_s * 1e3:.3f} ms")
-    print(f"  {'m bits':>8} {'terms':>6} {'split ms':>9} {'round ms':>9} "
+    print(f"  {'m bits':>8} {'terms':>6} {'split ms':>9} {'z bits':>9} {'round ms':>9} "
           f"{'num bits':>9} {'den bits':>9}")
     for row in links:
         print(f"  {row['m_bits']:8d} {row['terms']:6d} {row['split'] * 1e3:9.3f} "
-              f"{row['round'] * 1e3:9.3f} {row['num_bits']:9d} {row['den_bits']:9d}",
-              flush=True)
+              f"{row['z_bits']:9d} {row['round'] * 1e3:9.3f} {row['num_bits']:9d} "
+              f"{row['den_bits']:9d}", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSecondTerm, NotExactlyVerifiable, UnverifiedFormula
-from .exact import _exact_context, decimal_gaussian_power, fraction_from_text, gaussian_power
+from .exact import (_exact_context, decimal_gaussian_power, fraction_from_text,
+                    gaussian_power, gaussian_product)
 
 # Error of a term's float estimate alpha * atan(1/beta) per unit of
 # |alpha|.  The atan is off by at most 2**-50 + 2**-54: 4 ulps of
@@ -295,7 +296,7 @@ def verify_formula(formula: MachinFormula) -> None:
     for alpha, beta in formula.terms:
         q = beta.denominator if alpha >= 0 else -beta.denominator
         c, d = gaussian_power(beta.numerator, q, abs(alpha))
-        re, im = re * c - im * d, re * d + im * c
+        re, im = gaussian_product(re, im, c, d)
     sizes = f"G.re ({re.bit_length()} bits) {{}} G.im ({im.bit_length()} bits)"
     if not re == im != 0:
         raise UnverifiedFormula("exact product check failed: " + sizes.format("!="))

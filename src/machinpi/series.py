@@ -18,15 +18,17 @@ digits from either source go through one driver that turns a digit
 target or a term budget into terms, scale, retries and the certified
 prefix (see _certified_pi).
 
-A rational x = a/b is split on int pairs and rounded from operands cut
-to the scale, within the proved ulp plus the tail (arctan_conjugate).
-Every cotangent of pi, a formula's or the tower's, first becomes a chain
-of integer cotangents, each split with numerator 1 (_arctan_inverse).
-The irrational c_k enters the chain as the integer pair (M, 2**s) of its
-interval's midpoint, and its own error widens the result once
-(pi_from_radicals).  Every evaluator here certifies an error bound at a
-working scale; the convergence measurement walks its own integer term
-stream, and the exact comparison series sit beside it (analysis).
+A rational x = a/b is split on int pairs over the lcm of the series'
+odd denominators, not their product (_lcm_split), and rounded from
+operands cut to the scale, within the proved ulp plus the tail
+(arctan_conjugate).  Every cotangent of pi, a formula's or the tower's,
+first becomes a chain of integer cotangents, each split with numerator
+1 (_arctan_inverse).  The irrational c_k enters the chain as the
+integer pair (M, 2**s) of its interval's midpoint, and its own error
+widens the result once (pi_from_radicals).  Every evaluator here
+certifies an error bound at a working scale; the convergence
+measurement walks its own integer term stream, and the exact comparison
+series sit beside it (analysis).
 
 Terms come from a multiplicative recurrence; no power is recomputed per
 term.  Each result's error bound covers rounding and truncation; the
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import PrecisionExhausted, ZeroArgument
-from .exact import int_divmod
+from .exact import gaussian_product, int_divmod
 from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
 from .radicals import eval_radicals
 from .realnum import FixedReal, _ceil_div
@@ -130,31 +132,108 @@ def _tail_ulps(num: int, den: int, terms: int, scale: int) -> int:
     2**(td - tn) shifted onto q; a cap of 1 or more takes num/den.  With
     sqrt(p/q) <= (isqrt(pq) + 1)/q the bound is formed on integers.
 
-    The cap stays though every chain link sends (1, 1 + 4m**2): q's 64
-    leading bits over zero low bits make q ** terms cheap (m of 2000 bits,
-    9 terms, scale 33,300: 0.21 ms, exact 0.75; Xeon VM, Python 3.11.7)."""
+    Every chain link sends (1, 1 + 4m**2), and past the first few links
+    the bound is far below one ulp.  So when bits(p) + 2 <= bits(q), the
+    bit lengths bound it first: 2 p**terms (isqrt(pq) + 1) is under
+    2**(1 + terms bits(p) + ceil(bits(pq)/2)), q**terms (2 terms + 1)
+    (q - p) is at least 2**(terms (bits(q) - 1) + bits(2 terms + 1) - 1 +
+    bits(q) - 2), and a positive bound of at most one ulp rounds up to 1
+    with no isqrt and no power (the last link of compute-pi --k 400 at
+    10^4 digits, m of 25,711 bits: 1.24 ms for the full bound, 1 us this
+    way; Python 3.11.7 on a 2-vCPU Xeon VM)."""
     tn = max(0, num.bit_length() - 64)
     td = max(0, den.bit_length() - 64)
     p, q = (num >> tn) + (tn > 0), (den >> td) << (td - tn)
     if p >= q:
         p, q = num, den  # huge near-one operands: the exact ratio
+    bp, bq = p.bit_length(), q.bit_length()
+    if p and bp + 2 <= bq and (1 + terms * bp + (bp + bq + 1) // 2 + scale
+                               <= terms * (bq - 1) + (2 * terms + 1).bit_length() + bq - 3):
+        return 1
     bound = (2 * p ** terms * (math.isqrt(p * q) + 1)) << scale
     return _ceil_div(bound, q ** terms * (2 * terms + 1) * (q - p))
 
 
-def _split(a2: int, gr: int, gi: int, lo: int, hi: int):
-    """Binary splitting on plain ints of p(j)/q(j), p(j) = a2 (2j - 1) and
-    q(j) = (gr + gi i)(2j + 1), over j in [lo, hi): (P, Qr, Qi, Tr, Ti)
-    for P and Q = Qr + Qi i the products and T/Q = sum over n of the
-    products of p(j)/q(j), j = lo..n (Haible and Papanikolaou, 1998)."""
-    if hi - lo == 1:
-        p = a2 * (2 * lo - 1)
-        return p, gr * (2 * lo + 1), gi * (2 * lo + 1), p, 0
-    mid = (lo + hi) // 2
-    p1, qr1, qi1, tr1, ti1 = _split(a2, gr, gi, lo, mid)
-    p2, qr2, qi2, tr2, ti2 = _split(a2, gr, gi, mid, hi)
-    return (p1 * p2, qr1 * qr2 - qi1 * qi2, qr1 * qi2 + qi1 * qr2,
-            tr1 * qr2 - ti1 * qi2 + p1 * tr2, tr1 * qi2 + ti1 * qr2 + p1 * ti2)
+# Blocks of at most this many terms are summed term by term, not split.
+# Of 8, 12, 16 and 24, 12 and 16 were within 3% of the fastest at m = 5
+# from 300 to 49,895 terms and at m = 239 with 21,000 (best of 3, Python
+# 3.11.7 on a 2-vCPU Xeon VM); 24 doubled the 19-term link of --k 40 at
+# 10^5 digits.
+_LEAF_TERMS = 12
+
+
+def _lcm_split(a: int, b: int, terms: int) -> tuple[int, int, int, int, int]:
+    """(p, zr, zi, wr, wi) for x = a/b: S = a w / z, z = zr + zi i and w =
+    wr + wi i, is the sum of the first `terms` terms of arctan_conjugate,
+    and a p / z, p an int, is the last of them.
+
+    With g = a + 2bi, G = g**2 and A = a**2, term n + 1 is term n times
+    r(n) = A (2n - 1) / (G (2n + 1)).  Over a block [lo, hi) of n, the sum
+    of r(lo) ... r(n) is (2lo - 1) B / (L G**len), for len = hi - lo, L
+    the lcm of the block's odd denominators 2n + 1 and the Gaussian
+    integer B = sum of A**(n - lo + 1) G**(hi - 1 - n) L / (2n + 1); the
+    products of the odd numbers 2n - 1 telescope away.  Halves of lengths
+    n1 and n2 merge as B = B1 (L/L1) G**n2 + B2 (L/L2) A**n1 (Cheng,
+    Hanrot, Thome, Zima and Zimmermann, ISSAC 2007, on Haible and
+    Papanikolaou's binary splitting; _lcm_blocks).  Over [1, terms) this
+    gives S = (a/g)(1 + B/(L G**(terms - 1))), so z = g L G**(terms - 1)
+    and w = L G**(terms - 1) + B, and p = A**(terms - 1) L / (2 terms - 1).
+    """
+    a2 = a * a
+    powers = {0: (1, 0, 1), 1: (a2 - 4 * b * b, 4 * a * b, a2)}
+    lcm, br, bi = _lcm_blocks(powers, 1, terms)
+    gr, gi, _ = _split_power(powers, terms - 1)
+    qr, qi = lcm * gr, lcm * gi
+    return (a2 ** (terms - 1) * (lcm // (2 * terms - 1)), a * qr - 2 * b * qi,
+            a * qi + 2 * b * qr, qr + br, qi + bi)
+
+
+# Module functions, not closures: a recursive closure is a reference cycle
+# that keeps its operands alive until the cyclic collector runs.
+
+def _lcm_blocks(powers: dict, lo: int, hi: int) -> tuple[int, int, int]:
+    """(L, Br, Bi) of the block [lo, hi) of _lcm_split, from `powers`,
+    which maps a length n to (G**n, A**n); L/L1 and L/L2 are L2 and L1
+    over gcd(L1, L2).  Up to _LEAF_TERMS terms, B is summed term by term
+    on the cached powers, which every leaf shares.  (A Horner loop in G
+    measured the same at m = 5 and 35% slower on the 4-term link of
+    --k 40 at 10^5 digits, whose G has 328k bits.)"""
+    if hi - lo <= _LEAF_TERMS:
+        lcm = math.lcm(*range(2 * lo + 1, 2 * hi, 2))
+        a2 = powers[1][2]
+        br = bi = 0
+        for n in range(lo, hi):
+            gr, gi, _ = _split_power(powers, hi - 1 - n)
+            c = a2 ** (n - lo + 1) * (lcm // (2 * n + 1))
+            br, bi = br + c * gr, bi + c * gi
+        return lcm, br, bi
+    mid = (lo + hi) >> 1
+    lcm1, b1r, b1i = _lcm_blocks(powers, lo, mid)
+    lcm2, b2r, b2i = _lcm_blocks(powers, mid, hi)
+    common = math.gcd(lcm1, lcm2)
+    f1, f2 = int_divmod(lcm2, common)[0], int_divmod(lcm1, common)[0]
+    gr, gi, _ = _split_power(powers, hi - mid)
+    br, bi = gaussian_product(b1r, b1i, gr * f1, gi * f1)
+    if powers[1][2] != 1:
+        f2 *= _split_power(powers, mid - lo)[2]
+    return lcm1 * f1, br + b2r * f2, bi + b2i * f2
+
+
+def _split_power(powers: dict, n: int) -> tuple[int, int, int]:
+    """(Re G**n, Im G**n, A**n), kept in `powers` by n: the blocks of a
+    balanced split have at most two lengths per level.  An even n squares
+    G**(n/2) in two multiplications, (x + y)(x - y) and 2xy."""
+    result = powers.get(n)
+    if result is None:
+        h = n >> 1
+        xr, xi, xa = _split_power(powers, h)
+        if n & 1:
+            yr, yi, ya = _split_power(powers, n - h)
+            result = (*gaussian_product(xr, xi, yr, yi), xa * ya)
+        else:
+            result = ((xr + xi) * (xr - xi), 2 * xr * xi, xa * xa)
+        powers[n] = result
+    return result
 
 
 def _rounded_sum(a: int, zr: int, zi: int, wr: int, wi: int, terms: int, scale: int):
@@ -194,12 +273,12 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     split on int pairs and rounded once from operands cut to the scale.
 
     With x = a/b and g = a + 2bi, arctan(x) = -2 Im(S) for S = sum of
-    a**(2m-1) / ((2m-1) g**(2m-1)), whose term ratio is a**2 (2m-1) /
-    (g**2 (2m+1)).  Splitting gives S = a w / z, z = g Q and w = Q + T,
-    so the bound is the final rounding (1 ulp, _rounded_sum) plus the
-    tail for rho = |v|**2 = a**2 / (a**2 + 4b**2), whose parts share 4
-    for even a and nothing for odd a.  The rate comes from the exact
-    first and last terms, off the uncut z; the last term is a P / (g Q).
+    a**(2m-1) / ((2m-1) g**(2m-1)).  Splitting over the lcm of the odd
+    denominators gives S = a w / z and the last term a p / z
+    (_lcm_split), so the bound is the final rounding (1 ulp,
+    _rounded_sum) plus the tail for rho = |v|**2 = a**2 / (a**2 + 4b**2),
+    whose parts share 4 for even a and nothing for odd a.  The rate comes
+    from the exact first and last terms, off the uncut z.
     """
     x = Fraction(x)
     if x == 0:
@@ -210,9 +289,7 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     a2 = a * a
     shift = 0 if a & 1 else 2
     rho_num, rho_den = a2 >> shift, (a2 + 4 * b * b) >> shift
-    p, qr, qi, tr, ti = (_split(a2, a2 - 4 * b * b, 4 * a * b, 1, terms) if terms > 1
-                         else (1, 1, 0, 0, 0))
-    zr, zi = a * qr - 2 * b * qi, a * qi + 2 * b * qr
+    p, zr, zi, wr, wi = _lcm_split(a, b, terms)
     if terms > 1 and zi:
         # The last term is -2 Im(a p / z) = 2 a p Im(z) / |z|**2.
         log_first = _log10_int(abs(4 * a * b)) - _log10_int(a2 + 4 * b * b)
@@ -221,7 +298,7 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
         rate = (log_first - log_last) / (terms - 1)
     else:
         rate = _log10_int(rho_den) - _log10_int(rho_num)
-    value = _rounded_sum(a, zr, zi, qr + tr, qi + ti, terms, scale)
+    value = _rounded_sum(a, zr, zi, wr, wi, terms, scale)
     value = value.widened(_tail_ulps(rho_num, rho_den, terms, scale))
     return SeriesResult(value, terms, rate, (terms,))
 
@@ -377,7 +454,7 @@ def _certified_pi(evaluate, rate: float, digits: int | None,
     could reach, and prints to_decimal's certified text for that many
     digits, PrecisionExhausted if it is empty.  A scale over
     MAX_POWER_BITS is ValueError (scale_for_digits), and so are more
-    terms: each multiplies Q by g**2, |g|**2 >= 5 (_split).
+    terms: each multiplies z by g**2, |g|**2 >= 5 (_lcm_split).
     """
     if (digits is None) == (terms is None):
         raise ValueError("exactly one of digits or terms is required")

@@ -17,6 +17,7 @@ from machinpi.exact import (
     decimal_gaussian_power,
     decimal_head,
     gaussian_power,
+    gaussian_product,
     int_divmod,
     int_to_text,
     parse_rational,
@@ -70,6 +71,12 @@ class TestGaussianPower:
         # |(p + qi)**n / (p - qi)**n| = 1: the rotations stay on the unit circle
         re, im = gaussian_power(a, b, n)
         assert re * re + im * im == (a * a + b * b) ** n
+
+
+@given(st.integers(), st.integers(), st.integers(), st.integers())
+@example(-(2 ** 4000) + 1, 3 ** 2000, 2 ** 3999, -(5 ** 1500))
+def test_gauss_product_is_the_four_product_form(ar, ai, br, bi):
+    assert gaussian_product(ar, ai, br, bi) == gi_mul_naive((ar, ai), (br, bi))
 
 
 class TestDecimalGaussianPower:

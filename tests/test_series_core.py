@@ -8,8 +8,9 @@ pairs), and a stream started from a rounded rational cotangent must
 give the reference's partial-sum mantissa.  Rational arguments are summed exactly by binary
 splitting, which must agree with the reference loop within both error
 bounds, never claim a wider bound, and contain an independent bracket of
-the true arctangent.  Its one rounding, from operands cut to the working
-scale, must stay within half an ulp plus 2**-61 of the exact partial sum
+the true arctangent; its exact sum must be the term-by-term one, over the
+lcm of the odd denominators, not their product.  Its one rounding, from
+operands cut to the working scale, must stay within half an ulp plus 2**-61 of the exact partial sum
 summed term by term, and no chain link may divide by more than scale +
 64 bits.  The tail bound on rho's integer pair must be the
 reference's for a = 1 and never looser for any a.  Every cotangent, of a
@@ -31,6 +32,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -45,6 +47,7 @@ from machinpi.realnum import FixedReal
 from machinpi.series import (
     _arctan_inverse,
     _cotangent_chain,
+    _lcm_split,
     _radical_rate,
     _tail_ulps,
     arctan_conjugate,
@@ -221,10 +224,48 @@ def exact_partial_sum(x: Fraction, terms: int) -> tuple[int, int]:
     return num, lcm * d ** (2 * terms - 1)
 
 
+# The split runs over the terms - 1 ratios after the first term, in leaf
+# blocks of up to series._LEAF_TERMS = 12: 13 terms are one full leaf, 14
+# split once, 25 fill two leaves, and 26 split one half again.
+@given(st.integers(-2 ** 20, 2 ** 20).filter(bool), st.integers(1, 2 ** 200),
+       st.integers(1, 200))
+@example(1, 5, 1)
+@example(1, 5, 2)
+@example(1, 5, 13)
+@example(1, 5, 14)
+@example(-2, 7, 25)
+@example(3, 2 ** 200, 26)
+@example(1, 239, 200)
+def test_lcm_split_is_the_exact_partial_sum(a, b, terms):
+    # The split's S = a w / z gives the term-by-term partial sum exactly,
+    # and a p / z is its last term a**(2N-1) / ((2N-1) g**(2N-1)).
+    x = Fraction(a, b)
+    a, b = x.numerator, x.denominator
+    p, zr, zi, wr, wi = _lcm_split(a, b, terms)
+    num, den = exact_partial_sum(x, terms)
+    assert -2 * a * (wi * zr - wr * zi) * den == num * (zr * zr + zi * zi)
+    power = (1, 0)
+    for _ in range(2 * terms - 1):
+        power = gi_mul_naive(power, (a, 2 * b))
+    lhs, rhs = a * p * (2 * terms - 1), a ** (2 * terms - 1)
+    assert (lhs * power[0], lhs * power[1]) == (rhs * zr, rhs * zi)
+
+
+def test_lcm_split_carries_the_lcm_not_the_product():
+    # At m = 5 and 2000 terms z = g L G**1999, for L = lcm(1, 3, ..., 3999)
+    # and |g| = sqrt(101); the product of the odd numbers 3 .. 3999 in
+    # its place would make z 34,360 bits.
+    bound = (math.lcm(*range(1, 4000, 2)).bit_length()
+             + math.ceil(3999 * math.log2(101) / 2) + 2)
+    assert bound == 19_061
+    _, zr, zi, _, _ = _lcm_split(1, 5, 2000)
+    assert max(zr.bit_length(), zi.bit_length()) <= bound
+
+
 def _cut_case(seed: int) -> tuple[Fraction, int, int]:
     """(x, terms, scale) with x = a/b, |a| up to 2**400 and the cotangent
-    b/|a| between 2**(scale/3) and 2**scale, so that z = g Q outgrows the
-    scale from two terms on, and |z|**2 for large cotangents from one."""
+    b/|a| between 2**(scale/3) and 2**scale, so that the split's z outgrows
+    the scale from two terms on, and |z|**2 for large cotangents from one."""
     rng = random.Random(seed)
     scale = rng.randint(64, 2048)
     a = rng.randint(1, 2 ** 400) * rng.choice((1, -1))
@@ -366,6 +407,21 @@ def test_tail_ulps_of_any_rho_pair_is_sound_and_never_looser(a, b, terms, scale)
     assert got <= math.ceil(_tail_bound(rho, terms) * 2 ** scale)
     exact = 2 ** (scale + 1) * rho ** terms / ((2 * terms + 1) * (1 - rho))
     assert got > 0 and got * got >= exact * exact * rho
+
+
+@given(st.integers(1, 2 ** 2000), st.integers(1, 60), st.integers(8, 40_000))
+@example(1 << 25_710, 3, 34_564)  # compute-pi --k 400's last link at 10**4 digits
+def test_tail_ulps_under_an_ulp_takes_no_root_or_power(m, terms, scale):
+    # Deep chain links put the tail far below one ulp.  There the bit
+    # lengths settle the bound at 1, with no isqrt of the full-size cap,
+    # whenever it is under 2**-(2 terms + 5) ulp; the result is the
+    # reference's either way.
+    bound = _tail_bound(Fraction(1, 1 + 4 * m * m), terms) * 2 ** scale
+    with mock.patch.object(math, "isqrt", wraps=math.isqrt) as isqrt:
+        got = _tail_ulps(1, 1 + 4 * m * m, terms, scale)
+    assert got == math.ceil(bound)
+    if bound < Fraction(1, 2 ** (2 * terms + 5)):
+        assert not isqrt.called
 
 
 @pytest.mark.parametrize("beta, scale, extra_ulp", [
