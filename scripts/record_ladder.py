@@ -63,14 +63,6 @@ def slope(xs: list[float], ys: list[float]) -> float:
             / sum((a - mx) ** 2 for a in lx))
 
 
-def u2_texts(path: Path) -> list[str]:
-    """u2's two parts as the record stores them, inline or in sidecars."""
-    parts = json.loads(path.read_text())["u2"]
-    return [entry["value"] if "value" in entry
-            else (path.parent / entry["file"]).read_text()[:-1]
-            for entry in (parts["num"], parts["den"])]
-
-
 def measure(k: int, repeat: int, work: Path) -> dict:
     directory = work / f"k{k}"
     directory.mkdir()
@@ -82,7 +74,7 @@ def measure(k: int, repeat: int, work: Path) -> dict:
 
     row = {"k": k, "generate": best_of(repeat, generate)}
     record = load_record(path)
-    texts = u2_texts(path)
+    texts = record.u2_text
     row["u2_bits"] = max(text_to_int(text).bit_length() for text in texts)
     row["u2_digits"] = max(len(text.lstrip("-")) for text in texts)
     row["check_record"] = best_of(repeat, lambda: check_record(record))

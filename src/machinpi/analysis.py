@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
-from .errors import DivergentArgument, InsufficientReference
+from .errors import InsufficientReference
 from .machin import MAX_POWER_BITS, MachinFormula, solve_u2
 from .realnum import FixedReal, _common_prefix_length, _div_nearest, _shift_nearest
 from .series import (
@@ -140,7 +140,7 @@ def arctan_gregory(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
     exact, and the first omitted term, which bounds the tail."""
     x = Fraction(x)
     if abs(x) >= 1:
-        raise DivergentArgument(f"|{x}| >= 1 diverges in the odd-power series")
+        raise ValueError(f"|{x}| >= 1 diverges in the odd-power series")
     if terms < 1:
         raise ValueError("terms must be at least 1")
     total, p = Fraction(0), x

@@ -12,6 +12,9 @@ Exit codes (scriptable, one per kind of failure):
   7  stored digit counts disagree with the stored value
   8  rounding residual too large for the requested denominator policy
 
+Each code from 3 to 8 is one class of machinpi.errors and its subclasses
+(_EXIT_BY_ERROR); ValueError is a usage error.
+
 A record is checked in a fixed order, and its first failure decides the
 code: parsing (3), a u2 with both parts even (3), digit counts (7), a k
 too large for u2 to close (4), then u2 re-solved and compared: another
@@ -41,16 +44,13 @@ from .errors import (
     AmbiguousRounding,
     DegenerateSecondTerm,
     DigitCountMismatch,
-    DivisorStraddlesZero,
     EpsilonTooLarge,
-    NegativeOperand,
-    NotExactlyVerifiable,
     PrecisionExhausted,
     RecordParseError,
     UnverifiedFormula,
 )
 from .exact import decimal_head, parse_rational
-from .machin import check_tower_depth, closing_turns, second_term_text
+from .machin import check_tower_depth, closing_turns, second_term_text, term_text
 from .radicals import eval_radicals, select_u1
 from .records import FormulaRecord, build_record, load_record, write_record
 from .series import digits_per_term, pi_digits_from_formula, pi_digits_from_radicals
@@ -66,11 +66,8 @@ EXIT_EPSILON = 8
 
 _EXIT_BY_ERROR = (
     (RecordParseError, EXIT_PARSE),
-    ((UnverifiedFormula, NotExactlyVerifiable), EXIT_VERIFICATION),
-    (
-        (PrecisionExhausted, AmbiguousRounding, NegativeOperand, DivisorStraddlesZero),
-        EXIT_PRECISION,
-    ),
+    (UnverifiedFormula, EXIT_VERIFICATION),
+    (PrecisionExhausted, EXIT_PRECISION),
     (DegenerateSecondTerm, EXIT_DEGENERATE),
     (DigitCountMismatch, EXIT_DIGIT_COUNT),
     (EpsilonTooLarge, EXIT_EPSILON),
@@ -252,7 +249,7 @@ def _cmd_solve_second(args) -> int:
     num, den = second_term_text(args.alpha1, beta1)
     turns = closing_turns(args.alpha1, beta1, (num, den))
     if turns:
-        raise DegenerateSecondTerm(f"{args.alpha1}*arctan(1/{beta1}) plus its closing "
+        raise DegenerateSecondTerm(f"{term_text(args.alpha1, beta1)} plus its closing "
                                    f"term is pi/4 {turns:+d}*pi; none closes pi/4")
     print(f"beta2 = {num}/{den}")
     print(f"      ~ {decimal_head(num, den)}")
@@ -314,8 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
-        for classes, code in _EXIT_BY_ERROR:
-            if isinstance(exc, classes):
+        for cls, code in _EXIT_BY_ERROR:
+            if isinstance(exc, cls):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
         raise

@@ -1,10 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Every failure mode that callers are expected to branch on gets its own
-class.  The CLI maps classes to exit codes by kind, so some share one:
-the four precision failures (PrecisionExhausted, AmbiguousRounding,
-NegativeOperand, DivisorStraddlesZero) exit 5, and UnverifiedFormula and
-NotExactlyVerifiable exit 4 (see machinpi.cli).
+One class per CLI exit code, 3 to 8 (see machinpi.cli); a failure that
+callers branch on more finely is a subclass of its code's class, so the
+CLI maps each code through that one base.  Bad arguments are ValueError
+(exit 2), like any other usage error.
 """
 
 
@@ -12,35 +11,33 @@ class MachinPiError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NegativeOperand(MachinPiError):
-    """Square root requested on an interval that is entirely negative.
-
-    Signals precision exhaustion upstream: a quantity known to be
-    non-negative came out negative after cancellation.
-    """
+class RecordParseError(MachinPiError):
+    """Record file unreadable: bad JSON, wrong schema, missing fields, or
+    sidecar content hash mismatch."""
 
 
-class DivisorStraddlesZero(MachinPiError):
-    """Division requested by an interval containing zero.
+class UnverifiedFormula(MachinPiError):
+    """A formula failed exact verification and was not explicitly allowed."""
 
-    Signals catastrophic cancellation upstream.
-    """
+
+class NotExactlyVerifiable(UnverifiedFormula):
+    """Exact verification cannot run: the coefficients sum too large for
+    the branch check, or a Gaussian power is over machin.MAX_POWER_BITS."""
 
 
 class PrecisionExhausted(MachinPiError):
-    """Retries at increasing working precision ran out."""
+    """The working precision cannot certify the result: retries ran out,
+    or cancellation left an interval negative under a square root or
+    straddling zero as a divisor."""
 
 
-class AmbiguousRounding(MachinPiError):
+class AmbiguousRounding(PrecisionExhausted):
     """An interval straddles a rounding boundary; raise precision and retry."""
 
 
-class EpsilonTooLarge(MachinPiError):
-    """The rounding residual is not small relative to the selected rational.
-
-    The construction requires the residual to be well under the value it
-    perturbs; we enforce a ratio below 1/10.
-    """
+class InsufficientReference(PrecisionExhausted):
+    """Reference constant has fewer validated digits than the measurement
+    could produce."""
 
 
 class DegenerateSecondTerm(MachinPiError):
@@ -51,32 +48,13 @@ class DegenerateSecondTerm(MachinPiError):
     """
 
 
-class NotExactlyVerifiable(MachinPiError):
-    """Exact verification cannot run: the coefficients sum too large for
-    the branch check, or a Gaussian power is over machin.MAX_POWER_BITS."""
-
-
-class DivergentArgument(MachinPiError):
-    """Series argument outside the convergence domain."""
-
-
-class ZeroArgument(MachinPiError):
-    """Series is undefined at argument zero."""
-
-
-class UnverifiedFormula(MachinPiError):
-    """A formula failed exact verification and was not explicitly allowed."""
-
-
-class InsufficientReference(MachinPiError):
-    """Reference constant has fewer validated digits than the measurement
-    could produce."""
-
-
-class RecordParseError(MachinPiError):
-    """Record file unreadable: bad JSON, wrong schema, missing fields, or
-    sidecar content hash mismatch."""
-
-
 class DigitCountMismatch(MachinPiError):
     """Stored digit counts disagree with the stored value."""
+
+
+class EpsilonTooLarge(MachinPiError):
+    """The rounding residual is not small relative to the selected rational.
+
+    The construction requires the residual to be well under the value it
+    perturbs; we enforce a ratio below 1/10.
+    """

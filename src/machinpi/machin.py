@@ -126,6 +126,13 @@ def _check_power_size(bits: float, error: type[Exception]) -> None:
                     f"limit of {MAX_POWER_BITS:.3g} bits")
 
 
+def term_text(alpha: int, beta: Fraction) -> str:
+    """alpha*arctan(1/beta) as messages print it, with a non-integer beta
+    in parentheses: 3*arctan(1/(1/2)), not 3*arctan(1/1/2)."""
+    cot = beta if beta.denominator == 1 else f"({beta})"
+    return f"{alpha}*arctan(1/{cot})"
+
+
 def second_term_text(alpha1: int, beta1: Fraction) -> tuple[str, str]:
     """Exact beta2 with alpha1*arctan(1/beta1) + arctan(1/beta2) equal to
     pi/4 modulo pi, as the decimal text (num, den) of its lowest terms
@@ -184,11 +191,11 @@ def _second_term_text(alpha1: int, beta1: Fraction) -> tuple[str, str]:
             num, den = ctx.add(x, y), ctx.subtract(x, y)
     if den.is_zero():
         turns = sum_turns(MachinFormula.single(alpha1, beta1))
-        raise DegenerateSecondTerm(f"{alpha1}*arctan(1/{beta1}) is already pi/4"
+        raise DegenerateSecondTerm(f"{term_text(alpha1, beta1)} is already pi/4"
                                    f"{f' {turns:+d}*pi' if turns else ''}; no second term")
     if num.is_zero():
         raise DegenerateSecondTerm(
-            f"{alpha1}*arctan(1/{beta1}) differs from pi/4 by a right "
+            f"{term_text(alpha1, beta1)} differs from pi/4 by a right "
             "angle; the second argument degenerates to zero"
         )
     if den.is_signed():
@@ -263,13 +270,13 @@ def solve_second_term_direct(alpha1: int, beta1: Fraction) -> Fraction:
     y -= n
     if x == 0 and y == 0:
         raise DegenerateSecondTerm(
-            f"{alpha1}*arctan(1/{beta1}) is already pi/4; no second term"
+            f"{term_text(alpha1, beta1)} is already pi/4; no second term"
         )
     denom = x * x + y * y
     assert -2 * n * y == denom, "second argument must come out real"
     if x == 0:
         raise DegenerateSecondTerm(
-            f"{alpha1}*arctan(1/{beta1}) differs from pi/4 by a right "
+            f"{term_text(alpha1, beta1)} differs from pi/4 by a right "
             "angle; the second argument degenerates to zero"
         )
     return Fraction(2 * n * x, denom)

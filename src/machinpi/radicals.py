@@ -64,7 +64,6 @@ def eval_radicals(k: int, decimal_digits: int) -> RadicalState:
         raise ValueError(f"the depth-{k} tower needs over {MAX_POWER_BITS:.3g} working bits")
     two = FixedReal.from_int(2, scale)
     a = two.sqrt()
-    a_prev = a
     for _ in range(2, k + 1):
         a_prev = a
         a = (two + a_prev).sqrt()
@@ -90,14 +89,11 @@ def select_u1(
     c = state.c_k
     lo = (c.mantissa - c.err_ulp) * d
     hi = (c.mantissa + c.err_ulp) * d
-    mid = c.mantissa * d
-    if rounding == "nearest":
-        # floor(x + 1/2) on mantissas scaled by d; a shift floors.
-        one = 1 << c.scale
-        n_lo, n_hi, n = ((2 * v + one) >> (c.scale + 1) for v in (lo, hi, mid))
-    else:
-        n_lo, n_hi, n = (v >> c.scale for v in (lo, hi, mid))
-    if n_lo != n_hi:
+    # floor(x + 1/2) or floor(x) on mantissas scaled by d; a shift floors.
+    # The rounding is monotone, so ends that round alike pin c_k's n.
+    half = 1 << (c.scale - 1) if rounding == "nearest" else 0
+    n, n_hi = ((v + half) >> c.scale for v in (lo, hi))
+    if n != n_hi:
         raise AmbiguousRounding(
             f"c_{state.k} interval straddles a {rounding} boundary at "
             f"denominator {d}; raise precision"

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DivisorStraddlesZero, NegativeOperand
+from .errors import PrecisionExhausted
 from .exact import int_divmod, int_to_text
 
 
@@ -204,7 +204,7 @@ class FixedReal:
         s = self._same_scale(other)
         my, ey = other.mantissa, other.err_ulp
         if abs(my) <= ey:
-            raise DivisorStraddlesZero(
+            raise PrecisionExhausted(
                 "divisor interval contains zero; raise the working scale"
             )
         num = self.mantissa << s
@@ -250,7 +250,7 @@ class FixedReal:
         m, e, s = self.mantissa, self.err_ulp, self.scale
         lo, hi = m - e, m + e
         if hi < 0:
-            raise NegativeOperand(
+            raise PrecisionExhausted(
                 "square root of an entirely negative interval"
             )
         if e == 0:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import PrecisionExhausted, ZeroArgument
+from .errors import PrecisionExhausted
 from .exact import gaussian_product, int_divmod
 from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
 from .radicals import eval_radicals
@@ -282,7 +282,7 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     """
     x = Fraction(x)
     if x == 0:
-        raise ZeroArgument("the conjugate-pair series needs a nonzero argument")
+        raise ValueError("the conjugate-pair series needs a nonzero argument")
     if terms < 1:
         raise ValueError("terms must be at least 1")
     a, b = x.numerator, x.denominator

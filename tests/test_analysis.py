@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from machinpi import analysis
 from machinpi.analysis import (
     KNOWN_DIGITS_PER_TERM,
     compare_methods,
@@ -44,6 +45,8 @@ class TestPredictRate:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             digits_per_term(Fraction(0))
+        with pytest.raises(ValueError, match="approx_log10 needs a positive value"):
+            approx_log10(Fraction(0))
 
 
 class TestMeasureConvergence:
@@ -118,3 +121,18 @@ class TestReference:
         ref = validated_pi_reference(120)
         text, ok = ref.to_decimal(120)
         assert ok and text == pi_text_300[:122]
+
+    def test_disagreeing_references_rejected(self, monkeypatch):
+        # The depth-5 reference reads 3.14259... instead of 3.14159...
+        real = analysis.pi_digits_from_formula
+
+        def depth_five_off(formula, digits):
+            text, result = real(formula, digits)
+            if formula.terms[0][1] == 20:
+                text = text[:4] + "2" + text[5:]
+            return text, result
+
+        monkeypatch.setattr(analysis, "pi_digits_from_formula", depth_five_off)
+        with pytest.raises(InsufficientReference,
+                           match="^independent pi references disagree within 10 digits$"):
+            validated_pi_reference(10)

@@ -180,6 +180,7 @@ EXIT_CODES = {
     "bench --k ,": 2,
     "bench --k 3 --max-terms 0": 2,
     "solve-second --alpha1 1 --beta1 0": 2,
+    "solve-second --alpha1 0 --beta1 5": 2,
     "solve-second --alpha1 8 --beta1 2": 6,
     "generate 100000": 2,
     # working scales over machin.MAX_POWER_BITS, refused before allocation

@@ -22,6 +22,7 @@ from machinpi.machin import (
     solve_second_term,
     solve_second_term_direct,
     solve_u2,
+    term_text,
     verify_formula,
 )
 from machinpi.radicals import eval_radicals, select_u1
@@ -44,9 +45,12 @@ BETA2_FOR_BILLION_DEN = int(
 
 
 def verifies(formula: MachinFormula) -> bool:
-    """verify_formula's verdict: False where it raises UnverifiedFormula."""
+    """verify_formula's verdict: False where it raises UnverifiedFormula;
+    a refused check (NotExactlyVerifiable) propagates."""
     try:
         verify_formula(formula)
+    except NotExactlyVerifiable:
+        raise
     except UnverifiedFormula:
         return False
     return True
@@ -79,6 +83,20 @@ class TestSolve:
         # three eighth-turns: off from pi/4 by exactly a right angle
         with pytest.raises(DegenerateSecondTerm):
             solve_second_term(3, Fraction(1))
+
+    @pytest.mark.parametrize("solve", [second_term_text, solve_second_term_direct])
+    def test_requires_positive_first_coefficient(self, solve):
+        with pytest.raises(ValueError, match="first coefficient must be a positive"):
+            solve(0, Fraction(5))
+
+    @pytest.mark.parametrize("alpha, beta, text", [
+        (8, Fraction(2), "8*arctan(1/2)"),
+        (3, Fraction(-1), "3*arctan(1/-1)"),
+        (3, Fraction(1, 2), "3*arctan(1/(1/2))"),
+        (1, Fraction(-24, 10), "1*arctan(1/(-12/5))"),
+    ])
+    def test_term_text_brackets_a_non_integer_cotangent(self, alpha, beta, text):
+        assert term_text(alpha, beta) == text
 
     def test_requires_positive_first_argument(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from machinpi import realnum
 from machinpi.errors import AmbiguousRounding, EpsilonTooLarge
-from machinpi.radicals import eval_radicals, select_u1
+from machinpi.radicals import RadicalState, eval_radicals, select_u1
 from machinpi.realnum import FixedReal
 from machinpi.series import pi_digits_from_formula
 from machinpi.machin import MachinFormula
@@ -75,6 +77,10 @@ class TestTower:
     def test_rejects_shallow_depth(self):
         with pytest.raises(ValueError):
             eval_radicals(1, 10)
+
+    def test_rejects_no_digits(self):
+        with pytest.raises(ValueError, match="decimal_digits must be at least 1"):
+            eval_radicals(5, 0)
 
     @pytest.mark.parametrize("k", [65, 100, 400])
     def test_guard_covers_deep_towers_first_time(self, k):
@@ -157,6 +163,28 @@ class TestSelection:
         )
         with pytest.raises(AmbiguousRounding):
             select_u1(blurred, 1)
+
+    # c_k = m / 2**8 +- e ulps, from 40 up so the residual is always small:
+    # u1 is the interval's one rounding, found here on exact Fractions.
+    @given(st.integers(40 << 8, 1000 << 8), st.integers(0, 300),
+           st.sampled_from([1, 10, 100]), st.sampled_from(["nearest", "floor"]))
+    @example((40 << 8) + 128, 0, 1, "nearest").via("exact half rounds up")
+    @example((40 << 8) + 127, 0, 1, "nearest").via("just under a half")
+    @example((41 << 8) - 1, 1, 1, "floor").via("upper end on the boundary")
+    @example((40 << 8) + 128, 1, 1, "nearest").via("ends on both sides of a half")
+    def test_selection_rounds_the_interval_ends(self, m, e, d, rounding):
+        c = FixedReal(m, 8, e)
+        state = RadicalState(k=3, a_k=c, a_km1=c, c_k=c)
+
+        def rounded(x: Fraction) -> int:
+            return math.floor(x + Fraction(1, 2) if rounding == "nearest" else x)
+
+        ends = {rounded(Fraction((m + sign * e) * d, 256)) for sign in (-1, 1)}
+        if len(ends) > 1:
+            with pytest.raises(AmbiguousRounding, match=f"straddles a {rounding} boundary"):
+                select_u1(state, d, rounding)
+        else:
+            assert select_u1(state, d, rounding).u1 == Fraction(ends.pop(), d)
 
     def test_rejects_bad_parameters(self):
         state = eval_radicals(3, 20)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from machinpi import realnum
-from machinpi.errors import DivisorStraddlesZero, NegativeOperand
+from machinpi.errors import PrecisionExhausted
 from machinpi.radicals import eval_radicals
 from machinpi.realnum import (
     _SQRTREM_CROSSOVER,
@@ -93,7 +93,7 @@ class TestSqrt:
         assert root.mantissa == 2 << 64 and root.err_ulp == 0
 
     def test_sqrt_rejects_negative_interval(self):
-        with pytest.raises(NegativeOperand):
+        with pytest.raises(PrecisionExhausted, match="entirely negative interval"):
             FixedReal.from_int(-1, 64).sqrt()
 
     def test_sqrt_clamps_straddling_interval(self):
@@ -205,7 +205,7 @@ class TestArithmetic:
         assert quotient.lower <= 1 <= quotient.upper
 
     def test_division_by_straddling_interval(self):
-        with pytest.raises(DivisorStraddlesZero):
+        with pytest.raises(PrecisionExhausted, match="divisor interval contains zero"):
             FixedReal.from_int(1, 64) / FixedReal(3, 64, 5)
 
     @given(fractions_mid, fractions_mid, scales)

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import machinpi
-from machinpi import cli, machin
+from machinpi import cli, errors, machin
 from machinpi.cli import generate_record
 from machinpi.errors import (DigitCountMismatch, EpsilonTooLarge, NotExactlyVerifiable,
                              RecordParseError, UnverifiedFormula)
@@ -1040,7 +1040,36 @@ class TestBenchCommand:
         assert slope is None or slope != slope  # undefined: one sample
 
 
+def test_every_error_class_has_one_exit_code():
+    # One table entry per code 3..8 plus OSError, and each package error
+    # is caught by exactly one of them.
+    codes = [code for _, code in cli._EXIT_BY_ERROR]
+    assert sorted(codes) == [cli.EXIT_USAGE, *range(cli.EXIT_PARSE, cli.EXIT_EPSILON + 1)]
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and cls is not errors.MachinPiError:
+            assert issubclass(cls, errors.MachinPiError)
+            assert sum(issubclass(cls, base) for base, _ in cli._EXIT_BY_ERROR) == 1, cls
+
+
+def test_unlisted_exception_propagates(monkeypatch):
+    def broken(path):
+        raise RuntimeError("not an error the CLI maps")
+
+    monkeypatch.setattr(cli, "load_record", broken)
+    with pytest.raises(RuntimeError, match="not an error the CLI maps"):
+        cli.main(["verify", "formula_k3.json"])
+
+
 class TestSolveSecondCommand:
+    def test_non_integer_first_cotangent_printed_in_parentheses(self, capsys):
+        # 3 arctan(2) + arctan(9/13) is pi/4 + pi; "1/1/2" would read as 1/2.
+        assert run_cli("solve-second", "--alpha1", "3", "--beta1", "0.5") == \
+            cli.EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 3*arctan(1/(1/2)) plus its closing term is "
+                                "pi/4 +1*pi; none closes pi/4\n")
+
     def test_published_counterexample(self, capsys):
         assert run_cli("solve-second", "--alpha1", "7", "--beta1", "1000000000") == 0
         out = capsys.readouterr().out
