@@ -9,16 +9,18 @@ process, as `machinpi generate k` does, and times three layers on it:
                  branch check and the record write
   check_record   digit counts, then u2 solved again from k and u1 and
                  compared with the stored text, and the branch check
-  text_to_int    both u2 parts from their text to int: the one
-                 conversion compute-pi makes before its series
+  compute_pi     the whole `machinpi compute-pi --formula ... --digits
+                 1000` command: load and check the record, then the
+                 series, which reads u2 from its leading digits
 
 Each time is the best of --repeat runs.  u2's parts double in size with
 each depth, so the least-squares slope of log(time) against log(bits of
 u2) is the layer's empirical growth exponent: about 1.58 for Karatsuba
 integer products, closer to 1 for libmpdec's products and decimal text,
 2 for a quadratic loop.  Each row also carries the sha256 of every file
-the record was written to, so two runs (two commits) can be checked to
-write byte-identical records.  It runs for several seconds and is not
+the record was written to, and compute-pi's stdout hash and stderr, so
+two runs (two commits) can be checked to write byte-identical records
+and print the same digits.  It runs for several seconds and is not
 part of the test suite:
 
     PYTHONPATH=src python scripts/record_ladder.py [--depths 13-17]
@@ -43,7 +45,7 @@ from machinpi import cli
 from machinpi.exact import text_to_int
 from machinpi.records import check_record, load_record
 
-LAYERS = ("generate", "check_record", "text_to_int")
+LAYERS = ("generate", "check_record", "compute_pi")
 
 
 def best_of(repeat: int, fn) -> float:
@@ -78,7 +80,17 @@ def measure(k: int, repeat: int, work: Path) -> dict:
     row["u2_bits"] = max(text_to_int(text).bit_length() for text in texts)
     row["u2_digits"] = max(len(text.lstrip("-")) for text in texts)
     row["check_record"] = best_of(repeat, lambda: check_record(record))
-    row["text_to_int"] = best_of(repeat, lambda: [text_to_int(t) for t in texts])
+
+    out, err = io.StringIO(), io.StringIO()
+
+    def compute_pi():
+        out.seek(0), out.truncate(), err.seek(0), err.truncate()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["compute-pi", "--formula", str(path), "--digits", "1000"]) == 0
+
+    row["compute_pi"] = best_of(repeat, compute_pi)
+    row["compute_pi_stdout_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    row["compute_pi_stderr"] = err.getvalue()
     row["files_sha256"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                            for p in sorted(directory.iterdir())}
     return row

@@ -154,7 +154,7 @@ def _cmd_compute_pi(args) -> int:
         # load_record re-checks the record; its "verified" flag is not trusted.
         record = load_record(args.formula)
         text, result = pi_digits_from_formula(
-            record.formula(), args.digits, args.terms, assume_verified=True
+            record, args.digits, args.terms, assume_verified=True
         )
     else:
         text, result = pi_digits_from_radicals(args.k, args.digits, args.terms)

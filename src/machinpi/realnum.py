@@ -19,11 +19,12 @@ ulps of 2**-s:
 * div:     e_out <= ceil((e_x |m_y| + |m_x| e_y) * 2**s
                           / (|m_y| (|m_y| - e_y))) + 1, requiring the
            divisor interval to exclude zero.
-* sqrt:    one integer square root with remainder per call (_sqrtrem,
-           Karatsuba square root, whose one half-size division per level
-           is exact.int_divmod's).  The root of the midpoint, taken
-           with _SQRT_GUARD extra bits and rounded to nearest, is the
-           mantissa; tangent-line bounds on both ends give
+* sqrt:    one integer floor root per call (_sqrt_floor: _sqrtrem's
+           Karatsuba square root, its top step without the remainder;
+           each level's half-size division is exact.int_divmod's).  The
+           root of the midpoint, taken with _SQRT_GUARD extra bits and
+           rounded to nearest, is the mantissa; tangent-line bounds on
+           both ends give
            e_out <= ceil(e / (2 sqrt(value)) + 1/2 + small), derived in
            FixedReal.sqrt.  Exact inputs give e_out in {0, 1}, exact
            when the remainder is 0; an interval reaching zero gives
@@ -41,7 +42,7 @@ from .errors import PrecisionExhausted
 from .exact import int_divmod, int_to_text
 
 
-# Extra bits in the interval square root's one _sqrtrem: they place the
+# Extra bits in the interval square root's one root: they place the
 # midpoint's root within 2**-_SQRT_GUARD ulps, so rounding it costs half
 # an ulp of error instead of one.
 _SQRT_GUARD = 32
@@ -68,26 +69,20 @@ def _sqrtrem(n: int) -> tuple[int, int]:
     and split as a3 b**3 + a2 b**2 + a1 b + a0 with b = 2**k, the top
     limb a3 is at least b/4.  The root s' of a3 b + a2 with remainder r'
     then gives q, u = divmod(r' b + a1, 2s'), s = s' b + q and
-    r = u b + a0 - q**2, and one step s -= 1 corrects a negative r.  The
-    shift comes off as s = S 2**t + s0, with n - S**2 = (r + 2 s0 s -
-    s0**2) / 4**t.  Each level costs one half-size division, by
-    exact.int_divmod's recursion, and one half-size square, both
-    subquadratic, and the recursion is linear, so the one isqrt call is
-    at the bottom.  A negative n raises ValueError.
+    r = u b + a0 - q**2, and one step s -= 1 corrects a negative r
+    (_sqrt_step).  The shift comes off as s = S 2**t + s0, with n - S**2
+    = (r + 2 s0 s - s0**2) / 4**t.  Each level costs one half-size
+    division, by exact.int_divmod's recursion, and one half-size square,
+    both subquadratic, and the recursion is linear, so the one isqrt
+    call is at the bottom.  A negative n raises ValueError.
     """
     if n.bit_length() <= _SQRTREM_CROSSOVER:
         s = isqrt(n)
         return s, n - s * s
     if n < 0:
         raise ValueError("_sqrtrem() argument must be nonnegative")
-    k = (n.bit_length() + 3) >> 2
-    t = (4 * k - n.bit_length()) >> 1
-    n <<= 2 * t
-    mask = (1 << k) - 1
-    s, r = _sqrtrem(n >> 2 * k)
-    q, u = int_divmod((r << k) | ((n >> k) & mask), s << 1)
-    s = (s << k) + q
-    r = (u << k) + (n & mask) - q * q
+    s, x, q, t = _sqrt_step(n)
+    r = x - q * q
     if r < 0:
         r += 2 * s - 1
         s -= 1
@@ -96,6 +91,32 @@ def _sqrtrem(n: int) -> tuple[int, int]:
         r = (r + (2 * s - s0) * s0) >> (2 * t)
         s >>= t
     return s, r
+
+
+def _sqrt_step(n: int) -> tuple[int, int, int, int]:
+    """(s, x, q, t) for _sqrtrem's top level on n << 2t: its root is s,
+    or s - 1 when x = u b + a0 is below q**2."""
+    k = (n.bit_length() + 3) >> 2
+    t = (4 * k - n.bit_length()) >> 1
+    n <<= 2 * t
+    mask = (1 << k) - 1
+    s, r = _sqrtrem(n >> 2 * k)
+    q, u = int_divmod((r << k) | ((n >> k) & mask), s << 1)
+    return (s << k) + q, (u << k) + (n & mask), q, t
+
+
+def _sqrt_floor(n: int) -> int:
+    """isqrt(n), ValueError for n < 0: _sqrt_step's correction, x < q**2,
+    is read off 64-bit heads of q and x, and q is squared only when they
+    cannot decide (a 69k-bit root spent 0.136 of 1.02 ms on that square)."""
+    if n.bit_length() <= _SQRTREM_CROSSOVER:
+        return isqrt(n)
+    s, x, q, t = _sqrt_step(n)
+    h = max(0, q.bit_length() - 64)
+    head, top = q >> h, x >> 2 * h
+    # x < head**2 4**h <= q**2 corrects; x >= (head + 1)**2 4**h > q**2 does not
+    low = top < head * head or (top < (head + 1) ** 2 and x < q * q)
+    return (s - low) >> t
 
 
 def _common_prefix_length(x: str, y: str) -> int:
@@ -214,8 +235,8 @@ class FixedReal:
         return FixedReal(m, s, e)
 
     def sqrt(self) -> "FixedReal":
-        """Square root at the input scale, with one integer square root
-        and its remainder (_sqrtrem).
+        """Square root at the input scale, with one integer floor root
+        (_sqrt_floor); the two branches that need its remainder form it.
 
         The input interval must reach non-negative values; a strictly
         negative interval means upstream cancellation destroyed the value.
@@ -244,7 +265,7 @@ class FixedReal:
         So q = D r 2**g / den exceeds both D p/(2p**2 - D) and D/(2p),
         and err = ceil(1/2 + 2**-g + q) covers both ends: about
         e/(2 sqrt(value)) + 1/2 ulps.  The powers of two enter by shifts
-        and e is the only factor on r, so everything but the one _sqrtrem
+        and e is the only factor on r, so everything but the one root
         is linear in the operand size.
         """
         m, e, s = self.mantissa, self.err_ulp, self.scale
@@ -254,16 +275,15 @@ class FixedReal:
                 "square root of an entirely negative interval"
             )
         if e == 0:
-            r, rem = _sqrtrem(m << s)
-            return FixedReal(r, s, 0 if rem == 0 else 1)
+            r = _sqrt_floor(m << s)
+            return FixedReal(r, s, int(r * r != m << s))
         if lo <= 0:
-            r_hi, rem = _sqrtrem(hi << s)
-            if rem > 0:
-                r_hi += 1
+            r_hi = _sqrt_floor(hi << s)
+            r_hi += r_hi * r_hi < hi << s
             mid = r_hi // 2
             return FixedReal(mid, s, r_hi - mid)
         g = _SQRT_GUARD
-        r, _ = _sqrtrem(m << (s + 2 * g))
+        r = _sqrt_floor(m << (s + 2 * g))
         den = ((2 * m - e) << (s + 2 * g)) - 4 * r - 2
         half_plus = (1 << (g - 1)) + 1  # (1/2 + 2**-g) * 2**g
         err = _ceil_div(((e * r) << (s + 2 * g)) + half_plus * den, den << g)

@@ -5,8 +5,10 @@ round-trips them exactly.  u2 is held as that text from end to end:
 generate solves it as decimal text (machin.second_term_text) and writes
 it, the digit counts are the texts' lengths, and the record check
 re-solves u2 the same way and compares strings, so neither writing nor
-checking converts u2 between binary and decimal.  FormulaRecord.u2, the
-Fraction, is converted from the text only when a caller computes with it.
+checking converts u2 between binary and decimal.  compute-pi hands the
+series u2's text (FormulaRecord.terms), read from its leading digits;
+FormulaRecord.u2, the Fraction, is converted only for callers that need
+it whole (bench).
 Second-term components at or above the inline threshold go to sidecar
 text files (decimal digits, optional leading minus, trailing newline)
 referenced by file name plus content hash; loading verifies the hash.
@@ -67,8 +69,14 @@ class FormulaRecord:
     @functools.cached_property
     def u2(self) -> Fraction:
         """u2 as a Fraction, converted from u2_text on first use, for the
-        callers that compute with it (compute-pi's series, bench)."""
+        callers that need it whole (bench)."""
         return fraction_from_text(*self.u2_text)
+
+    @property
+    def terms(self) -> tuple:
+        """The formula's terms with u2 as its stored text, which the series
+        reads from its leading digits (series.pi_from_formula)."""
+        return (1 << (self.k - 1), self.u1), (1, self.u2_text)
 
     def formula(self) -> MachinFormula:
         return MachinFormula.two_term(self.k, self.u1, self.u2)

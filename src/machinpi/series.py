@@ -23,9 +23,10 @@ odd denominators, not their product (_lcm_split), and rounded from
 operands cut to the scale, within the proved ulp plus the tail
 (arctan_conjugate).  Every cotangent of pi, a formula's or the tower's,
 first becomes a chain of integer cotangents, each split with numerator
-1 (_arctan_inverse).  The irrational c_k enters the chain as the
-integer pair (M, 2**s) of its interval's midpoint, and its own error
-widens the result once (pi_from_radicals).  Every evaluator here
+1 (_arctan_inverse); a record's u2 arrives as its decimal text, read
+from its leading digits (_dyadic_floor).  The irrational c_k enters
+the chain as the integer pair (M, 2**s) of its interval's midpoint, and
+its own error widens the result once (pi_from_radicals).  Every evaluator here
 certifies an error bound at a working scale; the convergence
 measurement walks its own integer term stream, and the exact comparison
 series sit beside it (analysis).
@@ -44,7 +45,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import PrecisionExhausted
-from .exact import gaussian_product, int_divmod
+from .exact import gaussian_product, int_divmod, text_to_int
 from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
 from .radicals import eval_radicals
 from .realnum import FixedReal, _ceil_div
@@ -83,31 +84,70 @@ def _log10_int(v: int) -> float:
     return math.log10(v >> e) + e * _LOG10_2
 
 
-def digits_per_term(beta: Fraction) -> float:
+def digits_per_term(beta) -> float:
     """Decimal digits of pi gained per added conjugate-series term for
-    the argument 1/beta: log10(1 + 4*beta**2).  beta = 0 is ValueError.
+    the argument 1/beta: log10(1 + 4*beta**2), for a Fraction or the
+    decimal text (num, den) of one with den > 0; beta = 0 is ValueError.
     With beta = p/q in lowest terms, (q**2 + 4p**2)/q**2 shares only
     gcd(4, q**2), so one shift reduces it with no gcd of the big parts."""
-    beta = Fraction(beta)
-    p, q = beta.numerator, beta.denominator
-    if p == 0:
+    p, q = _parts(beta)
+    if p in (0, "0"):
         raise ValueError("the cotangent argument must be nonzero")
-    shift = 0 if q & 1 else 2
-    return _log10_squares(q, 2 * abs(p), shift) - _log10_squares(q, 0, shift)
+    shift = 0 if (int(q[-1]) if isinstance(q, str) else q) & 1 else 2
+    return _log10_squares(q, p, 4, shift) - _log10_squares(q, 0, 0, shift)
 
 
-def _log10_squares(x: int, y: int, shift: int) -> float:
-    """_log10_int((x**2 + y**2) >> shift), x > 0 <= y, with no big square
-    when 128-bit heads put the sum in [lo, hi) * 4**t and both ends share
-    the 53 leading bits _log10_int reads (squaring a depth-17 u2: 0.27 s)."""
-    t = max(0, x.bit_length() - 128, y.bit_length() - 128)
-    if t:
-        xh, yh = x >> t, y >> t
-        lo, hi = xh * xh + yh * yh, (xh + 1) ** 2 + (yh + 1) ** 2
+def _parts(beta) -> tuple:
+    """(num, den) of a cotangent: a Fraction's or an int's, or a text pair."""
+    return beta if isinstance(beta, tuple) else (beta.numerator, beta.denominator)
+
+
+def _log10_squares(x, y, c: int, shift: int) -> float:
+    """_log10_int((x**2 + c y**2) >> shift), x > 0, c >= 0, for ints or
+    decimal text, with no big square when heads cut by d bits or digits
+    (_head) put the sum in [lo, hi] * 2**(2d + e) and both ends share the
+    53 leading bits _log10_int reads (squaring a depth-17 u2: 0.27 s);
+    for text, 5**(2d) lies in [f_lo, f_hi] * 2**e (_five_power_bounds)."""
+    d = max(_drop(x, 128), _drop(y, 128))
+    if d > 0:
+        xh, yh = _head(x, d), _head(y, d)
+        f_lo, f_hi, e = _five_power_bounds(2 * d) if isinstance(x, str) else (1, 1, 0)
+        lo = (xh * xh + c * yh * yh) * f_lo
+        hi = ((xh + 1) ** 2 + c * (yh + 1) ** 2) * f_hi
         drop = lo.bit_length() - 53
         if hi.bit_length() == lo.bit_length() and lo >> drop == hi >> drop:
-            return math.log10(lo >> drop) + (drop + 2 * t - shift) * _LOG10_2
-    return _log10_int((x * x + y * y) >> shift)
+            return math.log10(lo >> drop) + (drop + e + 2 * d - shift) * _LOG10_2
+    x, y = _head(x, 0), _head(y, 0)
+    return _log10_int((x * x + c * y * y) >> shift)
+
+
+def _drop(x, bits: int) -> int:
+    """The bits (an int) or digits (text) of |x| past a `bits`-bit head."""
+    if isinstance(x, str):
+        return len(x) - x.startswith("-") - math.ceil(bits * _LOG10_2) - 1
+    return abs(x).bit_length() - bits
+
+
+def _head(x, d: int) -> int:
+    """|x| with its low d >= 0 bits (an int) or digits (decimal text) cut:
+    |x| lies in [h, h + 1) * 2**d or 10**d.  Only the head is converted."""
+    if isinstance(x, int):
+        return abs(x) >> d
+    start = x.startswith("-")
+    return text_to_int(x[start:len(x) - d]) if len(x) - d > start else 0
+
+
+def _five_power_bounds(n: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2**e <= 5**n <= hi 2**e: square-and-multiply
+    that cuts both ends to 192 bits, lo down and hi up."""
+    lo, hi, e = 1, 1, 0
+    for i in reversed(range(n.bit_length())):
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if n >> i & 1:
+            lo, hi = lo * 5, hi * 5
+        cut = max(0, hi.bit_length() - 192)
+        lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
+    return lo, hi, e
 
 
 def scale_for_digits(digits: int) -> int:
@@ -294,7 +334,7 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
         # The last term is -2 Im(a p / z) = 2 a p Im(z) / |z|**2.
         log_first = _log10_int(abs(4 * a * b)) - _log10_int(a2 + 4 * b * b)
         log_last = (_log10_int(abs(2 * a * p)) + _log10_int(abs(zi))
-                    - _log10_squares(abs(zi), abs(zr), 0))
+                    - _log10_squares(abs(zi), abs(zr), 1, 0))
         rate = (log_first - log_last) / (terms - 1)
     else:
         rate = _log10_int(rho_den) - _log10_int(rho_num)
@@ -327,32 +367,47 @@ def _cotangent_chain(p: int, q: int, scale: int) -> tuple[list[int], int, int]:
             return chain, p, q
 
 
-def _arctan_inverse(num: int, den: int, digits: float, terms: int,
+def _arctan_inverse(num, den, digits: float, terms: int,
                     scale: int) -> SeriesResult:
     """arctan(den/num) for num != 0 < den at `scale`, summed by
     arctan_conjugate over the integer cotangents of the chain of
-    beta = num/den (_cotangent_chain), sign folded out.  The pair may share
-    a factor g: the chain's m_j stay the same and its later pairs scale by g.
+    beta = num/den (_cotangent_chain), sign folded out.  The pair, ints
+    or decimal text, may share a factor g: the chain's m_j stay the same
+    and its later pairs scale by g.
 
     A denominator over w = scale + _CHAIN_GUARD bits is first rounded down
-    to a dyadic beta' with w fractional bits, from the top w + 64 bits of
-    each part: beta - beta' < (2 + beta) 2**-w moves arccot by under an
-    ulp, and the dropped residual arccot(p'/q') <= 2**-scale is one more.
-    Cotangent m sums min(terms, terms_for_digits(digits, its rate)) terms.
+    to the dyadic beta' = floor(|beta| 2**w) / 2**w (_dyadic_floor):
+    |beta| - beta' < 2**-w moves arccot by under an ulp, and the dropped
+    residual arccot(p'/q') <= 2**-scale is one more.  Cotangent m sums
+    min(terms, terms_for_digits(digits, its rate)) terms.
     """
-    p, q = abs(num), den
     w = scale + _CHAIN_GUARD
-    rounded = q.bit_length() > w
-    if rounded:
-        drop = max(0, q.bit_length() - w - 64)
-        p, q = int_divmod((p >> drop) << w, (q >> drop) + 1)[0], 1 << w
+    p, q = _dyadic_floor(num, den, w)
+    rounded = q == 1 << w  # an unrounded den has at most w bits
     chain, _, residual_den = _cotangent_chain(p, q, scale)
     parts = [arctan_conjugate(Fraction(1, m), min(terms, terms_for_digits(
         digits, digits_per_term(m))), scale) for m in chain]
     value = sum((part.value for part in parts[1:]), parts[0].value)
     value = value.widened(rounded + (residual_den > 0))
     used = sum(part.terms_used for part in parts)
-    return SeriesResult(-value if num < 0 else value, used, parts[0].per_term_log10, (used,))
+    negative = num.startswith("-") if isinstance(num, str) else num < 0
+    return SeriesResult(-value if negative else value, used, parts[0].per_term_log10, (used,))
+
+
+def _dyadic_floor(num, den, w: int) -> tuple[int, int]:
+    """(|num|, den) as ints when den has at most w bits, else
+    (floor(|num/den| 2**w), 2**w).  Past w + 64 bits it reads heads P, Q
+    of |num| and den (_head): |num/den| is in (P/(Q + 1), (P + 1)/Q), so
+    f = floor(P 2**w / (Q + 1)) is the floor if (f + 1) Q > (P + 1) 2**w.
+    Otherwise, or for a shorter den, both parts are converted whole."""
+    d = _drop(den, w + 64)
+    if d > 0:
+        head_p, head_q = _head(num, d), _head(den, d)
+        floor = int_divmod(head_p << w, head_q + 1)[0]
+        if (floor + 1) * head_q > (head_p + 1) << w:
+            return floor, 1 << w
+    p, q = _head(num, 0), _head(den, 0)
+    return (p, q) if q.bit_length() <= w else (int_divmod(p << w, q)[0], 1 << w)
 
 
 def pi_from_formula(
@@ -361,7 +416,9 @@ def pi_from_formula(
     scale: int,
     assume_verified: bool = False,
 ) -> SeriesResult:
-    """pi = 4 * sum of alpha * arctan(1/beta) over the formula's terms.
+    """pi = 4 * sum of alpha * arctan(1/beta) over formula.terms: a
+    MachinFormula's, or a checked record's, whose u2 stays decimal text
+    (FormulaRecord.terms, with assume_verified).
 
     The slowest arctangent's `terms` reach D = (terms - 2) * r_min digits
     at its predicted rate r_min; every integer cotangent of every chain
@@ -374,7 +431,7 @@ def pi_from_formula(
         verify_formula(formula)
     rates = [digits_per_term(beta) for _, beta in formula.terms]
     target = (terms - 2) * min(rates)
-    parts = [_arctan_inverse(beta.numerator, beta.denominator, target, terms, scale)
+    parts = [_arctan_inverse(*_parts(beta), target, terms, scale)
              for _, beta in formula.terms]
     scaled = [(alpha, part.value) for (alpha, _), part in zip(formula.terms, parts)]
     total = FixedReal(sum(a * v.mantissa for a, v in scaled) << 2, scale,
@@ -421,11 +478,14 @@ def pi_digits_from_formula(
     terms: int | None = None,
     assume_verified: bool = False,
 ) -> tuple[str, SeriesResult]:
-    """Certified decimal digits of pi from a formula, for exactly one of
-    a digit target or a term budget of the slowest arctangent (see
+    """Certified decimal digits of pi from a formula (see pi_from_formula),
+    verified once unless the caller vouches for it, for exactly one of a
+    digit target or a term budget of the slowest arctangent (see
     _certified_pi)."""
+    if not assume_verified:
+        verify_formula(formula)
     rate = min(digits_per_term(beta) for _, beta in formula.terms)
-    evaluate = partial(pi_from_formula, formula, assume_verified=assume_verified)
+    evaluate = partial(pi_from_formula, formula, assume_verified=True)
     return _certified_pi(evaluate, rate, digits, terms)
 
 

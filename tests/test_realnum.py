@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from math import isqrt
 from os.path import commonprefix
@@ -18,6 +19,8 @@ from machinpi.realnum import (
     _common_prefix_length,
     _div_nearest,
     _shift_nearest,
+    _sqrt_floor,
+    _sqrt_step,
     _sqrtrem,
 )
 
@@ -186,8 +189,39 @@ class TestSqrtRem:
         # thousands of bits wide; the same tower with math.isqrt alone
         # must give the same intervals, bit for bit.
         fast = eval_radicals(400, 10000)
-        monkeypatch.setattr(realnum, "_sqrtrem", isqrt_rem)
+        monkeypatch.setattr(realnum, "_sqrt_floor", isqrt)
         assert eval_radicals(400, 10000) == fast
+
+
+class TestSqrtFloor:
+    """_sqrt_floor is _sqrtrem's root without its remainder: the top
+    step's one correction is read off 64-bit heads, and q is squared
+    only when they cannot decide."""
+
+    @given(sized_naturals())
+    def test_matches_isqrt(self, n):
+        assert _sqrt_floor(n) == isqrt(n)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_squares_and_their_neighbours(self, levels):
+        # Operands of up to _SQRTREM_CROSSOVER * 2**levels bits take
+        # `levels` Karatsuba steps.  On r**2 the remainder is 0, and just
+        # below it is negative by little, so 64-bit heads cannot tell
+        # x from q**2 and the square decides.
+        bits = _SQRTREM_CROSSOVER << levels
+        r = random.Random(levels).getrandbits(bits // 2) | 1 << (bits // 2 - 1)
+        for n in (r * r - 1, r * r, r * r + 1, r * r + 2 * r, (r + 1) ** 2,
+                  (1 << bits) - 1, 1 << (bits - 1)):
+            assert _sqrt_floor(n) == isqrt(n)
+        for n in (r * r, r * r - 1):
+            _, x, q, _ = _sqrt_step(n)
+            h = q.bit_length() - 64
+            assert (q >> h) ** 2 <= x >> 2 * h < ((q >> h) + 1) ** 2
+
+    @pytest.mark.parametrize("bits", [0, 5 * _SQRTREM_CROSSOVER])
+    def test_negative_raises_like_isqrt(self, bits):
+        with pytest.raises(ValueError):
+            _sqrt_floor(-(1 << bits))
 
 
 class TestArithmetic:

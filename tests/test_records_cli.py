@@ -35,7 +35,7 @@ from machinpi.records import (
 
 from oracles import (big_int_text, branch_turns, int_text_cap, pi_digits,
                      rotation_power_reference, rotation_product_reference)
-from test_golden_outputs import RECORD_FILES
+from test_golden_outputs import COMPUTE_PI, RECORD_FILES
 
 
 def run_cli(*argv: str) -> int:
@@ -530,6 +530,28 @@ def test_generate_and_verify_stay_in_decimal(tmp_path, monkeypatch):
         name: digest for name, digest in RECORD_FILES.items() if name.startswith("k13.")}
     with pytest.raises(AssertionError, match="binary u2 path"):
         load_record(path).u2  # the Fraction is converted on request
+
+
+@pytest.mark.parametrize("budget", ["--digits 1000", "--terms 5"])
+def test_compute_pi_reads_u2_from_its_leading_digits(tmp_path, monkeypatch, capsys, budget):
+    # The record hands the series u2's stored text, which reads its
+    # leading digits and lengths: no text of over 2000 digits becomes an
+    # int, though u2's parts have about 33,000 at k = 14, and the output
+    # is the pinned one.
+    path = write_record(generate_record(14, 1, "nearest"), tmp_path / "k14.json")
+    convert = machinpi.exact.text_to_int
+
+    def short_only(text):
+        if len(text) > 2000:
+            raise AssertionError(f"text_to_int on {len(text)} digits")
+        return convert(text)
+
+    _patch_everywhere(monkeypatch, convert, short_only)
+    capsys.readouterr()
+    assert run_cli("compute-pi", "--formula", str(path), *budget.split()) == 0
+    captured = capsys.readouterr()
+    assert (hashlib.sha256(captured.out.encode()).hexdigest(), captured.err) == (
+        COMPUTE_PI[f"k14 {budget}"])
 
 
 MALFORMED = {

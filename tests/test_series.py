@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -347,7 +348,8 @@ class TestRatePrediction:
     # <-> str digit cap, so the second arguments run as parameters.
     @pytest.mark.parametrize("u2", [U2_K10, U2_K14], ids=["k10", "k14"])
     def test_digits_per_term_matches_fraction_formula_at_huge_u2(self, u2):
-        assert digits_per_term(u2) == digits_per_term_from_fractions(u2)
+        text = exact.int_to_text(u2.numerator), exact.int_to_text(u2.denominator)
+        assert digits_per_term(u2) == digits_per_term(text) == digits_per_term_from_fractions(u2)
 
     # Parts over 128 bits are read from 128-bit heads, and the squares are
     # formed in full only when the heads leave the leading bits open, as
@@ -363,3 +365,48 @@ class TestRatePrediction:
     def test_digits_per_term_examples(self):
         assert digits_per_term(Fraction(5)) == pytest.approx(2.00432, abs=1e-4)
         assert digits_per_term(Fraction(651)) == pytest.approx(6.22925, abs=1e-4)
+
+
+# beta 2**200 lands on 6, or within 10**-400 of it, when num = 6 M + offset
+# and den = M 2**200: past any head, so the readers convert whole.
+_M = 10 ** 400 + 1
+
+
+def _dyadic_floor_reference(num: int, den: int, w: int) -> tuple[int, int]:
+    if den.bit_length() <= w:
+        return abs(num), den
+    return (abs(num) << w) // den, 1 << w
+
+
+class TestCotangentReaders:
+    """A cotangent arrives as ints or as a record's decimal text.  Either
+    way _arctan_inverse rounds it to beta' = floor(|beta| 2**w) / 2**w
+    past w bits, certified from heads or converted whole, and
+    digits_per_term returns the float of the Fraction formula."""
+
+    @given(st.integers(-2 ** 3000, 2 ** 3000).filter(bool), st.integers(1, 2 ** 3000),
+           st.integers(8, 2000))
+    @example(6 * _M, _M << 200, 200)  # beta 2**w an integer; the parts share M
+    @example(6 * _M + 1, _M << 200, 200)  # just above it
+    @example(-(6 * _M - 1), _M << 200, 200)  # just below it, negative
+    @example(-3, 7, 100)  # short texts, converted whole, no rounding
+    @example(5 ** 90, 3 ** 60, 80)  # den under w + 64 bits: whole, then rounded
+    @example(-239, 1, 8)  # den = 1
+    @example(2 ** 2000 + 1, 1, 8)
+    @example(1, (1 << 400) - 1, 8)  # q**2 just under 2**800: heads straddle it
+    def test_text_and_int_give_the_same_floor_and_rate(self, num, den, w):
+        want = _dyadic_floor_reference(num, den, w)
+        assert series._dyadic_floor(num, den, w) == want
+        assert series._dyadic_floor(str(num), str(den), w) == want
+        beta = Fraction(num, den)
+        text = str(beta.numerator), str(beta.denominator)
+        assert digits_per_term(text) == digits_per_term(beta) == (
+            digits_per_term_from_fractions(beta))
+
+    @pytest.mark.parametrize("offset, whole", [(0, True), (1, True), (-1, True),
+                                               (10 ** 399, False)])
+    @pytest.mark.parametrize("kind", [int, str])
+    def test_heads_decide_unless_beta_sits_on_a_dyadic(self, offset, whole, kind):
+        with mock.patch.object(series, "_head", wraps=series._head) as head:
+            series._dyadic_floor(kind(6 * _M + offset), kind(_M << 200), 200)
+        assert any(call.args[1] == 0 for call in head.call_args_list) == whole
