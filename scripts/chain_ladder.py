@@ -7,16 +7,20 @@ and 10 (floor) records, generated first as `machinpi generate` does, and
 from the tower at depth 40 (`--k 40`), at each digit count of --digits
 (10^3 and 10^4 by default; with 100000 added for 10^5 the run takes
 about 90 s on a 2-vCPU Xeon with Python 3.11).  Every chain link is one
-call of series.arctan_conjugate for an integer cotangent m, and prints
-one row:
+call for an integer cotangent m, of series.arctan_conjugate for a
+chain's first link and of series._arccot_gregory for each later one,
+and prints one row:
 
   m bits       the bits of the cotangent m
+  evaluator    conjugate or gregory
   terms        the terms the link sums
-  split ms     the binary split, series._lcm_split
-  z bits       the bits of the split's top operand z, the longer of
-               its two parts, a count that repeats exactly
-  round ms     the final rounding, series._rounded_sum, from the cut
-               operands to the certified mantissa
+  split ms     the binary split, series._lcm_split or _gregory_split
+  z bits       the bits of the split's top operand: z, the longer of its
+               two parts, or Gregory's denominator m L M**(terms - 1);
+               a count that repeats exactly
+  round ms     the final rounding, series._rounded_sum or the
+               _rounded_quotient it ends in, from the cut operands to
+               the certified mantissa
   num, den     the bits of the numerator and the divisor of its one
                division, FixedReal._from_ratio, against the scale
 
@@ -88,34 +92,48 @@ class LinkSpy:
 
     @contextlib.contextmanager
     def patched(self):
-        conjugate, split, rounded = (series.arctan_conjugate, series._lcm_split,
-                                     series._rounded_sum)
+        saved = {name: getattr(series, name) for name in (
+            "arctan_conjugate", "_arccot_gregory", "_lcm_split", "_gregory_split",
+            "_rounded_sum", "_rounded_quotient")}
         from_ratio = FixedReal._from_ratio.__func__
 
-        def link(x, terms, scale):  # x = 1/m
-            self.rows.append({"m_bits": x.denominator.bit_length(), "terms": terms,
-                              "scale": scale, "split": 0.0, "round": 0.0})
-            return conjugate(x, terms, scale)
+        def link(evaluator, fn, m_of):
+            def summed(x, terms, scale):  # x = 1/m, or m itself
+                self.rows.append({"m_bits": m_of(x).bit_length(), "evaluator": evaluator,
+                                  "terms": terms, "scale": scale, "split": 0.0,
+                                  "round": 0.0})
+                return fn(x, terms, scale)
+            return summed
 
-        def split_sum(a, b, terms):
-            result = split(a, b, terms)
-            self.rows[-1]["z_bits"] = max(result[1].bit_length(), result[2].bit_length())
-            return result
+        def split_sum(split, z_bits):
+            def summed(*args):
+                result = split(*args)
+                self.rows[-1]["z_bits"] = z_bits(result)
+                return result
+            return summed
 
         def division(cls, num, den, scale):
-            if self.depth:  # inside _rounded_sum
+            if self.depth:  # inside the rounding
                 self.rows[-1].update(num_bits=num.bit_length(), den_bits=den.bit_length())
             return from_ratio(cls, num, den, scale)
 
         try:
-            series.arctan_conjugate = link
-            series._lcm_split = self._timed(split_sum, "split")
-            series._rounded_sum = self._timed(rounded, "round")
+            series.arctan_conjugate = link("conjugate", saved["arctan_conjugate"],
+                                           lambda x: x.denominator)
+            series._arccot_gregory = link("gregory", saved["_arccot_gregory"], lambda m: m)
+            series._lcm_split = self._timed(split_sum(
+                saved["_lcm_split"], lambda r: max(r[1].bit_length(), r[2].bit_length())),
+                "split")
+            series._gregory_split = self._timed(split_sum(
+                saved["_gregory_split"], lambda r: r[1].bit_length()), "split")
+            # _rounded_sum ends in _rounded_quotient: the depth counts it once
+            series._rounded_sum = self._timed(saved["_rounded_sum"], "round")
+            series._rounded_quotient = self._timed(saved["_rounded_quotient"], "round")
             FixedReal._from_ratio = classmethod(division)
             yield self
         finally:
-            series.arctan_conjugate, series._lcm_split = conjugate, split
-            series._rounded_sum = rounded
+            for name, fn in saved.items():
+                setattr(series, name, fn)
             FixedReal._from_ratio = classmethod(from_ratio)
 
 
@@ -148,10 +166,11 @@ def run_request(argv: list[str], repeat: int) -> list[dict]:
 def print_request(name: str, digits: int, links: list[dict], probe_s: float) -> None:
     print(f"{name} --digits {digits}: {len(links)} links, scale {links[0]['scale']}, "
           f"probe {probe_s * 1e3:.3f} ms")
-    print(f"  {'m bits':>8} {'terms':>6} {'split ms':>9} {'z bits':>9} {'round ms':>9} "
-          f"{'num bits':>9} {'den bits':>9}")
+    print(f"  {'m bits':>8} {'evaluator':>9} {'terms':>6} {'split ms':>9} {'z bits':>9} "
+          f"{'round ms':>9} {'num bits':>9} {'den bits':>9}")
     for row in links:
-        print(f"  {row['m_bits']:8d} {row['terms']:6d} {row['split'] * 1e3:9.3f} "
+        print(f"  {row['m_bits']:8d} {row['evaluator']:>9} {row['terms']:6d} "
+              f"{row['split'] * 1e3:9.3f} "
               f"{row['z_bits']:9d} {row['round'] * 1e3:9.3f} {row['num_bits']:9d} "
               f"{row['den_bits']:9d}", flush=True)
 

@@ -22,9 +22,14 @@ A rational x = a/b is split on int pairs over the lcm of the series'
 odd denominators, not their product (_lcm_split), and rounded from
 operands cut to the scale, within the proved ulp plus the tail
 (arctan_conjugate).  Every cotangent of pi, a formula's or the tower's,
-first becomes a chain of integer cotangents, each split with numerator
-1 (_arctan_inverse); a record's u2 arrives as its decimal text, read
-from its leading digits (_dyadic_floor).  The irrational c_k enters
+first becomes a chain of integer cotangents m_j (_arctan_inverse); a
+record's u2 arrives as its decimal text, read from its leading digits
+(_dyadic_floor).  A chain's first link is summed by arctan_conjugate,
+the paper's series, whose rate is the one reported.  Every later link
+has m_j >= 2 and takes Gregory's real series for arctan(1/m), with
+2 log10(m) digits per term (_arccot_gregory): the same lcm split
+(_lcm_blocks) on one part where the conjugate series has two, and one
+division with no cross product or norm.  The irrational c_k enters
 the chain as the integer pair (M, 2**s) of its interval's midpoint, and
 its own error widens the result once (pi_from_radicals).  Every evaluator here
 certifies an error bound at a working scale; the convergence
@@ -60,9 +65,11 @@ class SeriesResult:
     """A partial sum with its term count and measured convergence.
 
     term_counts holds the terms each arctangent summed, over its chain of
-    integer cotangents where it has one.  For pi, from a formula or the
+    integer cotangents where it has one: the conjugate series' on the
+    first and Gregory's on each later one.  For pi, from a formula or the
     tower, terms_used is the slowest arctangent's budget and
-    per_term_log10 is measured on its first integer cotangent.
+    per_term_log10 is measured on its first integer cotangent, by the
+    conjugate series; a Gregory link reports its predicted 2 log10(m).
     """
 
     value: FixedReal
@@ -172,15 +179,18 @@ def _tail_ulps(num: int, den: int, terms: int, scale: int) -> int:
     2**(td - tn) shifted onto q; a cap of 1 or more takes num/den.  With
     sqrt(p/q) <= (isqrt(pq) + 1)/q the bound is formed on integers.
 
-    Every chain link sends (1, 1 + 4m**2), and past the first few links
-    the bound is far below one ulp.  So when bits(p) + 2 <= bits(q), the
-    bit lengths bound it first: 2 p**terms (isqrt(pq) + 1) is under
+    Only a chain's first link comes here, as (1, 1 + 4m**2); later links
+    take Gregory's tail (_gregory_tail_ulps).  A large first m, as the
+    tower's at k = 400, puts the bound far below one ulp.  So when
+    bits(p) + 2 <= bits(q), the bit lengths bound it first:
+    2 p**terms (isqrt(pq) + 1) is under
     2**(1 + terms bits(p) + ceil(bits(pq)/2)), q**terms (2 terms + 1)
     (q - p) is at least 2**(terms (bits(q) - 1) + bits(2 terms + 1) - 1 +
     bits(q) - 2), and a positive bound of at most one ulp rounds up to 1
-    with no isqrt and no power (the last link of compute-pi --k 400 at
-    10^4 digits, m of 25,711 bits: 1.24 ms for the full bound, 1 us this
-    way; Python 3.11.7 on a 2-vCPU Xeon VM)."""
+    with no isqrt and no power (for a 25,711-bit m, the last link of
+    compute-pi --k 400 at 10^4 digits while every link took this series:
+    1.24 ms for the full bound, 1 us this way; Python 3.11.7 on a 2-vCPU
+    Xeon VM)."""
     tn = max(0, num.bit_length() - 64)
     td = max(0, den.bit_length() - 64)
     p, q = (num >> tn) + (tn > 0), (den >> td) << (td - tn)
@@ -221,42 +231,90 @@ def _lcm_split(a: int, b: int, terms: int) -> tuple[int, int, int, int, int]:
     """
     a2 = a * a
     powers = {0: (1, 0, 1), 1: (a2 - 4 * b * b, 4 * a * b, a2)}
-    lcm, br, bi = _lcm_blocks(powers, 1, terms)
+    lcm, (br, bi) = _lcm_blocks(_conjugate_leaf, _conjugate_merge, powers, 1, terms)
     gr, gi, _ = _split_power(powers, terms - 1)
     qr, qi = lcm * gr, lcm * gi
     return (a2 ** (terms - 1) * (lcm // (2 * terms - 1)), a * qr - 2 * b * qi,
             a * qi + 2 * b * qr, qr + br, qi + bi)
 
 
+def _gregory_split(m: int, terms: int) -> tuple[int, int, int]:
+    """(b, d, power) with b / d exactly the sum of the first `terms` terms
+    of Gregory's series arctan(1/m) = sum (-1)**n / ((2n + 1) m**(2n + 1)),
+    and power = M**(terms - 1) for M = m**2.
+
+    Over a block [lo, hi) of n, the sum of (-1)**n / ((2n + 1) M**n) is
+    (-1)**lo B / (L M**(hi - 1)), L the lcm of the block's 2n + 1 and
+    B = sum of (-1)**(n - lo) M**(hi - 1 - n) L / (2n + 1).  Halves of
+    lengths n1 and n2 merge as B = B1 (L/L1) M**n2 + (-1)**n1 B2 (L/L2),
+    the conjugate split's recursion on one real part (_lcm_blocks).  Over
+    [0, terms) the partial sum is B / (m L M**(terms - 1)).
+    """
+    powers = {0: 1, 1: m * m}
+    lcm, b = _lcm_blocks(_gregory_leaf, _gregory_merge, powers, 0, terms)
+    power = _real_power(powers, terms - 1)
+    return b, m * lcm * power, power
+
+
 # Module functions, not closures: a recursive closure is a reference cycle
 # that keeps its operands alive until the cyclic collector runs.
 
-def _lcm_blocks(powers: dict, lo: int, hi: int) -> tuple[int, int, int]:
-    """(L, Br, Bi) of the block [lo, hi) of _lcm_split, from `powers`,
-    which maps a length n to (G**n, A**n); L/L1 and L/L2 are L2 and L1
-    over gcd(L1, L2).  Up to _LEAF_TERMS terms, B is summed term by term
-    on the cached powers, which every leaf shares.  (A Horner loop in G
-    measured the same at m = 5 and 35% slower on the 4-term link of
-    --k 40 at 10^5 digits, whose G has 328k bits.)"""
+def _lcm_blocks(leaf, merge, powers: dict, lo: int, hi: int) -> tuple:
+    """(L, B) of the block [lo, hi) of a split over the lcm L of the odd
+    denominators 2n + 1 of its terms (_lcm_split, _gregory_split).  Up to
+    _LEAF_TERMS terms, B = leaf(powers, lo, hi, L).  Longer blocks halve,
+    and halves of lengths n1 and n2 merge as merge(powers, B1, B2, L/L1,
+    L/L2, n1, n2), where L/L1 and L/L2 are L2 and L1 over gcd(L1, L2)."""
     if hi - lo <= _LEAF_TERMS:
         lcm = math.lcm(*range(2 * lo + 1, 2 * hi, 2))
-        a2 = powers[1][2]
-        br = bi = 0
-        for n in range(lo, hi):
-            gr, gi, _ = _split_power(powers, hi - 1 - n)
-            c = a2 ** (n - lo + 1) * (lcm // (2 * n + 1))
-            br, bi = br + c * gr, bi + c * gi
-        return lcm, br, bi
+        return lcm, leaf(powers, lo, hi, lcm)
     mid = (lo + hi) >> 1
-    lcm1, b1r, b1i = _lcm_blocks(powers, lo, mid)
-    lcm2, b2r, b2i = _lcm_blocks(powers, mid, hi)
+    lcm1, b1 = _lcm_blocks(leaf, merge, powers, lo, mid)
+    lcm2, b2 = _lcm_blocks(leaf, merge, powers, mid, hi)
     common = math.gcd(lcm1, lcm2)
     f1, f2 = int_divmod(lcm2, common)[0], int_divmod(lcm1, common)[0]
-    gr, gi, _ = _split_power(powers, hi - mid)
-    br, bi = gaussian_product(b1r, b1i, gr * f1, gi * f1)
+    return lcm1 * f1, merge(powers, b1, b2, f1, f2, mid - lo, hi - mid)
+
+
+def _conjugate_leaf(powers: dict, lo: int, hi: int, lcm: int) -> tuple[int, int]:
+    """B of _lcm_split's block [lo, hi), term by term on the cached powers,
+    which every leaf shares.  (A Horner loop in G measured the same at
+    m = 5 and 35% slower on the 4-term link of --k 40 at 10^5 digits,
+    whose G has 328k bits.)"""
+    a2 = powers[1][2]
+    br = bi = 0
+    for n in range(lo, hi):
+        gr, gi, _ = _split_power(powers, hi - 1 - n)
+        c = a2 ** (n - lo + 1) * (lcm // (2 * n + 1))
+        br, bi = br + c * gr, bi + c * gi
+    return br, bi
+
+
+def _conjugate_merge(powers: dict, b1: tuple, b2: tuple, f1: int, f2: int,
+                     n1: int, n2: int) -> tuple[int, int]:
+    """B1 (L/L1) G**n2 + B2 (L/L2) A**n1, for f1 = L/L1 and f2 = L/L2."""
+    gr, gi, _ = _split_power(powers, n2)
+    br, bi = gaussian_product(b1[0], b1[1], gr * f1, gi * f1)
     if powers[1][2] != 1:
-        f2 *= _split_power(powers, mid - lo)[2]
-    return lcm1 * f1, br + b2r * f2, bi + b2i * f2
+        f2 *= _split_power(powers, n1)[2]
+    return br + b2[0] * f2, bi + b2[1] * f2
+
+
+def _gregory_leaf(powers: dict, lo: int, hi: int, lcm: int) -> int:
+    """B of _gregory_split's block [lo, hi), term by term on the cached
+    powers of M."""
+    b = 0
+    for n in range(lo, hi):
+        c = lcm // (2 * n + 1)
+        b += (-c if (n - lo) & 1 else c) * _real_power(powers, hi - 1 - n)
+    return b
+
+
+def _gregory_merge(powers: dict, b1: int, b2: int, f1: int, f2: int,
+                   n1: int, n2: int) -> int:
+    """B1 (L/L1) M**n2 + (-1)**n1 B2 (L/L2), for f1 = L/L1 and f2 = L/L2."""
+    b2 *= f2
+    return b1 * (_real_power(powers, n2) * f1) + (-b2 if n1 & 1 else b2)
 
 
 def _split_power(powers: dict, n: int) -> tuple[int, int, int]:
@@ -276,36 +334,50 @@ def _split_power(powers: dict, n: int) -> tuple[int, int, int]:
     return result
 
 
+def _real_power(powers: dict, n: int) -> int:
+    """M**n, kept in `powers` by n like _split_power's; an even n is one
+    square of M**(n/2)."""
+    result = powers.get(n)
+    if result is None:
+        h = n >> 1
+        result = powers[n] = _real_power(powers, h) * _real_power(powers, n - h)
+    return result
+
+
 def _rounded_sum(a: int, zr: int, zi: int, wr: int, wi: int, terms: int, scale: int):
     """-2 Im(a w / z) = -2a Im(w conj(z)) / |z|**2 at `scale`, rounded to
     nearest from operands cut to the scale, for a w / z = S the partial
     sum of `terms` terms of arctan_conjugate.  As |a/g| < 1, |S| <= terms,
     so |w/z| <= terms/|a|.
 
-    * z and w lose their low t = bits(z) - scale - 66 - bits(|a| + terms)
-      bits together, bits(z) the longer part's.  With z = 2**t (z' + e)
-      and w = 2**t (w' + h), each part of e and h in [0, 1), w'/z' - w/z
-      = (e w/z - h) / z' and |z'| >= 2**(bits(z) - 1 - t), so the value
-      moves by at most 2 |a| sqrt(2) (terms/|a| + 1) / |z'|: under
-      2**-63.5 ulp.
-    * The cut cross product N and norm D then lose their low u =
-      bits(D) - scale - 64 - c bits, c = max(0, bits(N) - bits(D)), so
-      that |N/D| < 2**(c + 1) and D'' = D >> u >= 2**(scale + 63 + c).
-      With N = 2**u N'' + r and D = 2**u D'' + r', 0 <= r, r' < 2**u,
-      N/D - N''/D'' = (r - (N/D) r') / (2**u D''), under
-      (1 + 2**(c + 1)) 2**-(scale + 63 + c): at most 3 * 2**-63 ulp.
-
-    Rounding N''/D'' to nearest adds half an ulp, so after any cut the
-    midpoint is within 1/2 + 2**-61 ulp of S's value: one ulp of error.
-    With nothing cut, the rounding's own exact flag stands.
+    z and w lose their low t = bits(z) - scale - 66 - bits(|a| + terms)
+    bits together, bits(z) the longer part's.  With z = 2**t (z' + e) and
+    w = 2**t (w' + h), each part of e and h in [0, 1), w'/z' - w/z =
+    (e w/z - h) / z' and |z'| >= 2**(bits(z) - 1 - t), so the value moves
+    by at most 2 |a| sqrt(2) (terms/|a| + 1) / |z'|: under 2**-63.5 ulp.
+    The cut cross product and norm are rounded by _rounded_quotient, so
+    after any cut the midpoint is within 1/2 + 2**-61 ulp of S's value:
+    one ulp of error.
     """
     t = max(0, max(abs(zr), abs(zi)).bit_length() - scale - 66
             - (abs(a) + terms).bit_length())
     zr, zi, wr, wi = zr >> t, zi >> t, wr >> t, wi >> t
-    num, den = -2 * a * (wi * zr - wr * zi), zr * zr + zi * zi
+    return _rounded_quotient(-2 * a * (wi * zr - wr * zi), zr * zr + zi * zi, scale, t > 0)
+
+
+def _rounded_quotient(num: int, den: int, scale: int, cut: bool = False) -> FixedReal:
+    """num/den at `scale`, den > 0, rounded to nearest once both lose their
+    low u = bits(den) - scale - 64 - c bits, c = max(0, bits(num) -
+    bits(den)), so that |num/den| < 2**(c + 1) and D'' = den >> u >=
+    2**(scale + 63 + c).  With num = 2**u N'' + r and den = 2**u D'' + r',
+    0 <= r, r' < 2**u, num/den - N''/D'' = (r - (num/den) r') / (2**u D''),
+    under (1 + 2**(c + 1)) 2**-(scale + 63 + c): at most 3 * 2**-63 ulp.
+    Rounding N''/D'' to nearest adds half an ulp, so the error is one ulp;
+    with nothing cut, here or by the caller (`cut`), the rounding's own
+    exact flag stands."""
     u = max(0, den.bit_length() - scale - 64 - max(0, num.bit_length() - den.bit_length()))
     value = FixedReal._from_ratio(num >> u, den >> u, scale)
-    return FixedReal(value.mantissa, scale, 1) if t or u else value
+    return FixedReal(value.mantissa, scale, 1) if cut or u else value
 
 
 def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
@@ -343,6 +415,45 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     return SeriesResult(value, terms, rate, (terms,))
 
 
+def _arccot_gregory(m: int, terms: int, scale: int) -> SeriesResult:
+    """The first `terms` terms of Gregory's series for arctan(1/m), m >= 2,
+    split exactly (_gregory_split) and rounded once from operands cut to
+    the scale (_rounded_quotient: 1 ulp, as the sum lies in (0, 1/m]),
+    plus the tail (_gregory_tail_ulps).  The rate is the predicted one,
+    2 log10(m) digits per term.
+    """
+    num, den, power = _gregory_split(m, terms)
+    value = _rounded_quotient(num, den, scale)
+    tail = _gregory_tail_ulps(m, power, terms, scale)
+    return SeriesResult(value.widened(tail), terms, 2 * _log10_int(m), (terms,))
+
+
+def _gregory_tail_ulps(m: int, power: int, terms: int, scale: int) -> int:
+    """Gregory's tail after N = `terms` terms of arctan(1/m) in ulps at
+    `scale`, rounded up, for power = m**(2N - 2).  The series alternates
+    with falling terms, so the tail is at most the first omitted term
+    1/((2N + 1) m**(2N + 1)).  When the bit lengths put that under one
+    ulp, (2N + 1)(bits(m) - 1) + bits(2N + 1) - 1 >= scale, the bound is
+    1 with no product; otherwise the term is formed from m**(2N + 1) =
+    m**3 power and rounded up."""
+    odd = 2 * terms + 1
+    if odd * (m.bit_length() - 1) + odd.bit_length() - 1 >= scale:
+        return 1
+    return _ceil_div(1 << scale, odd * m ** 3 * power)
+
+
+def _gregory_terms(m: int, digits: float, scale: int) -> int:
+    """Terms for arccot(m), m >= 2, to reach `digits` at `scale`:
+    terms_for_digits at 2 log10(m) digits per term, or fewer once bit
+    lengths alone put the first omitted term under one ulp, as
+    _gregory_tail_ulps checks first: (2N + 1)(bits(m) - 1) >= scale.  The
+    last links of a chain, with m near 2**scale, then sum one term where
+    terms_for_digits gives at least three."""
+    bits = m.bit_length() - 1
+    return min(terms_for_digits(digits, 2 * _log10_int(m)),
+               max(1, -(-(scale - bits) // (2 * bits))))
+
+
 # Fractional bits past the scale when a huge cotangent is rounded to a
 # dyadic one, which then moves its arctangent by < 3 * 2**-(scale + 8).
 _CHAIN_GUARD = 8
@@ -369,24 +480,32 @@ def _cotangent_chain(p: int, q: int, scale: int) -> tuple[list[int], int, int]:
 
 def _arctan_inverse(num, den, digits: float, terms: int,
                     scale: int) -> SeriesResult:
-    """arctan(den/num) for num != 0 < den at `scale`, summed by
-    arctan_conjugate over the integer cotangents of the chain of
-    beta = num/den (_cotangent_chain), sign folded out.  The pair, ints
-    or decimal text, may share a factor g: the chain's m_j stay the same
-    and its later pairs scale by g.
+    """arctan(den/num) for num != 0 < den at `scale`, summed over the
+    integer cotangents of the chain of beta = num/den (_cotangent_chain),
+    sign folded out.  The pair, ints or decimal text, may share a factor
+    g: the chain's m_j stay the same and its later pairs scale by g.
+
+    The first cotangent m_1 is summed by arctan_conjugate, the paper's
+    series, for min(terms, terms_for_digits(digits, its rate)) terms, and
+    its measured rate is the result's.  Every later one has m_j >= 2, as
+    the chain's cotangents after the first exceed 1, and Gregory's real
+    series sums it (_arccot_gregory) for min(terms, _gregory_terms(m_j,
+    digits, scale)) terms: one part where the conjugate series has two, at
+    2 log10(m) digits per term against log10(1 + 4m**2).
 
     A denominator over w = scale + _CHAIN_GUARD bits is first rounded down
     to the dyadic beta' = floor(|beta| 2**w) / 2**w (_dyadic_floor):
     |beta| - beta' < 2**-w moves arccot by under an ulp, and the dropped
-    residual arccot(p'/q') <= 2**-scale is one more.  Cotangent m sums
-    min(terms, terms_for_digits(digits, its rate)) terms.
+    residual arccot(p'/q') <= 2**-scale is one more.
     """
     w = scale + _CHAIN_GUARD
     p, q = _dyadic_floor(num, den, w)
     rounded = q == 1 << w  # an unrounded den has at most w bits
-    chain, _, residual_den = _cotangent_chain(p, q, scale)
-    parts = [arctan_conjugate(Fraction(1, m), min(terms, terms_for_digits(
-        digits, digits_per_term(m))), scale) for m in chain]
+    (first, *later), _, residual_den = _cotangent_chain(p, q, scale)
+    parts = [arctan_conjugate(Fraction(1, first), min(terms, terms_for_digits(
+        digits, digits_per_term(first))), scale)]
+    parts += [_arccot_gregory(m, min(terms, _gregory_terms(m, digits, scale)), scale)
+              for m in later]
     value = sum((part.value for part in parts[1:]), parts[0].value)
     value = value.widened(rounded + (residual_den > 0))
     used = sum(part.terms_used for part in parts)

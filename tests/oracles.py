@@ -95,6 +95,18 @@ def arctan_bracket(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
             return total, bound
 
 
+def gregory_partial_sum_reference(m: int, terms: int) -> tuple[Fraction, Fraction]:
+    """(S, t): S the sum of the first `terms` terms of Gregory's series
+    arctan(1/m) = sum (-1)**n / ((2n + 1) m**(2n + 1)), added one Fraction
+    per term, and t the first omitted term.  For m >= 1 the terms
+    alternate and fall, so arctan(1/m) lies between S and
+    S + (-1)**terms t."""
+    total = Fraction(0)
+    for n in range(terms):
+        total += Fraction((-1) ** n, (2 * n + 1) * m ** (2 * n + 1))
+    return total, Fraction(1, (2 * terms + 1) * m ** (2 * terms + 1))
+
+
 def arctan_enclosure(y: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     """(midpoint, bound) with |arctan(y) - midpoint| <= bound < 3 tol for
     any rational y, from arctan_bracket and exact rational folds:

@@ -304,13 +304,16 @@ class TestPiFromRadicals:
 
     def test_depth_two_single_term(self):
         # One term from each integer cotangent m of c_2's chain (3, 15,
-        # 229, ...): 8 * sum of 4m / (1 + 4m^2), with the chain followed
-        # from c_2 = 1 + sqrt(2) to 200 digits; cotangents past 10**18
-        # add under 1e-17.
-        beta, closed = Fraction(cot_tower_digits(2, 200)), Fraction(0)
+        # 229, ...): 8 times 4m / (1 + 4m^2), the conjugate series' first
+        # term, for the first link and 1/m, Gregory's, for each later one,
+        # with the chain followed from c_2 = 1 + sqrt(2) to 200 digits;
+        # cotangents past 10**18 add under 1e-17.
+        beta, chain = Fraction(cot_tower_digits(2, 200)), []
         while (m := math.ceil(beta)) < 10 ** 18:
-            closed += Fraction(32 * m, 1 + 4 * m * m)
+            chain.append(m)
             beta = (beta * m + 1) / (m - beta)
+        first, *later = chain
+        closed = Fraction(32 * first, 1 + 4 * first * first) + sum(Fraction(8, m) for m in later)
         r = pi_from_radicals(2, 1, 96)
         assert r.term_counts == (7,)
         assert abs(r.value.value - closed) < Fraction(1, 10 ** 15)

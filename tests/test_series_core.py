@@ -45,8 +45,11 @@ from machinpi.machin import MachinFormula, solve_u2
 from machinpi.radicals import eval_radicals
 from machinpi.realnum import FixedReal
 from machinpi.series import (
+    _arccot_gregory,
     _arctan_inverse,
     _cotangent_chain,
+    _gregory_split,
+    _gregory_tail_ulps,
     _lcm_split,
     _radical_rate,
     _tail_ulps,
@@ -65,6 +68,7 @@ from oracles import (
     arctan_enclosure,
     convergence_samples_reference,
     gi_mul_naive,
+    gregory_partial_sum_reference,
     pi_digits,
     pi_from_radicals_reference,
 )
@@ -262,6 +266,72 @@ def test_lcm_split_carries_the_lcm_not_the_product():
     assert max(zr.bit_length(), zi.bit_length()) <= bound
 
 
+@given(st.integers(2, 2 ** 64), st.integers(1, 60))
+@example(2, 1)
+@example(4, 13)
+@example(5, 14)
+@example(239, 25)
+@example(2 ** 64 + 1, 26)
+def test_gregory_split_is_the_exact_partial_sum(m, terms):
+    # b / d is the term-by-term partial sum, d carries the lcm of the odd
+    # denominators (not their product), and power is M**(terms - 1).
+    b, d, power = _gregory_split(m, terms)
+    assert Fraction(b, d) == gregory_partial_sum_reference(m, terms)[0]
+    assert power == m ** (2 * terms - 2)
+    assert d == m * math.lcm(*range(1, 2 * terms, 2)) * power
+
+
+# (m, terms): small cotangents with many terms, huge ones with few
+gregory_links = st.one_of(
+    st.tuples(st.just(2), st.integers(1, 60)),
+    st.tuples(st.integers(2, 2 ** 64), st.integers(1, 60)),
+    st.tuples(st.integers(2 ** 64, 2 ** 3000), st.integers(1, 4)),
+)
+
+
+@given(gregory_links, st.integers(8, 4000))
+@example((2, 1), 8)
+@example((2, 60), 4000)
+@example(((1 << 20_000) + 12345, 1), 40_000)  # a 20k-bit m with one term
+def test_gregory_interval_contains_the_oracle_bracket(link, scale):
+    m, terms = link
+    # arctan(1/m) lies between the partial sums of terms and terms + 1
+    # terms, both exact; the certified interval holds them both.
+    value = _arccot_gregory(m, terms, scale).value
+    partial, omitted = gregory_partial_sum_reference(m, terms)
+    following = partial + (-1) ** terms * omitted
+    for end in (partial, following):
+        assert value.lower <= end <= value.upper
+
+
+@given(gregory_links, st.integers(8, 40_000))
+@example((2, 1), 8)
+@example((3, 2), 64)
+@example((1 << 25_710, 1), 34_564)
+def test_gregory_tail_is_never_below_the_first_omitted_term(link, scale):
+    # The bound is the exact first omitted term in ulps, rounded up, or 1
+    # when bit lengths alone put it under one ulp.
+    m, terms = link
+    exact = Fraction(2 ** scale, (2 * terms + 1) * m ** (2 * terms + 1))
+    got = _gregory_tail_ulps(m, m ** (2 * terms - 2), terms, scale)
+    assert got >= exact
+    assert got == max(1, math.ceil(exact))
+
+
+def test_a_cotangent_under_one_reaches_gregory_at_two(monkeypatch):
+    # arccot(1/3) = arccot(1) + arccot(2): the first link is 1, the only
+    # way to a later link of 2, which Gregory's series sums.
+    seen = []
+
+    def spy(m, terms, scale):
+        seen.append(m)
+        return _arccot_gregory(m, terms, scale)
+
+    monkeypatch.setattr(series, "_arccot_gregory", spy)
+    assert_chain_sum_contains_bracket(Fraction(1, 3))
+    assert seen == [2]
+
+
 def _cut_case(seed: int) -> tuple[Fraction, int, int]:
     """(x, terms, scale) with x = a/b, |a| up to 2**400 and the cotangent
     b/|a| between 2**(scale/3) and 2**scale, so that the split's z outgrows
@@ -306,54 +376,83 @@ def divisor_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("source, links", [(["--k", "40"], 8), (None, 11)],
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """(evaluator, 1/m, terms) of every chain link summed while the fixture
+    is live: the conjugate series' and Gregory's."""
+    calls = []
+
+    def conjugate(x, terms, scale):
+        calls.append(("conjugate", x, terms))
+        return arctan_conjugate(x, terms, scale)
+
+    def gregory(m, terms, scale):
+        calls.append(("gregory", Fraction(1, m), terms))
+        return _arccot_gregory(m, terms, scale)
+
+    monkeypatch.setattr(series, "arctan_conjugate", conjugate)
+    monkeypatch.setattr(series, "_arccot_gregory", gregory)
+    return calls
+
+
+@pytest.mark.parametrize("source, links, first_links", [(["--k", "40"], 8, 1),
+                                                        (None, 11, 2)],
                          ids=["k40", "k10floor"])
-def test_every_link_divides_at_the_working_scale(source, links, divisor_sizes, tmp_path,
-                                                 capsys, pi_text_300):
+def test_every_link_divides_at_the_working_scale(source, links, first_links, divisor_sizes,
+                                                 evaluator_calls, tmp_path, capsys,
+                                                 pi_text_300):
     # Each chain link rounds once, from a divisor cut to scale + 64 bits;
-    # uncut, |z|**2 has 2-6 times the scale's bits.
+    # uncut, |z|**2 has 2-6 times the scale's bits.  Each chain's first
+    # link takes the conjugate series, every later one Gregory's.
     if source is None:
         path = str(tmp_path / "k10.json")
         assert cli.main(["generate", "10", "--round", "floor", "--out", path]) == 0
         source = ["--formula", path]
     divisor_sizes.clear()
+    evaluator_calls.clear()
     capsys.readouterr()
     assert cli.main(["compute-pi", *source, "--digits", "2000"]) == 0
     assert capsys.readouterr().out.startswith(pi_text_300)
-    assert len(divisor_sizes) == links
+    assert len(divisor_sizes) == links == len(evaluator_calls)
+    kinds = [kind for kind, _, _ in evaluator_calls]
+    assert kinds.count("conjugate") == first_links
+    assert kinds.count("gregory") == links - first_links
     assert all(bits <= scale + 64 for bits, scale in divisor_sizes)
     assert max(bits - scale for bits, scale in divisor_sizes) == 64
 
 
 @pytest.mark.parametrize("k, u1, digits, second_terms, cotangents", [
-    (10, 651, 5000, 1479, 11),  # floor u1: u2 ~ -922.9 with 1,364-digit parts
-    (14, 10430, 1000, 226, 8),  # u2 with about 32,000-digit parts
+    (10, 651, 5000, 1482, 11),  # floor u1: u2 ~ -922.9 with 1,364-digit parts
+    (14, 10430, 1000, 215, 8),  # u2 with about 32,000-digit parts
 ])
 def test_huge_second_argument_chains_with_own_budgets(
-    k, u1, digits, second_terms, cotangents, monkeypatch, pi_text_300
+    k, u1, digits, second_terms, cotangents, evaluator_calls, pi_text_300
 ):
     formula = MachinFormula.two_term(k, Fraction(u1), solve_u2(Fraction(u1), k))
-    calls = []
-
-    def spy(x, terms, scale):
-        calls.append((x, terms))
-        return arctan_conjugate(x, terms, scale)
-
-    monkeypatch.setattr(series, "arctan_conjugate", spy)
     text, result = pi_digits_from_formula(formula, digits)
     assert text.startswith(pi_text_300)
-    (first, first_terms), *chain = calls
-    assert (first, first_terms) == (Fraction(1, u1), result.terms_used)
-    # Every split of the second arctangent has numerator 1, and each
-    # integer cotangent runs what reaches the slowest one's digits.
+    first, *chain = evaluator_calls
+    assert first == ("conjugate", Fraction(1, u1), result.terms_used)
+    # Every split of the second arctangent has numerator 1; its first
+    # link takes the conjugate series, every later one Gregory's.
     assert len(chain) == cotangents
-    assert all(x.numerator == 1 for x, _ in chain)
+    assert [kind for kind, _, _ in chain] == ["conjugate"] + ["gregory"] * (cotangents - 1)
+    assert all(x.numerator == 1 for _, x, _ in chain)
+    # Each integer cotangent runs what reaches the slowest one's digits at
+    # its own rate; a Gregory link stops sooner once bit lengths put its
+    # first omitted term 1/((2N + 1) m**(2N + 1)) under one ulp.
     target = (result.terms_used - 2) * digits_per_term(Fraction(u1))
-    assert [terms for _, terms in chain] == [
-        min(result.terms_used, terms_for_digits(target, digits_per_term(1 / x)))
-        for x, _ in chain]
+    scale = scale_for_digits(digits)
+    (_, x, terms), *later = chain
+    assert terms == min(result.terms_used, terms_for_digits(target, digits_per_term(1 / x)))
+    for _, x, terms in later:
+        bits = x.denominator.bit_length() - 1
+        under_an_ulp = next(n for n in range(1, scale) if (2 * n + 1) * bits >= scale)
+        assert terms == min(result.terms_used, under_an_ulp,
+                            terms_for_digits(target, 2 * math.log10(x.denominator)))
+    assert later[-1][2] == 1  # m near 2**scale: one term, where the rate's count is 3
     assert result.term_counts == (result.terms_used, second_terms)
-    assert second_terms == sum(terms for _, terms in chain)
+    assert second_terms == sum(terms for _, _, terms in chain)
 
 
 @given(st.integers(0, 10 ** 40), st.integers(1, 10 ** 40), st.integers(8, 600))
@@ -436,11 +535,14 @@ def test_chain_bound_counts_rounding_and_residual(beta, scale, extra_ulp, monkey
         beta = 1 / small_u2_arguments[beta]
     pieces = []
 
-    def spy(x, terms, scale):
-        pieces.append(arctan_conjugate(x, terms, scale))
-        return pieces[-1]
+    def spy(evaluator):
+        def summed(*args):
+            pieces.append(evaluator(*args))
+            return pieces[-1]
+        return summed
 
-    monkeypatch.setattr(series, "arctan_conjugate", spy)
+    monkeypatch.setattr(series, "arctan_conjugate", spy(arctan_conjugate))
+    monkeypatch.setattr(series, "_arccot_gregory", spy(_arccot_gregory))
     got = _arctan_inverse(beta.numerator, beta.denominator, 1000, 10 ** 6, scale).value
     assert got.err_ulp == sum(piece.value.err_ulp for piece in pieces) + extra_ulp
 
