@@ -13,7 +13,11 @@ lcm of the odd denominators, not their product.  Its one rounding, from
 operands cut to the working scale, must stay within half an ulp plus 2**-61 of the exact partial sum
 summed term by term, and no chain link may divide by more than scale +
 64 bits.  The tail bound on rho's integer pair must be the
-reference's for a = 1 and never looser for any a.  Every cotangent, of a
+reference's for a = 1 and never looser for any a.  Every chain link
+after the first takes Gregory's real series: its split must be the exact
+partial sum over the lcm, its interval must hold the partial sums of N
+and N + 1 terms, and its tail bound must be the first omitted term
+rounded up.  Every cotangent, of a
 formula or the tower's c_k, first becomes a chain of integer cotangents:
 the chain must be an exact Gaussian-integer identity that a common
 factor of the pair does not change, its certified sum must contain an
