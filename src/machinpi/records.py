@@ -75,7 +75,8 @@ class FormulaRecord:
     @property
     def terms(self) -> tuple:
         """The formula's terms with u2 as its stored text, which the series
-        reads from its leading digits (series.pi_from_formula)."""
+        reads from its leading digits, both for its chain and its rate
+        (series._dyadic_floor); formula() has u2 whole, for verify_formula."""
         return (1 << (self.k - 1), self.u1), (1, self.u2_text)
 
     def formula(self) -> MachinFormula:

@@ -23,18 +23,18 @@ odd denominators, not their product (_lcm_split), and rounded from
 operands cut to the scale, within the proved ulp plus the tail
 (arctan_conjugate).  Every cotangent of pi, a formula's or the tower's,
 first becomes a chain of integer cotangents m_j (_arctan_inverse); a
-record's u2 arrives as its decimal text, read from its leading digits
-(_dyadic_floor).  A chain's first link is summed by arctan_conjugate,
-the paper's series, whose rate is the one reported.  Every later link
-has m_j >= 2 and takes Gregory's real series for arctan(1/m), with
-2 log10(m) digits per term (_arccot_gregory): the same lcm split
-(_lcm_blocks) on one part where the conjugate series has two, and one
-division with no cross product or norm.  The irrational c_k enters
-the chain as the integer pair (M, 2**s) of its interval's midpoint, and
-its own error widens the result once (pi_from_radicals).  Every evaluator here
-certifies an error bound at a working scale; the convergence
-measurement walks its own integer term stream, and the exact comparison
-series sit beside it (analysis).
+record's u2 arrives as its decimal text, which _dyadic_floor alone reads,
+from its leading digits, for its chain and its rate (_term_rate).  A
+chain's first link is summed by arctan_conjugate, the paper's series,
+whose rate is the one reported.  Every later link has m_j >= 2 and takes
+Gregory's real series for arctan(1/m), with 2 log10(m) digits per term
+(_arccot_gregory): the same lcm split (_lcm_blocks) on one part where
+the conjugate series has two, and one division with no cross product or
+norm.  The irrational c_k enters the chain as the integer pair (M, 2**s)
+of its interval's midpoint, and its own error widens the result once
+(pi_from_radicals).  Every evaluator here certifies an error bound at a
+working scale; the convergence measurement walks its own integer term
+stream, and the exact comparison series sit beside it (analysis).
 
 Terms come from a multiplicative recurrence; no power is recomputed per
 term.  Each result's error bound covers rounding and truncation; the
@@ -91,41 +91,31 @@ def _log10_int(v: int) -> float:
     return math.log10(v >> e) + e * _LOG10_2
 
 
-def digits_per_term(beta) -> float:
+def digits_per_term(beta: Fraction | int) -> float:
     """Decimal digits of pi gained per added conjugate-series term for
-    the argument 1/beta: log10(1 + 4*beta**2), for a Fraction or the
-    decimal text (num, den) of one with den > 0; beta = 0 is ValueError.
-    With beta = p/q in lowest terms, (q**2 + 4p**2)/q**2 shares only
-    gcd(4, q**2), so one shift reduces it with no gcd of the big parts."""
-    p, q = _parts(beta)
-    if p in (0, "0"):
+    the argument 1/beta: log10(1 + 4*beta**2), for a Fraction or an int;
+    beta = 0 is ValueError.  With beta = p/q in lowest terms,
+    (q**2 + 4p**2)/q**2 shares only gcd(4, q**2), so one shift reduces it
+    with no gcd of the squares."""
+    p, q = beta.numerator, beta.denominator
+    if p == 0:
         raise ValueError("the cotangent argument must be nonzero")
-    shift = 0 if (int(q[-1]) if isinstance(q, str) else q) & 1 else 2
-    return _log10_squares(q, p, 4, shift) - _log10_squares(q, 0, 0, shift)
+    shift = 0 if q & 1 else 2
+    return _log10_int((q * q + 4 * p * p) >> shift) - _log10_int((q * q) >> shift)
+
+
+def _term_rate(beta) -> float:
+    """digits_per_term of a Fraction, or of a record's text u2 floored to
+    64 fractional bits (_dyadic_floor): under 2**-60 low, relatively, and
+    never the min, as a record's |u2| is 1.309 u1 or more (k = 2..16)."""
+    if isinstance(beta, tuple):
+        beta = Fraction(*_dyadic_floor(*beta, 64))
+    return digits_per_term(beta)
 
 
 def _parts(beta) -> tuple:
     """(num, den) of a cotangent: a Fraction's or an int's, or a text pair."""
     return beta if isinstance(beta, tuple) else (beta.numerator, beta.denominator)
-
-
-def _log10_squares(x, y, c: int, shift: int) -> float:
-    """_log10_int((x**2 + c y**2) >> shift), x > 0, c >= 0, for ints or
-    decimal text, with no big square when heads cut by d bits or digits
-    (_head) put the sum in [lo, hi] * 2**(2d + e) and both ends share the
-    53 leading bits _log10_int reads (squaring a depth-17 u2: 0.27 s);
-    for text, 5**(2d) lies in [f_lo, f_hi] * 2**e (_five_power_bounds)."""
-    d = max(_drop(x, 128), _drop(y, 128))
-    if d > 0:
-        xh, yh = _head(x, d), _head(y, d)
-        f_lo, f_hi, e = _five_power_bounds(2 * d) if isinstance(x, str) else (1, 1, 0)
-        lo = (xh * xh + c * yh * yh) * f_lo
-        hi = ((xh + 1) ** 2 + c * (yh + 1) ** 2) * f_hi
-        drop = lo.bit_length() - 53
-        if hi.bit_length() == lo.bit_length() and lo >> drop == hi >> drop:
-            return math.log10(lo >> drop) + (drop + e + 2 * d - shift) * _LOG10_2
-    x, y = _head(x, 0), _head(y, 0)
-    return _log10_int((x * x + c * y * y) >> shift)
 
 
 def _drop(x, bits: int) -> int:
@@ -142,19 +132,6 @@ def _head(x, d: int) -> int:
         return abs(x) >> d
     start = x.startswith("-")
     return text_to_int(x[start:len(x) - d]) if len(x) - d > start else 0
-
-
-def _five_power_bounds(n: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo 2**e <= 5**n <= hi 2**e: square-and-multiply
-    that cuts both ends to 192 bits, lo down and hi up."""
-    lo, hi, e = 1, 1, 0
-    for i in reversed(range(n.bit_length())):
-        lo, hi, e = lo * lo, hi * hi, 2 * e
-        if n >> i & 1:
-            lo, hi = lo * 5, hi * 5
-        cut = max(0, hi.bit_length() - 192)
-        lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
-    return lo, hi, e
 
 
 def scale_for_digits(digits: int) -> int:
@@ -207,8 +184,8 @@ def _tail_ulps(num: int, den: int, terms: int, scale: int) -> int:
 # Blocks of at most this many terms are summed term by term, not split.
 # Of 8, 12, 16 and 24, 12 and 16 were within 3% of the fastest at m = 5
 # from 300 to 49,895 terms and at m = 239 with 21,000 (best of 3, Python
-# 3.11.7 on a 2-vCPU Xeon VM); 24 doubled the 19-term link of --k 40 at
-# 10^5 digits.
+# 3.11.7 on a 2-vCPU Xeon VM); 24 doubled the conjugate series' 19-term
+# link of --k 40 at 10^5 digits, which Gregory's series sums now.
 _LEAF_TERMS = 12
 
 
@@ -280,7 +257,7 @@ def _conjugate_leaf(powers: dict, lo: int, hi: int, lcm: int) -> tuple[int, int]
     """B of _lcm_split's block [lo, hi), term by term on the cached powers,
     which every leaf shares.  (A Horner loop in G measured the same at
     m = 5 and 35% slower on the 4-term link of --k 40 at 10^5 digits,
-    whose G has 328k bits.)"""
+    whose G has 328k bits, before Gregory's series summed that link.)"""
     a2 = powers[1][2]
     br = bi = 0
     for n in range(lo, hi):
@@ -390,7 +367,7 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     (_lcm_split), so the bound is the final rounding (1 ulp,
     _rounded_sum) plus the tail for rho = |v|**2 = a**2 / (a**2 + 4b**2),
     whose parts share 4 for even a and nothing for odd a.  The rate comes
-    from the exact first and last terms, off the uncut z.
+    from the exact first and last terms, |z|**2 off 64-bit heads of z.
     """
     x = Fraction(x)
     if x == 0:
@@ -405,8 +382,10 @@ def arctan_conjugate(x: Fraction, terms: int, scale: int) -> SeriesResult:
     if terms > 1 and zi:
         # The last term is -2 Im(a p / z) = 2 a p Im(z) / |z|**2.
         log_first = _log10_int(abs(4 * a * b)) - _log10_int(a2 + 4 * b * b)
+        cut = max(0, max(abs(zr), abs(zi)).bit_length() - 64)
+        norm = (abs(zr) >> cut) ** 2 + (abs(zi) >> cut) ** 2
         log_last = (_log10_int(abs(2 * a * p)) + _log10_int(abs(zi))
-                    - _log10_squares(abs(zi), abs(zr), 1, 0))
+                    - _log10_int(norm) - 2 * cut * _LOG10_2)
         rate = (log_first - log_last) / (terms - 1)
     else:
         rate = _log10_int(rho_den) - _log10_int(rho_num)
@@ -536,19 +515,19 @@ def pi_from_formula(
     assume_verified: bool = False,
 ) -> SeriesResult:
     """pi = 4 * sum of alpha * arctan(1/beta) over formula.terms: a
-    MachinFormula's, or a checked record's, whose u2 stays decimal text
-    (FormulaRecord.terms, with assume_verified).
+    MachinFormula's, or a record's, whose u2 stays decimal text
+    (FormulaRecord.terms) and is rated by _term_rate.
 
     The slowest arctangent's `terms` reach D = (terms - 2) * r_min digits
     at its predicted rate r_min; every integer cotangent of every chain
     runs what reaches D at its own rate, at most `terms` (_arctan_inverse).
-    The formula must verify exactly unless the caller vouches for it
-    (verify_formula raises UnverifiedFormula); its integer coefficients
-    scale each mantissa and error bound exactly.
+    The formula, a record's as formula(), must verify exactly unless the
+    caller vouches for it (verify_formula raises UnverifiedFormula); its
+    integer coefficients scale each mantissa and error bound exactly.
     """
     if not assume_verified:
-        verify_formula(formula)
-    rates = [digits_per_term(beta) for _, beta in formula.terms]
+        verify_formula(formula if isinstance(formula, MachinFormula) else formula.formula())
+    rates = [_term_rate(beta) for _, beta in formula.terms]
     target = (terms - 2) * min(rates)
     parts = [_arctan_inverse(*_parts(beta), target, terms, scale)
              for _, beta in formula.terms]
@@ -602,8 +581,8 @@ def pi_digits_from_formula(
     digit target or a term budget of the slowest arctangent (see
     _certified_pi)."""
     if not assume_verified:
-        verify_formula(formula)
-    rate = min(digits_per_term(beta) for _, beta in formula.terms)
+        verify_formula(formula if isinstance(formula, MachinFormula) else formula.formula())
+    rate = min(_term_rate(beta) for _, beta in formula.terms)
     evaluate = partial(pi_from_formula, formula, assume_verified=True)
     return _certified_pi(evaluate, rate, digits, terms)
 

@@ -107,6 +107,22 @@ def gregory_partial_sum_reference(m: int, terms: int) -> tuple[Fraction, Fractio
     return total, Fraction(1, (2 * terms + 1) * m ** (2 * terms + 1))
 
 
+def conjugate_rate_reference(m: int, terms: int) -> float:
+    """Measured digits per term of the conjugate series for arctan(1/m)
+    over `terms` >= 2 terms: log10 of its first term over its last, per
+    added term.  Term n is -2 Im(v**(2n - 1)) / (2n - 1) for
+    v = x/(x + 2i) = x(x - 2i)/(x**2 + 4), x = 1/m, the power formed by
+    repeated multiplication of Fraction pairs."""
+    x = Fraction(1, m)
+    v_re, v_im = x * x / (x * x + 4), -2 * x / (x * x + 4)
+    sq_re, sq_im = v_re * v_re - v_im * v_im, 2 * v_re * v_im
+    w_re, w_im = v_re, v_im
+    for _ in range(terms - 1):
+        w_re, w_im = w_re * sq_re - w_im * sq_im, w_re * sq_im + w_im * sq_re
+    first, last = -2 * v_im, -2 * w_im / (2 * terms - 1)
+    return (approx_log10(abs(first)) - approx_log10(abs(last))) / (terms - 1)
+
+
 def arctan_enclosure(y: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     """(midpoint, bound) with |arctan(y) - midpoint| <= bound < 3 tol for
     any rational y, from arctan_bracket and exact rational folds:

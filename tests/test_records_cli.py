@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import machinpi
-from machinpi import cli, errors, machin
+from machinpi import cli, errors, machin, series
 from machinpi.cli import generate_record
 from machinpi.errors import (DigitCountMismatch, EpsilonTooLarge, NotExactlyVerifiable,
                              RecordParseError, UnverifiedFormula)
@@ -32,10 +33,11 @@ from machinpi.records import (
     load_record,
     write_record,
 )
+from machinpi.series import pi_digits_from_formula, pi_from_formula
 
 from oracles import (big_int_text, branch_turns, int_text_cap, pi_digits,
                      rotation_power_reference, rotation_product_reference)
-from test_golden_outputs import COMPUTE_PI, RECORD_FILES
+from test_golden_outputs import COMPUTE_PI, RECORD_FILES, RECORDS
 
 
 def run_cli(*argv: str) -> int:
@@ -552,6 +554,55 @@ def test_compute_pi_reads_u2_from_its_leading_digits(tmp_path, monkeypatch, caps
     captured = capsys.readouterr()
     assert (hashlib.sha256(captured.out.encode()).hexdigest(), captured.err) == (
         COMPUTE_PI[f"k14 {budget}"])
+
+
+def test_compute_pi_rates_only_short_cotangents(tmp_path, monkeypatch):
+    # A record's u2 is rated at its 64-bit dyadic floor, so the squares
+    # digits_per_term forms stay small though u2's parts are 110k bits.
+    path = write_record(generate_record(14, 1, "nearest"), tmp_path / "k14.json")
+    denominators, rate = [], series.digits_per_term
+
+    def spy(beta):
+        denominators.append(beta.denominator)
+        return rate(beta)
+
+    monkeypatch.setattr(series, "digits_per_term", spy)
+    assert run_cli("compute-pi", "--formula", str(path), "--digits", "1000") == 0
+    assert denominators and max(denominators) <= 1 << 64
+
+
+@pytest.mark.parametrize("argv", [*RECORDS.values(), ("8", "--round", "floor")],
+                         ids=[*RECORDS, "k8floor"])
+def test_record_u2_rate_never_the_slowest(tmp_path, argv):
+    # The rate of u2's 64-bit floor agrees with log10(1 + 4 u2**2) from
+    # u2's correctly rounded float and exceeds u1's, so u1 sets every term
+    # budget; k = 8 floor has the smallest |u2|/u1 of k = 2..16, 1.309.
+    path = tmp_path / "record.json"
+    assert run_cli("generate", *argv, "--out", str(path)) == 0
+    record = load_record(path)
+    (_, u1), (_, text) = record.terms
+    rate = series._term_rate(text)
+    assert abs(rate - math.log10(1 + 4 * float(record.u2) ** 2)) < 1e-12
+    assert rate > series._term_rate(u1)
+
+
+@pytest.mark.parametrize("k, rounding", [(3, "nearest"), (10, "floor")])
+def test_unvouched_record_is_verified(tmp_path, k, rounding):
+    # With no assume_verified the record's exact formula is checked
+    # first: the same digits as a vouched run, and a u2 numerator changed
+    # after loading is UnverifiedFormula.
+    record = load_record(write_record(generate_record(k, 1, rounding), tmp_path / "r.json"))
+    text, _ = pi_digits_from_formula(record, 40)
+    assert text == pi_digits_from_formula(record, 40, assume_verified=True)[0]
+    assert text == pi_digits(40)
+    assert pi_from_formula(record, 30, 256) == pi_from_formula(record, 30, 256,
+                                                               assume_verified=True)
+    num, den = record.u2_text
+    altered = dataclasses.replace(record, u2_text=(str(int(num) + 2), den))
+    for compute in (partial(pi_digits_from_formula, altered, 40),
+                    partial(pi_from_formula, altered, 30, 256)):
+        with pytest.raises(UnverifiedFormula):
+            compute()
 
 
 MALFORMED = {

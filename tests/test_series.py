@@ -28,7 +28,7 @@ from machinpi.series import (
     terms_for_digits,
 )
 
-from oracles import arctan_bracket, cot_tower_digits
+from oracles import arctan_bracket, conjugate_rate_reference, cot_tower_digits
 from oracles import digits_per_term as digits_per_term_from_fractions
 
 # Second arguments with 1,364-digit (depth 10, floor u1) and about
@@ -135,6 +135,14 @@ class TestConjugateSeries:
         r = arctan_conjugate(x, 12, 512)
         predicted = approx_log10(1 + 4 / x ** 2)
         assert abs(r.per_term_log10 - predicted) / predicted < 0.15
+
+    # The reported rate reads |z|**2 off 64-bit heads of z's parts; a
+    # Fraction sum of the first and last terms gives the same float.
+    @pytest.mark.parametrize("m, terms", [(5, 50), (239, 30), ((1 << 399) + 12345, 6)],
+                             ids=["5", "239", "400-bit"])
+    def test_measured_rate_matches_fraction_terms(self, m, terms):
+        rate = arctan_conjugate(Fraction(1, m), terms, 256).per_term_log10
+        assert abs(rate - conjugate_rate_reference(m, terms)) < 1e-12
 
     @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7)])
     def test_result_interval_honest(self, x):
@@ -351,12 +359,10 @@ class TestRatePrediction:
     # <-> str digit cap, so the second arguments run as parameters.
     @pytest.mark.parametrize("u2", [U2_K10, U2_K14], ids=["k10", "k14"])
     def test_digits_per_term_matches_fraction_formula_at_huge_u2(self, u2):
-        text = exact.int_to_text(u2.numerator), exact.int_to_text(u2.denominator)
-        assert digits_per_term(u2) == digits_per_term(text) == digits_per_term_from_fractions(u2)
+        assert digits_per_term(u2) == digits_per_term_from_fractions(u2)
 
-    # Parts over 128 bits are read from 128-bit heads, and the squares are
-    # formed in full only when the heads leave the leading bits open, as
-    # for q = 2**400 - 1, whose square sits just under a power of two.
+    # Parts up to 700 bits, squared whole; q = 2**400 - 1 puts its square
+    # just under a power of two.
     @given(st.integers(1, 1 << 700), st.integers(1, 1 << 700))
     @example((1 << 400) - 1, 1)
     @example(1, (1 << 400) - 1)
@@ -383,9 +389,10 @@ def _dyadic_floor_reference(num: int, den: int, w: int) -> tuple[int, int]:
 
 class TestCotangentReaders:
     """A cotangent arrives as ints or as a record's decimal text.  Either
-    way _arctan_inverse rounds it to beta' = floor(|beta| 2**w) / 2**w
-    past w bits, certified from heads or converted whole, and
-    digits_per_term returns the float of the Fraction formula."""
+    way _dyadic_floor, the one reader of its heads, rounds it to
+    beta' = floor(|beta| 2**w) / 2**w past w bits, certified from heads or
+    converted whole: for the chain at the working scale (_arctan_inverse)
+    and for a record's rate at w = 64 (_term_rate)."""
 
     @given(st.integers(-2 ** 3000, 2 ** 3000).filter(bool), st.integers(1, 2 ** 3000),
            st.integers(8, 2000))
@@ -402,9 +409,7 @@ class TestCotangentReaders:
         assert series._dyadic_floor(num, den, w) == want
         assert series._dyadic_floor(str(num), str(den), w) == want
         beta = Fraction(num, den)
-        text = str(beta.numerator), str(beta.denominator)
-        assert digits_per_term(text) == digits_per_term(beta) == (
-            digits_per_term_from_fractions(beta))
+        assert digits_per_term(beta) == digits_per_term_from_fractions(beta)
 
     @pytest.mark.parametrize("offset, whole", [(0, True), (1, True), (-1, True),
                                                (10 ** 399, False)])
