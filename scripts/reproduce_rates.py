@@ -22,7 +22,7 @@ from machinpi.analysis import (
     validated_pi_reference,
 )
 from machinpi.exact import decimal_head, fraction_from_text
-from machinpi.machin import second_term_text, verify_formula, MachinFormula
+from machinpi.machin import second_term_text, MachinFormula
 from machinpi.radicals import eval_radicals, select_u1
 from machinpi.series import digits_per_term, pi_from_radicals, scale_for_digits
 
@@ -63,14 +63,12 @@ def main() -> int:
                   f"{KNOWN_DIGITS_PER_TERM[k]:4d}")
             continue
         num, den = second_term_text(1 << (k - 1), sel.u1)
-        u2 = fraction_from_text(num, den)
-        verify_formula(MachinFormula.two_term(k, sel.u1, u2))
+        formula = MachinFormula.two_term(k, sel.u1, fraction_from_text(num, den))
+        formula.proof  # raises UnverifiedFormula unless the formula holds
         counts = f"{len(num.lstrip('-'))}/{len(den)}"
         measured = "-"
         if predicted * args.max_terms < MEASURED_DIGITS:
-            report = measure_convergence(
-                MachinFormula.two_term(k, sel.u1, u2), args.max_terms, reference
-            )
+            report = measure_convergence(formula, args.max_terms, reference)
             measured = f"{report.measured_digits_per_term:6.2f}"
         print(f"{k:3d} {str(sel.u1):>12} {decimal_head(num, den):>28} "
               f"{counts:>15} {predicted:6.2f} {measured:>6} "

@@ -151,11 +151,10 @@ def _cmd_compute_pi(args) -> int:
         raise ValueError("--terms must be at least 1")
 
     if args.formula is not None:
-        # load_record re-checks the record; its "verified" flag is not trusted.
+        # load_record proves the record (FormulaRecord.proof, kept on it, so
+        # the series does not prove it again); "verified" is not trusted.
         record = load_record(args.formula)
-        text, result = pi_digits_from_formula(
-            record, args.digits, args.terms, assume_verified=True
-        )
+        text, result = pi_digits_from_formula(record, args.digits, args.terms)
     else:
         text, result = pi_digits_from_radicals(args.k, args.digits, args.terms)
 

@@ -40,6 +40,7 @@ the two.  A stored second term is compared with the closed form as text
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,6 +92,11 @@ class MachinFormula:
         if any(beta == 0 for _, beta in terms):
             raise ValueError("every cotangent argument must be nonzero")
         object.__setattr__(self, "terms", terms)
+
+    @functools.cached_property
+    def proof(self) -> None:
+        """verify_formula(self), kept on this instance once it passes."""
+        verify_formula(self)
 
     @classmethod
     def two_term(cls, k: int, u1: Fraction, u2: Fraction) -> "MachinFormula":

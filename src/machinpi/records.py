@@ -17,11 +17,12 @@ integer text only in the form str(int) writes, u1 only in lowest terms,
 both fractions only over a positive denominator, and sidecars only by
 bare file name in the record's directory, so an edited record cannot
 keep its meaning under a different spelling or read digits from
-elsewhere.  No gcd runs on u2's parts: load_record returns a record only
-once check_record has found them equal to u2 re-solved from k and u1,
-which is in lowest terms.  Writes are atomic (temp file then rename),
-byte-deterministic, and create files with mode 0o666 less the umask, as
-a plain open() would; a write that fails removes the sidecars it wrote.
+elsewhere.  No gcd runs on u2's parts: load_record returns only a
+record whose proof (check_record) has found them equal to u2 re-solved
+from k and u1, which is in lowest terms.  Writes are atomic (temp file
+then rename), byte-deterministic, and create files with mode 0o666 less
+the umask, as a plain open() would; a write that fails removes the
+sidecars it wrote.
 """
 
 from __future__ import annotations
@@ -76,10 +77,16 @@ class FormulaRecord:
     def terms(self) -> tuple:
         """The formula's terms with u2 as its stored text, which the series
         reads from its leading digits, both for its chain and its rate
-        (series._dyadic_floor); formula() has u2 whole, for verify_formula."""
+        (series._dyadic_floor)."""
         return (1 << (self.k - 1), self.u1), (1, self.u2_text)
 
+    @functools.cached_property
+    def proof(self) -> None:
+        """check_record(self), kept on this instance once it passes."""
+        check_record(self)
+
     def formula(self) -> MachinFormula:
+        """The formula with u2 whole (bench), with a proof of its own."""
         return MachinFormula.two_term(self.k, self.u1, self.u2)
 
 
@@ -225,8 +232,8 @@ def _sidecar_text(entry: dict, directory: Path) -> str:
 
 
 def load_record(path: str | os.PathLike) -> FormulaRecord:
-    """Read a record in canonical form and check what it claims
-    (check_record).  u2's parts are too large for a gcd here, so
+    """Read a record in canonical form and prove what it claims by its
+    cached proof (check_record).  u2's parts are too large for a gcd, so
     check_record proves their lowest terms by re-solving u2 instead, and
     no record with an unreduced u2 is returned.  RecordParseError,
     DigitCountMismatch or UnverifiedFormula on failure."""
@@ -241,7 +248,7 @@ def load_record(path: str | os.PathLike) -> FormulaRecord:
         record = _record_from_json(payload, path)
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordParseError(f"record {path} is malformed: {exc}") from exc
-    check_record(record)
+    record.proof
     return record
 
 

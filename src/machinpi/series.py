@@ -11,12 +11,12 @@ discarded.  Successive terms pick up a factor v**2, so the error
 contracts by |v|**2 = x**2 / (x**2 + 4) per term: about
 log10(1 + 4/x**2) decimal digits per added term.
 
-pi comes either from a verified two-term formula (4 * sum of integer
-coefficient times arctan of the reciprocal argument) or, with no second
-term, from the radical tower: pi = 2**(k+1) * arccot(c_k).  Certified
-digits from either source go through one driver that turns a digit
-target or a term budget into terms, scale, retries and the certified
-prefix (see _certified_pi).
+pi comes either from a formula or record (4 * sum of integer coefficient
+times arctan of the reciprocal argument), proved once per instance by
+its type's own proof, or, with no second term, from the radical tower:
+pi = 2**(k+1) * arccot(c_k).  Certified digits from either source go
+through one driver that turns a digit target or a term budget into
+terms, scale, retries and the certified prefix (see _certified_pi).
 
 A rational x = a/b is split on int pairs over the lcm of the series'
 odd denominators, not their product (_lcm_split), and rounded from
@@ -51,7 +51,7 @@ from functools import partial
 
 from .errors import PrecisionExhausted
 from .exact import gaussian_product, int_divmod, text_to_int
-from .machin import MAX_POWER_BITS, MachinFormula, verify_formula
+from .machin import MAX_POWER_BITS, MachinFormula
 from .radicals import eval_radicals
 from .realnum import FixedReal, _ceil_div
 
@@ -508,12 +508,7 @@ def _dyadic_floor(num, den, w: int) -> tuple[int, int]:
     return (p, q) if q.bit_length() <= w else (int_divmod(p << w, q)[0], 1 << w)
 
 
-def pi_from_formula(
-    formula: MachinFormula,
-    terms: int,
-    scale: int,
-    assume_verified: bool = False,
-) -> SeriesResult:
+def pi_from_formula(formula: MachinFormula, terms: int, scale: int) -> SeriesResult:
     """pi = 4 * sum of alpha * arctan(1/beta) over formula.terms: a
     MachinFormula's, or a record's, whose u2 stays decimal text
     (FormulaRecord.terms) and is rated by _term_rate.
@@ -521,12 +516,12 @@ def pi_from_formula(
     The slowest arctangent's `terms` reach D = (terms - 2) * r_min digits
     at its predicted rate r_min; every integer cotangent of every chain
     runs what reaches D at its own rate, at most `terms` (_arctan_inverse).
-    The formula, a record's as formula(), must verify exactly unless the
-    caller vouches for it (verify_formula raises UnverifiedFormula); its
-    integer coefficients scale each mantissa and error bound exactly.
+    The formula must hold: its proof runs unless this instance passed it
+    already (MachinFormula.proof, FormulaRecord.proof; they raise on
+    failure).  Its integer coefficients scale each mantissa and error
+    bound exactly.
     """
-    if not assume_verified:
-        verify_formula(formula if isinstance(formula, MachinFormula) else formula.formula())
+    formula.proof  # run once per instance
     rates = [_term_rate(beta) for _, beta in formula.terms]
     target = (terms - 2) * min(rates)
     parts = [_arctan_inverse(*_parts(beta), target, terms, scale)
@@ -574,16 +569,14 @@ def pi_digits_from_formula(
     formula: MachinFormula,
     digits: int | None = None,
     terms: int | None = None,
-    assume_verified: bool = False,
 ) -> tuple[str, SeriesResult]:
-    """Certified decimal digits of pi from a formula (see pi_from_formula),
-    verified once unless the caller vouches for it, for exactly one of a
-    digit target or a term budget of the slowest arctangent (see
-    _certified_pi)."""
-    if not assume_verified:
-        verify_formula(formula if isinstance(formula, MachinFormula) else formula.formula())
+    """Certified decimal digits of pi from a formula or record (see
+    pi_from_formula), proved before the first run and once per instance,
+    for exactly one of a digit target or a term budget of the slowest
+    arctangent (see _certified_pi)."""
+    formula.proof  # run once per instance
     rate = min(_term_rate(beta) for _, beta in formula.terms)
-    evaluate = partial(pi_from_formula, formula, assume_verified=True)
+    evaluate = partial(pi_from_formula, formula)
     return _certified_pi(evaluate, rate, digits, terms)
 
 

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -588,21 +589,81 @@ def test_record_u2_rate_never_the_slowest(tmp_path, argv):
 
 @pytest.mark.parametrize("k, rounding", [(3, "nearest"), (10, "floor")])
 def test_unvouched_record_is_verified(tmp_path, k, rounding):
-    # With no assume_verified the record's exact formula is checked
-    # first: the same digits as a vouched run, and a u2 numerator changed
-    # after loading is UnverifiedFormula.
+    # A loaded record carries its proof: the digits are pi's, and a u2
+    # numerator changed after loading makes a copy that is proved again
+    # (check_record) and is UnverifiedFormula.
     record = load_record(write_record(generate_record(k, 1, rounding), tmp_path / "r.json"))
     text, _ = pi_digits_from_formula(record, 40)
-    assert text == pi_digits_from_formula(record, 40, assume_verified=True)[0]
     assert text == pi_digits(40)
-    assert pi_from_formula(record, 30, 256) == pi_from_formula(record, 30, 256,
-                                                               assume_verified=True)
     num, den = record.u2_text
     altered = dataclasses.replace(record, u2_text=(str(int(num) + 2), den))
     for compute in (partial(pi_digits_from_formula, altered, 40),
                     partial(pi_from_formula, altered, 30, 256)):
         with pytest.raises(UnverifiedFormula):
             compute()
+
+
+def _count_calls(monkeypatch, function) -> list:
+    """Spy on `function` wherever machinpi binds it; the list grows by one
+    entry per call."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    _patch_everywhere(monkeypatch, function, spy)
+    return calls
+
+
+@pytest.mark.parametrize("budget", ["--digits 1000", "--terms 5"])
+def test_compute_pi_proves_a_record_once(tmp_path, monkeypatch, capsys, budget):
+    # load_record proves the record through its own check, and the series
+    # finds that proof cached on the record: check_record runs once per
+    # request, and the general verify_formula never.
+    path = write_record(generate_record(14, 1, "nearest"), tmp_path / "k14.json")
+    checks = _count_calls(monkeypatch, machinpi.records.check_record)
+    verifies = _count_calls(monkeypatch, machin.verify_formula)
+    capsys.readouterr()
+    assert run_cli("compute-pi", "--formula", str(path), *budget.split()) == 0
+    assert (len(checks), len(verifies)) == (1, 0)
+    assert run_cli("compute-pi", "--formula", str(path), *budget.split()) == 0
+    assert (len(checks), len(verifies)) == (2, 0)  # a new request loads anew
+
+
+def test_record_copy_is_proved_again(tmp_path, monkeypatch):
+    # The proof is kept on the instance, so a dataclasses.replace copy,
+    # even one with the same fields, is proved again by check_record; one
+    # with u2 scaled by 3 (matching digit counts) is refused as the
+    # loader refuses it, where a check of its value alone would pass.
+    record = load_record(write_record(generate_record(3, 1, "nearest"), tmp_path / "r.json"))
+    checks = _count_calls(monkeypatch, machinpi.records.check_record)
+    assert pi_digits_from_formula(record, 20)[0] == pi_digits(20)
+    assert checks == []
+    same = dataclasses.replace(record)
+    assert pi_digits_from_formula(same, 20)[0] == pi_digits(20)
+    assert pi_from_formula(same, 10, 128) == pi_from_formula(record, 10, 128)
+    assert len(checks) == 1
+    u2 = record.u2
+    scaled = _with_u2_parts(record, 3 * u2.numerator, 3 * u2.denominator)
+    for compute in (partial(pi_digits_from_formula, scaled, 20),
+                    partial(pi_from_formula, scaled, 10, 128)):
+        with pytest.raises(RecordParseError, match="lowest terms"):
+            compute()
+    assert len(checks) == 3  # a failed proof is not kept
+
+
+def test_proved_record_is_freed_once_dropped(tmp_path):
+    # The proof lives on the record, in no cache of its own, so nothing
+    # keeps a proved record alive.  The record is unlike any other test's
+    # (created_with), so no equal record stands in for it in a cache.
+    made = dataclasses.replace(generate_record(3, 1, "nearest"), created_with=str(tmp_path))
+    record = load_record(write_record(made, tmp_path / "r.json"))
+    pi_digits_from_formula(record, 20)
+    ref = weakref.ref(record)
+    del record
+    gc.collect()
+    assert ref() is None
 
 
 MALFORMED = {

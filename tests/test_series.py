@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from machinpi import cli, exact, series
+from machinpi import cli, exact, machin, series
 from machinpi.analysis import arctan_euler, arctan_gregory
 from machinpi.errors import PrecisionExhausted, UnverifiedFormula
 from machinpi.machin import MachinFormula, solve_u2
@@ -196,11 +196,9 @@ class TestPiFromFormula:
 
     def test_unverified_formula_rejected(self):
         broken = MachinFormula(((Fraction(4), Fraction(5)), (Fraction(1), Fraction(239))))
-        with pytest.raises(UnverifiedFormula, match="^exact product check failed"):
-            pi_from_formula(broken, 5, 128)
-        # explicit opt-out still evaluates
-        r = pi_from_formula(broken, 5, 128, assume_verified=True)
-        assert r.terms_used == 5
+        for _ in range(2):  # a failed proof is not kept: it fails again
+            with pytest.raises(UnverifiedFormula, match="^exact product check failed"):
+                pi_from_formula(broken, 5, 128)
 
     def test_integer_coefficients_scale_bounds_exactly(self, monkeypatch, machin_formula):
         # 4 * sum alpha * arctan is formed on integers: no rounding ulp.
@@ -217,8 +215,8 @@ class TestPiFromFormula:
         assert got.err_ulp == 4 * sum(abs(a) * v.err_ulp for a, v in pairs)
 
     def test_non_integer_coefficient_refused_when_vouched_for(self):
-        # An opt-out of verification must not let a fractional alpha be
-        # truncated or rounded into the sum: no such formula can be built.
+        # A fractional alpha must not be truncated or rounded into the
+        # sum: no such formula can be built, proved or not.
         with pytest.raises(ValueError, match="coefficients must be integers"):
             MachinFormula.single(Fraction(1, 2), Fraction(1))
 
@@ -251,9 +249,9 @@ class TestCertifiedPiRetries:
     @staticmethod
     def uncertain_until(attempt, calls):
         # Pi from the formula, widened by 1 until the given attempt.
-        def evaluate(formula, terms, scale, assume_verified=False):
+        def evaluate(formula, terms, scale):
             calls.append((terms, scale))
-            result = pi_from_formula(formula, terms, scale, assume_verified)
+            result = pi_from_formula(formula, terms, scale)
             if len(calls) < attempt:
                 return dataclasses.replace(result, value=result.value.widened(1 << scale))
             return result
@@ -266,6 +264,19 @@ class TestCertifiedPiRetries:
         assert text == pi_text_300[:52]
         terms, scale = self.FIRST
         assert calls == [(terms, scale), (terms + 3, scale + 128)]
+
+    def test_retry_proves_the_formula_once(self, monkeypatch, pi_text_300):
+        # A formula not yet proved is proved by verify_formula before the
+        # first run; the retry finds that proof kept on the formula.
+        formula = MachinFormula.two_term(3, Fraction(5), Fraction(-239))
+        verify, proofs = machin.verify_formula, []
+        monkeypatch.setattr(machin, "verify_formula",
+                            lambda f: proofs.append(f) or verify(f))
+        calls = []
+        monkeypatch.setattr(series, "pi_from_formula", self.uncertain_until(2, calls))
+        text, _ = pi_digits_from_formula(formula, 50)
+        assert text == pi_text_300[:52]
+        assert len(calls) == 2 and proofs == [formula]
 
     def test_gives_up_after_four_retries(self, monkeypatch, machin_formula):
         calls = []
