@@ -123,6 +123,7 @@ def measure_convergence(formula: MachinFormula, max_terms: int,
     slope = _least_squares_slope(fit_points if len(fit_points) >= 2 else samples)
     within = (
         slope == slope
+        and predicted > 0  # 0.0 where log10(1 + 4 u1**2) cancels
         and abs(slope - predicted) / predicted < RATE_BAND
     )
     return ConvergenceReport(

@@ -15,10 +15,11 @@ operation is exact, so its decimal text costs linear time, and
 decimal_head reads the leading digits of a quotient of two such texts.
 Both powers share one square-and-multiply loop.  int_to_text and
 text_to_int convert big integers to and from decimal text in
-subquadratic time where an int is still wanted; none of them changes
-CPython's process-wide int <-> str digit cap or the thread's decimal
-context.  int_divmod is divmod in subquadratic time, for every
-division of working-scale operands.
+subquadratic time where an int is still wanted, splitting by powers of
+2 and 5 that kept_power forms once per call, as it forms the series
+splits' powers; none of them changes CPython's process-wide int <-> str
+digit cap or the thread's decimal context.  int_divmod is divmod in
+subquadratic time, for every division of working-scale operands.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _TEXT_CHUNK = 640
 # instead, in 10 alternating pairs of perfbench runs, made `rates` (343
 # conversions of 100 to 600 digits a pass) 0.0340 -> 0.0350 s and the
 # peak RSS of `tower` (10,000-digit output) 21.14 -> 21.41 MB, worse in
-# every pair; `formula`'s u2 parts of depth 14 and up take the split.
+# every pair.  Only certified output over about 18,000 digits splits.
 _SPLIT_BITS = 60_000
 
 # Parts of at most this many bits enter decimal directly, converted by
@@ -79,7 +80,8 @@ def int_to_text(n: int) -> str:
             chunks.append(f"{low:0{_TEXT_CHUNK}d}")
         return str(n) + "".join(reversed(chunks))
     ctx = _exact_context()
-    return ctx.to_sci_string(_to_decimal(n, n.bit_length(), ctx, {}))
+    powers = {0: ctx.create_decimal(1), 1: ctx.create_decimal(2)}
+    return ctx.to_sci_string(_to_decimal(n, n.bit_length(), ctx, powers))
 
 
 # Module functions, not closures: a recursive closure is a reference cycle
@@ -90,21 +92,23 @@ def _to_decimal(m: int, bits: int, ctx: decimal.Context, powers: dict) -> decima
         return ctx.create_decimal(m)
     w = bits >> 1
     hi = m >> w
-    return ctx.fma(_to_decimal(hi, bits - w, ctx, powers), _power_of_two(w, ctx, powers),
+    return ctx.fma(_to_decimal(hi, bits - w, ctx, powers), kept_power(powers, w, ctx.multiply),
                    _to_decimal(m - (hi << w), w, ctx, powers))
 
 
-def _power_of_two(w: int, ctx: decimal.Context, powers: dict) -> decimal.Decimal:
-    result = powers.get(w)
+def kept_power(powers: dict, n: int, mul):
+    """The nth power in the arithmetic mul, `powers` a dict by exponent
+    that holds the 0th and the 1st: mul(powers[n - 1], powers[1]) if the
+    (n - 1)th is kept, else mul of the halves' powers.  Each power formed
+    is kept, so a fresh nth power takes at most 2 bits(n) products."""
+    result = powers.get(n)
     if result is None:
-        if w <= _LEAF_BITS:
-            result = ctx.create_decimal(1 << w)
-        elif w - 1 in powers:
-            result = ctx.add(powers[w - 1], powers[w - 1])
+        if n - 1 in powers:
+            result = mul(powers[n - 1], powers[1])
         else:
-            result = ctx.multiply(_power_of_two(w >> 1, ctx, powers),
-                                  _power_of_two(w - (w >> 1), ctx, powers))
-        powers[w] = result
+            h = n >> 1
+            result = mul(kept_power(powers, h, mul), kept_power(powers, n - h, mul))
+        powers[n] = result
     return result
 
 
@@ -185,28 +189,15 @@ def text_to_int(text: str) -> int:
     formed once per call."""
     if text.startswith("-"):
         return -text_to_int(text[1:])
-    return _parse_digits(text, 0, len(text), {})
+    return _parse_digits(text, 0, len(text), {0: 1, 1: 5})
 
 
 def _parse_digits(text: str, start: int, end: int, powers: dict[int, int]) -> int:
     if end - start <= _TEXT_CHUNK:
         return int(text[start:end])
     m = (end - start) >> 1
-    return ((_parse_digits(text, start, end - m, powers) * _power_of_five(m, powers) << m)
+    return ((_parse_digits(text, start, end - m, powers) * kept_power(powers, m, operator.mul) << m)
             + _parse_digits(text, end - m, end, powers))
-
-
-def _power_of_five(m: int, powers: dict[int, int]) -> int:
-    result = powers.get(m)
-    if result is None:
-        if m <= _TEXT_CHUNK:
-            result = 5 ** m
-        elif m - 1 in powers:
-            result = powers[m - 1] * 5
-        else:
-            result = _power_of_five(m >> 1, powers) * _power_of_five(m - (m >> 1), powers)
-        powers[m] = result
-    return result
 
 
 def gaussian_product(ar: int, ai: int, br: int, bi: int) -> tuple[int, int]:

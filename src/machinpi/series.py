@@ -45,12 +45,13 @@ magnitudes and reported.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .errors import PrecisionExhausted
-from .exact import gaussian_product, int_divmod, text_to_int
+from .exact import gaussian_product, int_divmod, kept_power, text_to_int
 from .machin import MAX_POWER_BITS, MachinFormula
 from .radicals import eval_radicals
 from .realnum import FixedReal, _ceil_div
@@ -107,10 +108,12 @@ def digits_per_term(beta: Fraction | int) -> float:
 def _term_rate(beta) -> float:
     """digits_per_term of a Fraction, or of a record's text u2 floored to
     64 fractional bits (_dyadic_floor): under 2**-60 low, relatively, and
-    never the min, as a record's |u2| is 1.309 u1 or more (k = 2..16)."""
+    never the min, as a record's |u2| is 1.309 u1 or more (k = 2..16).
+    Floored at 2 log10(2), the slowest chain link's rate (m_1 = 1 gains
+    log10(5), m_j >= 2 gains 2 log10(m_j)); a tiny |beta|'s cancels to 0."""
     if isinstance(beta, tuple):
         beta = Fraction(*_dyadic_floor(*beta, 64))
-    return digits_per_term(beta)
+    return max(digits_per_term(beta), 2 * _LOG10_2)
 
 
 def _parts(beta) -> tuple:
@@ -203,15 +206,16 @@ def _lcm_split(a: int, b: int, terms: int) -> tuple[int, int, int, int, int]:
     n1 and n2 merge as B = B1 (L/L1) G**n2 + B2 (L/L2) A**n1 (Cheng,
     Hanrot, Thome, Zima and Zimmermann, ISSAC 2007, on Haible and
     Papanikolaou's binary splitting; _lcm_blocks).  Over [1, terms) this
-    gives S = (a/g)(1 + B/(L G**(terms - 1))), so z = g L G**(terms - 1)
-    and w = L G**(terms - 1) + B, and p = A**(terms - 1) L / (2 terms - 1).
+    gives S = (a/g)(1 + B/(L G**(terms - 1))), so z = g L G**(terms - 1),
+    w = L G**(terms - 1) + B and p = A**(terms - 1) L / (2 terms - 1), all
+    off the triples (Re G**n, Im G**n, A**n) kept by n (_triple_product).
     """
     a2 = a * a
     powers = {0: (1, 0, 1), 1: (a2 - 4 * b * b, 4 * a * b, a2)}
     lcm, (br, bi) = _lcm_blocks(_conjugate_leaf, _conjugate_merge, powers, 1, terms)
-    gr, gi, _ = _split_power(powers, terms - 1)
+    gr, gi, ar = kept_power(powers, terms - 1, _triple_product)
     qr, qi = lcm * gr, lcm * gi
-    return (a2 ** (terms - 1) * (lcm // (2 * terms - 1)), a * qr - 2 * b * qi,
+    return (ar * (lcm // (2 * terms - 1)), a * qr - 2 * b * qi,
             a * qi + 2 * b * qr, qr + br, qi + bi)
 
 
@@ -229,7 +233,7 @@ def _gregory_split(m: int, terms: int) -> tuple[int, int, int]:
     """
     powers = {0: 1, 1: m * m}
     lcm, b = _lcm_blocks(_gregory_leaf, _gregory_merge, powers, 0, terms)
-    power = _real_power(powers, terms - 1)
+    power = kept_power(powers, terms - 1, operator.mul)
     return b, m * lcm * power, power
 
 
@@ -254,15 +258,14 @@ def _lcm_blocks(leaf, merge, powers: dict, lo: int, hi: int) -> tuple:
 
 
 def _conjugate_leaf(powers: dict, lo: int, hi: int, lcm: int) -> tuple[int, int]:
-    """B of _lcm_split's block [lo, hi), term by term on the cached powers,
-    which every leaf shares.  (A Horner loop in G measured the same at
+    """B of _lcm_split's block [lo, hi), term by term on the kept powers
+    of G and A, which every leaf and merge shares.  (A Horner loop in G measured the same at
     m = 5 and 35% slower on the 4-term link of --k 40 at 10^5 digits,
     whose G has 328k bits, before Gregory's series summed that link.)"""
-    a2 = powers[1][2]
     br = bi = 0
     for n in range(lo, hi):
-        gr, gi, _ = _split_power(powers, hi - 1 - n)
-        c = a2 ** (n - lo + 1) * (lcm // (2 * n + 1))
+        gr, gi, _ = kept_power(powers, hi - 1 - n, _triple_product)
+        c = kept_power(powers, n - lo + 1, _triple_product)[2] * (lcm // (2 * n + 1))
         br, bi = br + c * gr, bi + c * gi
     return br, bi
 
@@ -270,10 +273,10 @@ def _conjugate_leaf(powers: dict, lo: int, hi: int, lcm: int) -> tuple[int, int]
 def _conjugate_merge(powers: dict, b1: tuple, b2: tuple, f1: int, f2: int,
                      n1: int, n2: int) -> tuple[int, int]:
     """B1 (L/L1) G**n2 + B2 (L/L2) A**n1, for f1 = L/L1 and f2 = L/L2."""
-    gr, gi, _ = _split_power(powers, n2)
+    gr, gi, _ = kept_power(powers, n2, _triple_product)
     br, bi = gaussian_product(b1[0], b1[1], gr * f1, gi * f1)
     if powers[1][2] != 1:
-        f2 *= _split_power(powers, n1)[2]
+        f2 *= kept_power(powers, n1, _triple_product)[2]
     return br + b2[0] * f2, bi + b2[1] * f2
 
 
@@ -283,7 +286,7 @@ def _gregory_leaf(powers: dict, lo: int, hi: int, lcm: int) -> int:
     b = 0
     for n in range(lo, hi):
         c = lcm // (2 * n + 1)
-        b += (-c if (n - lo) & 1 else c) * _real_power(powers, hi - 1 - n)
+        b += (-c if (n - lo) & 1 else c) * kept_power(powers, hi - 1 - n, operator.mul)
     return b
 
 
@@ -291,34 +294,17 @@ def _gregory_merge(powers: dict, b1: int, b2: int, f1: int, f2: int,
                    n1: int, n2: int) -> int:
     """B1 (L/L1) M**n2 + (-1)**n1 B2 (L/L2), for f1 = L/L1 and f2 = L/L2."""
     b2 *= f2
-    return b1 * (_real_power(powers, n2) * f1) + (-b2 if n1 & 1 else b2)
+    return b1 * (kept_power(powers, n2, operator.mul) * f1) + (-b2 if n1 & 1 else b2)
 
 
-def _split_power(powers: dict, n: int) -> tuple[int, int, int]:
-    """(Re G**n, Im G**n, A**n), kept in `powers` by n: the blocks of a
-    balanced split have at most two lengths per level.  An even n squares
-    G**(n/2) in two multiplications, (x + y)(x - y) and 2xy."""
-    result = powers.get(n)
-    if result is None:
-        h = n >> 1
-        xr, xi, xa = _split_power(powers, h)
-        if n & 1:
-            yr, yi, ya = _split_power(powers, n - h)
-            result = (*gaussian_product(xr, xi, yr, yi), xa * ya)
-        else:
-            result = ((xr + xi) * (xr - xi), 2 * xr * xi, xa * xa)
-        powers[n] = result
-    return result
-
-
-def _real_power(powers: dict, n: int) -> int:
-    """M**n, kept in `powers` by n like _split_power's; an even n is one
-    square of M**(n/2)."""
-    result = powers.get(n)
-    if result is None:
-        h = n >> 1
-        result = powers[n] = _real_power(powers, h) * _real_power(powers, n - h)
-    return result
+def _triple_product(x: tuple, y: tuple) -> tuple[int, int, int]:
+    """kept_power's mul on _lcm_split's triples (Re G**n, Im G**n, A**n):
+    a square (x is y) takes two multiplications for G's parts, (xr +
+    xi)(xr - xi) and 2 xr xi, and any other product three."""
+    if x is y:
+        xr, xi, xa = x
+        return (xr + xi) * (xr - xi), 2 * xr * xi, xa * xa
+    return (*gaussian_product(x[0], x[1], y[0], y[1]), x[2] * y[2])
 
 
 def _rounded_sum(a: int, zr: int, zi: int, wr: int, wi: int, terms: int, scale: int):

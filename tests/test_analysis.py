@@ -78,6 +78,14 @@ class TestMeasureConvergence:
         assert by_alpha.samples == by_beta.samples
         assert by_alpha.samples[-1][1] > 20
 
+    def test_cancelled_prediction_is_out_of_band(self, pi_reference_300):
+        # u1 = 1e-8 predicts log10(1 + 4e-16), which cancels to 0.0.
+        tiny = Fraction(1, 10 ** 8)
+        formula = MachinFormula(((1, tiny), (-1, 1), (1, 1), (-1, tiny), (1, 1)))
+        report = measure_convergence(formula, 10, pi_reference_300)
+        assert report.predicted_digits_per_term == 0.0
+        assert not report.rate_within_band
+
     def test_insufficient_reference_rejected(self, k10_formula):
         shallow = FixedReal.from_fraction(Fraction(314159, 100000), 64).widened(1)
         # 3.14159 is not dyadic, so the lower end reads 3.14158...: the

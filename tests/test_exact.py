@@ -3,6 +3,7 @@ from __future__ import annotations
 import decimal
 import gc
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -20,10 +21,12 @@ from machinpi.exact import (
     gaussian_product,
     int_divmod,
     int_to_text,
+    kept_power,
     parse_rational,
     text_to_int,
 )
 from machinpi.radicals import eval_radicals, select_u1
+from machinpi.series import _triple_product
 
 from oracles import big_int_text, gi_mul_naive, gi_pow_naive, int_text_cap
 
@@ -175,6 +178,52 @@ class TestIntText:
         monkeypatch.setattr(decimal, "setcontext", refuse)
         monkeypatch.setattr(decimal, "localcontext", refuse)
         _check_codec(3 ** 200_000)
+
+
+class TestKeptPower:
+    """kept_power is the plain power in each arithmetic that keeps one:
+    ints (the powers of 5 and of M = m**2), exact decimal (the powers of
+    2) and the conjugate split's triples (Re G**n, Im G**n, A**n)."""
+
+    requests = st.lists(st.integers(0, 300), min_size=1, max_size=12)
+
+    @given(requests, st.integers(2, 7))
+    def test_ints_and_decimals_in_any_order(self, requests, base):
+        ctx = _exact_context()
+        ints = {0: 1, 1: base}
+        decimals = {0: ctx.create_decimal(1), 1: ctx.create_decimal(base)}
+        for n in requests:
+            assert kept_power(ints, n, operator.mul) == base ** n
+            assert ctx.to_sci_string(kept_power(decimals, n, ctx.multiply)) == str(base ** n)
+
+    @given(requests, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    def test_split_triples_in_any_order(self, requests, a, b):
+        # G = (a + 2bi)**2 and A = a**2, seeded as _lcm_split seeds them.
+        g = (a * a - 4 * b * b, 4 * a * b)
+        powers = {0: (1, 0, 1), 1: (*g, a * a)}
+        for n in requests:
+            assert kept_power(powers, n, _triple_product) == (*gaussian_power(*g, n), (a * a) ** n)
+
+    @given(requests)
+    @example([99_999, 1])
+    def test_products_per_request(self, requests):
+        # A fresh nth power takes at most 2 bits(n) products, whatever is
+        # kept already; a power next to or double a kept one takes one.
+        products = []
+
+        def mul(x, y):
+            products.append((x, y))
+            return x * y
+
+        powers = {0: 1, 1: 3}
+        for n in requests:
+            products.clear()
+            assert kept_power(powers, n, mul) == 3 ** n
+            assert len(products) <= 2 * n.bit_length()
+            for near in (n + 1, 2 * n + 2):
+                products.clear()
+                kept_power(powers, near, mul)
+                assert len(products) <= 1
 
 
 @st.composite

@@ -439,6 +439,28 @@ def test_oracles_import_nothing_from_exact_or_machin():
     assert not imported & {"machinpi.exact", "machinpi.machin"}
 
 
+def test_every_private_helper_is_called_elsewhere():
+    # A private function or method of machinpi that no other code of the
+    # package names, outside its own body, is a helper left behind.
+    package = Path(machin.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+
+    def names(node) -> list[str]:
+        return [n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                else n.name for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))]
+
+    everywhere = [name for tree in trees for name in names(tree)]
+    helpers = [node for tree in trees for top in tree.body
+               for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.endswith("__")]
+    assert helpers
+    unused = [node.name for node in helpers
+              if everywhere.count(node.name) == names(node).count(node.name)]
+    assert not unused
+
+
 @lru_cache(maxsize=None)
 def _record_terms(k: int, variant: str):
     """Terms of the generated depth-k formula, as generated, with u2's

@@ -230,6 +230,17 @@ class TestPiFromFormula:
         assert pi_text_300.startswith(text) and len(text) > 50
         assert result.term_counts == (30, 13)
 
+    @pytest.mark.parametrize("exponent", [8, 40])
+    def test_tiny_cotangent_has_a_budget(self, exponent, pi_text_300):
+        # log10(1 + 4 beta**2) cancels to 0.0 for |beta| <= 1e-8, but
+        # every chain link gains at least 2 log10(2) digits a term.
+        tiny = Fraction(1, 10 ** exponent)
+        formula = MachinFormula(((1, tiny), (-1, 1), (1, 1), (-1, tiny), (1, 1)))
+        for digits in (30, 300):
+            text, result = pi_digits_from_formula(formula, digits)
+            assert text == pi_text_300[:digits + 2]
+            assert result.terms_used == terms_for_digits(digits, 2 * math.log10(2))
+
     @pytest.mark.parametrize("budget", [{}, {"digits": 10, "terms": 5},
                                         {"digits": 0}, {"terms": 0}])
     def test_needs_exactly_one_positive_budget(self, machin_formula, budget):
