@@ -16,8 +16,8 @@ against runs at a working scale.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
@@ -41,14 +41,15 @@ RATE_BAND = 0.15
 KNOWN_DIGITS_PER_TERM = {2: 1, 3: 2, 5: 3, 10: 6, 17: 10, 23: 14}
 
 
-@dataclass
-class ConvergenceReport:
-    u1: Fraction
-    measured_digits_per_term: float
-    predicted_digits_per_term: float
-    samples: list[tuple[int, int]] = field(default_factory=list)
-    wall_time_per_term: float = 0.0
-    rate_within_band: bool = True
+class ConvergenceReport(namedtuple(
+        "ConvergenceReport", "u1 measured_digits_per_term predicted_digits_per_term "
+        "samples wall_time_per_term rate_within_band", defaults=((), 0.0, True))):
+    """measure_convergence's result: u1 (a Fraction), the measured and
+    predicted digits per term (floats), samples as (terms, correct digits)
+    pairs, the wall time per term in seconds, and whether the measured
+    rate is within RATE_BAND of the predicted one."""
+
+    __slots__ = ()
 
 
 def reference_digits(rate: float, max_terms: int) -> int:

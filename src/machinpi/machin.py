@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSecondTerm, NotExactlyVerifiable, UnverifiedFormula
 from .exact import (_exact_context, decimal_gaussian_power, fraction_from_text,
                     gaussian_power, gaussian_product)
+from .frozen import Frozen
 
 # Error of a term's float estimate alpha * atan(1/beta) per unit of
 # |alpha|.  The atan is off by at most 2**-50 + 2**-54: 4 ulps of
@@ -77,21 +77,20 @@ def check_tower_depth(k: int) -> None:
                          f"{MAX_POWER_BITS:.3g} bits")
 
 
-@dataclass(frozen=True)
-class MachinFormula:
+class MachinFormula(Frozen):
     """pi/4 = sum of alpha * arctan(1/beta) over the terms, held as (int
     alpha, Fraction beta != 0).  alpha must be an int or an integral
     Fraction, else ValueError; a Fraction beta is copied with no gcd."""
 
-    terms: tuple[tuple[int, Fraction], ...]
+    _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, terms: tuple[tuple[int, Fraction], ...]) -> None:
+        if not terms:
             raise ValueError("a formula needs at least one term")
-        terms = tuple((_integer(alpha), Fraction(beta)) for alpha, beta in self.terms)
+        terms = tuple((_integer(alpha), Fraction(beta)) for alpha, beta in terms)
         if any(beta == 0 for _, beta in terms):
             raise ValueError("every cotangent argument must be nonzero")
-        object.__setattr__(self, "terms", terms)
+        self._set(terms)
 
     @functools.cached_property
     def proof(self) -> None:

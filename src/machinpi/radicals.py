@@ -10,7 +10,7 @@ eps = u1 - c_k that the exactly-solved second term absorbs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import AmbiguousRounding, EpsilonTooLarge
@@ -20,28 +20,24 @@ from .realnum import FixedReal
 _LOG2_10 = math.log2(10)
 
 
-@dataclass(frozen=True)
-class RadicalState:
-    """Tower evaluation at depth k: a_k, a_(k-1) and c_k as intervals at
-    one scale, each with its certified error bound."""
+class RadicalState(namedtuple("RadicalState", "k a_k a_km1 c_k")):
+    """Tower evaluation at depth k (an int): a_k, a_(k-1) and c_k as
+    FixedReal intervals at one scale, each with its certified error
+    bound."""
 
-    k: int
-    a_k: FixedReal
-    a_km1: FixedReal
-    c_k: FixedReal
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class U1Selection:
-    """Rational rounding of c_k with its signed residual.
+class U1Selection(namedtuple("U1Selection", "u1 epsilon")):
+    """Rational rounding of c_k (u1, a Fraction) with its signed residual
+    (epsilon, a FixedReal).
 
     eps = u1 - c_k, so the residual is negative when rounding went down.
     |eps| <= 1/(2d) under nearest rounding, and |eps|/u1 < 1/10 is
     enforced.
     """
 
-    u1: Fraction
-    epsilon: FixedReal
+    __slots__ = ()
 
 
 def eval_radicals(k: int, decimal_digits: int) -> RadicalState:

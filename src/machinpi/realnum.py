@@ -34,12 +34,12 @@ ulps of 2**-s:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .errors import PrecisionExhausted
 from .exact import int_divmod, int_to_text
+from .frozen import Frozen
 
 
 # Extra bits in the interval square root's one root: they place the
@@ -151,20 +151,20 @@ def _shift_nearest(n: int, bits: int) -> int:
     return -((half - n) >> bits)
 
 
-@dataclass(frozen=True)
-class FixedReal:
+class FixedReal(Frozen):
     """Immutable fixed-point real: value = mantissa * 2**-scale, with the
     true quantity within err_ulp output ulps of it."""
 
-    mantissa: int
-    scale: int
-    err_ulp: int = 0
+    __slots__ = _fields = ("mantissa", "scale", "err_ulp")
 
-    def __post_init__(self) -> None:
-        if self.scale < 0:
+    def __init__(self, mantissa: int, scale: int, err_ulp: int = 0) -> None:
+        if scale < 0:
             raise ValueError("scale must be non-negative")
-        if self.err_ulp < 0:
+        if err_ulp < 0:
             raise ValueError("err_ulp must be non-negative")
+        object.__setattr__(self, "mantissa", mantissa)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "err_ulp", err_ulp)
 
     # -- construction -------------------------------------------------
 

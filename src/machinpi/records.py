@@ -33,13 +33,13 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .errors import DigitCountMismatch, RecordParseError, UnverifiedFormula
 from .exact import _coprime_fraction, decimal_head, fraction_from_text
+from .frozen import Frozen
 from .machin import MAX_POWER_BITS, MachinFormula, check_second_term
 
 SCHEMA_VERSION = 1
@@ -52,20 +52,19 @@ _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 _LOG2_10 = math.log2(10)
 
 
-@dataclass(frozen=True)
-class FormulaRecord:
-    schema_version: int
-    k: int
-    denominator_policy: int
-    rounding: str
-    u1: Fraction
-    epsilon_decimal: str
-    u2_text: tuple[str, str]  # (num, den) as decimal text, as stored
-    u2_digit_counts: tuple[int, int]
-    u2_decimal_head: str
-    verified: bool
-    predicted_rate: float
-    created_with: str
+class FormulaRecord(Frozen):
+    _fields = ("schema_version", "k", "denominator_policy", "rounding", "u1",
+               "epsilon_decimal", "u2_text", "u2_digit_counts", "u2_decimal_head",
+               "verified", "predicted_rate", "created_with")
+
+    def __init__(self, schema_version: int, k: int, denominator_policy: int,
+                 rounding: str, u1: Fraction, epsilon_decimal: str,
+                 u2_text: tuple[str, str],  # (num, den) as decimal text, as stored
+                 u2_digit_counts: tuple[int, int], u2_decimal_head: str,
+                 verified: bool, predicted_rate: float, created_with: str) -> None:
+        self._set(schema_version, k, denominator_policy, rounding, u1, epsilon_decimal,
+                  u2_text, u2_digit_counts, u2_decimal_head, verified, predicted_rate,
+                  created_with)
 
     @functools.cached_property
     def u2(self) -> Fraction:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -61,9 +61,10 @@ _LOG10_2 = math.log10(2)
 _GUARD_BITS = 64
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    """A partial sum with its term count and measured convergence.
+class SeriesResult(namedtuple("SeriesResult",
+                              "value terms_used per_term_log10 term_counts")):
+    """A partial sum (value, a FixedReal) with its term count (an int) and
+    measured convergence (per_term_log10, a float).
 
     term_counts holds the terms each arctangent summed, over its chain of
     integer cotangents where it has one: the conjugate series' on the
@@ -73,23 +74,29 @@ class SeriesResult:
     conjugate series; a Gregory link reports its predicted 2 log10(m).
     """
 
-    value: FixedReal
-    terms_used: int
-    per_term_log10: float
-    term_counts: tuple[int, ...]
+    __slots__ = ()
 
 
 def approx_log10(fr: Fraction) -> float:
     """Float log10 of a positive rational of any size."""
     if fr <= 0:
         raise ValueError("approx_log10 needs a positive value")
-    return _log10_int(fr.numerator) - _log10_int(fr.denominator)
+    return _log10_ratio(fr.numerator, fr.denominator)
 
 
 def _log10_int(v: int) -> float:
     """Float log10 of a positive integer of any size."""
     e = max(0, v.bit_length() - 53)
     return math.log10(v >> e) + e * _LOG10_2
+
+
+def _log10_ratio(a: int, b: int) -> float:
+    """Float log10(a/b) for positive ints of any size: the logs of their
+    53-bit heads, then the difference of the bits cut times log10(2), so
+    that no two logs near bits * log10(2) cancel.  With neither cut it is
+    log10(a) - log10(b), as _log10_int gives them."""
+    da, db = max(0, a.bit_length() - 53), max(0, b.bit_length() - 53)
+    return math.log10(a >> da) - math.log10(b >> db) + (da - db) * _LOG10_2
 
 
 def digits_per_term(beta: Fraction | int) -> float:
@@ -102,7 +109,7 @@ def digits_per_term(beta: Fraction | int) -> float:
     if p == 0:
         raise ValueError("the cotangent argument must be nonzero")
     shift = 0 if q & 1 else 2
-    return _log10_int((q * q + 4 * p * p) >> shift) - _log10_int((q * q) >> shift)
+    return _log10_ratio((q * q + 4 * p * p) >> shift, (q * q) >> shift)
 
 
 def _term_rate(beta) -> float:

@@ -7,14 +7,16 @@ references are alternating partial sums with their classical remainder
 bound.  Decimal text is the exact truncation of a Fraction.  The series
 references at the end run on (mantissa, err) int pairs with their own
 rounding; they take c_k from machinpi's eval_radicals and the working
-scale from its scale_for_digits.
+scale from its scale_for_digits.  Logs are 60-digit decimal logs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import decimal
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -264,19 +266,14 @@ def valid_decimal_digits_reference(x: FixedReal, limit: int) -> int:
 # [(m - e) 2**-s, (m + e) 2**-s].  Every quotient rounds to nearest,
 # ties away from zero, and every error bound rounds up.
 
-_LOG10_2 = math.log10(2)
-
-
-def _log10_int(v: int) -> float:
-    e = max(0, v.bit_length() - 53)
-    return math.log10(v >> e) + e * _LOG10_2
-
-
 def approx_log10(fr: Fraction) -> float:
-    """Float log10 of a positive rational of any size."""
+    """log10 of a positive rational of any size, as the difference of
+    its parts' 60-digit decimal logs (each part converted whole, exactly)
+    rounded to a float: off by under 10**-50 before that rounding."""
     if fr <= 0:
         raise ValueError("approx_log10 needs a positive value")
-    return _log10_int(fr.numerator) - _log10_int(fr.denominator)
+    with decimal.localcontext(prec=60):
+        return float(Decimal(fr.numerator).log10() - Decimal(fr.denominator).log10())
 
 
 def digits_per_term(beta: Fraction) -> float:

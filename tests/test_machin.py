@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import ast
+import copy
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from machinpi import machin
+from machinpi import machin, records
+from machinpi.analysis import ConvergenceReport
 from machinpi.cli import generate_record
 from machinpi.errors import DegenerateSecondTerm, NotExactlyVerifiable, UnverifiedFormula
 from machinpi.exact import decimal_head, gaussian_power
@@ -25,7 +29,10 @@ from machinpi.machin import (
     term_text,
     verify_formula,
 )
-from machinpi.radicals import eval_radicals, select_u1
+from machinpi.radicals import RadicalState, U1Selection, eval_radicals, select_u1
+from machinpi.realnum import FixedReal
+from machinpi.records import FormulaRecord
+from machinpi.series import SeriesResult
 
 from oracles import (
     big_int_text,
@@ -459,6 +466,66 @@ def test_every_private_helper_is_called_elsewhere():
     unused = [node.name for node in helpers
               if everywhere.count(node.name) == names(node).count(node.name)]
     assert not unused
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # Every command pays for what `import machinpi.cli` loads; the value
+    # types are built without dataclasses, which would load inspect too.
+    src = Path(machin.__file__).parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import machinpi.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
+_X = FixedReal(5, 3, 1)
+VALUE_TYPES = {
+    "FixedReal": (FixedReal, (5, 3, 1)),
+    "MachinFormula": (MachinFormula, (((4, Fraction(5)), (-1, Fraction(239))),)),
+    "FormulaRecord": (FormulaRecord, (1, 3, 1, "nearest", Fraction(5), "-0.1", ("-239", "1"),
+                                      (3, 1), "-239", True, 2.0, "machinpi 0.1.0")),
+    "SeriesResult": (SeriesResult, (_X, 3, 1.5, (3,))),
+    "RadicalState": (RadicalState, (3, _X, _X, _X)),
+    "U1Selection": (U1Selection, (Fraction(5), _X)),
+    "ConvergenceReport": (ConvergenceReport, (Fraction(5), 2.0, 2.0, ((1, 2),), 0.1, True)),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_type_contract(name, monkeypatch):
+    # Each value type is built by positional or keyword arguments, equal
+    # fields give equal objects with one hash, its repr names the fields,
+    # and no field can be assigned.  The two types that keep a proof prove
+    # each copy again, and FixedReal checks its scale and error and is no
+    # sequence.
+    cls, values = VALUE_TYPES[name]
+    fields = dict(zip(cls._fields, values))
+    made = cls(*values)
+    assert made == cls(**fields) and hash(made) == hash(cls(**fields))
+    assert copy.copy(made) == made
+    assert tuple(getattr(made, field) for field in cls._fields) == values
+    assert repr(made) == f"{name}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    with pytest.raises(AttributeError):
+        setattr(made, cls._fields[0], values[0])
+    if cls in (MachinFormula, FormulaRecord):
+        module, check = ((machin, "verify_formula") if cls is MachinFormula
+                         else (records, "check_record"))
+        calls, original = [], getattr(module, check)
+        monkeypatch.setattr(module, check, lambda value: calls.append(original(value)))
+        made.proof
+        made.proof
+        made.__replace__().proof
+        copy.copy(made).proof
+        assert len(calls) == 3
+    if cls is FixedReal:
+        assert FixedReal(5, 3) == made.__replace__(err_ulp=0)
+        for bad in ({"scale": -1}, {"err_ulp": -1}):
+            with pytest.raises(ValueError):
+                made.__replace__(**bad)
+        for not_a_sequence in (len, iter, lambda x: x * 2, lambda x: x < x):
+            with pytest.raises(TypeError):
+                not_a_sequence(made)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -158,9 +157,7 @@ class TestSelection:
 
     def test_ambiguous_rounding_on_blurred_input(self):
         state = eval_radicals(3, 26)
-        blurred = dataclasses.replace(
-            state, c_k=state.c_k.widened(1 << state.c_k.scale)
-        )
+        blurred = state._replace(c_k=state.c_k.widened(1 << state.c_k.scale))
         with pytest.raises(AmbiguousRounding):
             select_u1(blurred, 1)
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
@@ -155,7 +154,7 @@ class TestGenerateCommand:
             if len(requested) > count:
                 return state
             ulps = math.ceil(blur * 2 ** state.c_k.scale)
-            return dataclasses.replace(state, c_k=state.c_k.widened(ulps))
+            return state._replace(c_k=state.c_k.widened(ulps))
 
         monkeypatch.setattr(cli, "eval_radicals", blurred)
         return requested
@@ -305,7 +304,7 @@ def _with_u2_parts(record, num: int, den: int):
     with big_int_text():
         u2_text = (str(num), str(den))
     counts = (len(u2_text[0].lstrip("-")), len(u2_text[1]))
-    return dataclasses.replace(record, u2_text=u2_text, u2_digit_counts=counts)
+    return record.__replace__(u2_text=u2_text, u2_digit_counts=counts)
 
 
 class TestLowestTermsCertificate:
@@ -596,7 +595,7 @@ def test_unvouched_record_is_verified(tmp_path, k, rounding):
     text, _ = pi_digits_from_formula(record, 40)
     assert text == pi_digits(40)
     num, den = record.u2_text
-    altered = dataclasses.replace(record, u2_text=(str(int(num) + 2), den))
+    altered = record.__replace__(u2_text=(str(int(num) + 2), den))
     for compute in (partial(pi_digits_from_formula, altered, 40),
                     partial(pi_from_formula, altered, 30, 256)):
         with pytest.raises(UnverifiedFormula):
@@ -632,7 +631,7 @@ def test_compute_pi_proves_a_record_once(tmp_path, monkeypatch, capsys, budget):
 
 
 def test_record_copy_is_proved_again(tmp_path, monkeypatch):
-    # The proof is kept on the instance, so a dataclasses.replace copy,
+    # The proof is kept on the instance, so a __replace__ copy,
     # even one with the same fields, is proved again by check_record; one
     # with u2 scaled by 3 (matching digit counts) is refused as the
     # loader refuses it, where a check of its value alone would pass.
@@ -640,7 +639,7 @@ def test_record_copy_is_proved_again(tmp_path, monkeypatch):
     checks = _count_calls(monkeypatch, machinpi.records.check_record)
     assert pi_digits_from_formula(record, 20)[0] == pi_digits(20)
     assert checks == []
-    same = dataclasses.replace(record)
+    same = record.__replace__()
     assert pi_digits_from_formula(same, 20)[0] == pi_digits(20)
     assert pi_from_formula(same, 10, 128) == pi_from_formula(record, 10, 128)
     assert len(checks) == 1
@@ -657,7 +656,7 @@ def test_proved_record_is_freed_once_dropped(tmp_path):
     # The proof lives on the record, in no cache of its own, so nothing
     # keeps a proved record alive.  The record is unlike any other test's
     # (created_with), so no equal record stands in for it in a cache.
-    made = dataclasses.replace(generate_record(3, 1, "nearest"), created_with=str(tmp_path))
+    made = generate_record(3, 1, "nearest").__replace__(created_with=str(tmp_path))
     record = load_record(write_record(made, tmp_path / "r.json"))
     pi_digits_from_formula(record, 20)
     ref = weakref.ref(record)

@@ -30,7 +30,6 @@ stream's.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -631,7 +630,7 @@ def test_tower_widens_for_c_k_error(k, sign, monkeypatch):
         state = eval_radicals(k, digits)
         c = state.c_k
         c = FixedReal(c.mantissa + sign * delta, c.scale, c.err_ulp + delta)
-        return dataclasses.replace(state, c_k=c)
+        return state._replace(c_k=c)
 
     scale = scale_for_digits(60)
     # enough terms that truncation stays under an ulp at c_k's scale
